@@ -289,74 +289,135 @@ class Pool:
         Let-bound subexpressions become shared DAG nodes (interning makes
         any repeated subexpression shared, bindings just make it explicit).
         """
-        return self._build(expr, {})
+        # An explicit stack of steps, so nesting depth is bounded by memory
+        # only.  A step is (_EVAL, expr, env), which checks one form; a
+        # finishing step, which pops its operands' circuits off `done` and
+        # interns the form's gates; or (_BIND, ...), which binds a let name
+        # to the circuit on top of `done` and goes on with the let.  Forms
+        # are checked, variables looked up and gates interned in the order
+        # of a recursive descent, so errors and gate ids come out the same.
+        done: list[Circuit] = []
+        todo: list[tuple] = [(_EVAL, expr, {})]
+        while todo:
+            step = todo.pop()
+            if step[0] == _EVAL:
+                self._expand(step[1], step[2], todo, done)
+            elif step[0] == _BIND:
+                _, name, bindings, i, inner, body = step
+                inner[name] = done.pop()
+                self._let_step(bindings, i, inner, body, todo, done)
+            else:
+                self._finish(step, done)
+        return done[0]
 
-    def _build(self, expr, env) -> Circuit:
+    def _leaf(self, expr, env) -> Circuit:
         if isinstance(expr, bool):
             return self.const(int(expr))
-        if isinstance(expr, str):
-            if expr == "true":
-                return self.const(1)
-            if expr == "false":
-                return self.const(0)
-            bound = env.get(expr)
-            if bound is not None:
-                return bound
-            return self.literal(self.var(expr))
-        if isinstance(expr, (list, tuple)) and expr and isinstance(expr[0], str):
-            head = expr[0]
-            if head == "not":
-                _arity(expr, 1)
-                return self.not_(self._build(expr[1], env))
-            if head in ("and", "or"):
-                if len(expr) < 2:
-                    raise BuildError(f"zero-arity {head!r} gate")
-                parts = [self._build(e, env) for e in expr[1:]]
-                return self.and_(parts) if head == "and" else self.or_(parts)
-            if head == "imp":
-                _arity(expr, 2)
-                a = self._build(expr[1], env)
-                b = self._build(expr[2], env)
-                return self.or_([self.not_(a), b])
-            if head == "iff":
-                _arity(expr, 2)
-                a = self._build(expr[1], env)
-                b = self._build(expr[2], env)
-                return self.or_(
-                    [self.and_([a, b]), self.and_([self.not_(a), self.not_(b)])]
-                )
-            if head == "dec":
-                _arity(expr, 3)
-                name = expr[1]
-                if not isinstance(name, str) or name in env:
-                    raise BuildError("decision gate needs a declared variable")
-                return self.decision(
-                    self.var(name),
-                    self._build(expr[2], env),
-                    self._build(expr[3], env),
-                )
-            if head == "let":
-                _arity(expr, 2)
-                bindings = expr[1]
-                if not isinstance(bindings, (list, tuple)):
-                    raise BuildError("let bindings must be a list of (name expr) pairs")
-                inner = dict(env)
-                for pair in bindings:
-                    if (
-                        not isinstance(pair, (list, tuple))
-                        or len(pair) != 2
-                        or not isinstance(pair[0], str)
-                    ):
-                        raise BuildError(
-                            "let bindings must be a list of (name expr) pairs"
-                        )
-                    name, sub = pair
-                    if name in inner or name in self._by_name or name in _KEYWORDS:
-                        raise BuildError(f"duplicate let binding {name!r}")
-                    inner[name] = self._build(sub, inner)
-                return self._build(expr[2], inner)
+        if expr == "true":
+            return self.const(1)
+        if expr == "false":
+            return self.const(0)
+        bound = env.get(expr)
+        return bound if bound is not None else self.literal(self.var(expr))
+
+    def _expand(self, expr, env, todo, done):
+        """Check one form, then build its parts left to right.
+
+        Leading parts that are names or constants are built at once, and a
+        form made of them only is finished at once: nothing else could
+        happen in between in a recursive descent either.
+        """
+        if isinstance(expr, (str, bool)):
+            done.append(self._leaf(expr, env))
+            return
+        if not (isinstance(expr, (list, tuple)) and expr and isinstance(expr[0], str)):
+            raise BuildError(f"malformed expression {expr!r}")
+        head = expr[0]
+        if head == "not":
+            _arity(expr, 1)
+            finish = (_NOT,)
+        elif head in ("and", "or"):
+            if len(expr) < 2:
+                raise BuildError(f"zero-arity {head!r} gate")
+            finish = (_NARY, head, len(expr) - 1)
+        elif head in ("imp", "iff"):
+            _arity(expr, 2)
+            finish = (_IMP,) if head == "imp" else (_IFF,)
+        elif head == "dec":
+            _arity(expr, 3)
+            name = expr[1]
+            if not isinstance(name, str) or name in env:
+                raise BuildError("decision gate needs a declared variable")
+            finish = (_DEC, self.var(name))
+        elif head == "let":
+            _arity(expr, 2)
+            bindings = expr[1]
+            if not isinstance(bindings, (list, tuple)):
+                raise BuildError("let bindings must be a list of (name expr) pairs")
+            self._let_step(bindings, 0, dict(env), expr[2], todo, done)
+            return
+        else:
             raise BuildError(f"unknown operator {head!r}")
-        raise BuildError(f"malformed expression {expr!r}")
+        first = 2 if head == "dec" else 1
+        while first < len(expr) and isinstance(expr[first], (str, bool)):
+            done.append(self._leaf(expr[first], env))
+            first += 1
+        if first == len(expr):
+            self._finish(finish, done)
+            return
+        todo.append(finish)
+        todo.extend((_EVAL, e, env) for e in reversed(expr[first:]))
+
+    def _let_step(self, bindings, i, inner, body, todo, done):
+        # Bindings see earlier ones: each is checked once the one before
+        # it is bound.  A binding that `_expand` finishes at once is bound
+        # at once; otherwise the rest of the let waits, as a _BIND step,
+        # under the steps that `_expand` scheduled.
+        while i < len(bindings):
+            pair = bindings[i]
+            if (
+                not isinstance(pair, (list, tuple))
+                or len(pair) != 2
+                or not isinstance(pair[0], str)
+            ):
+                raise BuildError("let bindings must be a list of (name expr) pairs")
+            name, sub = pair
+            if name in inner or name in self._by_name or name in _KEYWORDS:
+                raise BuildError(f"duplicate let binding {name!r}")
+            i += 1
+            pending = len(todo)
+            self._expand(sub, inner, todo, done)
+            if len(todo) > pending:
+                todo.insert(pending, (_BIND, name, bindings, i, inner, body))
+                return
+            inner[name] = done.pop()
+        todo.append((_EVAL, body, inner))
+
+    def _finish(self, step, done):
+        op = step[0]
+        if op == _NOT:
+            done.append(self.not_(done.pop()))
+        elif op == _NARY:
+            count = step[2]
+            parts = done[-count:]
+            del done[-count:]
+            done.append(self.and_(parts) if step[1] == "and" else self.or_(parts))
+        elif op == _DEC:
+            high = done.pop()
+            done.append(self.decision(step[1], done.pop(), high))
+        else:
+            b = done.pop()
+            a = done.pop()
+            if op == _IMP:
+                done.append(self.or_([self.not_(a), b]))
+            else:  # _IFF
+                done.append(
+                    self.or_([self.and_([a, b]), self.and_([self.not_(a), self.not_(b)])])
+                )
+
+
+# Steps of Pool.build.
+_EVAL, _BIND, _NOT, _NARY, _IMP, _IFF, _DEC = range(7)
 
 
 def _arity(expr, n):

@@ -2,8 +2,12 @@
 
 A classifier is a circuit over features X and labels Y that assigns every
 feature vector exactly one label assignment (the label-uniqueness
-property).  Checking that property is brute force; classifiers cache the
-verdict so downstream operations can fail fast on uncertified inputs.
+property).  Checking that property enumerates all 2**(|X|+|Y|)
+assignments, bit-sliced: the classifier's truth table is one integer
+(see semantics.truth_mask), and `one_label_per_instance` reads the rule
+off it a byte at a time.  Being enumeration, it stays under the variable
+cap.  Classifiers cache the verdict so downstream operations can fail
+fast on uncertified inputs.
 """
 
 from __future__ import annotations
@@ -124,16 +128,23 @@ def _exact_one_bytes(block_bits: int) -> frozenset[int]:
 _EXACT_ONE = {2: _exact_one_bytes(2), 4: _exact_one_bytes(4)}
 
 
-def _one_model_per_block(mask: int, n_blocks: int, block_bits: int) -> bool:
-    """Every aligned block of the truth table holds exactly one set bit."""
+def one_label_per_instance(table: int, problem: ClassificationProblem) -> bool:
+    """The label-uniqueness rule, read off a truth table over `problem.all_vars`.
+
+    Labels come last in that order, so each instance owns one aligned
+    block of 2**len(labels) bits; the table passes when every block
+    holds exactly one set bit.  Shared by the circuit and tree checks.
+    """
+    n_blocks = 1 << len(problem.features)
+    block_bits = 1 << len(problem.labels)
     total = n_blocks * block_bits
     if total < 8:
         block = (1 << block_bits) - 1
         return all(
-            ((mask >> (i * block_bits)) & block).bit_count() == 1
+            ((table >> (i * block_bits)) & block).bit_count() == 1
             for i in range(n_blocks)
         )
-    data = mask.to_bytes(total // 8, "little")
+    data = table.to_bytes(total // 8, "little")
     if block_bits in _EXACT_ONE:
         good = _EXACT_ONE[block_bits]
         return all(byte in good for byte in data)
@@ -149,14 +160,11 @@ def _one_model_per_block(mask: int, n_blocks: int, block_bits: int) -> bool:
 def check_xy_property(
     circ: Circuit, problem: ClassificationProblem, cap: int = DEFAULT_VAR_CAP
 ) -> bool:
-    """Brute-force label uniqueness: every instance fixes exactly one label assignment."""
+    """Bit-sliced label uniqueness: every instance fixes exactly one label assignment."""
     over = problem.all_vars
     ensure_cap(len(over), cap)
     _check_problem_vars(circ, problem, "classifier circuit")
-    mask = truth_mask(circ, over)
-    return _one_model_per_block(
-        mask, 1 << len(problem.features), 1 << len(problem.labels)
-    )
+    return one_label_per_instance(truth_mask(circ, over), problem)
 
 
 class Classifier:

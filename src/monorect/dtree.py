@@ -5,6 +5,11 @@ Conjunction grafts the second tree onto the first tree's 1-leaves,
 disjunction onto its 0-leaves; both can duplicate variables along paths,
 so `dt_simplify` (read-once paths, no node with two identical children)
 runs after every combination step to keep the pipeline polynomial.
+
+The one enumerating step is certifying the classifier tree
+(`dt_check_classification`): a bit-sliced walk that builds the tree's
+truth table over features plus labels as one integer, so it is capped
+like every other enumeration (DEFAULT_VAR_CAP variables).
 """
 
 from __future__ import annotations
@@ -13,9 +18,9 @@ from dataclasses import dataclass
 from typing import Union
 
 from .circuit import Circuit, CONST, Literal, Pool, Term, VarId, condition
-from .classifier import ClassificationProblem, as_instance
+from .classifier import ClassificationProblem, as_instance, one_label_per_instance
 from .errors import CertificationError
-from .semantics import DEFAULT_VAR_CAP, Assignment, ensure_cap, evaluate
+from .semantics import DEFAULT_VAR_CAP, Assignment, ensure_cap, evaluate, var_masks
 
 
 @dataclass(frozen=True)
@@ -55,9 +60,19 @@ def decision_count(tree: DecisionTree) -> int:
 
 
 def dt_vars(tree: DecisionTree) -> frozenset[VarId]:
-    if isinstance(tree, DTLeaf):
-        return frozenset()
-    return frozenset({tree.var}) | dt_vars(tree.low) | dt_vars(tree.high)
+    return frozenset(_vars_below([tree]))
+
+
+def _vars_below(stack: list) -> set[VarId]:
+    """Variables of every subtree on the stack (consumed), walked iteratively."""
+    found = set()
+    while stack:
+        node = stack.pop()
+        if isinstance(node, DTNode):
+            found.add(node.var)
+            stack.append(node.low)
+            stack.append(node.high)
+    return found
 
 
 def dt_eval(tree: DecisionTree, omega: Assignment) -> int:
@@ -189,23 +204,48 @@ def dt_classify(tree: DecisionTree, x, problem: ClassificationProblem) -> int:
 def dt_check_classification(
     tree: DecisionTree, problem: ClassificationProblem, cap: int = DEFAULT_VAR_CAP
 ) -> bool:
-    """Brute-force label uniqueness for a tree over features plus labels."""
-    feats = problem.features
-    labels = problem.labels
-    ensure_cap(len(feats) + len(labels), cap)
-    extra = dt_vars(tree) - set(problem.all_vars)
+    """Label uniqueness for a tree over features plus labels, bit-sliced.
+
+    Still an enumeration of all assignments to `problem.all_vars`, hence
+    the cap, but over packed integers: one top-down walk gives each node
+    the mask of the assignments that reach it (the parent's mask and the
+    branch variable's truth-table mask for the high child, its complement
+    for the low one), and the masks of the 1-leaves OR together into the
+    tree's truth table.  A subtree that no assignment reaches is skipped;
+    only its variables are still checked against the problem.
+    """
+    over = problem.all_vars
+    ensure_cap(len(over), cap)
+    full = (1 << (1 << len(over))) - 1
+    branch = {v: (full ^ m, m) for v, m in var_masks(over).items()}
+    table = 0
+    unreached = []
+    stack = [(tree, full)]
+    while stack:
+        node, reach = stack.pop()
+        if isinstance(node, DTLeaf):
+            if node.value:
+                table |= reach
+            continue
+        masks = branch.get(node.var)
+        if masks is None:
+            unreached.append(node)
+            continue
+        low = reach & masks[0]
+        high = reach & masks[1]
+        if low:
+            stack.append((node.low, low))
+        else:
+            unreached.append(node.low)
+        if high:
+            stack.append((node.high, high))
+        else:
+            unreached.append(node.high)
+    extra = [v for v in _vars_below(unreached) if v not in branch]
     if extra:
         names = ", ".join(sorted(v.name for v in extra))
         raise ValueError(f"tree mentions variables outside the problem: {names}")
-    for i in range(1 << len(feats)):
-        inst = Assignment.from_index(i, feats)
-        hits = 0
-        for k in range(1 << len(labels)):
-            word = Assignment(feats + labels, inst.bits + Assignment.from_index(k, labels).bits)
-            hits += dt_eval(tree, word)
-        if hits != 1:
-            return False
-    return True
+    return one_label_per_instance(table, problem)
 
 
 def dt_rectify(

@@ -38,79 +38,67 @@ subcircuit the printer had to spell out twice).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .circuit import CONST, DEC, NOT, VAR
-from .circuit import Circuit, Gate, Pool
+from .circuit import Circuit, Gate, Pool, VarId
 from .classifier import ClassificationProblem
-from .dtree import DecisionTree, DTLeaf, DTNode
+from .dtree import LEAF0, LEAF1, DecisionTree, DTLeaf, DTNode
 from .errors import ParseError
 
 
-@dataclass(frozen=True)
-class _Token:
-    text: str
-    line: int
-    col: int
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    line, col, i = 1, 1, 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif ch in " \t\r":
-            col += 1
-            i += 1
-        elif ch == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif ch in "()":
-            tokens.append(_Token(ch, line, col))
-            col += 1
-            i += 1
-        else:
-            j = i
-            while j < n and text[j] not in " \t\r\n();":
-                j += 1
-            tokens.append(_Token(text[i:j], line, col))
-            col += j - i
-            i = j
-    return tokens
-
-
-def _read(tokens: list[_Token], pos: int):
-    if pos >= len(tokens):
-        raise ParseError("unexpected end of input")
-    tok = tokens[pos]
-    if tok.text == "(":
-        items = []
-        pos += 1
-        while True:
-            if pos >= len(tokens):
-                raise ParseError("missing ')'", tok.line, tok.col)
-            if tokens[pos].text == ")":
-                return items, pos + 1
-            item, pos = _read(tokens, pos)
-            items.append(item)
-    if tok.text == ")":
-        raise ParseError("unexpected ')'", tok.line, tok.col)
-    return tok.text, pos + 1
+# A token is a parenthesis, a name or a comment; blanks between tokens
+# are skipped.  Every other character is part of a name, so no text is
+# lost between tokens.
+_TOKEN = re.compile(r"[()]|[^ \t\r\n();]+|;[^\n]*")
 
 
 def _read_all(text: str) -> list:
-    tokens = _tokenize(text)
-    forms = []
-    pos = 0
-    while pos < len(tokens):
-        form, pos = _read(tokens, pos)
-        forms.append(form)
+    """All top-level forms: names as strings, parenthesized forms as lists."""
+    forms: list = []
+    items = forms
+    open_lists: list[list] = []  # the lists enclosing `items`
+    for token in _TOKEN.findall(text):
+        if token == "(":
+            inner: list = []
+            items.append(inner)
+            open_lists.append(items)
+            items = inner
+        elif token == ")":
+            if not open_lists:
+                raise _unbalanced(text)
+            items = open_lists.pop()
+        elif token[0] != ";":
+            items.append(token)
+    if open_lists:
+        raise _unbalanced(text)
     return forms
+
+
+def _unbalanced(text: str) -> ParseError:
+    """The error for the first unbalanced parenthesis, with its position.
+
+    Reading keeps no positions; this second pass, made only for the
+    error, finds the ')' that closes nothing or else the innermost '('
+    left open.
+    """
+    opened = []
+    for match in _TOKEN.finditer(text):
+        token = match.group()
+        if token == "(":
+            opened.append(match.start())
+        elif token == ")":
+            if not opened:
+                return ParseError("unexpected ')'", *_position(text, match.start()))
+            opened.pop()
+    return ParseError("missing ')'", *_position(text, opened[-1]))
+
+
+def _position(text: str, offset: int) -> tuple[int, int]:
+    """1-based line and column of a character offset."""
+    line_start = text.rfind("\n", 0, offset) + 1
+    return text.count("\n", 0, line_start) + 1, offset - line_start + 1
 
 
 def _read_one(text: str):
@@ -161,15 +149,33 @@ def parse_dtree(text: str, pool: Pool) -> DecisionTree:
 
 
 def _tree_from(node, pool: Pool) -> DecisionTree:
-    if isinstance(node, str):
-        if node == "0":
-            return DTLeaf(0)
-        if node == "1":
-            return DTLeaf(1)
-        raise ParseError(f"decision-tree leaf must be 0 or 1, got {node!r}")
-    if len(node) != 3 or not isinstance(node[0], str):
-        raise ParseError("decision-tree node must be (variable low high)")
-    return DTNode(pool.var(node[0]), _tree_from(node[1], pool), _tree_from(node[2], pool))
+    """Tree of a read form, with an explicit stack.
+
+    Forms are checked in the order a recursive reader would meet them (a
+    node, its variable, its low subtree, then its high subtree), so the
+    first error is the same; a node is made once both subtrees are done.
+    """
+    done: list[DecisionTree] = []
+    todo = [node]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, VarId):
+            high = done.pop()
+            done.append(DTNode(item, done.pop(), high))
+        elif isinstance(item, str):
+            if item == "0":
+                done.append(LEAF0)
+            elif item == "1":
+                done.append(LEAF1)
+            else:
+                raise ParseError(f"decision-tree leaf must be 0 or 1, got {item!r}")
+        elif len(item) != 3 or not isinstance(item[0], str):
+            raise ParseError("decision-tree node must be (variable low high)")
+        else:
+            todo.append(pool.var(item[0]))
+            todo.append(item[2])
+            todo.append(item[1])
+    return done[0]
 
 
 def print_dtree(tree: DecisionTree) -> str:

@@ -171,3 +171,27 @@ def test_multilabel_table_rejected(capsys):
     code, _, err = run(capsys, "table", "--problem", str(PROBLEMS / "twolabel.sexp"))
     assert code == 2
     assert "single-label" in err
+
+
+def test_deep_not_chain_classifies(tmp_path, capsys):
+    from monorect import Classifier, classify_rectified, is_positive, parse_problem, rectify
+
+    depth = 100_000  # even, so the chain stands for x1
+    chain = "(not " * depth + "x1" + ")" * depth
+    text = (
+        "(features x1 x2 x3)\n(labels y)\n"
+        f"(sigma (iff (or {chain} x3) y))\n"
+        "(theory (imp (and x2 (not x3)) (not y)))\n"
+    )
+    pf = parse_problem(text)
+    clf = Classifier(pf.problem, pf.sigma)
+    assert clf.certified
+    result = rectify(clf, pf.theory)
+    # the theory forces a negative verdict at 110 only among these two
+    assert is_positive(clf, "110") and classify_rectified(result, "110") == 0
+    assert is_positive(clf, "101") and classify_rectified(result, "101") == 1
+    deep = tmp_path / "deep.sexp"
+    deep.write_text(text)
+    code, out, _ = run(capsys, "classify", "--problem", str(deep), "--instance", "110")
+    assert code == 0
+    assert out == "sigma: pos, rectified: neg\n"

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from monorect import (
     Assignment,
+    CapExceededError,
     CertificationError,
     ClassificationProblem,
     Classifier,
@@ -174,6 +175,37 @@ def test_tree_certification(trees):
     assert not dt_check_classification(LEAF1, problem)
 
 
+def test_tree_certification_skips_unreached_subtrees(trees):
+    pool, problem, parse = trees
+    # the inner x1's high branch is never reached, so its 1-leaf counts for nothing
+    assert dt_check_classification(parse("(x1 (x1 (y 1 0) 1) (y 0 1))"), problem)
+    assert not dt_check_classification(parse("(x1 (x1 1 (y 1 0)) (y 0 1))"), problem)
+
+
+def test_tree_certification_rejects_variables_outside_the_problem(trees):
+    pool, problem, parse = trees
+    pool.declare("z1", "z2")
+    with pytest.raises(ValueError, match="outside the problem: z1$"):
+        dt_check_classification(parse("(x1 (y 0 1) (z1 0 1))"), problem)
+    # also where no assignment reaches the variables
+    unreached = "(x1 (x1 (y 0 1) (z1 0 1)) (x1 (z2 0 1) (y 1 0)))"
+    with pytest.raises(ValueError, match="outside the problem: z1, z2$"):
+        dt_check_classification(parse(unreached), problem)
+
+
+def test_tree_certification_cap(trees):
+    pool, problem, parse = trees
+    tree = parse(SIGMA_TREE_TEXT)
+    assert dt_check_classification(tree, problem, cap=4)
+    with pytest.raises(CapExceededError):
+        dt_check_classification(tree, problem, cap=3)
+    wide = Pool()
+    features = wide.declare(*(f"x{i}" for i in range(20)))
+    wide_problem = ClassificationProblem(features, wide.declare("y"))
+    with pytest.raises(CapExceededError):
+        dt_check_classification(attach_label(LEAF1, wide_problem.label), wide_problem)
+
+
 def test_attach_label_convention(trees):
     pool, problem, parse = trees
     label = problem.label
@@ -329,3 +361,105 @@ def test_combination_growth_stays_polynomial():
         for combined in (dt_conjoin(a, b), dt_disjoin(a, b)):
             reduced = dt_simplify(combined)
             assert node_count(reduced) <= node_count(a) * node_count(b) + node_count(a)
+
+
+# ----------------------------------------------------------------------
+# bit-sliced certification against the per-instance loop it replaced
+
+
+def brute_check_classification(tree, problem):
+    """dt_eval at every word over features plus labels, one instance at a time."""
+    feats = problem.features
+    labels = problem.labels
+    for i in range(1 << len(feats)):
+        inst = Assignment.from_index(i, feats)
+        hits = 0
+        for k in range(1 << len(labels)):
+            word = Assignment(feats + labels, inst.bits + Assignment.from_index(k, labels).bits)
+            hits += dt_eval(tree, word)
+        if hits != 1:
+            return False
+    return True
+
+
+# (features, labels): under 8 table bits, 2-bit blocks, and 4-bit blocks
+PROBLEM_SHAPES = ((1, 1), (3, 1), (2, 2))
+
+
+def _shaped_problem(n_features, n_labels):
+    pool = Pool()
+    features = pool.declare(*(f"x{i + 1}" for i in range(n_features)))
+    labels = pool.declare(*(f"y{i + 1}" for i in range(n_labels)))
+    return pool, ClassificationProblem(features, labels)
+
+
+def _one_hot_label_tree(labels, k, prefix=0):
+    """Tree over the labels whose only 1-leaf is at label word number k."""
+    if not labels:
+        return LEAF1 if prefix == k else LEAF0
+    head, rest = labels[0], labels[1:]
+    return DTNode(
+        head,
+        _one_hot_label_tree(rest, k, 2 * prefix),
+        _one_hot_label_tree(rest, k, 2 * prefix + 1),
+    )
+
+
+def _classification_tree(spec, pool, labels):
+    """Feature tree whose leaves (label word numbers) become one-hot label trees."""
+    if isinstance(spec, int):
+        return _one_hot_label_tree(labels, spec)
+    name, low, high = spec
+    return DTNode(
+        pool.var(name),
+        _classification_tree(low, pool, labels),
+        _classification_tree(high, pool, labels),
+    )
+
+
+@given(data=st.data(), shape=st.sampled_from(PROBLEM_SHAPES), certified=st.booleans())
+def test_bit_sliced_certification_matches_per_instance_loop(data, shape, certified):
+    pool, problem = _shaped_problem(*shape)
+    names = [v.name for v in problem.features]
+    if certified:
+        # certified by construction; repeated features may leave regions unreached
+        leaves = st.integers(0, (1 << len(problem.labels)) - 1)
+        spec = data.draw(
+            st.recursive(
+                leaves,
+                lambda kids: st.tuples(st.sampled_from(names), kids, kids),
+                max_leaves=12,
+            )
+        )
+        tree = _classification_tree(spec, pool, problem.labels)
+        assert brute_check_classification(tree, problem)
+    else:
+        # any tree over features and labels, bare leaves and repeats included
+        spec = data.draw(tree_specs([v.name for v in problem.all_vars], max_leaves=16))
+        tree = tree_from_spec(pool, spec)
+    assert dt_check_classification(tree, problem) == brute_check_classification(tree, problem)
+
+
+@pytest.mark.parametrize("shape", PROBLEM_SHAPES)
+def test_bare_leaves_are_not_classifiers(shape):
+    pool, problem = _shaped_problem(*shape)
+    for leaf in (LEAF0, LEAF1):
+        assert not brute_check_classification(leaf, problem)
+        assert not dt_check_classification(leaf, problem)
+
+
+def test_two_label_certification():
+    pool, problem = _shaped_problem(2, 2)
+    x1, x2 = problem.features
+    # x1=0 gets labels 01, x1=1 splits on x2 into 10 and 11
+    tree = DTNode(
+        x1,
+        _one_hot_label_tree(problem.labels, 1),
+        DTNode(x2, _one_hot_label_tree(problem.labels, 2), _one_hot_label_tree(problem.labels, 3)),
+    )
+    assert dt_check_classification(tree, problem)
+    # one instance allowing two label words
+    y1, y2 = problem.labels
+    loose = DTNode(x1, DTNode(y1, LEAF0, DTNode(y2, LEAF1, LEAF1)), tree.high)
+    assert not brute_check_classification(loose, problem)
+    assert not dt_check_classification(loose, problem)

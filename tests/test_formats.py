@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 
@@ -12,7 +14,7 @@ from monorect import (
     print_circuit,
     print_dtree,
 )
-from monorect.dtree import DTLeaf
+from monorect.dtree import DTLeaf, DTNode
 
 from conftest import (
     DEMO_SIGMA_AST,
@@ -25,6 +27,7 @@ from conftest import (
 )
 
 NAMES = ("x1", "x2", "x3")
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 
 def fresh_pool():
@@ -64,6 +67,35 @@ class TestParseCircuit:
         with pytest.raises(ParseError, match="exactly one"):
             parse_circuit("x1 x2", pool)
 
+    def test_error_positions_are_exact(self):
+        pool = fresh_pool()
+        with pytest.raises(ParseError) as err:
+            parse_circuit("(and x1)\n  (or x2))", pool)
+        assert "unexpected ')'" in str(err.value)
+        assert (err.value.line, err.value.col) == (2, 10)
+        # a missing ')' points at the innermost unclosed '('
+        with pytest.raises(ParseError) as err:
+            parse_circuit("(and x1\n (or x2\n   (not x3)", pool)
+        assert "missing ')'" in str(err.value)
+        assert (err.value.line, err.value.col) == (2, 2)
+        with pytest.raises(ParseError) as err:
+            parse_circuit("(and x1\r\n\t(or x2", pool)
+        assert (err.value.line, err.value.col) == (2, 2)
+
+    def test_comment_on_last_line_without_newline(self):
+        pool = fresh_pool()
+        expected = pool.build(["and", "x1", "x2"])
+        assert parse_circuit("(and x1 x2) ; last (not x3", pool) == expected
+        assert parse_circuit("(and x1 x2)\n;last", pool) == expected
+        with pytest.raises(ParseError, match="empty input"):
+            parse_circuit("; only a comment", pool)
+
+    def test_crlf_line_endings(self):
+        text = TestProblemFiles.GOOD.replace("\n", "\r\n")
+        pf = parse_problem(text)
+        assert pf.sigma == pf.pool.build(DEMO_SIGMA_AST)
+        assert pf.theory == pf.pool.build(DEMO_THEORY_AST)
+
     def test_build_errors(self):
         pool = fresh_pool()
         with pytest.raises(BuildError, match="unknown identifier"):
@@ -88,6 +120,24 @@ class TestParseDtree:
         pool = fresh_pool()
         with pytest.raises(ParseError, match="leaf must be 0 or 1"):
             parse_dtree("(x1 2 1)", pool)
+
+    def test_names_against_parentheses(self):
+        pool = fresh_pool()
+        tight = parse_dtree("(x1(x2 0 1)1)", pool)
+        assert tight == parse_dtree("(x1 (x2 0 1) 1)", pool)
+        assert print_dtree(tight) == "(x1 (x2 0 1) 1)"
+
+    def test_deep_tree_parses(self):
+        depth = 100_000
+        text = "(x1 0 " * depth + "1" + ")" * depth
+        tree = parse_dtree(text, fresh_pool())
+        seen = 0
+        while isinstance(tree, DTNode):
+            assert tree.low == DTLeaf(0)
+            tree = tree.high
+            seen += 1
+        assert seen == depth
+        assert tree == DTLeaf(1)
 
     def test_canonical_whitespace(self):
         pool = fresh_pool()
@@ -139,17 +189,43 @@ class TestProblemFiles:
         assert pf.forest[0] == pf.forest[1]
 
     def test_shipped_problem_files_load(self):
-        from pathlib import Path
-
-        root = Path(__file__).resolve().parent.parent / "problems"
         for name in ("demo.sexp", "twolabel.sexp", "forest.sexp"):
-            parse_problem((root / name).read_text())
+            parse_problem((PROBLEMS / name).read_text())
         for name in ("demo_sigma.tree", "demo_theory.tree"):
-            parse_tree_file((root / name).read_text())
+            parse_tree_file((PROBLEMS / name).read_text())
+
+    @pytest.mark.parametrize("path", sorted(PROBLEMS.glob("*.sexp")), ids=lambda p: p.name)
+    def test_shipped_problem_files_round_trip(self, path):
+        first = parse_problem(path.read_text())
+        text = _print_problem(first)
+        second = parse_problem(text)
+        assert _print_problem(second) == text
+        assert second.problem == first.problem
+
+
+def _header(problem) -> str:
+    names = lambda vs: " ".join(v.name for v in vs)
+    return f"(features {names(problem.features)})\n(labels {names(problem.labels)})\n"
+
+
+def _print_problem(pf) -> str:
+    text = _header(pf.problem) + (
+        f"(sigma {print_circuit(pf.sigma)})\n(theory {print_circuit(pf.theory)})\n"
+    )
+    if pf.forest is not None:
+        text += f"(forest {' '.join(print_dtree(t) for t in pf.forest)})\n"
+    return text
 
 
 class TestTreeFiles:
     GOOD = "(features x1 x2 x3)\n(labels y)\n(tree (x1 0 (x2 0 1)))\n"
+
+    @pytest.mark.parametrize("path", sorted(PROBLEMS.glob("*.tree")), ids=lambda p: p.name)
+    def test_shipped_tree_files_round_trip(self, path):
+        first = parse_tree_file(path.read_text())
+        second = parse_tree_file(_header(first.problem) + f"(tree {print_dtree(first.tree)})\n")
+        assert second.problem == first.problem
+        assert second.tree == first.tree
 
     def test_round_trip(self):
         tf = parse_tree_file(self.GOOD)
