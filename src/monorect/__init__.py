@@ -29,6 +29,7 @@ from .classifier import (
     fact_formula,
     is_fact_compliant,
     is_positive,
+    label_blocks,
     positive_circuit,
 )
 from .dtree import (

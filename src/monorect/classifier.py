@@ -6,8 +6,10 @@ property).  Checking that property enumerates all 2**(|X|+|Y|)
 assignments, bit-sliced: the classifier's truth table is one integer
 (see semantics.truth_mask), and `one_label_per_instance` reads the rule
 off it a byte at a time.  Being enumeration, it stays under the variable
-cap.  Classifiers cache the verdict so downstream operations can fail
-fast on uncertified inputs.
+cap.  Labels come last in the table's order, so each instance owns one
+block of 2**|Y| bits; only this module knows that layout, and
+`label_blocks` hands the blocks out.  Classifiers cache the verdict so
+downstream operations can fail fast on uncertified inputs.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .semantics import (
     DEFAULT_VAR_CAP,
     Assignment,
     ensure_cap,
+    ensure_within,
     truth_mask,
     var_masks,
 )
@@ -103,29 +106,20 @@ def as_instance(problem: ClassificationProblem, x: Instance) -> Assignment:
 
 
 def _check_problem_vars(circ: Circuit, problem: ClassificationProblem, what: str):
-    extra = circ.vars() - set(problem.all_vars)
-    if extra:
-        names = ", ".join(sorted(v.name for v in extra))
-        raise ValueError(
-            f"{what} mentions variables outside features and labels ({names}); "
-            "forget them first"
-        )
+    message = " mentions variables outside features and labels ({names}); forget them first"
+    ensure_within(circ.vars(), problem.all_vars, what + message)
 
 
-# Bytes whose 2-bit (resp. 4-bit) groups each contain exactly one set bit.
-def _exact_one_bytes(block_bits: int) -> frozenset[int]:
-    good = []
-    for byte in range(256):
-        groups = [
-            (byte >> shift) & ((1 << block_bits) - 1)
-            for shift in range(0, 8, block_bits)
-        ]
-        if all(g.bit_count() == 1 for g in groups):
-            good.append(byte)
-    return frozenset(good)
-
-
-_EXACT_ONE = {2: _exact_one_bytes(2), 4: _exact_one_bytes(4)}
+# The 2-bit (resp. 4-bit) blocks of every byte, lowest bits first, and
+# the bytes whose blocks each contain exactly one set bit.
+_BYTE_BLOCKS = {
+    w: [tuple(byte >> s & (1 << w) - 1 for s in range(0, 8, w)) for byte in range(256)]
+    for w in (2, 4)
+}
+_EXACT_ONE = {
+    w: frozenset(i for i, blocks in enumerate(split) if all(b.bit_count() == 1 for b in blocks))
+    for w, split in _BYTE_BLOCKS.items()
+}
 
 
 def one_label_per_instance(table: int, problem: ClassificationProblem) -> bool:
@@ -155,6 +149,29 @@ def one_label_per_instance(table: int, problem: ClassificationProblem) -> bool:
         int.from_bytes(data[i * span : (i + 1) * span], "little").bit_count() == 1
         for i in range(n_blocks)
     )
+
+
+def label_blocks(
+    circ: Circuit, problem: ClassificationProblem, cap: int = DEFAULT_VAR_CAP
+) -> list[int]:
+    """The circuit's truth table over `problem.all_vars`, one block per instance.
+
+    Block x (instances in word order) holds the circuit's value under
+    every label assignment at instance x: bit j is the j-th label
+    assignment in word order.  For a classification circuit each block
+    has exactly one set bit, the instance's verdict.
+    """
+    over = problem.all_vars
+    ensure_cap(len(over), cap)
+    _check_problem_vars(circ, problem, "circuit")
+    n_blocks = 1 << len(problem.features)
+    block_bits = 1 << len(problem.labels)
+    data = truth_mask(circ, over).to_bytes(max(1, n_blocks * block_bits // 8), "little")
+    if block_bits < 8:
+        split = _BYTE_BLOCKS[block_bits]
+        return [b for byte in data for b in split[byte]][:n_blocks]
+    span = block_bits // 8
+    return [int.from_bytes(data[i : i + span], "little") for i in range(0, len(data), span)]
 
 
 def check_xy_property(
@@ -200,10 +217,9 @@ class Classifier:
         the uniqueness property structurally.
         """
         label = problem.label
-        extra = positive.vars() - set(problem.features)
-        if extra:
-            names = ", ".join(sorted(v.name for v in extra))
-            raise ValueError(f"positive circuit mentions non-features: {names}")
+        ensure_within(
+            positive.vars(), problem.features, "positive circuit mentions non-features: {names}"
+        )
         circuit = positive.pool.decision(label, negate(positive), positive)
         clf = object.__new__(cls)
         clf.problem = problem
@@ -257,13 +273,7 @@ def fact_formula(
     ensure_cap(len(labels), cap)
     inst = as_instance(problem, x)
     at_x = condition(theory, inst.to_term())
-    extra = at_x.vars() - set(labels)
-    if extra:
-        names = ", ".join(sorted(v.name for v in extra))
-        raise ValueError(
-            f"theory mentions variables outside features and labels ({names}); "
-            "forget them first"
-        )
+    _check_problem_vars(at_x, problem, "theory")  # at_x mentions no feature
     mask = truth_mask(at_x, labels)
     if mask == 0:
         return FactFormula(Term())

@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from .circuit import Literal, Pool, Term, condition
-from .classifier import Classifier, as_instance, fact_formula, is_positive
+from .classifier import Classifier, as_instance, is_positive, label_blocks
 from .dtree import attach_label, circuit_to_dt, dt_rectify, dt_to_circuit
 from .errors import (
     BuildError,
@@ -29,7 +29,7 @@ from .formats import (
 )
 from .randgen import random_classifier, random_problem, random_theory
 from .rectify import classify_rectified, rectify
-from .semantics import DEFAULT_VAR_CAP, Assignment, equivalent, evaluate
+from .semantics import DEFAULT_VAR_CAP, equivalent
 from .verify import check_postulates, dalal_rectify, oracle_rectify
 
 
@@ -150,37 +150,25 @@ def _cmd_classify(args) -> int:
     return 0
 
 
+# A single-label block: bit 0 allows the negative label, bit 1 the positive.
+_BLOCK_TEXT = ("F", "!y", "y", "T")
+
+
 def _cmd_table(args) -> int:
     pf = _load(args)
     if not pf.problem.mono_label:
         raise ValueError("the table command needs a single-label problem")
     clf = _certify(pf, args.max_vars)
     result = rectify(clf, pf.theory)
-    label = pf.problem.label
-    feats = pf.problem.features
-    theory_pos = condition(pf.theory, Term([Literal(label, True)]))
-    theory_neg = condition(pf.theory, Term([Literal(label, False)]))
-    for i in range(1 << len(feats)):
-        inst = Assignment.from_index(i, feats)
-        before = "y" if is_positive(clf, inst) else "!y"
-        allows_pos = evaluate(theory_pos, inst) == 1
-        allows_neg = evaluate(theory_neg, inst) == 1
-        if allows_pos and allows_neg:
-            verdict = "T"
-        elif allows_pos:
-            verdict = "y"
-        elif allows_neg:
-            verdict = "!y"
-        else:
-            verdict = "F"
-        facts = fact_formula(pf.theory, inst, pf.problem, cap=args.max_vars)
-        if facts.trivial:
-            forced = "T"
-        else:
-            (lit,) = facts.term.literals
-            forced = "y" if lit.positive else "!y"
-        after = "y" if classify_rectified(result, inst) else "!y"
-        print(f"{inst.word} {before} {verdict} {forced} {after}")
+    blocks = (
+        label_blocks(circ, pf.problem, cap=args.max_vars)
+        for circ in (clf.circuit, pf.theory, result.rectified.circuit)
+    )
+    n = len(pf.problem.features)
+    for x, (before, allowed, after) in enumerate(zip(*blocks)):
+        verdict = _BLOCK_TEXT[allowed]
+        forced = verdict if allowed in (1, 2) else "T"
+        print(f"{x:0{n}b} {_BLOCK_TEXT[before]} {verdict} {forced} {_BLOCK_TEXT[after]}")
     return 0
 
 

@@ -20,7 +20,7 @@ from typing import Union
 from .circuit import Circuit, CONST, Literal, Pool, Term, VarId, condition
 from .classifier import ClassificationProblem, as_instance, one_label_per_instance
 from .errors import CertificationError
-from .semantics import DEFAULT_VAR_CAP, Assignment, ensure_cap, evaluate, var_masks
+from .semantics import DEFAULT_VAR_CAP, Assignment, ensure_cap, ensure_within, evaluate, var_masks
 
 
 @dataclass(frozen=True)
@@ -241,10 +241,9 @@ def dt_check_classification(
             stack.append((node.high, high))
         else:
             unreached.append(node.high)
-    extra = [v for v in _vars_below(unreached) if v not in branch]
-    if extra:
-        names = ", ".join(sorted(v.name for v in extra))
-        raise ValueError(f"tree mentions variables outside the problem: {names}")
+    ensure_within(
+        _vars_below(unreached), branch, "tree mentions variables outside the problem: {names}"
+    )
     return one_label_per_instance(table, problem)
 
 
@@ -264,12 +263,11 @@ def dt_rectify(
     label to the resulting feature-space tree.
     """
     label = problem.label
-    allowed = set(problem.features) | {label}
+    allowed = problem.features + (label,)
     for what, tree in (("classifier", sigma_tree), ("theory", theory_tree)):
-        extra = dt_vars(tree) - allowed
-        if extra:
-            names = ", ".join(sorted(v.name for v in extra))
-            raise ValueError(f"{what} tree mentions variables outside the problem: {names}")
+        ensure_within(
+            dt_vars(tree), allowed, what + " tree mentions variables outside the problem: {names}"
+        )
     if not dt_check_classification(sigma_tree, problem, cap=cap):
         raise CertificationError(
             "classifier tree is not certified: some instance has no unique label"
@@ -301,10 +299,7 @@ def circuit_to_dt(
     """Cofactor expansion of a circuit into a reduced tree along the given order."""
     order = tuple(order)
     ensure_cap(len(circ.vars()), cap)
-    missing = circ.vars() - set(order)
-    if missing:
-        names = ", ".join(sorted(v.name for v in missing))
-        raise ValueError(f"expansion order does not cover: {names}")
+    ensure_within(circ.vars(), order, "expansion order does not cover: {names}")
     return dt_simplify(_expand(circ, order, 0))
 
 

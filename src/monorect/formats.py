@@ -32,17 +32,19 @@ Decision-tree files (inputs of the dt-rectify command)::
     (tree TREE)
 
 Printers emit a canonical single-space form; reparsing printed output
-reproduces the original structure exactly (interning re-shares any
-subcircuit the printer had to spell out twice).
+reproduces the original structure exactly.  The circuit printer names
+every shared gate in a `let`, so its output is linear in the arc count,
+and both printers work with explicit stacks, like the readers.
 """
 
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 
-from .circuit import CONST, DEC, NOT, VAR
-from .circuit import Circuit, Gate, Pool, VarId
+from .circuit import CONST, DEC, VAR
+from .circuit import Circuit, Gate, Pool, VarId, iter_gates
 from .classifier import ClassificationProblem
 from .dtree import LEAF0, LEAF1, DecisionTree, DTLeaf, DTNode
 from .errors import ParseError
@@ -120,23 +122,54 @@ def parse_circuit(text: str, pool: Pool) -> Circuit:
 
 
 def print_circuit(circ: Circuit) -> str:
-    """Canonical text for a circuit; shared gates are spelled out each time."""
-    return _gate_text(circ.root)
+    """Canonical text for a circuit, linear in its arc count.
+
+    A gate used more than once, other than a constant or a variable, is
+    spelled out once, as a `let` binding that precedes every use; the
+    names g0, g1, ... skip the pool's variable names.
+    """
+    gates = iter_gates(circ)
+    uses = Counter(child.uid for gate in gates for child in gate.children)
+    taken = {v.name for v in circ.pool.variables}
+    names: dict[int, str] = {}
+    out = ["(let ("]
+    i = 0
+    for gate in gates:  # children first, so a binding uses earlier names only
+        if uses[gate.uid] > 1 and gate.kind not in (CONST, VAR):
+            while f"g{i}" in taken:
+                i += 1
+            out.append(f"(g{i} ")
+            _spell(gate, names, out)
+            out.append(") ")
+            names[gate.uid] = f"g{i}"
+            i += 1
+    body: list[str] = []
+    _spell(circ.root, names, body)
+    if not names:
+        return "".join(body)
+    out[-1] = ")) "
+    return "".join(out) + "".join(body) + ")"
 
 
-def _gate_text(gate: Gate) -> str:
-    kind = gate.kind
-    if kind == CONST:
-        return "true" if gate.payload else "false"
-    if kind == VAR:
-        return gate.payload.name
-    if kind == NOT:
-        return f"(not {_gate_text(gate.children[0])})"
-    if kind == DEC:
-        low, high = gate.children
-        return f"(dec {gate.payload.name} {_gate_text(low)} {_gate_text(high)})"
-    body = " ".join(_gate_text(c) for c in gate.children)
-    return f"({kind} {body})"
+def _spell(gate: Gate, names: dict[int, str], out: list[str]):
+    """Append the text of `gate` to `out`, with the names of named gates below it."""
+    todo: list = [gate]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            out.append(item)
+        elif item.uid in names:
+            out.append(names[item.uid])
+        elif item.kind == CONST:
+            out.append("true" if item.payload else "false")
+        elif item.kind == VAR:
+            out.append(item.payload.name)
+        else:
+            out.append(f"(dec {item.payload.name}" if item.kind == DEC else f"({item.kind}")
+            todo.append(")")
+            for child in reversed(item.children):
+                todo.append(child)
+                todo.append(" ")
 
 
 # ----------------------------------------------------------------------
@@ -179,9 +212,19 @@ def _tree_from(node, pool: Pool) -> DecisionTree:
 
 
 def print_dtree(tree: DecisionTree) -> str:
-    if isinstance(tree, DTLeaf):
-        return str(tree.value)
-    return f"({tree.var.name} {print_dtree(tree.low)} {print_dtree(tree.high)})"
+    """Canonical text for a decision tree, with an explicit stack."""
+    out: list[str] = []
+    todo: list = [tree]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            out.append(item)
+        elif isinstance(item, DTLeaf):
+            out.append("1" if item.value else "0")
+        else:
+            out.append(f"({item.var.name} ")
+            todo.extend((")", item.high, " ", item.low))
+    return "".join(out)
 
 
 # ----------------------------------------------------------------------

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .circuit import Circuit, Literal, Term, condition, conjoin, disjoin, negate
 from .classifier import Classifier, ClassificationProblem, as_instance, positive_circuit
 from .errors import CapExceededError
-from .semantics import Assignment, evaluate, forget
+from .semantics import Assignment, ensure_within, evaluate, forget
 
 
 @dataclass(frozen=True)
@@ -47,14 +47,12 @@ def decisive_circuits(
     neither are decided by neither circuit.
     """
     label = problem.label
-    allowed = set(problem.features) | {label}
-    extra = theory.vars() - allowed
-    if extra:
-        names = ", ".join(sorted(v.name for v in extra))
-        raise ValueError(
-            f"theory mentions variables outside the problem ({names}); "
-            "apply preprocess_project first"
-        )
+    ensure_within(
+        theory.vars(),
+        problem.features + (label,),
+        "theory mentions variables outside the problem ({names}); "
+        "apply preprocess_project first",
+    )
     with_pos = condition(theory, Term([Literal(label, True)]))
     with_neg = condition(theory, Term([Literal(label, False)]))
     forces_pos = conjoin(with_pos, negate(with_neg))

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from .circuit import AND, CONST, DEC, NOT, OR, VAR
 from .circuit import Circuit, Literal, Term, VarId, condition, disjoin, iter_gates
@@ -86,6 +86,18 @@ def ensure_cap(count: int, cap: int):
         )
 
 
+def ensure_within(found: Iterable[VarId], allowed: Collection[VarId], message: str):
+    """Raise ValueError unless every variable of `found` is in `allowed`.
+
+    `message` is a format string; its `{names}` field receives the
+    offending variable names, sorted and comma-separated.
+    """
+    extra = set(found).difference(allowed)
+    if extra:
+        names = ", ".join(sorted(v.name for v in extra))
+        raise ValueError(message.format(names=names))
+
+
 def _position_mask(p: int, n: int) -> int:
     # bit i of the result is (i >> p) & 1, for all i < 2**n
     block = ((1 << (1 << p)) - 1) << (1 << p)
@@ -109,10 +121,7 @@ def truth_mask(circ: Circuit, over: Sequence[VarId]) -> int:
     over = tuple(over)
     if len(set(over)) != len(over):
         raise ValueError("duplicate variables in enumeration order")
-    missing = circ.vars() - set(over)
-    if missing:
-        names = ", ".join(sorted(v.name for v in missing))
-        raise ValueError(f"circuit mentions variables outside the order: {names}")
+    ensure_within(circ.vars(), over, "circuit mentions variables outside the order: {names}")
     full = (1 << (1 << len(over))) - 1
     masks = var_masks(over)
     memo: dict[int, int] = {}

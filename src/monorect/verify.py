@@ -14,43 +14,18 @@ from dataclasses import dataclass
 
 from .circuit import AND, CONST, NOT, OR, VAR
 from .circuit import Circuit, Gate, Pool, VarId, conjoin, disjoin, iter_gates, negate
-from .classifier import Classifier, check_xy_property, classify, is_fact_compliant
-from .errors import CertificationError
+from .classifier import Classifier, label_blocks
 from .rectify import RectificationResult, preprocess_project, rectify
 from .semantics import (
     DEFAULT_VAR_CAP,
-    Assignment,
     _position_mask,
     ensure_cap,
+    ensure_within,
     equivalent,
     is_consistent,
     truth_mask,
     var_masks,
 )
-
-
-class _BitTable:
-    """Random access into a truth-table integer without repeated big shifts."""
-
-    __slots__ = ("data",)
-
-    def __init__(self, mask: int, bits: int):
-        self.data = mask.to_bytes((bits + 7) // 8, "little")
-
-    def __getitem__(self, i: int) -> int:
-        return (self.data[i >> 3] >> (i & 7)) & 1
-
-    def block(self, index: int, width: int) -> int:
-        """The `width`-bit group starting at bit index*width, as an int."""
-        start = index * width
-        if width >= 8 and start % 8 == 0:
-            span = width // 8
-            byte = start // 8
-            return int.from_bytes(self.data[byte : byte + span], "little")
-        out = 0
-        for k in range(width):
-            out |= self[start + k] << k
-        return out
 
 
 def _term_circuit(idx: int, over: tuple[VarId, ...], pool: Pool) -> Circuit:
@@ -85,29 +60,21 @@ def oracle_rectify(
     """
     clf.require_certified()
     problem = clf.problem
-    label = problem.label
     feats = problem.features
-    ensure_cap(len(feats) + 1, cap)
-    extra = theory.vars() - set(feats) - {label}
-    if extra:
-        names = ", ".join(sorted(v.name for v in extra))
-        raise ValueError(f"theory mentions variables outside the problem: {names}")
-    over = feats + (label,)
-    theory_bits = _BitTable(truth_mask(theory, over), 1 << (len(feats) + 1))
-    sigma_bits = _BitTable(truth_mask(clf.circuit, over), 1 << (len(feats) + 1))
+    label = problem.label
+    sigma = label_blocks(clf.circuit, problem, cap=cap)
+    ensure_within(
+        theory.vars(), feats + (label,), "theory mentions variables outside the problem: {names}"
+    )
+    allowed = label_blocks(theory, problem, cap=cap)
     accepted = 0
-    for x in range(1 << len(feats)):
-        allows_pos = theory_bits[2 * x + 1]
-        allows_neg = theory_bits[2 * x]
-        was_pos = sigma_bits[2 * x + 1]
-        if allows_pos == allows_neg:
-            keep_pos = was_pos  # trivial or contradictory: keep
-        elif allows_pos == was_pos:
-            keep_pos = was_pos  # decisive and agreeing: keep
-        else:
-            keep_pos = 1 - was_pos  # decisive conflict: switch the class
-        if keep_pos:
-            accepted |= 1 << x
+    for x, (verdict, allows) in enumerate(zip(sigma, allowed)):
+        # 2-bit blocks: bit 0 allows the negative label, bit 1 the positive.
+        # A decisive theory (one label allowed) wins, switching the class on
+        # conflict; a trivial (3) or contradictory (0) one keeps the verdict.
+        if allows in (1, 2):
+            verdict = allows
+        accepted |= (verdict >> 1) << x
     return _mask_to_circuit(accepted, feats, clf.circuit.pool)
 
 
@@ -168,6 +135,14 @@ def _entailed_mask(y_mask: int, m: int, label_masks: list[int]) -> int:
     return out
 
 
+def _forced_masks(theory: Circuit, problem, cap: int) -> list[int]:
+    """Per instance, the mask of the label literals the theory forces there."""
+    masks = var_masks(problem.labels)
+    label_masks = [masks[v] for v in problem.labels]
+    m = len(label_masks)
+    return [_entailed_mask(b, m, label_masks) for b in label_blocks(theory, problem, cap=cap)]
+
+
 def dalal_rectify(clf: Classifier, theory: Circuit, cap: int = DEFAULT_VAR_CAP) -> Circuit:
     """Reference rectification via per-instance distance-minimal revision.
 
@@ -181,24 +156,13 @@ def dalal_rectify(clf: Classifier, theory: Circuit, cap: int = DEFAULT_VAR_CAP) 
     feats = problem.features
     labels = problem.labels
     m = len(labels)
-    ensure_cap(len(feats) + m, cap)
-    extra = theory.vars() - set(problem.all_vars)
-    if extra:
-        names = ", ".join(sorted(v.name for v in extra))
-        raise ValueError(f"theory mentions variables outside the problem: {names}")
+    sigma = label_blocks(clf.circuit, problem, cap=cap)
+    ensure_within(
+        theory.vars(), problem.all_vars, "theory mentions variables outside the problem: {names}"
+    )
     pool = clf.circuit.pool
-    over = problem.all_vars
-    width = 1 << m
-    total = 1 << len(over)
-    sigma_tt = _BitTable(truth_mask(clf.circuit, over), total)
-    theory_tt = _BitTable(truth_mask(theory, over), total)
-    masks = var_masks(labels)
-    label_masks = [masks[v] for v in labels]
     parts = []
-    for x in range(1 << len(feats)):
-        verdict = sigma_tt.block(x, width)
-        at_x = theory_tt.block(x, width)
-        facts = _entailed_mask(at_x, m, label_masks)
+    for x, (verdict, facts) in enumerate(zip(sigma, _forced_masks(theory, problem, cap))):
         revised = _dalal_mask(verdict, facts, m)
         parts.append(
             conjoin(_term_circuit(x, feats, pool), _mask_to_circuit(revised, labels, pool))
@@ -272,43 +236,34 @@ def check_postulates(
     """
     rng = rng if rng is not None else random.Random(0)
     problem = clf.problem
-    feats = problem.features
-    n_inst = 1 << len(feats)
+    n = len(problem.features)
+    n_inst = 1 << n
     checks = []
 
+    # RE1-RE3 read one truth table per circuit, a block per instance; the
+    # facts forced at an instance are the label literals its theory block
+    # entails (none where the theory is contradictory).
+    clf.require_certified()
+    sigma = label_blocks(clf.circuit, problem, cap=cap)
+    after = label_blocks(result.rectified.circuit, problem, cap=cap)
+    forced = _forced_masks(theory, problem, cap)
+
     # RE1: the rectified circuit is still a classification circuit.
-    ok = check_xy_property(result.rectified.circuit, problem, cap=cap)
-    detail = None
-    if not ok:
-        for i in range(n_inst):
-            inst = Assignment.from_index(i, feats)
-            try:
-                classify(result.rectified, inst)
-            except CertificationError:
-                detail = f"instance {inst.word} has no unique label"
-                break
-    checks.append(PostulateCheck("RE1", "classification property", ok, n_inst, detail))
+    bad = next((x for x, b in enumerate(after) if b.bit_count() != 1), None)
+    detail = None if bad is None else f"instance {bad:0{n}b} has no unique label"
+    checks.append(PostulateCheck("RE1", "classification property", bad is None, n_inst, detail))
 
     # RE2: verdicts stay put wherever the original classifier already complies.
-    ok, checked, detail = True, 0, None
-    for i in range(n_inst):
-        inst = Assignment.from_index(i, feats)
-        if not is_fact_compliant(clf, theory, inst, cap=cap):
-            continue
-        checked += 1
-        if classify(result.rectified, inst) != classify(clf, inst):
-            ok, detail = False, f"verdict changed on compliant instance {inst.word}"
-            break
-    checks.append(PostulateCheck("RE2", "minimal change", ok, checked, detail))
+    compliant = [x for x in range(n_inst) if not sigma[x] & ~forced[x]]
+    k = next((k for k, x in enumerate(compliant) if after[x] != sigma[x]), None)
+    detail = None if k is None else f"verdict changed on compliant instance {compliant[k]:0{n}b}"
+    checked = len(compliant) if k is None else k + 1
+    checks.append(PostulateCheck("RE2", "minimal change", k is None, checked, detail))
 
     # RE3: the rectified classifier complies with the theory everywhere.
-    ok, detail = True, None
-    for i in range(n_inst):
-        inst = Assignment.from_index(i, feats)
-        if not is_fact_compliant(result.rectified, theory, inst, cap=cap):
-            ok, detail = False, f"forced facts violated at instance {inst.word}"
-            break
-    checks.append(PostulateCheck("RE3", "success", ok, n_inst, detail))
+    bad = next((x for x in range(n_inst) if after[x] & ~forced[x]), None)
+    detail = None if bad is None else f"forced facts violated at instance {bad:0{n}b}"
+    checks.append(PostulateCheck("RE3", "success", bad is None, n_inst, detail))
 
     # RE4: a contradictory theory changes nothing.
     if is_consistent(theory, cap=cap):

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from monorect import (
+    DEFAULT_VAR_CAP,
     Assignment,
+    CapExceededError,
     CertificationError,
     ClassificationProblem,
     Classifier,
@@ -20,9 +22,13 @@ from monorect import (
     fact_formula,
     is_fact_compliant,
     is_positive,
+    label_blocks,
     models,
+    negate,
     positive_circuit,
+    truth_mask,
 )
+from monorect.verify import _forced_masks
 
 from conftest import ast_exprs
 
@@ -203,3 +209,40 @@ def test_certified_classifiers_classify_every_instance(region_ast):
     for i in range(8):
         verdict = classify(clf, Assignment.from_index(i, features))
         assert verdict.word in ("0", "1")
+
+
+@given(data=st.data(), n_features=st.integers(1, 3), n_labels=st.integers(1, 4))
+@settings(max_examples=80)
+def test_label_blocks_agree_with_the_per_instance_path(data, n_features, n_labels):
+    # 1 label gives 2-bit blocks, 2 labels 4-bit, 3 labels 8-bit, 4 labels 16-bit
+    pool = Pool()
+    features = pool.declare(*(f"x{i + 1}" for i in range(n_features)))
+    labels = pool.declare(*(f"y{j + 1}" for j in range(n_labels)))
+    names = [v.name for v in features + labels]
+    problem = ClassificationProblem(features, labels)
+    # each label follows its own feature region: a classification circuit
+    regions = [
+        pool.build(data.draw(ast_exprs(names[:n_features], max_leaves=6)))
+        for _ in labels
+    ]
+    clf = Classifier(
+        problem, pool.and_(pool.decision(y, negate(r), r) for y, r in zip(labels, regions))
+    )
+    theory = pool.build(data.draw(ast_exprs(names, max_leaves=10)))
+    sigma = label_blocks(clf.circuit, problem)
+    allowed = label_blocks(theory, problem)
+    forced = _forced_masks(theory, problem, DEFAULT_VAR_CAP)
+    assert len(sigma) == len(allowed) == len(forced) == 1 << n_features
+    for x in range(1 << n_features):
+        inst = Assignment.from_index(x, features)
+        assert sigma[x] == 1 << int(classify(clf, inst).word, 2)
+        assert allowed[x] == truth_mask(condition(theory, inst.to_term()), labels)
+        assert (sigma[x] & ~forced[x] == 0) == is_fact_compliant(clf, theory, inst)
+
+
+def test_label_blocks_check_cap_and_variables(demo):
+    with pytest.raises(CapExceededError):
+        label_blocks(demo.sigma, demo.problem, cap=3)
+    stray = demo.pool.declare("z1")[0]
+    with pytest.raises(ValueError, match=r"outside features and labels \(z1\)"):
+        label_blocks(demo.pool.literal(stray), demo.problem)

@@ -106,6 +106,37 @@ class TestParseCircuit:
             parse_circuit("(or)", pool)
 
 
+class TestPrintCircuit:
+    def test_shared_gates_are_bound_once(self):
+        pool = fresh_pool()
+        x1, x2, x3 = (pool.literal(pool.var(name)) for name in NAMES)
+        chain = x1
+        for _ in range(18):
+            chain = pool.or_([pool.and_([chain, x2]), pool.and_([chain, x3])])
+        text = print_circuit(chain)
+        assert len(text) <= 8 * chain.size
+        assert parse_circuit(text, pool) == chain
+
+    def test_binding_names_skip_variable_names(self):
+        pool = Pool()
+        g0, g1, x = pool.declare("g0", "g1", "x")
+        shared = pool.build(["and", "g0", "g1"])
+        circ = pool.or_([pool.and_([shared, pool.literal(x)]), pool.not_(shared)])
+        text = print_circuit(circ)
+        assert text == "(let ((g2 (and g0 g1))) (or (and g2 x) (not g2)))"
+        assert parse_circuit(text, pool) == circ
+
+    def test_deep_chain_prints_and_parses_back(self):
+        depth = 100_000
+        pool = fresh_pool()
+        circ = pool.literal(pool.var("x1"))
+        for _ in range(depth):
+            circ = pool.not_(circ)
+        text = print_circuit(circ)
+        assert text == "(not " * depth + "x1" + ")" * depth
+        assert parse_circuit(text, pool) == circ
+
+
 class TestParseDtree:
     def test_reduced_example(self):
         pool = fresh_pool()
@@ -138,6 +169,13 @@ class TestParseDtree:
             seen += 1
         assert seen == depth
         assert tree == DTLeaf(1)
+
+    def test_deep_tree_prints_and_parses_back(self):
+        depth = 100_000
+        text = "(x1 0 " * depth + "(x2 1 0)" + ")" * depth
+        printed = print_dtree(parse_dtree(text, fresh_pool()))
+        assert printed == text
+        assert print_dtree(parse_dtree(printed, fresh_pool())) == text
 
     def test_canonical_whitespace(self):
         pool = fresh_pool()
@@ -241,7 +279,11 @@ def test_circuit_print_parse_round_trip(ast):
     pool = Pool()
     pool.declare(*NAMES)
     circ = pool.build(ast)
-    assert parse_circuit(print_circuit(circ), pool) == circ
+    text = print_circuit(circ)
+    assert parse_circuit(text, pool) == circ
+    other = Pool()
+    other.declare(*NAMES)
+    assert print_circuit(parse_circuit(text, other)) == text
 
 
 @given(spec=tree_specs(NAMES, max_leaves=10))

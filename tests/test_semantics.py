@@ -16,6 +16,7 @@ from monorect import (
     models,
     truth_mask,
 )
+from monorect.semantics import ensure_within
 
 from conftest import ast_exprs, brute_equivalent, build_with_vars
 
@@ -173,3 +174,11 @@ def test_truth_mask_matches_evaluate(ast):
     mask = truth_mask(circ, over)
     for i in range(1 << len(over)):
         assert (mask >> i) & 1 == evaluate(circ, Assignment.from_index(i, over))
+
+
+def test_ensure_within_names_the_extra_variables_sorted():
+    pool = Pool()
+    a, b, c = pool.declare("a", "b", "c")
+    ensure_within([a, b], (a, b), "unused {names}")
+    with pytest.raises(ValueError, match=r"^outside \(b, c\)!$"):
+        ensure_within([c, a, b], {a}, "outside ({names})!")

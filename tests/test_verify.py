@@ -164,6 +164,47 @@ class TestPostulates:
         bad = failures.get("RE3") or failures.get("RE2")
         assert "110" in bad.detail
 
+    def test_change_on_a_compliant_instance_fails_re2(self, demo, demo_clf):
+        from monorect import conjoin, disjoin, negate
+
+        result = rectify(demo_clf, demo.theory)
+        # 100 is the third compliant instance (after 010 and 011); the
+        # theory is contradictory there, so RE3 still holds
+        flip = demo.pool.build(["and", "x1", ["not", "x2"], ["not", "x3"]])
+        xor = disjoin(
+            conjoin(result.positive, negate(flip)),
+            conjoin(negate(result.positive), flip),
+        )
+        corrupted = RectificationResult(
+            xor,
+            Classifier.from_positive_circuit(demo.problem, xor),
+            result.forces_positive,
+            result.forces_negative,
+        )
+        re1, re2, re3 = check_postulates(demo_clf, demo.theory, corrupted).checks[:3]
+        assert re1.passed and re3.passed
+        assert (re2.passed, re2.checked) == (False, 3)
+        assert re2.detail == "verdict changed on compliant instance 100"
+
+    def test_non_classification_result_fails_re1_with_witness(self, demo, demo_clf):
+        from monorect import disjoin
+
+        result = rectify(demo_clf, demo.theory)
+        # instance 110 allows both labels
+        both = disjoin(
+            result.rectified.circuit, demo.pool.build(["and", "x1", "x2", ["not", "x3"]])
+        )
+        broken = RectificationResult(
+            result.positive,
+            Classifier(demo.problem, both),
+            result.forces_positive,
+            result.forces_negative,
+        )
+        report = check_postulates(demo_clf, demo.theory, broken)
+        re1 = report.checks[0]
+        assert (re1.name, re1.passed, re1.checked) == ("RE1", False, 8)
+        assert re1.detail == "instance 110 has no unique label"
+
     def test_inconsistent_theory_exercises_re4(self, demo, demo_clf):
         absurd = demo.pool.build(["and", "x1", ["not", "x1"]])
         result = rectify(demo_clf, absurd)
