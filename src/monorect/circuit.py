@@ -383,7 +383,9 @@ class Pool:
                 raise BuildError("let bindings must be a list of (name expr) pairs")
             name, sub = pair
             if name in inner or name in self._by_name or name in _KEYWORDS:
-                raise BuildError(f"duplicate let binding {name!r}")
+                why = ("a declared variable" if name in self._by_name
+                       else "a reserved word" if name in _KEYWORDS else "already bound")
+                raise BuildError(f"duplicate let binding {name!r}: {why}")
             i += 1
             pending = len(todo)
             self._expand(sub, inner, todo, done)

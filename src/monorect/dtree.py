@@ -1,15 +1,15 @@
 """Binary decision trees and the tree-level rectification pipeline.
 
 Trees follow the drawing convention low = variable 0, high = variable 1.
-Conjunction grafts the second tree onto the first tree's 1-leaves,
-disjunction onto its 0-leaves; both can duplicate variables along paths,
-so `dt_simplify` (read-once paths, no node with two identical children)
-runs after every combination step to keep the pipeline polynomial.
+Every combination grafts trees onto leaves (`_graft`), which can repeat
+variables along paths, so one `_reduce` pass (read-once paths, no node
+with two identical children) follows each step to keep the pipeline
+polynomial.
 
-The one enumerating step is certifying the classifier tree
-(`dt_check_classification`): a bit-sliced walk that builds the tree's
-truth table over features plus labels as one integer, so it is capped
-like every other enumeration (DEFAULT_VAR_CAP variables).
+Certifying the classifier tree (`dt_check_classification`, a bit-sliced
+walk building the tree's truth table over features plus labels) and
+expanding a circuit (`circuit_to_dt`, read off its truth table) enumerate,
+so both are capped like every other enumeration (DEFAULT_VAR_CAP variables).
 """
 
 from __future__ import annotations
@@ -17,10 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .circuit import Circuit, CONST, Literal, Pool, Term, VarId, condition
+from .circuit import Circuit, Literal, Pool, VarId
 from .classifier import ClassificationProblem, as_instance, one_label_per_instance
 from .errors import CertificationError
-from .semantics import DEFAULT_VAR_CAP, Assignment, ensure_cap, ensure_within, evaluate, var_masks
+from .semantics import DEFAULT_VAR_CAP, Assignment, ensure_cap, ensure_within
+from .semantics import truth_mask, var_masks
 
 
 @dataclass(frozen=True)
@@ -102,16 +103,15 @@ def dt_condition(tree: DecisionTree, lit: Literal) -> DecisionTree:
 
 def dt_negate(tree: DecisionTree) -> DecisionTree:
     """Swap the leaves; the branching shape is untouched."""
-    if isinstance(tree, DTLeaf):
-        return DTLeaf(1 - tree.value)
-    return DTNode(tree.var, dt_negate(tree.low), dt_negate(tree.high))
+    return _graft(tree, LEAF1, LEAF0)
 
 
-def _graft(tree: DecisionTree, target: int, replacement: DecisionTree) -> DecisionTree:
+def _graft(tree: DecisionTree, on0: DecisionTree, on1: DecisionTree) -> DecisionTree:
+    """Every 0-leaf becomes `on0`, every 1-leaf `on1`."""
     if isinstance(tree, DTLeaf):
-        return replacement if tree.value == target else tree
-    low = _graft(tree.low, target, replacement)
-    high = _graft(tree.high, target, replacement)
+        return on1 if tree.value else on0
+    low = _graft(tree.low, on0, on1)
+    high = _graft(tree.high, on0, on1)
     if low is tree.low and high is tree.high:
         return tree
     return DTNode(tree.var, low, high)
@@ -119,30 +119,25 @@ def _graft(tree: DecisionTree, target: int, replacement: DecisionTree) -> Decisi
 
 def dt_conjoin(a: DecisionTree, b: DecisionTree) -> DecisionTree:
     """Conjunction: every 1-leaf of the first tree becomes a copy of the second."""
-    return _graft(a, 1, b)
+    return _graft(a, LEAF0, b)
 
 
 def dt_disjoin(a: DecisionTree, b: DecisionTree) -> DecisionTree:
     """Disjunction: every 0-leaf of the first tree becomes a copy of the second."""
-    return _graft(a, 0, b)
+    return _graft(a, b, LEAF1)
 
 
 def dt_simplify(tree: DecisionTree) -> DecisionTree:
-    """Equivalent reduced tree: read-once on every path, no identical children.
-
-    One recursive pass carries the branch decisions taken so far (killing
-    repeated variables on a path) and merges structurally equal children
-    on the way back up.  A pass normally suffices; the loop re-runs it
-    until nothing changes rather than assuming so.
-    """
-    while True:
-        reduced = _reduce(tree, {})
-        if reduced == tree:
-            return tree
-        tree = reduced
+    """Equivalent reduced tree: read-once on every path, no identical children."""
+    return _reduce(tree, {})
 
 
 def _reduce(tree: DecisionTree, path: dict[VarId, int]) -> DecisionTree:
+    """`tree` conditioned on `path` (variable -> bit) and reduced in one pass.
+
+    Children come back reduced and free of every variable on their path,
+    so one pass gives the normal form; a reduced tree comes back as itself.
+    """
     if isinstance(tree, DTLeaf):
         return tree
     forced = path.get(tree.var)
@@ -190,9 +185,7 @@ def attach_label(tree: DecisionTree, label: VarId) -> DecisionTree:
     when the label agrees with the leaf's class: a 1-leaf turns into
     (label 0 1) and a 0-leaf into (label 1 0).
     """
-    if isinstance(tree, DTLeaf):
-        return DTNode(label, DTLeaf(1 - tree.value), DTLeaf(tree.value))
-    return DTNode(tree.var, attach_label(tree.low, label), attach_label(tree.high, label))
+    return _graft(tree, DTNode(label, LEAF1, LEAF0), DTNode(label, LEAF0, LEAF1))
 
 
 def dt_classify(tree: DecisionTree, x, problem: ClassificationProblem) -> int:
@@ -256,11 +249,12 @@ def dt_rectify(
 ) -> DecisionTree:
     """Tree-level rectification; returns a classification tree.
 
-    The pipeline mirrors the circuit construction: condition the
-    classifier tree on a positive label to get its accepted region,
-    condition the theory both ways, combine with negation / conjunction /
-    disjunction (simplifying after each step), and finally re-attach the
-    label to the resulting feature-space tree.
+    With A the classifier tree conditioned on a positive label and T+,
+    T- the theory conditioned both ways, the rectified region is
+    (A and not F-) or F+ for the disjoint F+ = T+ and not T- and
+    F- = T- and not T+: F+ below A's 0-leaves and not F- = not T- or T+
+    below its 1-leaves.  Each conditioning and graft is one reduce pass;
+    the label is then re-attached to the feature-space tree.
     """
     label = problem.label
     allowed = problem.features + (label,)
@@ -272,15 +266,12 @@ def dt_rectify(
         raise CertificationError(
             "classifier tree is not certified: some instance has no unique label"
         )
-    pos = Literal(label, True)
-    neg = Literal(label, False)
-    accepted = dt_simplify(dt_condition(sigma_tree, pos))
-    th_pos = dt_simplify(dt_condition(theory_tree, pos))
-    th_neg = dt_simplify(dt_condition(theory_tree, neg))
-    forces_neg = dt_simplify(dt_conjoin(th_neg, dt_negate(th_pos)))
-    forces_pos = dt_simplify(dt_conjoin(th_pos, dt_negate(th_neg)))
-    kept = dt_simplify(dt_conjoin(accepted, dt_negate(forces_neg)))
-    out = dt_simplify(dt_disjoin(kept, forces_pos))
+    accepted = _reduce(sigma_tree, {label: 1})
+    th_pos = _reduce(theory_tree, {label: 1})
+    th_neg = _reduce(theory_tree, {label: 0})
+    forces_pos = dt_simplify(_graft(th_pos, LEAF0, dt_negate(th_neg)))
+    not_forces_neg = dt_simplify(_graft(th_neg, LEAF1, th_pos))
+    out = dt_simplify(_graft(accepted, forces_pos, not_forces_neg))
     return attach_label(out, label)
 
 
@@ -296,27 +287,31 @@ def dt_to_circuit(tree: DecisionTree, pool: Pool) -> Circuit:
 def circuit_to_dt(
     circ: Circuit, order, cap: int = DEFAULT_VAR_CAP
 ) -> DecisionTree:
-    """Cofactor expansion of a circuit into a reduced tree along the given order."""
+    """Reduced tree of a circuit, ordered along `order`.
+
+    Reduced ordered trees are canonical (Bryant 1986), so the tree is
+    read off one truth table over the circuit's own variables (in
+    `order`, duplicates dropped): halve the table, one variable at a
+    time, and skip a variable wherever the two halves agree.
+    """
     order = tuple(order)
-    ensure_cap(len(circ.vars()), cap)
-    ensure_within(circ.vars(), order, "expansion order does not cover: {names}")
-    return dt_simplify(_expand(circ, order, 0))
-
-
-def _expand(circ: Circuit, order, start: int) -> DecisionTree:
-    if circ.root.kind == CONST:
-        return DTLeaf(circ.root.payload)
     live = circ.vars()
-    if not live:
-        # constant in disguise (unfolded constants in a raw circuit)
-        return DTLeaf(evaluate(circ, Assignment((), ())))
-    j = start
-    while order[j] not in live:
-        j += 1
-    var = order[j]
-    low = _expand(condition(circ, Term([Literal(var, False)])), order, j + 1)
-    high = _expand(condition(circ, Term([Literal(var, True)])), order, j + 1)
-    return DTNode(var, low, high)
+    ensure_cap(len(live), cap)
+    ensure_within(live, order, "expansion order does not cover: {names}")
+    over = tuple(v for v in dict.fromkeys(order) if v in live)
+    return _from_table(truth_mask(circ, over), over, 0)
+
+
+def _from_table(table: int, over: tuple, k: int) -> DecisionTree:
+    # `table` is over over[k:]; the first variable's 0-half is the low half
+    if k == len(over):
+        return LEAF1 if table else LEAF0
+    half = 1 << (len(over) - k - 1)
+    low = table & ((1 << half) - 1)
+    high = table >> half
+    if low == high:
+        return _from_table(low, over, k + 1)
+    return DTNode(over[k], _from_table(low, over, k + 1), _from_table(high, over, k + 1))
 
 
 @dataclass(frozen=True)

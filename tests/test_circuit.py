@@ -87,10 +87,12 @@ class TestBuild:
         )
         or_gates = [g for g in iter_gates(circ) if g.kind == "or"]
         assert len(or_gates) == 1
-        with pytest.raises(BuildError, match="duplicate let binding"):
+        with pytest.raises(BuildError, match="duplicate let binding 'p': already bound"):
             pool.build(["let", [["p", "x1"], ["p", "x2"]], "p"])
-        with pytest.raises(BuildError, match="duplicate let binding"):
+        with pytest.raises(BuildError, match="duplicate let binding 'x1': a declared variable"):
             pool.build(["let", [["x1", "x2"]], "x1"])
+        with pytest.raises(BuildError, match="duplicate let binding 'and': a reserved word"):
+            pool.build(["let", [["and", "x2"]], "x1"])
 
 
 class TestCondition:

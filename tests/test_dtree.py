@@ -13,6 +13,7 @@ from monorect import (
     Literal,
     Pool,
     RandomForest,
+    Term,
     attach_label,
     circuit_to_dt,
     condition,
@@ -27,6 +28,7 @@ from monorect import (
     dt_to_circuit,
     dt_vars,
     equivalent,
+    evaluate,
     is_read_once,
     is_simplified,
     parse_dtree,
@@ -34,10 +36,12 @@ from monorect import (
     rf_classify,
     rf_rectify,
 )
-from monorect.dtree import DTNode, LEAF0, LEAF1, decision_count, node_count
+from monorect.circuit import CONST
+from monorect.dtree import DTLeaf, DTNode, LEAF0, LEAF1, _graft, _reduce, decision_count, node_count
 from monorect.randgen import random_tree
 
 from conftest import (
+    ast_exprs,
     DEMO_SIGMA_AST,
     DEMO_THEORY_AST,
     REDUCED_TREE_TEXT,
@@ -291,8 +295,6 @@ def _exhaustive_same(pool, tree, circ):
     over = pool.variables
     for bits in itertools.product((0, 1), repeat=len(over)):
         omega = Assignment(over, bits)
-        from monorect import evaluate
-
         if dt_eval(tree, omega) != evaluate(circ, omega):
             return False
     return True
@@ -304,8 +306,6 @@ def test_dt_condition_matches_circuit_condition(spec, positive, name):
     lit = Literal(pool.var(name), positive)
     conditioned = dt_condition(tree, lit)
     assert lit.var not in dt_vars(conditioned)
-    from monorect import Term
-
     expected = condition(dt_to_circuit(tree, pool), Term([lit]))
     assert _exhaustive_same(pool, conditioned, expected)
 
@@ -318,14 +318,22 @@ def test_dt_negate_matches_circuit_negate(spec):
     assert _exhaustive_same(pool, dt_negate(tree), negate(dt_to_circuit(tree, pool)))
 
 
-@given(a=tree_specs(NAMES, max_leaves=8), b=tree_specs(NAMES, max_leaves=8))
-def test_dt_combinations_match_circuit_combinations(a, b):
-    from monorect import conjoin, disjoin
+@given(
+    a=tree_specs(NAMES, max_leaves=8),
+    b=tree_specs(NAMES, max_leaves=8),
+    c=tree_specs(NAMES, max_leaves=8),
+)
+def test_dt_combinations_match_circuit_combinations(a, b, c):
+    from monorect import conjoin, disjoin, negate
 
     pool, ta, tb = _tree_setting(a, b)
-    ca, cb = dt_to_circuit(ta, pool), dt_to_circuit(tb, pool)
+    tc = tree_from_spec(pool, c)
+    ca, cb, cc = (dt_to_circuit(t, pool) for t in (ta, tb, tc))
     assert _exhaustive_same(pool, dt_conjoin(ta, tb), conjoin(ca, cb))
     assert _exhaustive_same(pool, dt_disjoin(ta, tb), disjoin(ca, cb))
+    # 0-leaves of a become b, 1-leaves become c
+    either = disjoin(conjoin(negate(ca), cb), conjoin(ca, cc))
+    assert _exhaustive_same(pool, _graft(ta, tb, tc), either)
     bound = node_count(ta) + node_count(ta) * node_count(tb)
     assert node_count(dt_conjoin(ta, tb)) <= bound
     assert node_count(dt_disjoin(ta, tb)) <= bound
@@ -337,7 +345,29 @@ def test_dt_simplify_normal_form_and_equivalence(spec):
     reduced = dt_simplify(tree)
     assert is_read_once(reduced)
     assert is_simplified(reduced)
+    assert dt_simplify(reduced) is reduced
     assert _exhaustive_same(pool, reduced, dt_to_circuit(tree, pool))
+
+
+def twin_tree_specs(names, max_leaves=16):
+    """Tree shapes with repeated variables where some nodes get two identical children."""
+
+    def compose(kids):
+        name = st.sampled_from(list(names))
+        return st.one_of(
+            st.tuples(name, kids, kids),
+            st.tuples(name, kids).map(lambda t: (t[0], t[1], t[1])),
+        )
+
+    return st.recursive(st.sampled_from(["0", "1"]), compose, max_leaves=max_leaves)
+
+
+@given(spec=twin_tree_specs(NAMES), name=st.sampled_from(NAMES), bit=st.integers(0, 1))
+def test_reduce_on_a_path_is_condition_then_simplify(spec, name, bit):
+    pool, tree, _ = _tree_setting(spec)
+    var = pool.var(name)
+    expected = dt_simplify(dt_condition(tree, Literal(var, bool(bit))))
+    assert _reduce(tree, {var: bit}) == expected
 
 
 @given(spec=tree_specs(NAMES, max_leaves=10))
@@ -347,6 +377,65 @@ def test_circuit_to_dt_round_trip(spec):
     back = circuit_to_dt(circ, pool.variables)
     assert is_simplified(back)
     assert _exhaustive_same(pool, back, circ)
+
+
+# ----------------------------------------------------------------------
+# truth-table expansion against the cofactor expansion it replaced
+
+
+def cofactor_expansion(circ, order):
+    """Condition the circuit on each variable of `order` it still mentions, then simplify."""
+    order = tuple(order)
+
+    def expand(circ, start):
+        if circ.root.kind == CONST:
+            return DTLeaf(circ.root.payload)
+        live = circ.vars()
+        if not live:
+            # constant in disguise (unfolded constants in a raw circuit)
+            return DTLeaf(evaluate(circ, Assignment((), ())))
+        j = start
+        while order[j] not in live:
+            j += 1
+        var = order[j]
+        low = expand(condition(circ, Term([Literal(var, False)])), j + 1)
+        high = expand(condition(circ, Term([Literal(var, True)])), j + 1)
+        return DTNode(var, low, high)
+
+    return dt_simplify(expand(circ, 0))
+
+
+DISGUISED_CONSTANTS = (
+    ["and", "v0", ["not", "v0"]],
+    ["or", "v0", ["not", "v0"]],
+    ["not", "true"],
+    ["dec", "v0", "false", ["and", "false", "v0"]],
+)
+
+
+@given(data=st.data())
+def test_circuit_to_dt_matches_cofactor_expansion(data):
+    n = data.draw(st.integers(1, 6))
+    names = [f"v{i}" for i in range(n)]
+    pool = Pool()
+    declared = pool.declare(*names, *(f"w{i}" for i in range(data.draw(st.integers(0, 2)))))
+    expr = data.draw(
+        st.one_of(ast_exprs(names, max_leaves=12), st.sampled_from(DISGUISED_CONSTANTS))
+    )
+    circ = pool.build(expr)
+    repeats = data.draw(st.lists(st.sampled_from(declared), max_size=3))
+    order = data.draw(st.permutations(list(declared) + repeats))
+    assert circuit_to_dt(circ, order) == cofactor_expansion(circ, order)
+
+
+def test_circuit_to_dt_checks_cap_before_order():
+    pool = Pool()
+    pool.declare("v0", "v1", "v2")
+    circ = pool.build(["and", "v0", "v1", "v2"])
+    with pytest.raises(CapExceededError):
+        circuit_to_dt(circ, [pool.var("v0")], cap=2)
+    with pytest.raises(ValueError, match="expansion order does not cover: v1, v2$"):
+        circuit_to_dt(circ, [pool.var("v0")])
 
 
 def test_combination_growth_stays_polynomial():

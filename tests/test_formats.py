@@ -126,6 +126,17 @@ class TestPrintCircuit:
         assert text == "(let ((g2 (and g0 g1))) (or (and g2 x) (not g2)))"
         assert parse_circuit(text, pool) == circ
 
+    def test_binding_name_declared_by_the_reading_pool_is_reported(self):
+        pool = fresh_pool()
+        x1, x2, x3 = (pool.literal(pool.var(name)) for name in NAMES)
+        shared = pool.and_([x1, x2])
+        text = print_circuit(pool.or_([pool.and_([shared, x3]), pool.not_(shared)]))
+        assert text.startswith("(let ((g0 ")
+        reader = fresh_pool()
+        reader.declare("g0")
+        with pytest.raises(BuildError, match="duplicate let binding 'g0': a declared variable"):
+            parse_circuit(text, reader)
+
     def test_deep_chain_prints_and_parses_back(self):
         depth = 100_000
         pool = fresh_pool()
