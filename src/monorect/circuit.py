@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import BuildError
 
@@ -31,9 +31,12 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _KEYWORDS = frozenset({"not", "and", "or", "imp", "iff", "dec", "let", "true", "false"})
 
 
-@dataclass(frozen=True)
-class VarId:
-    """A declared variable: its position in the pool's order plus its name."""
+class VarId(NamedTuple):
+    """A declared variable: its position in the pool's order plus its name.
+
+    A named tuple, so hashing and comparison run in C; ids from two pools
+    that declare the same names in the same order compare equal.
+    """
 
     index: int
     name: str

@@ -6,6 +6,15 @@ variables along paths, so one `_reduce` pass (read-once paths, no node
 with two identical children) follows each step to keep the pipeline
 polynomial.
 
+Nodes are plain slotted classes, immutable by convention (nothing sets
+a field after `__init__`), so trees share subtrees freely.  Equality is
+structural, with an identity shortcut for shared subtrees; it, hashing,
+`repr` and every walk over a tree here use an explicit stack, so a
+tree's depth is bounded by memory only.  Variables are `VarId` named
+tuples, hashed and compared in C; ids from two pools that declare the
+same names in the same order are equal, which lets `dt_rectify` combine
+trees read from two files.
+
 Certifying the classifier tree (`dt_check_classification`, a bit-sliced
 walk building the tree's truth table over features plus labels) and
 expanding a circuit (`circuit_to_dt`, read off its truth table) enumerate,
@@ -24,20 +33,89 @@ from .semantics import DEFAULT_VAR_CAP, Assignment, ensure_cap, ensure_within
 from .semantics import truth_mask, var_masks
 
 
-@dataclass(frozen=True)
 class DTLeaf:
-    value: int
+    """A 0- or 1-leaf."""
 
-    def __post_init__(self):
-        if self.value not in (0, 1):
+    __slots__ = ("value",)
+
+    def __init__(self, value: int):
+        if value not in (0, 1):
             raise ValueError("leaf value must be 0 or 1")
+        self.value = value
+
+    def __eq__(self, other):
+        if isinstance(other, DTLeaf):
+            return self.value == other.value
+        return False if isinstance(other, DTNode) else NotImplemented
+
+    def __hash__(self):
+        return hash(self.value)
+
+    def __repr__(self):
+        return f"DTLeaf(value={self.value})"
 
 
-@dataclass(frozen=True)
 class DTNode:
-    var: VarId
-    low: "DecisionTree"
-    high: "DecisionTree"
+    """A decision on `var`: `low` where it is 0, `high` where it is 1."""
+
+    __slots__ = ("var", "low", "high")
+
+    def __init__(self, var: VarId, low: "DecisionTree", high: "DecisionTree"):
+        self.var = var
+        self.low = low
+        self.high = high
+
+    def __eq__(self, other):
+        if isinstance(other, DTNode):
+            return self is other or _same(self, other)
+        return False if isinstance(other, DTLeaf) else NotImplemented
+
+    def __hash__(self):
+        # bottom-up over an explicit stack: a leaf pushes its hash, a
+        # node's variable (pushed below its children) combines theirs
+        hashes = []
+        todo: list = [self]
+        while todo:
+            item = todo.pop()
+            if isinstance(item, DTNode):
+                todo.extend((item.var, item.high, item.low))
+            elif isinstance(item, DTLeaf):
+                hashes.append(hash(item))
+            else:
+                high = hashes.pop()
+                hashes.append(hash((item, hashes.pop(), high)))
+        return hashes[0]
+
+    def __repr__(self):
+        out: list[str] = []
+        todo: list = [self]
+        while todo:
+            item = todo.pop()
+            if isinstance(item, str):
+                out.append(item)
+            elif isinstance(item, DTNode):
+                out.append(f"DTNode(var={item.var!r}, low=")
+                todo.extend((")", item.high, ", high=", item.low))
+            else:
+                out.append(repr(item))
+        return "".join(out)
+
+
+def _same(a: "DecisionTree", b: "DecisionTree") -> bool:
+    """Structural equality over an explicit stack; shared subtrees are skipped."""
+    todo = [(a, b)]
+    while todo:
+        x, y = todo.pop()
+        if x is y:
+            continue
+        if isinstance(x, DTNode):
+            if not isinstance(y, DTNode) or x.var != y.var:
+                return False
+            todo.append((x.high, y.high))
+            todo.append((x.low, y.low))
+        elif isinstance(y, DTNode) or x.value != y.value:
+            return False
+    return True
 
 
 DecisionTree = Union[DTLeaf, DTNode]
@@ -48,16 +126,21 @@ LEAF1 = DTLeaf(1)
 
 def node_count(tree: DecisionTree) -> int:
     """All nodes, leaves included."""
-    if isinstance(tree, DTLeaf):
-        return 1
-    return 1 + node_count(tree.low) + node_count(tree.high)
+    count = 0
+    todo = [tree]
+    while todo:
+        node = todo.pop()
+        count += 1
+        if isinstance(node, DTNode):
+            todo.append(node.low)
+            todo.append(node.high)
+    return count
 
 
 def decision_count(tree: DecisionTree) -> int:
     """Internal (variable) nodes only."""
-    if isinstance(tree, DTLeaf):
-        return 0
-    return 1 + decision_count(tree.low) + decision_count(tree.high)
+    # every decision node has two children, so leaves outnumber them by one
+    return (node_count(tree) - 1) // 2
 
 
 def dt_vars(tree: DecisionTree) -> frozenset[VarId]:
@@ -90,15 +173,35 @@ def dt_eval(tree: DecisionTree, omega: Assignment) -> int:
 
 def dt_condition(tree: DecisionTree, lit: Literal) -> DecisionTree:
     """Drop every node over the literal's variable, keeping the branch it selects."""
-    if isinstance(tree, DTLeaf):
-        return tree
-    if tree.var == lit.var:
-        return dt_condition(tree.high if lit.positive else tree.low, lit)
-    low = dt_condition(tree.low, lit)
-    high = dt_condition(tree.high, lit)
-    if low is tree.low and high is tree.high:
-        return tree
-    return DTNode(tree.var, low, high)
+    var, positive = lit.var, lit.positive
+    done: list[DecisionTree] = []
+    todo: list = [tree]
+    while todo:
+        node = todo.pop()
+        if node is None:
+            _rebuild(todo.pop(), done)
+            continue
+        while isinstance(node, DTNode) and node.var == var:
+            node = node.high if positive else node.low
+        if isinstance(node, DTNode):
+            todo.extend((node, None, node.high, node.low))
+        else:
+            done.append(node)
+    return done[0]
+
+
+def _rebuild(node: DTNode, done: list) -> None:
+    """Replace the top two entries of `done` by `node` over them.
+
+    `node` itself is kept when both are its own children, so unchanged
+    subtrees stay shared with the input.
+    """
+    high = done.pop()
+    low = done.pop()
+    if low is node.low and high is node.high:
+        done.append(node)
+    else:
+        done.append(DTNode(node.var, low, high))
 
 
 def dt_negate(tree: DecisionTree) -> DecisionTree:
@@ -108,13 +211,17 @@ def dt_negate(tree: DecisionTree) -> DecisionTree:
 
 def _graft(tree: DecisionTree, on0: DecisionTree, on1: DecisionTree) -> DecisionTree:
     """Every 0-leaf becomes `on0`, every 1-leaf `on1`."""
-    if isinstance(tree, DTLeaf):
-        return on1 if tree.value else on0
-    low = _graft(tree.low, on0, on1)
-    high = _graft(tree.high, on0, on1)
-    if low is tree.low and high is tree.high:
-        return tree
-    return DTNode(tree.var, low, high)
+    done: list[DecisionTree] = []
+    todo: list = [tree]
+    while todo:
+        node = todo.pop()
+        if node is None:
+            _rebuild(todo.pop(), done)
+        elif isinstance(node, DTNode):
+            todo.extend((node, None, node.high, node.low))
+        else:
+            done.append(on1 if node.value else on0)
+    return done[0]
 
 
 def dt_conjoin(a: DecisionTree, b: DecisionTree) -> DecisionTree:
@@ -137,41 +244,64 @@ def _reduce(tree: DecisionTree, path: dict[VarId, int]) -> DecisionTree:
 
     Children come back reduced and free of every variable on their path,
     so one pass gives the normal form; a reduced tree comes back as itself.
+    The walk keeps its own stack of open nodes, and the bit `path` holds
+    for an open node's variable says which branch is being reduced.
     """
-    if isinstance(tree, DTLeaf):
-        return tree
-    forced = path.get(tree.var)
-    if forced is not None:
-        return _reduce(tree.high if forced else tree.low, path)
-    path[tree.var] = 0
-    low = _reduce(tree.low, path)
-    path[tree.var] = 1
-    high = _reduce(tree.high, path)
-    del path[tree.var]
-    if low == high:
-        return low
-    if low is tree.low and high is tree.high:
-        return tree
-    return DTNode(tree.var, low, high)
+    done: list[DecisionTree] = []
+    open_nodes: list[DTNode] = []
+    node = tree
+    while True:
+        while isinstance(node, DTNode):
+            forced = path.get(node.var)
+            if forced is None:
+                path[node.var] = 0
+                open_nodes.append(node)
+                node = node.low
+            else:
+                node = node.high if forced else node.low
+        done.append(node)
+        while open_nodes:
+            node = open_nodes[-1]
+            if not path[node.var]:
+                path[node.var] = 1
+                node = node.high
+                break
+            open_nodes.pop()
+            del path[node.var]
+            if done[-2] == done[-1]:
+                done.pop()
+            else:
+                _rebuild(node, done)
+        else:
+            return done[0]
 
 
-def is_read_once(tree: DecisionTree, _seen: frozenset = frozenset()) -> bool:
-    if isinstance(tree, DTLeaf):
-        return True
-    if tree.var in _seen:
-        return False
-    seen = _seen | {tree.var}
-    return is_read_once(tree.low, seen) and is_read_once(tree.high, seen)
+def is_read_once(tree: DecisionTree) -> bool:
+    """No variable twice on any root-to-leaf path."""
+    path: set = set()
+    todo: list = [tree]
+    while todo:
+        node = todo.pop()
+        if node is None:
+            path.remove(todo.pop().var)
+        elif isinstance(node, DTNode):
+            if node.var in path:
+                return False
+            path.add(node.var)
+            todo.extend((node, None, node.high, node.low))
+    return True
 
 
 def has_identical_children(tree: DecisionTree) -> bool:
-    if isinstance(tree, DTLeaf):
-        return False
-    return (
-        tree.low == tree.high
-        or has_identical_children(tree.low)
-        or has_identical_children(tree.high)
-    )
+    todo = [tree]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, DTNode):
+            if node.low == node.high:
+                return True
+            todo.append(node.high)
+            todo.append(node.low)
+    return False
 
 
 def is_simplified(tree: DecisionTree) -> bool:
@@ -277,11 +407,19 @@ def dt_rectify(
 
 def dt_to_circuit(tree: DecisionTree, pool: Pool) -> Circuit:
     """Decision gates for nodes, constants for leaves; sharing via interning."""
-    if isinstance(tree, DTLeaf):
-        return pool.const(tree.value)
-    return pool.decision(
-        tree.var, dt_to_circuit(tree.low, pool), dt_to_circuit(tree.high, pool)
-    )
+    done: list[Circuit] = []
+    todo: list = [tree]
+    while todo:
+        node = todo.pop()
+        if node is None:
+            node = todo.pop()
+            high = done.pop()
+            done.append(pool.decision(node.var, done.pop(), high))
+        elif isinstance(node, DTNode):
+            todo.extend((node, None, node.high, node.low))
+        else:
+            done.append(pool.const(node.value))
+    return done[0]
 
 
 def circuit_to_dt(

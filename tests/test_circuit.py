@@ -178,6 +178,18 @@ class TestVars:
         sigma = fig1_circuit(pool)
         assert {v.name for v in sigma.vars()} == {"x1", "x2", "y1", "y2"}
 
+    def test_ids_of_two_pools_with_the_same_declarations_are_equal(self):
+        first, second = Pool(), Pool()
+        a = first.declare("x1", "x2")
+        b = second.declare("x1", "x2")
+        assert a == b
+        assert [hash(v) for v in a] == [hash(v) for v in b]
+        assert {a[1]: "found"}[b[1]] == "found"
+        assert [str(v) for v in b] == ["x1", "x2"]
+        swapped = Pool()
+        assert swapped.declare("x2", "x1") != b
+        assert swapped.var("x1") != b[0]
+
 
 def _expand_decs(ast):
     if isinstance(ast, str):

@@ -195,3 +195,44 @@ def test_deep_not_chain_classifies(tmp_path, capsys):
     code, out, _ = run(capsys, "classify", "--problem", str(deep), "--instance", "110")
     assert code == 0
     assert out == "sigma: pos, rectified: neg\n"
+
+
+def test_deep_theory_tree_rectifies(tmp_path, capsys):
+    from monorect import Assignment, DTLeaf, DTNode, dt_eval, dt_rectify
+    from monorect import parse_dtree, parse_tree_file, print_dtree
+
+    depth = 100_000
+    head = "(features x1 x2 x3)\n(labels y)\n"
+    # the chain goes on where every variable is 1; its 1-leaf is met at 111 with y=1
+    names = ("x1", "x2", "x3", "y")
+    chain = "".join(f"({names[i % 4]} {i % 2} " for i in range(depth)) + "1" + ")" * depth
+    sigma_text = head + "(tree (x1 (x2 (y 0 1) (y 1 0)) (x3 (y 1 0) (y 0 1))))\n"
+    theory_text = head + f"(tree {chain})\n"
+    sigma = parse_tree_file(sigma_text)
+    theory = parse_tree_file(theory_text)
+    out = dt_rectify(sigma.tree, theory.tree, sigma.problem)
+    text = print_dtree(out)
+    assert print_dtree(parse_dtree(text, sigma.pool)) == text
+
+    # the same verdicts as rectifying by the theory's truth table, as a full tree
+    over = sigma.problem.all_vars
+
+    def full(bits=()):
+        if len(bits) == len(over):
+            return DTLeaf(dt_eval(theory.tree, Assignment(over, bits)))
+        return DTNode(over[len(bits)], full(bits + (0,)), full(bits + (1,)))
+
+    shallow = dt_rectify(sigma.tree, full(), sigma.problem)
+    for i in range(1 << len(over)):
+        omega = Assignment.from_index(i, over)
+        assert dt_eval(out, omega) == dt_eval(shallow, omega)
+
+    sigma_path = tmp_path / "sigma.tree"
+    theory_path = tmp_path / "theory.tree"
+    sigma_path.write_text(sigma_text)
+    theory_path.write_text(theory_text)
+    code, printed, _ = run(
+        capsys, "dt-rectify", "--sigma", str(sigma_path), "--theory", str(theory_path)
+    )
+    assert code == 0
+    assert printed == text + "\n"

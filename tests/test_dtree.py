@@ -32,12 +32,23 @@ from monorect import (
     is_read_once,
     is_simplified,
     parse_dtree,
+    print_dtree,
     rectify,
     rf_classify,
     rf_rectify,
 )
 from monorect.circuit import CONST
-from monorect.dtree import DTLeaf, DTNode, LEAF0, LEAF1, _graft, _reduce, decision_count, node_count
+from monorect.dtree import (
+    DTLeaf,
+    DTNode,
+    LEAF0,
+    LEAF1,
+    _graft,
+    _reduce,
+    decision_count,
+    has_identical_children,
+    node_count,
+)
 from monorect.randgen import random_tree
 
 from conftest import (
@@ -370,6 +381,135 @@ def test_reduce_on_a_path_is_condition_then_simplify(spec, name, bit):
     assert _reduce(tree, {var: bit}) == expected
 
 
+def shared_tree_from_spec(pool, spec, memo=None):
+    """Like `tree_from_spec`, but equal sub-shapes share one node object."""
+    memo = {} if memo is None else memo
+    if spec not in memo:
+        if spec in ("0", "1"):
+            memo[spec] = DTLeaf(int(spec))
+        else:
+            name, low, high = spec
+            memo[spec] = DTNode(
+                pool.var(name),
+                shared_tree_from_spec(pool, low, memo),
+                shared_tree_from_spec(pool, high, memo),
+            )
+    return memo[spec]
+
+
+@given(a=twin_tree_specs(NAMES), b=twin_tree_specs(NAMES))
+def test_equality_is_equality_of_printed_text(a, b):
+    pool, ta, tb = _tree_setting(a, b)
+    again = tree_from_spec(pool, a)
+    shared = shared_tree_from_spec(pool, a)
+    for x, y in ((ta, tb), (ta, again), (ta, shared), (shared, tb), (again, dt_negate(ta))):
+        same = print_dtree(x) == print_dtree(y)
+        assert (x == y) is same
+        assert (x != y) is not same
+        if same:
+            assert hash(x) == hash(y)
+
+
+def test_leaf_values_are_checked():
+    with pytest.raises(ValueError, match="leaf value must be 0 or 1"):
+        DTLeaf(2)
+
+
+def test_node_repr_and_comparison_with_other_types(trees):
+    pool, problem, parse = trees
+    assert repr(parse("(x1 0 1)")) == (
+        "DTNode(var=VarId(index=0, name='x1'), low=DTLeaf(value=0), high=DTLeaf(value=1))"
+    )
+    assert parse("(x1 0 1)") != "(x1 0 1)"
+    assert LEAF1 != 1
+
+
+# ----------------------------------------------------------------------
+# stack-based kernels against the recursive ones they replaced
+
+
+def recursive_condition(tree, lit):
+    if isinstance(tree, DTLeaf):
+        return tree
+    if tree.var == lit.var:
+        return recursive_condition(tree.high if lit.positive else tree.low, lit)
+    low = recursive_condition(tree.low, lit)
+    high = recursive_condition(tree.high, lit)
+    if low is tree.low and high is tree.high:
+        return tree
+    return DTNode(tree.var, low, high)
+
+
+def recursive_graft(tree, on0, on1):
+    if isinstance(tree, DTLeaf):
+        return on1 if tree.value else on0
+    low = recursive_graft(tree.low, on0, on1)
+    high = recursive_graft(tree.high, on0, on1)
+    if low is tree.low and high is tree.high:
+        return tree
+    return DTNode(tree.var, low, high)
+
+
+def recursive_reduce(tree, path):
+    if isinstance(tree, DTLeaf):
+        return tree
+    forced = path.get(tree.var)
+    if forced is not None:
+        return recursive_reduce(tree.high if forced else tree.low, path)
+    path[tree.var] = 0
+    low = recursive_reduce(tree.low, path)
+    path[tree.var] = 1
+    high = recursive_reduce(tree.high, path)
+    del path[tree.var]
+    if low == high:
+        return low
+    if low is tree.low and high is tree.high:
+        return tree
+    return DTNode(tree.var, low, high)
+
+
+def _kept_nodes(out, *inputs):
+    """Ids of the input nodes (leaves included) that the output reuses."""
+    ids = set()
+    todo = list(inputs)
+    while todo:
+        node = todo.pop()
+        ids.add(id(node))
+        if isinstance(node, DTNode):
+            todo += [node.low, node.high]
+    kept, todo = set(), [out]
+    while todo:
+        node = todo.pop()
+        if id(node) in ids:
+            kept.add(id(node))
+        if isinstance(node, DTNode):
+            todo += [node.low, node.high]
+    return kept
+
+
+@given(
+    spec=twin_tree_specs(NAMES),
+    other=tree_specs(NAMES, max_leaves=4),
+    name=st.sampled_from(NAMES),
+    bit=st.integers(0, 1),
+)
+def test_kernels_match_their_recursive_versions(spec, other, name, bit):
+    pool, tree, extra = _tree_setting(spec, other)
+    var = pool.var(name)
+    lit = Literal(var, bool(bit))
+    path = {var: bit}
+    for got, want in (
+        (dt_condition(tree, lit), recursive_condition(tree, lit)),
+        (_graft(tree, extra, LEAF1), recursive_graft(tree, extra, LEAF1)),
+        (dt_negate(tree), recursive_graft(tree, LEAF1, LEAF0)),
+        (_reduce(tree, path), recursive_reduce(tree, dict(path))),
+        (dt_simplify(tree), recursive_reduce(tree, {})),
+    ):
+        assert print_dtree(got) == print_dtree(want)
+        assert _kept_nodes(got, tree, extra) == _kept_nodes(want, tree, extra)
+    assert path == {var: bit}
+
+
 @given(spec=tree_specs(NAMES, max_leaves=10))
 def test_circuit_to_dt_round_trip(spec):
     pool, tree, _ = _tree_setting(spec)
@@ -552,3 +692,62 @@ def test_two_label_certification():
     loose = DTNode(x1, DTNode(y1, LEAF0, DTNode(y2, LEAF1, LEAF1)), tree.high)
     assert not brute_check_classification(loose, problem)
     assert not dt_check_classification(loose, problem)
+
+
+# ----------------------------------------------------------------------
+# deep trees: no operation may run into the recursion limit
+
+DEEP = 100_000
+
+
+def _deep_pair():
+    """Two separately built 1e5-deep chains, equal but for shared leaves."""
+    pool = Pool()
+    x1, x2 = pool.declare("x1", "x2")
+    a, b = LEAF1, DTLeaf(1)
+    for i in range(DEEP):
+        var = x1 if i % 2 else x2
+        a, b = DTNode(var, LEAF0, a), DTNode(var, DTLeaf(0), b)
+    return a, b
+
+
+def test_equality_hash_and_repr_of_a_deep_tree():
+    a, b = _deep_pair()
+    assert a == b and not a != b
+    assert hash(a) == hash(b)
+    assert a != dt_negate(b)
+    text = repr(a)
+    assert text == repr(b)
+    assert text.count("DTNode(") == DEEP
+    assert text.endswith("high=DTLeaf(value=1)" + ")" * DEEP)
+
+
+def test_tree_helpers_on_a_deep_tree():
+    pool = Pool()
+    over = pool.declare(*(f"v{i}" for i in range(DEEP)))
+
+    def chain(bottom):
+        # (v0 0 (v1 1 (v2 0 ... bottom)))
+        tree = bottom
+        for i in range(DEEP - 2, -1, -1):
+            tree = DTNode(over[i], DTLeaf(i % 2), tree)
+        return tree
+
+    tree = chain(DTNode(over[-1], LEAF0, LEAF1))
+    assert node_count(tree) == 2 * DEEP + 1
+    assert decision_count(tree) == DEEP
+    assert is_read_once(tree) and not has_identical_children(tree)
+    assert dt_simplify(tree) is tree
+    assert _reduce(tree, {over[0]: 1}) is tree.high
+    assert node_count(dt_condition(tree, Literal(over[-1], True))) == 2 * DEEP - 1
+    assert not is_read_once(chain(DTNode(over[0], LEAF0, LEAF1)))
+    twins = chain(DTNode(over[-1], LEAF1, DTLeaf(1)))
+    assert has_identical_children(twins)
+    assert decision_count(dt_simplify(twins)) == DEEP - 1
+    circ = dt_to_circuit(tree, pool)
+    rng = random.Random(5)
+    for cut in (0, 1, DEEP // 2, DEEP - 1, DEEP):
+        # ones down to `cut`, then a zero: the walk leaves the chain at `cut`
+        bits = [1] * cut + [0] + [rng.randint(0, 1) for _ in range(DEEP - cut - 1)]
+        omega = Assignment(over, bits[:DEEP])
+        assert evaluate(circ, omega) == dt_eval(tree, omega)
