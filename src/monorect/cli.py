@@ -1,7 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 success (and, for check/fuzz, all checks passed);
-1 verification failure; 2 input error; 3 enumeration cap exceeded.
+1 verification failure; 2 input error; 3 enumeration cap exceeded;
+4 internal error (any other exception, `RecursionError` and
+`MemoryError` included).
 """
 
 from __future__ import annotations
@@ -46,6 +48,9 @@ def main(argv=None) -> int:
     except (ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -93,7 +98,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theory", required=True, help="background-knowledge tree file")
     p.set_defaults(func=_cmd_dt_rectify)
 
-    p = sub.add_parser("fuzz", parents=[common], help="random oracle-equivalence battery")
+    p = sub.add_parser("fuzz", parents=[common], help="random oracle and size-bound battery")
     p.add_argument("--vars", type=int, default=6, help="number of features")
     p.add_argument("--iters", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
@@ -206,6 +211,7 @@ def _cmd_dt_rectify(args) -> int:
 
 def _cmd_fuzz(args) -> int:
     rng = random.Random(args.seed)
+    slack = []
     for i in range(args.iters):
         pool = Pool()
         problem = random_problem(pool, args.vars)
@@ -222,13 +228,25 @@ def _cmd_fuzz(args) -> int:
             ("construction", result.positive, "distance oracle", distance),
             ("instance oracle", reference, "distance oracle", distance),
         )
-        for name_a, a, name_b, b in pairs:
-            if not equivalent(a, b, cap=args.max_vars):
-                print(f"mismatch at iteration {i}: {name_a} != {name_b}", file=sys.stderr)
-                print(f"sigma positive region: {print_circuit(result.positive)}", file=sys.stderr)
-                print(f"theory: {print_circuit(theory)}", file=sys.stderr)
-                return 1
-    print(f"fuzz: {args.iters} iterations over {args.vars} features, no mismatches")
+        failures = [
+            f"mismatch at iteration {i}: {name_a} != {name_b}"
+            for name_a, a, name_b, b in pairs
+            if not equivalent(a, b, cap=args.max_vars)
+        ]
+        # the construction's linear size bound, in arcs
+        slack.append(clf.circuit.size + 2 * theory.size + 16 - result.rectified.circuit.size)
+        if slack[-1] < 0:
+            failures.append(f"size bound exceeded at iteration {i} by {-slack[-1]} arcs")
+        if failures:
+            print("\n".join(failures), file=sys.stderr)
+            print(f"sigma positive region: {print_circuit(result.positive)}", file=sys.stderr)
+            print(f"theory: {print_circuit(theory)}", file=sys.stderr)
+            return 1
+    print(
+        f"fuzz: {args.iters} iterations over {args.vars} features, no mismatches, "
+        f"size-bound slack min {min(slack, default=0)}, "
+        f"mean {sum(slack) / max(len(slack), 1):.1f} arcs"
+    )
     return 0
 
 

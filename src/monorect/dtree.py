@@ -8,12 +8,15 @@ polynomial.
 
 Nodes are plain slotted classes, immutable by convention (nothing sets
 a field after `__init__`), so trees share subtrees freely.  Equality is
-structural, with an identity shortcut for shared subtrees; it, hashing,
-`repr` and every walk over a tree here use an explicit stack, so a
-tree's depth is bounded by memory only.  Variables are `VarId` named
-tuples, hashed and compared in C; ids from two pools that declare the
-same names in the same order are equal, which lets `dt_rectify` combine
-trees read from two files.
+structural, with an identity shortcut for shared subtrees.  Every walk
+uses an explicit stack, so depth is bounded by memory only.  Grafting,
+conditioning, hashing, counting and conversion to a circuit are one
+bottom-up walk, `_fold`; `_reduce` (forced bits on the path),
+`is_read_once` (the path), equality (a pair of nodes), `repr` (text)
+and certification (reach masks) carry more state and keep their own
+loops.  Variables are `VarId` named tuples, hashed and compared in C;
+ids from two pools that declare the same names in the same order are
+equal, which lets `dt_rectify` combine trees read from two files.
 
 Certifying the classifier tree (`dt_check_classification`, a bit-sliced
 walk building the tree's truth table over features plus labels) and
@@ -71,20 +74,7 @@ class DTNode:
         return False if isinstance(other, DTLeaf) else NotImplemented
 
     def __hash__(self):
-        # bottom-up over an explicit stack: a leaf pushes its hash, a
-        # node's variable (pushed below its children) combines theirs
-        hashes = []
-        todo: list = [self]
-        while todo:
-            item = todo.pop()
-            if isinstance(item, DTNode):
-                todo.extend((item.var, item.high, item.low))
-            elif isinstance(item, DTLeaf):
-                hashes.append(hash(item))
-            else:
-                high = hashes.pop()
-                hashes.append(hash((item, hashes.pop(), high)))
-        return hashes[0]
+        return _fold(self, hash, lambda node, low, high: hash((node.var, low, high)))
 
     def __repr__(self):
         out: list[str] = []
@@ -124,17 +114,36 @@ LEAF0 = DTLeaf(0)
 LEAF1 = DTLeaf(1)
 
 
+def _fold(tree: DecisionTree, leaf, node):
+    """Bottom-up over an explicit stack: `leaf(l)` at each leaf, and
+    `node(n, low, high)` at each decision once both children's results
+    are in (the low child's first)."""
+    done: list = []
+    todo: list = [tree]
+    while todo:
+        item = todo.pop()
+        if item is None:
+            item = todo.pop()
+            high = done.pop()
+            done.append(node(item, done.pop(), high))
+        elif isinstance(item, DTNode):
+            todo.extend((item, None, item.high, item.low))
+        else:
+            done.append(leaf(item))
+    return done[0]
+
+
+def _keep(node: DTNode, low: DecisionTree, high: DecisionTree) -> DTNode:
+    """`node` itself when both are its own children, so unchanged subtrees
+    stay shared with the input; a new node over them otherwise."""
+    if low is node.low and high is node.high:
+        return node
+    return DTNode(node.var, low, high)
+
+
 def node_count(tree: DecisionTree) -> int:
     """All nodes, leaves included."""
-    count = 0
-    todo = [tree]
-    while todo:
-        node = todo.pop()
-        count += 1
-        if isinstance(node, DTNode):
-            todo.append(node.low)
-            todo.append(node.high)
-    return count
+    return _fold(tree, lambda leaf: 1, lambda node, low, high: low + high + 1)
 
 
 def decision_count(tree: DecisionTree) -> int:
@@ -174,34 +183,13 @@ def dt_eval(tree: DecisionTree, omega: Assignment) -> int:
 def dt_condition(tree: DecisionTree, lit: Literal) -> DecisionTree:
     """Drop every node over the literal's variable, keeping the branch it selects."""
     var, positive = lit.var, lit.positive
-    done: list[DecisionTree] = []
-    todo: list = [tree]
-    while todo:
-        node = todo.pop()
-        if node is None:
-            _rebuild(todo.pop(), done)
-            continue
-        while isinstance(node, DTNode) and node.var == var:
-            node = node.high if positive else node.low
-        if isinstance(node, DTNode):
-            todo.extend((node, None, node.high, node.low))
-        else:
-            done.append(node)
-    return done[0]
 
+    def step(node, low, high):
+        if node.var == var:
+            return high if positive else low
+        return _keep(node, low, high)
 
-def _rebuild(node: DTNode, done: list) -> None:
-    """Replace the top two entries of `done` by `node` over them.
-
-    `node` itself is kept when both are its own children, so unchanged
-    subtrees stay shared with the input.
-    """
-    high = done.pop()
-    low = done.pop()
-    if low is node.low and high is node.high:
-        done.append(node)
-    else:
-        done.append(DTNode(node.var, low, high))
+    return _fold(tree, lambda leaf: leaf, step)
 
 
 def dt_negate(tree: DecisionTree) -> DecisionTree:
@@ -211,17 +199,7 @@ def dt_negate(tree: DecisionTree) -> DecisionTree:
 
 def _graft(tree: DecisionTree, on0: DecisionTree, on1: DecisionTree) -> DecisionTree:
     """Every 0-leaf becomes `on0`, every 1-leaf `on1`."""
-    done: list[DecisionTree] = []
-    todo: list = [tree]
-    while todo:
-        node = todo.pop()
-        if node is None:
-            _rebuild(todo.pop(), done)
-        elif isinstance(node, DTNode):
-            todo.extend((node, None, node.high, node.low))
-        else:
-            done.append(on1 if node.value else on0)
-    return done[0]
+    return _fold(tree, lambda leaf: on1 if leaf.value else on0, _keep)
 
 
 def dt_conjoin(a: DecisionTree, b: DecisionTree) -> DecisionTree:
@@ -268,10 +246,9 @@ def _reduce(tree: DecisionTree, path: dict[VarId, int]) -> DecisionTree:
                 break
             open_nodes.pop()
             del path[node.var]
-            if done[-2] == done[-1]:
-                done.pop()
-            else:
-                _rebuild(node, done)
+            high = done.pop()
+            low = done.pop()
+            done.append(low if low == high else _keep(node, low, high))
         else:
             return done[0]
 
@@ -293,15 +270,9 @@ def is_read_once(tree: DecisionTree) -> bool:
 
 
 def has_identical_children(tree: DecisionTree) -> bool:
-    todo = [tree]
-    while todo:
-        node = todo.pop()
-        if isinstance(node, DTNode):
-            if node.low == node.high:
-                return True
-            todo.append(node.high)
-            todo.append(node.low)
-    return False
+    return _fold(
+        tree, lambda leaf: False, lambda node, low, high: low or high or node.low == node.high
+    )
 
 
 def is_simplified(tree: DecisionTree) -> bool:
@@ -387,11 +358,12 @@ def dt_rectify(
     the label is then re-attached to the feature-space tree.
     """
     label = problem.label
-    allowed = problem.features + (label,)
-    for what, tree in (("classifier", sigma_tree), ("theory", theory_tree)):
-        ensure_within(
-            dt_vars(tree), allowed, what + " tree mentions variables outside the problem: {names}"
-        )
+    ensure_within(
+        dt_vars(theory_tree),
+        problem.features + (label,),
+        "theory tree mentions variables outside the problem: {names}",
+    )
+    # certification rejects the classifier tree's variables outside the problem
     if not dt_check_classification(sigma_tree, problem, cap=cap):
         raise CertificationError(
             "classifier tree is not certified: some instance has no unique label"
@@ -407,19 +379,11 @@ def dt_rectify(
 
 def dt_to_circuit(tree: DecisionTree, pool: Pool) -> Circuit:
     """Decision gates for nodes, constants for leaves; sharing via interning."""
-    done: list[Circuit] = []
-    todo: list = [tree]
-    while todo:
-        node = todo.pop()
-        if node is None:
-            node = todo.pop()
-            high = done.pop()
-            done.append(pool.decision(node.var, done.pop(), high))
-        elif isinstance(node, DTNode):
-            todo.extend((node, None, node.high, node.low))
-        else:
-            done.append(pool.const(node.value))
-    return done[0]
+    return _fold(
+        tree,
+        lambda leaf: pool.const(leaf.value),
+        lambda node, low, high: pool.decision(node.var, low, high),
+    )
 
 
 def circuit_to_dt(

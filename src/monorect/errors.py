@@ -1,7 +1,9 @@
 """Shared exception types.
 
 The CLI maps these onto exit codes: parse/build/certification problems are
-input errors (exit 2), blowing the enumeration cap is exit 3.
+input errors (exit 2), blowing the enumeration cap is exit 3, and any
+other exception (`RecursionError` and `MemoryError` included) is an
+internal error (exit 4).
 """
 
 

@@ -60,27 +60,19 @@ def decisive_circuits(
     return forces_pos, forces_neg
 
 
-def rectify(
-    clf: Classifier,
-    theory: Circuit,
-    *,
-    project: bool = False,
-    max_forget: int = 8,
-) -> RectificationResult:
+def rectify(clf: Classifier, theory: Circuit) -> RectificationResult:
     """Build the rectified classifier.
 
     The accepted region is (old positives minus the theory's forced
     negatives) plus the theory's forced positives.  A contradictory or
     tautological theory forces nothing, so the classifier comes back
-    unchanged.  With project=True, variables outside the problem are
-    forgotten first (see preprocess_project); otherwise they are an error.
+    unchanged.  Theory variables outside the problem are an error;
+    `preprocess_project` forgets them first.
     """
     clf.require_certified()
     problem = clf.problem
     if not problem.mono_label:
         raise ValueError("rectification is defined for single-label classifiers only")
-    if project:
-        theory = preprocess_project(theory, problem, max_forget=max_forget)
     forces_pos, forces_neg = decisive_circuits(theory, problem)
     kept = conjoin(positive_circuit(clf), negate(forces_neg))
     accepted = disjoin(kept, forces_pos)

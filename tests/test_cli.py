@@ -1,5 +1,10 @@
+import dataclasses
+import re
 from pathlib import Path
 
+import pytest
+
+from monorect import Classifier, cli, rectify
 from monorect.cli import main
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
@@ -116,6 +121,42 @@ def test_fuzz_clean_run(capsys):
     code, out, _ = run(capsys, "fuzz", "--vars", "4", "--iters", "25", "--seed", "3")
     assert code == 0
     assert "no mismatches" in out
+    slack = re.search(r"size-bound slack min (-?\d+), mean (-?\d+\.\d) arcs$", out.strip())
+    assert slack is not None
+    low, mean = int(slack[1]), float(slack[2])
+    assert 0 <= low <= mean
+
+
+def test_fuzz_size_bound_violation_is_a_failure(monkeypatch, capsys):
+    def bloated_rectify(clf, theory):
+        # an equivalent rectified classifier, padded past the size bound
+        result = rectify(clf, theory)
+        pool = theory.pool
+        var = pool.literal(clf.problem.features[0])
+        padding = pool.or_([var, pool.not_(var)])
+        for _ in range(300):
+            padding = pool.or_([padding, var])
+        padded = pool.and_([result.positive, padding])
+        bloated = Classifier.from_positive_circuit(clf.problem, padded)
+        return dataclasses.replace(result, rectified=bloated)
+
+    monkeypatch.setattr(cli, "rectify", bloated_rectify)
+    code, out, err = run(capsys, "fuzz", "--vars", "4", "--iters", "3", "--seed", "3")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("size bound exceeded at iteration 0 by ")
+
+
+@pytest.mark.parametrize("error", [RuntimeError, RecursionError, MemoryError])
+def test_unexpected_exception_is_internal_error(monkeypatch, capsys, error):
+    def broken(args):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "_cmd_table", broken)
+    code, out, err = run(capsys, "table", "--problem", DEMO)
+    assert code == 4
+    assert out == ""
+    assert err == f"internal error: {error.__name__}: boom\n"
 
 
 def test_missing_file_is_input_error(capsys):

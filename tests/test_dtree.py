@@ -31,7 +31,9 @@ from monorect import (
     evaluate,
     is_read_once,
     is_simplified,
+    iter_gates,
     parse_dtree,
+    print_circuit,
     print_dtree,
     rectify,
     rf_classify,
@@ -181,6 +183,21 @@ def test_rectify_rejects_uncertified_trees(trees):
     not_a_classifier = parse("(x1 0 1)")  # never touches the label
     with pytest.raises(CertificationError):
         dt_rectify(not_a_classifier, LEAF1, problem)
+
+
+def test_rectify_rejects_variables_outside_the_problem(trees):
+    pool, problem, parse = trees
+    pool.declare("z1", "z2")
+    sigma_tree, theory_tree = parse(SIGMA_TREE_TEXT), parse(THEORY_TREE_TEXT)
+    # the classifier tree's variables are left to certification
+    outside = parse("(x1 (y 0 1) (z1 (y 0 1) (y 1 0)))")
+    with pytest.raises(ValueError, match="^tree mentions variables outside the problem: z1$"):
+        dt_rectify(outside, theory_tree, problem)
+    outside = parse("(z2 (y 0 1) (x2 1 (z1 0 1)))")
+    with pytest.raises(
+        ValueError, match="^theory tree mentions variables outside the problem: z1, z2$"
+    ):
+        dt_rectify(sigma_tree, outside, problem)
 
 
 def test_tree_certification(trees):
@@ -468,6 +485,43 @@ def recursive_reduce(tree, path):
     return DTNode(tree.var, low, high)
 
 
+def recursive_node_count(tree):
+    if isinstance(tree, DTLeaf):
+        return 1
+    return 1 + recursive_node_count(tree.low) + recursive_node_count(tree.high)
+
+
+def recursive_has_identical_children(tree):
+    if isinstance(tree, DTLeaf):
+        return False
+    return (
+        tree.low == tree.high
+        or recursive_has_identical_children(tree.low)
+        or recursive_has_identical_children(tree.high)
+    )
+
+
+def recursive_hash(tree):
+    if isinstance(tree, DTLeaf):
+        return hash(tree.value)
+    return hash((tree.var, recursive_hash(tree.low), recursive_hash(tree.high)))
+
+
+def recursive_to_circuit(tree, pool):
+    if isinstance(tree, DTLeaf):
+        return pool.const(tree.value)
+    low = recursive_to_circuit(tree.low, pool)
+    high = recursive_to_circuit(tree.high, pool)
+    return pool.decision(tree.var, low, high)
+
+
+def _gates(circ):
+    """Every gate with its uid, so the order gates were created in counts too."""
+    return [
+        (g.uid, g.kind, g.payload, tuple(c.uid for c in g.children)) for g in iter_gates(circ)
+    ]
+
+
 def _kept_nodes(out, *inputs):
     """Ids of the input nodes (leaves included) that the output reuses."""
     ids = set()
@@ -508,6 +562,14 @@ def test_kernels_match_their_recursive_versions(spec, other, name, bit):
         assert print_dtree(got) == print_dtree(want)
         assert _kept_nodes(got, tree, extra) == _kept_nodes(want, tree, extra)
     assert path == {var: bit}
+    assert node_count(tree) == recursive_node_count(tree)
+    assert has_identical_children(tree) is recursive_has_identical_children(tree)
+    assert hash(tree) == recursive_hash(tree)
+    # each conversion builds in a fresh pool of its own
+    got = dt_to_circuit(tree, _tree_setting()[0])
+    want = recursive_to_circuit(tree, _tree_setting()[0])
+    assert print_circuit(got) == print_circuit(want)
+    assert _gates(got) == _gates(want)
 
 
 @given(spec=tree_specs(NAMES, max_leaves=10))

@@ -128,7 +128,7 @@ class TestPreprocessProject:
         noisy = conjoin(
             demo.theory, demo.pool.build(["or", "scratch", ["not", "scratch"]])
         )
-        projected = rectify(clf, noisy, project=True)
+        projected = rectify(clf, preprocess_project(noisy, demo.problem))
         assert equivalent(projected.positive, baseline.positive)
 
 
