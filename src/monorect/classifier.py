@@ -2,14 +2,16 @@
 
 A classifier is a circuit over features X and labels Y that assigns every
 feature vector exactly one label assignment (the label-uniqueness
-property).  Checking that property enumerates all 2**(|X|+|Y|)
-assignments, bit-sliced: the classifier's truth table is one integer
-(see semantics.truth_mask), and `one_label_per_instance` reads the rule
-off it a byte at a time.  Being enumeration, it stays under the variable
-cap.  Labels come last in the table's order, so each instance owns one
-block of 2**|Y| bits; only this module knows that layout, and
-`label_blocks` hands the blocks out.  Classifiers cache the verdict so
-downstream operations can fail fast on uncertified inputs.
+property).  Checking that property for a circuit enumerates all
+2**(|X|+|Y|) assignments, bit-sliced: the classifier's truth table is one
+integer (see semantics.truth_mask), and `one_label_per_instance` reads
+the rule off it a byte at a time.  Being enumeration, it stays under the
+variable cap; classifier trees are certified without enumeration, in
+`dtree.dt_check_classification`.  Labels come last in the table's
+order, so each instance owns one block of 2**|Y| bits; only this module
+knows that layout, and `label_blocks` hands the blocks out.  Classifiers
+cache the verdict so downstream operations can fail fast on uncertified
+inputs.
 """
 
 from __future__ import annotations
@@ -127,7 +129,7 @@ def one_label_per_instance(table: int, problem: ClassificationProblem) -> bool:
 
     Labels come last in that order, so each instance owns one aligned
     block of 2**len(labels) bits; the table passes when every block
-    holds exactly one set bit.  Shared by the circuit and tree checks.
+    holds exactly one set bit.  Serves `check_xy_property`.
     """
     n_blocks = 1 << len(problem.features)
     block_bits = 1 << len(problem.labels)

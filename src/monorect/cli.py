@@ -1,7 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 success (and, for check/fuzz, all checks passed);
-1 verification failure; 2 input error; 3 enumeration cap exceeded;
+1 verification failure; 2 input error; 3 enumeration cap exceeded
+(rectify, classify, table, check and fuzz only: they certify or check
+circuits by truth table; dt-rectify enumerates nothing and cannot exit 3);
 4 internal error (any other exception, `RecursionError` and
 `MemoryError` included).
 """
@@ -93,7 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser("dt-rectify", parents=[common], help="rectify a decision tree")
+    p = sub.add_parser("dt-rectify", help="rectify a decision tree")
     p.add_argument("--sigma", required=True, help="classifier tree file")
     p.add_argument("--theory", required=True, help="background-knowledge tree file")
     p.set_defaults(func=_cmd_dt_rectify)
@@ -202,10 +204,7 @@ def _cmd_dt_rectify(args) -> int:
     theory_file = parse_tree_file(Path(args.theory).read_text(encoding="utf-8"))
     if sigma_file.problem != theory_file.problem:
         raise ValueError("sigma and theory files declare different variables")
-    out = dt_rectify(
-        sigma_file.tree, theory_file.tree, sigma_file.problem, cap=args.max_vars
-    )
-    print(print_dtree(out))
+    print(print_dtree(dt_rectify(sigma_file.tree, theory_file.tree, sigma_file.problem)))
     return 0
 
 

@@ -1,10 +1,11 @@
 """Binary decision trees and the tree-level rectification pipeline.
 
 Trees follow the drawing convention low = variable 0, high = variable 1.
-Every combination grafts trees onto leaves (`_graft`), which can repeat
-variables along paths, so one `_reduce` pass (read-once paths, no node
-with two identical children) follows each step to keep the pipeline
-polynomial.
+Every combination grafts trees onto leaves, which can repeat variables
+along paths, so each step is one `_reduce` pass (read-once paths, no
+node with two identical children) to keep the pipeline polynomial;
+`_reduce` takes the graft's two trees itself, so the grafted tree is
+never built.
 
 Nodes are plain slotted classes, immutable by convention (nothing sets
 a field after `__init__`), so trees share subtrees freely.  Equality is
@@ -12,28 +13,29 @@ structural, with an identity shortcut for shared subtrees.  Every walk
 uses an explicit stack, so depth is bounded by memory only.  Grafting,
 conditioning, hashing, counting and conversion to a circuit are one
 bottom-up walk, `_fold`; `_reduce` (forced bits on the path),
-`is_read_once` (the path), equality (a pair of nodes), `repr` (text)
-and certification (reach masks) carry more state and keep their own
-loops.  Variables are `VarId` named tuples, hashed and compared in C;
-ids from two pools that declare the same names in the same order are
-equal, which lets `dt_rectify` combine trees read from two files.
+`is_read_once` (the path), equality (a pair of nodes) and `repr` (text)
+carry more state and keep their own loops.  Variables are `VarId` named
+tuples, hashed and compared in C; ids from two pools that declare the
+same names in the same order are equal, which lets `dt_rectify` combine
+trees read from two files.
 
-Certifying the classifier tree (`dt_check_classification`, a bit-sliced
-walk building the tree's truth table over features plus labels) and
-expanding a circuit (`circuit_to_dt`, read off its truth table) enumerate,
-so both are capped like every other enumeration (DEFAULT_VAR_CAP variables).
+Certifying the classifier tree (`dt_check_classification`) is structural:
+it reduces the tree's label cofactors and combines them by grafts, so it
+runs at any width.  Only expanding a circuit (`circuit_to_dt`, read off
+its truth table) enumerates, and it is capped like every other
+enumeration (DEFAULT_VAR_CAP variables).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Union
 
 from .circuit import Circuit, Literal, Pool, VarId
-from .classifier import ClassificationProblem, as_instance, one_label_per_instance
+from .classifier import ClassificationProblem, as_instance
 from .errors import CertificationError
-from .semantics import DEFAULT_VAR_CAP, Assignment, ensure_cap, ensure_within
-from .semantics import truth_mask, var_masks
+from .semantics import DEFAULT_VAR_CAP, Assignment, ensure_cap, ensure_within, truth_mask
 
 
 class DTLeaf:
@@ -153,19 +155,16 @@ def decision_count(tree: DecisionTree) -> int:
 
 
 def dt_vars(tree: DecisionTree) -> frozenset[VarId]:
-    return frozenset(_vars_below([tree]))
-
-
-def _vars_below(stack: list) -> set[VarId]:
-    """Variables of every subtree on the stack (consumed), walked iteratively."""
     found = set()
-    while stack:
-        node = stack.pop()
-        if isinstance(node, DTNode):
-            found.add(node.var)
-            stack.append(node.low)
-            stack.append(node.high)
-    return found
+    todo = [tree] if isinstance(tree, DTNode) else []
+    while todo:
+        node = todo.pop()
+        found.add(node.var)
+        if isinstance(node.low, DTNode):
+            todo.append(node.low)
+        if isinstance(node.high, DTNode):
+            todo.append(node.high)
+    return frozenset(found)
 
 
 def dt_eval(tree: DecisionTree, omega: Assignment) -> int:
@@ -217,13 +216,21 @@ def dt_simplify(tree: DecisionTree) -> DecisionTree:
     return _reduce(tree, {})
 
 
-def _reduce(tree: DecisionTree, path: dict[VarId, int]) -> DecisionTree:
+def _reduce(
+    tree: DecisionTree,
+    path: dict[VarId, int],
+    grafts: tuple[DecisionTree, DecisionTree] | None = None,
+) -> DecisionTree:
     """`tree` conditioned on `path` (variable -> bit) and reduced in one pass.
 
     Children come back reduced and free of every variable on their path,
     so one pass gives the normal form; a reduced tree comes back as itself.
     The walk keeps its own stack of open nodes, and the bit `path` holds
     for an open node's variable says which branch is being reduced.
+
+    With `grafts=(on0, on1)` it reduces `_graft(tree, on0, on1)` without
+    building it: a reached 0-leaf continues as `_reduce(on0, path)`, a
+    reached 1-leaf as `_reduce(on1, path)`.
     """
     done: list[DecisionTree] = []
     open_nodes: list[DTNode] = []
@@ -237,7 +244,7 @@ def _reduce(tree: DecisionTree, path: dict[VarId, int]) -> DecisionTree:
                 node = node.low
             else:
                 node = node.high if forced else node.low
-        done.append(node)
+        done.append(node if grafts is None else _reduce(grafts[node.value], path))
         while open_nodes:
             node = open_nodes[-1]
             if not path[node.var]:
@@ -295,58 +302,32 @@ def dt_classify(tree: DecisionTree, x, problem: ClassificationProblem) -> int:
     return dt_eval(tree, inst.extended(problem.label, 1))
 
 
-def dt_check_classification(
-    tree: DecisionTree, problem: ClassificationProblem, cap: int = DEFAULT_VAR_CAP
-) -> bool:
-    """Label uniqueness for a tree over features plus labels, bit-sliced.
+def dt_check_classification(tree: DecisionTree, problem: ClassificationProblem) -> bool:
+    """Label uniqueness for a tree over features plus labels, by reduction.
 
-    Still an enumeration of all assignments to `problem.all_vars`, hence
-    the cap, but over packed integers: one top-down walk gives each node
-    the mask of the assignments that reach it (the parent's mask and the
-    branch variable's truth-table mask for the high child, its complement
-    for the low one), and the masks of the 1-leaves OR together into the
-    tree's truth table.  A subtree that no assignment reaches is skipped;
-    only its variables are still checked against the problem.
+    Each label word's cofactor, reduced, must be disjoint from the union
+    of the words before it (their reduced conjunction is the 0-leaf), and
+    the union of all of them must be the 1-leaf.  A reduced tree is
+    read-once, so every path is consistent and only the 0-leaf is
+    unsatisfiable (Bryant 1986).  Only the label words are enumerated,
+    never an assignment to the features.
     """
-    over = problem.all_vars
-    ensure_cap(len(over), cap)
-    full = (1 << (1 << len(over))) - 1
-    branch = {v: (full ^ m, m) for v, m in var_masks(over).items()}
-    table = 0
-    unreached = []
-    stack = [(tree, full)]
-    while stack:
-        node, reach = stack.pop()
-        if isinstance(node, DTLeaf):
-            if node.value:
-                table |= reach
-            continue
-        masks = branch.get(node.var)
-        if masks is None:
-            unreached.append(node)
-            continue
-        low = reach & masks[0]
-        high = reach & masks[1]
-        if low:
-            stack.append((node.low, low))
-        else:
-            unreached.append(node.low)
-        if high:
-            stack.append((node.high, high))
-        else:
-            unreached.append(node.high)
     ensure_within(
-        _vars_below(unreached), branch, "tree mentions variables outside the problem: {names}"
+        dt_vars(tree), problem.all_vars, "tree mentions variables outside the problem: {names}"
     )
-    return one_label_per_instance(table, problem)
+    union = None
+    for word in product((0, 1), repeat=len(problem.labels)):
+        part = _reduce(tree, dict(zip(problem.labels, word)))
+        if union is not None:
+            if _reduce(part, {}, (LEAF0, union)) != LEAF0:
+                return False
+            part = _reduce(part, {}, (union, LEAF1))
+        union = part
+    return union == LEAF1
 
 
 def dt_rectify(
-    sigma_tree: DecisionTree,
-    theory_tree: DecisionTree,
-    problem: ClassificationProblem,
-    *,
-    cap: int = DEFAULT_VAR_CAP,
+    sigma_tree: DecisionTree, theory_tree: DecisionTree, problem: ClassificationProblem
 ) -> DecisionTree:
     """Tree-level rectification; returns a classification tree.
 
@@ -354,8 +335,8 @@ def dt_rectify(
     T- the theory conditioned both ways, the rectified region is
     (A and not F-) or F+ for the disjoint F+ = T+ and not T- and
     F- = T- and not T+: F+ below A's 0-leaves and not F- = not T- or T+
-    below its 1-leaves.  Each conditioning and graft is one reduce pass;
-    the label is then re-attached to the feature-space tree.
+    below its 1-leaves.  Each conditioning, graft and negation is one
+    reduce pass; the label is then re-attached to the feature-space tree.
     """
     label = problem.label
     ensure_within(
@@ -364,17 +345,16 @@ def dt_rectify(
         "theory tree mentions variables outside the problem: {names}",
     )
     # certification rejects the classifier tree's variables outside the problem
-    if not dt_check_classification(sigma_tree, problem, cap=cap):
+    if not dt_check_classification(sigma_tree, problem):
         raise CertificationError(
             "classifier tree is not certified: some instance has no unique label"
         )
     accepted = _reduce(sigma_tree, {label: 1})
     th_pos = _reduce(theory_tree, {label: 1})
     th_neg = _reduce(theory_tree, {label: 0})
-    forces_pos = dt_simplify(_graft(th_pos, LEAF0, dt_negate(th_neg)))
-    not_forces_neg = dt_simplify(_graft(th_neg, LEAF1, th_pos))
-    out = dt_simplify(_graft(accepted, forces_pos, not_forces_neg))
-    return attach_label(out, label)
+    forces_pos = _reduce(th_pos, {}, (LEAF0, _reduce(th_neg, {}, (LEAF1, LEAF0))))
+    not_forces_neg = _reduce(th_neg, {}, (LEAF1, th_pos))
+    return attach_label(_reduce(accepted, {}, (forces_pos, not_forces_neg)), label)
 
 
 def dt_to_circuit(tree: DecisionTree, pool: Pool) -> Circuit:
@@ -436,13 +416,7 @@ def rf_classify(forest: RandomForest, x, problem: ClassificationProblem) -> int:
 
 
 def rf_rectify(
-    forest: RandomForest,
-    theory_tree: DecisionTree,
-    problem: ClassificationProblem,
-    *,
-    cap: int = DEFAULT_VAR_CAP,
+    forest: RandomForest, theory_tree: DecisionTree, problem: ClassificationProblem
 ) -> RandomForest:
     """Rectify every tree of the forest; the vote rule is unchanged."""
-    return RandomForest(
-        tuple(dt_rectify(tree, theory_tree, problem, cap=cap) for tree in forest.trees)
-    )
+    return RandomForest(tuple(dt_rectify(tree, theory_tree, problem) for tree in forest.trees))

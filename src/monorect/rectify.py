@@ -80,19 +80,18 @@ def rectify(clf: Classifier, theory: Circuit) -> RectificationResult:
     return RectificationResult(accepted, rectified, forces_pos, forces_neg)
 
 
-def preprocess_project(
-    circ: Circuit, problem: ClassificationProblem, max_forget: int = 8
-) -> Circuit:
-    """Forget every variable outside the problem's features and labels.
+# Each forgotten variable can double the circuit, hence a hard cap.
+_MAX_FORGET = 8
 
-    Each forgotten variable can double the circuit, hence the hard cap.
-    """
+
+def preprocess_project(circ: Circuit, problem: ClassificationProblem) -> Circuit:
+    """Forget every variable outside the problem's features and labels."""
     extra = sorted(circ.vars() - set(problem.all_vars), key=lambda v: v.index)
     if not extra:
         return circ
-    if len(extra) > max_forget:
+    if len(extra) > _MAX_FORGET:
         raise CapExceededError(
-            f"{len(extra)} auxiliary variables exceed the forgetting cap of {max_forget}"
+            f"{len(extra)} auxiliary variables exceed the forgetting cap of {_MAX_FORGET}"
         )
     return forget(circ, extra)
 

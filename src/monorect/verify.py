@@ -101,7 +101,11 @@ def _dalal_mask(phi_mask: int, alpha_mask: int, n: int) -> int:
     return reach & alpha_mask
 
 
-def dalal_revise(phi: Circuit, alpha: Circuit, cap: int = 12) -> Circuit:
+# Dalal revision enumerates the union of both circuits' variables.
+_DALAL_CAP = 12
+
+
+def dalal_revise(phi: Circuit, alpha: Circuit) -> Circuit:
     """Distance-minimal revision: keep alpha's models closest to phi's.
 
     Revision by an inconsistent alpha returns alpha itself; an
@@ -110,7 +114,7 @@ def dalal_revise(phi: Circuit, alpha: Circuit, cap: int = 12) -> Circuit:
     if phi.pool is not alpha.pool:
         raise ValueError("circuits belong to different pools")
     over = tuple(sorted(phi.vars() | alpha.vars(), key=lambda v: v.index))
-    ensure_cap(len(over), cap)
+    ensure_cap(len(over), _DALAL_CAP)
     alpha_mask = truth_mask(alpha, over)
     if alpha_mask == 0:
         return alpha

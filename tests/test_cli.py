@@ -1,4 +1,5 @@
 import dataclasses
+import random
 import re
 from pathlib import Path
 
@@ -206,6 +207,47 @@ def test_cap_can_be_raised(tmp_path, capsys):
     )
     assert code == 0
     assert out == "sigma: pos, rectified: pos\n"
+
+
+WIDE_WORD = "1" + "0" * 29
+
+
+@pytest.mark.parametrize("argv", [["rectify"], ["classify", "--instance", WIDE_WORD]])
+def test_wide_circuit_problem_exceeds_the_cap(tmp_path, capsys, argv):
+    # circuit certification still reads a truth table over features plus label
+    names = " ".join(f"v{i}" for i in range(30))
+    wide = tmp_path / "wide.sexp"
+    wide.write_text(
+        f"(features {names})\n(labels y)\n"
+        "(sigma (iff (or (and v0 v1) v29) y))\n(theory (imp (and v2 v3) (not y)))\n"
+    )
+    code, out, err = run(capsys, argv[0], "--problem", str(wide), *argv[1:])
+    assert code == 3
+    assert out == ""
+    assert err == "error: 31 variables exceed the enumeration cap of 20\n"
+
+
+@pytest.mark.parametrize("width", [30, 64])
+def test_wide_tree_pair_rectifies(tmp_path, capsys, width):
+    from monorect import ClassificationProblem, Pool, attach_label, dt_rectify, print_dtree
+    from monorect.randgen import random_tree
+
+    pool = Pool()
+    features = pool.declare(*(f"x{i}" for i in range(width)))
+    problem = ClassificationProblem(features, pool.declare("y"))
+    rng = random.Random(width)
+    sigma = attach_label(random_tree(features, rng, depth=10), problem.label)
+    theory = random_tree(problem.all_vars, rng, depth=10)
+    head = f"(features {' '.join(v.name for v in features)})\n(labels y)\n"
+    sigma_path = tmp_path / "sigma.tree"
+    theory_path = tmp_path / "theory.tree"
+    sigma_path.write_text(head + f"(tree {print_dtree(sigma)})\n")
+    theory_path.write_text(head + f"(tree {print_dtree(theory)})\n")
+    code, out, err = run(
+        capsys, "dt-rectify", "--sigma", str(sigma_path), "--theory", str(theory_path)
+    )
+    assert (code, err) == (0, "")
+    assert out == print_dtree(dt_rectify(sigma, theory, problem)) + "\n"
 
 
 def test_multilabel_table_rejected(capsys):

@@ -225,17 +225,62 @@ def test_tree_certification_rejects_variables_outside_the_problem(trees):
         dt_check_classification(parse(unreached), problem)
 
 
-def test_tree_certification_cap(trees):
-    pool, problem, parse = trees
-    tree = parse(SIGMA_TREE_TEXT)
-    assert dt_check_classification(tree, problem, cap=4)
-    with pytest.raises(CapExceededError):
-        dt_check_classification(tree, problem, cap=3)
-    wide = Pool()
-    features = wide.declare(*(f"x{i}" for i in range(20)))
-    wide_problem = ClassificationProblem(features, wide.declare("y"))
-    with pytest.raises(CapExceededError):
-        dt_check_classification(attach_label(LEAF1, wide_problem.label), wide_problem)
+def _wide_problem(width):
+    pool = Pool()
+    features = pool.declare(*(f"x{i}" for i in range(width)))
+    return ClassificationProblem(features, pool.declare("y"))
+
+
+def _replace_first(tree, old, new):
+    """`tree` with its first `old` subtree (low branches first) replaced by `new`;
+    None when it has none."""
+    if tree == old:
+        return new
+    if isinstance(tree, DTLeaf):
+        return None
+    low = _replace_first(tree.low, old, new)
+    if low is not None:
+        return DTNode(tree.var, low, tree.high)
+    high = _replace_first(tree.high, old, new)
+    return None if high is None else DTNode(tree.var, tree.low, high)
+
+
+@pytest.mark.parametrize("width", [30, 64])
+def test_wide_tree_certification(width):
+    # far past the enumeration cap: certification reduces, it does not enumerate
+    problem = _wide_problem(width)
+    label = problem.label
+    features = dt_simplify(random_tree(problem.features, random.Random(width), depth=10))
+    assert len(dt_vars(features)) > 20
+    tree = attach_label(features, label)
+    assert dt_check_classification(tree, problem)
+    # the feature tree is read-once, so every leaf is reached: the instances
+    # reaching the replaced leaf now allow both labels
+    loose = _replace_first(tree, DTNode(label, LEAF0, LEAF1), LEAF1)
+    assert loose is not None
+    assert not dt_check_classification(loose, problem)
+
+
+def test_wide_rectification_follows_the_flip_rule():
+    problem = _wide_problem(30)
+    label = problem.label
+    rng = random.Random(30)
+    sigma = attach_label(random_tree(problem.features, rng, depth=10), label)
+    theory = random_tree(problem.all_vars, rng, depth=10)
+    assert len(dt_vars(sigma) | dt_vars(theory)) > 20
+    out = dt_rectify(sigma, theory, problem)
+    assert dt_check_classification(out, problem)
+    flipped = 0
+    for _ in range(200):
+        inst = Assignment(problem.features, [rng.randint(0, 1) for _ in problem.features])
+        pos, neg = (dt_eval(theory, inst.extended(label, bit)) for bit in (1, 0))
+        verdict = dt_eval(sigma, inst.extended(label, 1))
+        if pos != neg:  # the theory decides the instance
+            flipped += verdict != pos
+            verdict = pos
+        assert dt_eval(out, inst.extended(label, 1)) == verdict
+        assert dt_eval(out, inst.extended(label, 0)) == 1 - verdict
+    assert flipped > 0
 
 
 def test_attach_label_convention(trees):
@@ -388,6 +433,25 @@ def twin_tree_specs(names, max_leaves=16):
         )
 
     return st.recursive(st.sampled_from(["0", "1"]), compose, max_leaves=max_leaves)
+
+
+@given(
+    spec=twin_tree_specs(NAMES),
+    on0=twin_tree_specs(NAMES, max_leaves=6),
+    on1=twin_tree_specs(NAMES, max_leaves=6),
+    name=st.sampled_from(NAMES),
+    bit=st.integers(0, 1),
+)
+def test_reduce_with_grafts_is_reduce_of_the_graft(spec, on0, on1, name, bit):
+    pool, tree, a = _tree_setting(spec, on0)
+    b = tree_from_spec(pool, on1)
+    var = pool.var(name)
+    for t in (tree, dt_simplify(tree)):
+        for forced in ({}, {var: bit}):
+            path = dict(forced)
+            want = _reduce(_graft(t, a, b), dict(forced))
+            assert print_dtree(_reduce(t, path, (a, b))) == print_dtree(want)
+            assert path == forced
 
 
 @given(spec=twin_tree_specs(NAMES), name=st.sampled_from(NAMES), bit=st.integers(0, 1))
@@ -655,7 +719,7 @@ def test_combination_growth_stays_polynomial():
 
 
 # ----------------------------------------------------------------------
-# bit-sliced certification against the per-instance loop it replaced
+# structural certification against the per-instance loop
 
 
 def brute_check_classification(tree, problem):
@@ -709,7 +773,7 @@ def _classification_tree(spec, pool, labels):
 
 
 @given(data=st.data(), shape=st.sampled_from(PROBLEM_SHAPES), certified=st.booleans())
-def test_bit_sliced_certification_matches_per_instance_loop(data, shape, certified):
+def test_structural_certification_matches_per_instance_loop(data, shape, certified):
     pool, problem = _shaped_problem(*shape)
     names = [v.name for v in problem.features]
     if certified:
