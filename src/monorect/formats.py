@@ -35,6 +35,11 @@ Printers emit a canonical single-space form; reparsing printed output
 reproduces the original structure exactly.  The circuit printer names
 every shared gate in a `let`, so its output is linear in the arc count,
 and both printers work with explicit stacks, like the readers.
+
+Readers split the text into tokens with string methods and make one pass
+over them: trees go straight from tokens to nodes, circuits through nested
+lists into `Pool.build`.  Positions are found only on the error path, where
+an unbalanced parenthesis is reported before any other error.
 """
 
 from __future__ import annotations
@@ -44,42 +49,30 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .circuit import CONST, DEC, VAR
-from .circuit import Circuit, Gate, Pool, VarId, iter_gates
+from .circuit import Circuit, Gate, Pool, iter_gates
 from .classifier import ClassificationProblem
 from .dtree import LEAF0, LEAF1, DecisionTree, DTLeaf, DTNode
-from .errors import ParseError
+from .errors import ParseError, RectifyError
 
 
-# A token is a parenthesis, a name or a comment; blanks between tokens
-# are skipped.  Every other character is part of a name, so no text is
-# lost between tokens.
+# `_tokens` deletes comments and the blanks after a '('; `_TOKEN` splits alike, with positions.
+_COMMENT = re.compile(r";[^\n]*")
+_OPEN_BLANKS = re.compile(r"\( +")
 _TOKEN = re.compile(r"[()]|[^ \t\r\n();]+|;[^\n]*")
 
 
-def _read_all(text: str) -> list:
-    """All top-level forms: names as strings, parenthesized forms as lists."""
-    forms: list = []
-    items = forms
-    open_lists: list[list] = []  # the lists enclosing `items`
-    for token in _TOKEN.findall(text):
-        if token == "(":
-            inner: list = []
-            items.append(inner)
-            open_lists.append(items)
-            items = inner
-        elif token == ")":
-            if not open_lists:
-                raise _unbalanced(text)
-            items = open_lists.pop()
-        elif token[0] != ";":
-            items.append(token)
-    if open_lists:
-        raise _unbalanced(text)
-    return forms
+def _tokens(text: str) -> list[str]:
+    """Names, ')' and '(' glued to the name after it; only space, tab, CR and LF are blanks."""
+    if ";" in text:
+        text = _COMMENT.sub("", text)
+    text = text.replace("\t", " ").replace("\r", " ").replace("\n", " ")
+    if "( " in text:
+        text = _OPEN_BLANKS.sub("(", text)
+    return list(filter(None, text.replace("(", " (").replace(")", " ) ").split(" ")))
 
 
-def _unbalanced(text: str) -> ParseError:
-    """The error for the first unbalanced parenthesis, with its position.
+def _unbalanced(text: str) -> ParseError | None:
+    """The error for the first unbalanced parenthesis, with its position, if any.
 
     Reading keeps no positions; this second pass, made only for the
     error, finds the ')' that closes nothing or else the innermost '('
@@ -94,7 +87,7 @@ def _unbalanced(text: str) -> ParseError:
             if not opened:
                 return ParseError("unexpected ')'", *_position(text, match.start()))
             opened.pop()
-    return ParseError("missing ')'", *_position(text, opened[-1]))
+    return ParseError("missing ')'", *_position(text, opened[-1])) if opened else None
 
 
 def _position(text: str, offset: int) -> tuple[int, int]:
@@ -103,13 +96,36 @@ def _position(text: str, offset: int) -> tuple[int, int]:
     return text.count("\n", 0, line_start) + 1, offset - line_start + 1
 
 
-def _read_one(text: str):
-    forms = _read_all(text)
-    if not forms:
-        raise ParseError("empty input")
-    if len(forms) > 1:
-        raise ParseError("expected exactly one expression")
-    return forms[0]
+def _read_one(text: str, read, *args):
+    """The one form of `text`, read by `read(tokens, 0, *args)`."""
+    try:
+        tokens = _tokens(text) + [")"]  # the ')' closes the top level
+        forms, end = read(tokens, 0, *args)
+        if len(forms) != 1 or end != len(tokens):
+            raise ParseError("expected exactly one expression" if forms else "empty input")
+        return forms[0]
+    except (RectifyError, IndexError) as error:  # IndexError: a ')' is missing
+        raise _unbalanced(text) or error  # an unbalanced parenthesis is reported first
+
+
+def _forms_at(tokens: list[str], i: int) -> tuple[list, int]:
+    """Names and lists of forms, from tokens[i] to the ')' closing them, and the index after it."""
+    items: list = []
+    open_lists: list[list] = []  # the lists enclosing `items`
+    while True:
+        token = tokens[i]
+        i += 1
+        if token == ")":
+            if not open_lists:
+                return items, i
+            items = open_lists.pop()
+        elif token[0] == "(":
+            inner = [token[1:]] if token != "(" else []
+            items.append(inner)
+            open_lists.append(items)
+            items = inner
+        else:
+            items.append(token)
 
 
 # ----------------------------------------------------------------------
@@ -118,7 +134,7 @@ def _read_one(text: str):
 
 def parse_circuit(text: str, pool: Pool) -> Circuit:
     """Parse one circuit expression against the pool's variable table."""
-    return pool.build(_read_one(text))
+    return pool.build(_read_one(text, _forms_at))
 
 
 def print_circuit(circ: Circuit) -> str:
@@ -178,37 +194,38 @@ def _spell(gate: Gate, names: dict[int, str], out: list[str]):
 
 def parse_dtree(text: str, pool: Pool) -> DecisionTree:
     """Parse one decision tree against the pool's variable table."""
-    return _tree_from(_read_one(text), pool)
+    return _read_one(text, _trees_at, pool.var)
 
 
-def _tree_from(node, pool: Pool) -> DecisionTree:
-    """Tree of a read form, with an explicit stack.
-
-    Forms are checked in the order a recursive reader would meet them (a
-    node, its variable, its low subtree, then its high subtree), so the
-    first error is the same; a node is made once both subtrees are done.
-    """
+def _trees_at(tokens: list[str], i: int, var) -> tuple[list[DecisionTree], int]:
+    """The trees from tokens[i] to the ')' closing them, and the index after it."""
+    resolved: dict = {}  # `var` of each '(name' token met
     done: list[DecisionTree] = []
-    todo = [node]
-    while todo:
-        item = todo.pop()
-        if isinstance(item, VarId):
+    opened: list = []  # each open node's variable and the height of `done` at its '('
+    while True:
+        token = tokens[i]
+        i += 1
+        if token == ")":
+            if not opened:
+                return done, i
+            var_id, height = opened.pop()
+            if len(done) != height + 2:  # the node's two subtrees, and nothing else
+                raise ParseError("decision-tree node must be (variable low high)")
             high = done.pop()
-            done.append(DTNode(item, done.pop(), high))
-        elif isinstance(item, str):
-            if item == "0":
-                done.append(LEAF0)
-            elif item == "1":
-                done.append(LEAF1)
-            else:
-                raise ParseError(f"decision-tree leaf must be 0 or 1, got {item!r}")
-        elif len(item) != 3 or not isinstance(item[0], str):
+            done[-1] = DTNode(var_id, done[-1], high)
+        elif token == "0":
+            done.append(LEAF0)
+        elif token == "1":
+            done.append(LEAF1)
+        elif token == "(":
             raise ParseError("decision-tree node must be (variable low high)")
+        elif token[0] == "(":
+            var_id = resolved.get(token)
+            if var_id is None:
+                var_id = resolved[token] = var(token[1:])
+            opened.append((var_id, len(done)))
         else:
-            todo.append(pool.var(item[0]))
-            todo.append(item[2])
-            todo.append(item[1])
-    return done[0]
+            raise ParseError(f"decision-tree leaf must be 0 or 1, got {token!r}")
 
 
 def print_dtree(tree: DecisionTree) -> str:
@@ -251,27 +268,42 @@ _PROBLEM_SECTIONS = ("features", "labels", "sigma", "theory", "forest")
 _TREE_SECTIONS = ("features", "labels", "tree")
 
 
-def _sections(text: str, known: tuple[str, ...], required: tuple[str, ...]) -> dict:
-    seen: dict[str, list] = {}
-    for form in _read_all(text):
-        if not isinstance(form, list) or not form or not isinstance(form[0], str):
-            raise ParseError("top-level forms must look like (keyword ...)")
-        key = form[0]
-        if key not in known:
-            raise ParseError(f"unknown section {key!r}")
-        if key in seen:
-            raise ParseError(f"duplicate section {key!r}")
-        seen[key] = form[1:]
-    for key in required:
-        if key not in seen:
-            raise ParseError(f"missing section {key!r}")
-    return seen
-
-
-def _names(section: list, what: str) -> list[str]:
-    if not section or not all(isinstance(item, str) for item in section):
-        raise ParseError(f"{what} must be a non-empty list of names")
-    return section
+def _read_file(text: str, known: tuple[str, ...], required: tuple[str, ...]):
+    """The pool, problem and sections of a file, read in order in one pass."""
+    try:
+        tokens = _tokens(text)
+        seen: dict[str, list] = {}
+        later: list[tuple[str, int]] = []  # trees met before the pool: scanned, then read at the end
+        pool = problem = None
+        i = 0
+        while i < len(tokens):
+            key = tokens[i][1:]
+            if tokens[i][0] != "(" or not key:
+                raise ParseError("top-level forms must look like (keyword ...)")
+            if key not in known:
+                raise ParseError(f"unknown section {key!r}")
+            if key in seen:
+                raise ParseError(f"duplicate section {key!r}")
+            if key in ("tree", "forest"):
+                if pool is None:
+                    later.append((key, i + 1))
+                seen[key], i = _trees_at(tokens, i + 1, str if pool is None else pool.var)
+            else:
+                seen[key], i = _forms_at(tokens, i + 1)
+            if pool is None and "features" in seen and "labels" in seen:
+                for what in ("features", "labels"):
+                    if not seen[what] or not all(isinstance(name, str) for name in seen[what]):
+                        raise ParseError(f"{what} must be a non-empty list of names")
+                pool = Pool()
+                problem = ClassificationProblem(pool.declare(*seen["features"]), pool.declare(*seen["labels"]))
+        for key in required:
+            if key not in seen:
+                raise ParseError(f"missing section {key!r}")
+        for key, start in later:
+            seen[key] = _trees_at(tokens, start, pool.var)[0]
+        return pool, problem, seen
+    except (RectifyError, IndexError) as error:
+        raise _unbalanced(text) or error  # an unbalanced parenthesis is reported first
 
 
 def _single(section: list, what: str):
@@ -282,30 +314,18 @@ def _single(section: list, what: str):
 
 def parse_problem(text: str) -> ProblemFile:
     """Parse a problem file into a fresh pool."""
-    seen = _sections(text, _PROBLEM_SECTIONS, ("features", "labels", "sigma", "theory"))
-    pool = Pool()
-    features = pool.declare(*_names(seen["features"], "features"))
-    labels = pool.declare(*_names(seen["labels"], "labels"))
-    problem = ClassificationProblem(features, labels)
+    pool, problem, seen = _read_file(text, _PROBLEM_SECTIONS, _PROBLEM_SECTIONS[:4])
     sigma = pool.build(_single(seen["sigma"], "sigma"))
     theory = pool.build(_single(seen["theory"], "theory"))
-    forest = None
-    if "forest" in seen:
-        if not seen["forest"]:
-            raise ParseError("section 'forest' needs at least one tree")
-        forest = tuple(_tree_from(t, pool) for t in seen["forest"])
-    return ProblemFile(pool, problem, sigma, theory, forest)
+    forest = seen.get("forest")
+    if forest == []:
+        raise ParseError("section 'forest' needs at least one tree")
+    return ProblemFile(pool, problem, sigma, theory, forest and tuple(forest))
 
 
 def parse_tree_file(text: str) -> TreeFile:
     """Parse a decision-tree file into a fresh pool."""
-    seen = _sections(text, _TREE_SECTIONS, _TREE_SECTIONS)
-    pool = Pool()
-    features = pool.declare(*_names(seen["features"], "features"))
-    label_names = _names(seen["labels"], "labels")
-    if len(label_names) != 1:
+    pool, problem, seen = _read_file(text, _TREE_SECTIONS, _TREE_SECTIONS)
+    if not problem.mono_label:
         raise ParseError("decision-tree files declare exactly one label")
-    labels = pool.declare(*label_names)
-    problem = ClassificationProblem(features, labels)
-    tree = _tree_from(_single(seen["tree"], "tree"), pool)
-    return TreeFile(pool, problem, tree)
+    return TreeFile(pool, problem, _single(seen["tree"], "tree"))

@@ -1,7 +1,8 @@
+import re
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from monorect import (
     BuildError,
@@ -14,6 +15,7 @@ from monorect import (
     print_circuit,
     print_dtree,
 )
+from monorect.circuit import VarId
 from monorect.dtree import DTLeaf, DTNode
 
 from conftest import (
@@ -193,6 +195,21 @@ class TestParseDtree:
         messy = "( x1   0\n  ( x2 0   1 ) )"
         assert print_dtree(parse_dtree(messy, pool)) == REDUCED_TREE_TEXT
 
+    def test_empty_and_extra_input(self):
+        pool = fresh_pool()
+        with pytest.raises(ParseError, match="empty input"):
+            parse_dtree("", pool)
+        with pytest.raises(ParseError, match="exactly one expression"):
+            parse_dtree("0 1", pool)
+
+    @pytest.mark.parametrize("odd", ["\x0b", "\xa0"])
+    def test_only_four_blanks_split_names(self, odd):
+        # vertical tab and no-break space are name characters, not blanks
+        with pytest.raises(BuildError, match=re.escape(f"unknown identifier {'x1' + odd + 'x2'!r}")):
+            parse_dtree(f"(x1{odd}x2 0 1)", fresh_pool())
+        with pytest.raises(BuildError, match="invalid variable name"):
+            parse_tree_file(f"(features x1{odd}x2)(labels y)(tree 0)")
+
 
 class TestProblemFiles:
     GOOD = (
@@ -237,6 +254,14 @@ class TestProblemFiles:
         assert len(pf.forest) == 2
         assert pf.forest[0] == pf.forest[1]
 
+    def test_forest_before_declarations(self):
+        text = f"(forest {SIGMA_TREE_TEXT} 1)\n" + self.GOOD
+        pf = parse_problem(text)
+        assert pf.forest == (parse_dtree(SIGMA_TREE_TEXT, pf.pool), DTLeaf(1))
+        assert [v.name for v in pf.pool.variables] == ["x1", "x2", "x3", "y"]
+        with pytest.raises(BuildError, match="unknown identifier 'z'"):
+            parse_problem("(forest (z 0 1))\n" + self.GOOD)
+
     def test_shipped_problem_files_load(self):
         for name in ("demo.sexp", "twolabel.sexp", "forest.sexp"):
             parse_problem((PROBLEMS / name).read_text())
@@ -280,6 +305,31 @@ class TestTreeFiles:
         tf = parse_tree_file(self.GOOD)
         assert print_dtree(tf.tree) == REDUCED_TREE_TEXT
 
+    @pytest.mark.parametrize("order", [(2, 0, 1), (0, 2, 1), (1, 2, 0)])
+    def test_sections_in_any_order(self, order):
+        sections = self.GOOD.splitlines()
+        text = "\n".join(sections[k] for k in order)
+        tf = parse_tree_file(text)
+        assert tf.pool.variables == parse_tree_file(self.GOOD).pool.variables
+        assert print_dtree(tf.tree) == REDUCED_TREE_TEXT
+        assert tf.tree == parse_dtree(REDUCED_TREE_TEXT, tf.pool)
+
+    def test_unbalanced_text_reported_before_other_errors(self):
+        with pytest.raises(ParseError) as err:
+            parse_tree_file("(features x1)(labels y)(tree (z 0 1)")
+        assert "missing ')'" in str(err.value)
+        assert (err.value.line, err.value.col) == (1, 24)
+
+    def test_deep_tree_file(self):
+        depth = 100_000
+        text = "(features x1)\n(labels y)\n(tree " + "(x1 0 " * depth + "1" + ")" * depth + ")\n"
+        tree = parse_tree_file(text).tree
+        seen = 0
+        while isinstance(tree, DTNode):
+            tree = tree.high
+            seen += 1
+        assert seen == depth
+
     def test_single_label_enforced(self):
         with pytest.raises(ParseError, match="exactly one label"):
             parse_tree_file("(features x1)\n(labels y1 y2)\n(tree 0)\n")
@@ -303,3 +353,237 @@ def test_dtree_print_parse_round_trip(spec):
     pool.declare(*NAMES)
     tree = tree_from_spec(pool, spec)
     assert parse_dtree(print_dtree(tree), pool) == tree
+
+
+# ----------------------------------------------------------------------
+# Differential checks against the earlier two-pass reader, kept here as
+# the oracle: text into nested lists (`_oracle_read_all`), then nested
+# lists into trees (`_oracle_tree_from`).
+
+_ORACLE_TOKEN = re.compile(r"[()]|[^ \t\r\n();]+|;[^\n]*")
+
+
+def _oracle_read_all(text):
+    forms = []
+    items = forms
+    open_lists = []
+    for token in _ORACLE_TOKEN.findall(text):
+        if token == "(":
+            inner = []
+            items.append(inner)
+            open_lists.append(items)
+            items = inner
+        elif token == ")":
+            if not open_lists:
+                raise _oracle_unbalanced(text)
+            items = open_lists.pop()
+        elif token[0] != ";":
+            items.append(token)
+    if open_lists:
+        raise _oracle_unbalanced(text)
+    return forms
+
+
+def _oracle_unbalanced(text):
+    def position(offset):
+        line_start = text.rfind("\n", 0, offset) + 1
+        return text.count("\n", 0, line_start) + 1, offset - line_start + 1
+
+    opened = []
+    for match in _ORACLE_TOKEN.finditer(text):
+        if match.group() == "(":
+            opened.append(match.start())
+        elif match.group() == ")":
+            if not opened:
+                return ParseError("unexpected ')'", *position(match.start()))
+            opened.pop()
+    return ParseError("missing ')'", *position(opened[-1]))
+
+
+def _oracle_read_one(text):
+    forms = _oracle_read_all(text)
+    if not forms:
+        raise ParseError("empty input")
+    if len(forms) > 1:
+        raise ParseError("expected exactly one expression")
+    return forms[0]
+
+
+def _oracle_tree_from(node, pool):
+    done = []
+    todo = [node]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, VarId):
+            high = done.pop()
+            done.append(DTNode(item, done.pop(), high))
+        elif isinstance(item, str):
+            if item not in ("0", "1"):
+                raise ParseError(f"decision-tree leaf must be 0 or 1, got {item!r}")
+            done.append(DTLeaf(int(item)))
+        elif len(item) != 3 or not isinstance(item[0], str):
+            raise ParseError("decision-tree node must be (variable low high)")
+        else:
+            todo.extend((pool.var(item[0]), item[2], item[1]))
+    return done[0]
+
+
+def _oracle_tree_file(text):
+    seen = {}
+    for form in _oracle_read_all(text):
+        if not isinstance(form, list) or not form or not isinstance(form[0], str):
+            raise ParseError("top-level forms must look like (keyword ...)")
+        if form[0] not in ("features", "labels", "tree"):
+            raise ParseError(f"unknown section {form[0]!r}")
+        if form[0] in seen:
+            raise ParseError(f"duplicate section {form[0]!r}")
+        seen[form[0]] = form[1:]
+    for key in ("features", "labels", "tree"):
+        if key not in seen:
+            raise ParseError(f"missing section {key!r}")
+    for key in ("features", "labels"):
+        if not seen[key] or not all(isinstance(item, str) for item in seen[key]):
+            raise ParseError(f"{key} must be a non-empty list of names")
+    if len(seen["labels"]) != 1:
+        raise ParseError("decision-tree files declare exactly one label")
+    pool = Pool()
+    pool.declare(*seen["features"], *seen["labels"])
+    if len(seen["tree"]) != 1:
+        raise ParseError("section 'tree' needs exactly one entry")
+    return _oracle_tree_from(seen["tree"][0], pool)
+
+
+def _outcome(parse, *args):
+    """What a parse gives: ("ok", result), or the error's type, message and position."""
+    try:
+        return ("ok", parse(*args))
+    except (ParseError, BuildError) as error:
+        return (type(error), str(error), getattr(error, "line", None), getattr(error, "col", None))
+
+
+# Separators between tokens: "" only next to a parenthesis.  Comments may
+# hold parentheses and may sit between a '(' and its name.
+_GAPS = ["", " ", "\t", "\r", "\n", "\r\n", "  \t\n ", "; c (x 0\n", " ;)\n\t", ";\n"]
+_FINAL_GAPS = _GAPS + ["; last (no newline"]
+
+
+def _tree_tokens(spec):
+    if isinstance(spec, str):
+        return [spec]
+    name, low, high = spec
+    return ["(", name, *_tree_tokens(low), *_tree_tokens(high), ")"]
+
+
+def _ast_tokens(ast):
+    if isinstance(ast, str):
+        return [ast]
+    return ["(", *(token for item in ast for token in _ast_tokens(item)), ")"]
+
+
+def _subtree_end(tokens, k):
+    """The index after the subtree that starts at tokens[k]."""
+    depth = 0
+    while True:
+        depth += {"(": 1, ")": -1}.get(tokens[k], 0)
+        k += 1
+        if depth == 0:
+            return k
+
+
+def _mutate(tokens, kind, pick):
+    """One single-fault mutation of a tree's tokens, or None where it has no site."""
+    tokens = list(tokens)
+    opens = [k for k, t in enumerate(tokens) if t == "("]
+    sites = {
+        "drop (": opens,
+        "drop )": [k for k, t in enumerate(tokens) if t == ")"],
+        "add )": list(range(len(tokens) + 1)),
+        "leaf 2": [k for k, t in enumerate(tokens) if t in ("0", "1")],
+        "undeclared": [k + 1 for k in opens],
+        "one child": opens,
+        "three children": opens,
+    }[kind]
+    if not sites:
+        return None
+    k = sites[pick % len(sites)]
+    if kind in ("drop (", "drop )"):
+        del tokens[k]
+    elif kind == "add )":
+        tokens.insert(k, ")")
+    elif kind == "leaf 2":
+        tokens[k] = "2"
+    elif kind == "undeclared":
+        tokens[k] = "zz"
+    else:
+        high = _subtree_end(tokens, k + 2)  # after the low subtree
+        end = _subtree_end(tokens, k) - 1  # the node's ')'
+        if kind == "one child":
+            del tokens[high:end]
+        else:
+            tokens.insert(end, "1")
+    return tokens
+
+
+def _layout(tokens, gaps):
+    """Tokens joined by the drawn gaps; a name needs a blank or comment before the next name."""
+    out = [gaps[0]]
+    for k, token in enumerate(tokens):
+        out.append(token)
+        gap = gaps[k + 1]
+        following = tokens[k + 1] if k + 1 < len(tokens) else "("
+        if gap == "" and token not in "()" and following not in "()":
+            gap = " "
+        out.append(gap)
+    return "".join(out)
+
+
+def _gaps(draw, tokens):
+    inner = draw(st.lists(st.sampled_from(_GAPS), min_size=len(tokens), max_size=len(tokens)))
+    return inner + [draw(st.sampled_from(_FINAL_GAPS))]
+
+
+_MUTATIONS = ["drop (", "drop )", "add )", "leaf 2", "undeclared", "one child", "three children"]
+
+
+@given(spec=tree_specs(NAMES, max_leaves=12), data=st.data())
+def test_tree_reader_matches_two_pass_oracle(spec, data):
+    pool = fresh_pool()
+    tokens = _tree_tokens(spec)
+    text = _layout(tokens, _gaps(data.draw, tokens))
+    expected = _outcome(lambda: _oracle_tree_from(_oracle_read_one(text), pool))
+    assert expected[0] == "ok"
+    assert _outcome(parse_dtree, text, pool) == expected
+    kind = data.draw(st.sampled_from(_MUTATIONS))
+    mutated = _mutate(tokens, kind, data.draw(st.integers(0, 10_000)))
+    if mutated is not None:
+        text = _layout(mutated, _gaps(data.draw, mutated))
+        expected = _outcome(lambda: _oracle_tree_from(_oracle_read_one(text), pool))
+        assert expected[0] != "ok", (kind, text)
+        assert _outcome(parse_dtree, text, pool) == expected, (kind, text)
+
+
+@given(spec=tree_specs(NAMES, max_leaves=12), data=st.data())
+def test_tree_file_reader_matches_two_pass_oracle(spec, data):
+    tokens = _tree_tokens(spec)
+    kind = data.draw(st.sampled_from([None] + _MUTATIONS))
+    if kind is not None:
+        tokens = _mutate(tokens, kind, data.draw(st.integers(0, 10_000))) or tokens
+    sections = [["(", "features", *NAMES, ")"], ["(", "labels", "y", ")"], ["(", "tree", *tokens, ")"]]
+    order = data.draw(st.permutations(sections))
+    file_tokens = [token for section in order for token in section]
+    text = _layout(file_tokens, _gaps(data.draw, file_tokens))
+    expected = _outcome(_oracle_tree_file, text)
+    got = _outcome(lambda: parse_tree_file(text).tree)
+    assert got == expected, (kind, text)
+
+
+@given(ast=ast_exprs(NAMES, max_leaves=10), data=st.data())
+def test_circuit_reader_matches_two_pass_oracle(ast, data):
+    pool = fresh_pool()
+    tokens = _ast_tokens(ast)
+    kind = data.draw(st.sampled_from([None, "drop (", "drop )", "add )"]))
+    if kind is not None:
+        tokens = _mutate(tokens, kind, data.draw(st.integers(0, 10_000))) or tokens
+    text = _layout(tokens, _gaps(data.draw, tokens))
+    expected = _outcome(lambda: pool.build(_oracle_read_one(text)))
+    assert _outcome(parse_circuit, text, pool) == expected, (kind, text)
