@@ -5,7 +5,9 @@ For each gate budget, generates a fresh random theory over a fixed
 feature set, times the construction alone (no enumeration happens
 anywhere on that path), and fits elapsed time against the combined input
 arc count.  A slope with R^2 near 1 is the empirical face of the
-linear-time claim.
+linear-time claim; a flat cost per input arc is the stricter one, so each
+row also gives microseconds per arc, and the last line the ratio of the
+largest to the smallest of them over the sizes of at least 1000 arcs.
 
 Usage: python scripts/timing_sweep.py [--seed N] [--trials K]
 """
@@ -39,10 +41,10 @@ def timed_construction(gate_budget: int, seed: int) -> tuple[int, float, int]:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--trials", type=int, default=3, help="runs per size (median kept)")
+    parser.add_argument("--trials", type=int, default=3, help="runs per size (fastest kept)")
     args = parser.parse_args()
 
-    print(f"{'budget':>8} {'input arcs':>11} {'output arcs':>12} {'time':>10}")
+    print(f"{'budget':>8} {'input arcs':>11} {'output arcs':>12} {'time':>10} {'us/arc':>7}")
     arcs, times = [], []
     for budget in BUDGETS:
         # fastest trial per size: least-noise estimate of the true cost
@@ -53,13 +55,18 @@ def main() -> int:
         )
         arcs.append(input_arcs)
         times.append(elapsed)
-        print(f"{budget:>8} {input_arcs:>11} {output_arcs:>12} {elapsed * 1000:>8.2f}ms")
+        print(
+            f"{budget:>8} {input_arcs:>11} {output_arcs:>12} {elapsed * 1000:>8.2f}ms"
+            f" {elapsed * 1e6 / input_arcs:>7.2f}"
+        )
 
     slope, intercept = linear_regression(arcs, times)
     fit = correlation(arcs, times) ** 2
     print()
     print(f"fit: time = {slope * 1e6:.3f}us/arc * arcs + {intercept * 1000:.3f}ms")
     print(f"R^2 = {fit:.4f}")
+    per_arc = [t / a for a, t in zip(arcs, times) if a >= 1000]
+    print(f"us/arc max/min over sizes of 1000+ arcs = {max(per_arc) / min(per_arc):.2f}")
     return 0 if fit >= 0.95 else 1
 
 

@@ -13,6 +13,7 @@ from .circuit import (
     Pool,
     Term,
     VarId,
+    cofactors,
     condition,
     conjoin,
     disjoin,

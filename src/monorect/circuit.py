@@ -10,6 +10,12 @@ identical subcircuits are shared automatically.
 Circuits are values: operations never mutate, they return new circuits
 whose gates live in the same (append-only) pool.  Size is the number of
 arcs in the reachable DAG, counting a shared gate's outgoing arcs once.
+
+A gate's uid is its index in the pool's gate list.  Uids are handed out
+in creation order and a gate is created after its children, so uid order
+is a topological order: every traversal is one scan down the gate list
+from the root's uid (`iter_gates`), and every kernel memoises in a list
+indexed by uid.
 """
 
 from __future__ import annotations
@@ -127,13 +133,12 @@ class Circuit:
     same pool are == exactly when they are syntactically identical.
     """
 
-    __slots__ = ("pool", "root", "_size", "_vars")
+    __slots__ = ("pool", "root", "_size")
 
     def __init__(self, pool: "Pool", root: Gate):
         self.pool = pool
         self.root = root
         self._size = None
-        self._vars = None
 
     @property
     def size(self) -> int:
@@ -143,14 +148,17 @@ class Circuit:
         return self._size
 
     def vars(self) -> frozenset[VarId]:
-        """Variables occurring in the circuit, including decision-gate variables."""
-        if self._vars is None:
-            found = set()
-            for gate in iter_gates(self):
-                if gate.kind == VAR or gate.kind == DEC:
-                    found.add(gate.payload)
-            self._vars = frozenset(found)
-        return self._vars
+        """Variables occurring in the circuit, including decision-gate variables.
+
+        Cached in the pool by root uid, so every view of one root walks once.
+        """
+        cache = self.pool._vars_of
+        found = cache.get(self.root.uid)
+        if found is None:
+            found = cache[self.root.uid] = frozenset(
+                gate.payload for gate in iter_gates(self) if gate.kind == VAR or gate.kind == DEC
+            )
+        return found
 
     def __eq__(self, other):
         return (
@@ -169,16 +177,18 @@ class Circuit:
 class Pool:
     """Variable table plus append-only interned gate storage.
 
-    All circuits combined by the module's operations must come from the
-    same pool.  Construction of a pool is single-writer; once built, gates
-    are immutable and safe to read from anywhere.
+    `gates` lists every gate, indexed by uid.  All circuits combined by
+    the module's operations must come from the same pool.  Construction
+    of a pool is single-writer; once built, gates are immutable and safe
+    to read from anywhere.
     """
 
     def __init__(self):
         self._by_name: dict[str, VarId] = {}
         self._order: list[VarId] = []
         self._interned: dict[tuple, Gate] = {}
-        self._count = 0
+        self.gates: list[Gate] = []
+        self._vars_of: dict[int, frozenset[VarId]] = {}
 
     # ------------------------------------------------------------------
     # variables
@@ -220,11 +230,12 @@ class Pool:
     # gate construction (arity checks only; no logical simplification)
 
     def _gate(self, kind, payload, children: tuple[Gate, ...]) -> Gate:
-        key = (kind, payload, tuple(c.uid for c in children))
+        # gates hash and compare by identity, so the children tuple is the key
+        key = (kind, payload, children)
         gate = self._interned.get(key)
         if gate is None:
-            gate = Gate(kind, payload, children, self._count)
-            self._count += 1
+            gate = Gate(kind, payload, children, len(self.gates))
+            self.gates.append(gate)
             self._interned[key] = gate
         return gate
 
@@ -431,20 +442,29 @@ def _arity(expr, n):
 
 
 def iter_gates(circ: Circuit) -> list[Gate]:
-    """Reachable gates in dependency order: children before parents, once each."""
-    seen = set()
+    """Reachable gates in dependency order: children before parents, once each.
+
+    The gates come in ascending uid order.  A gate's children are older
+    than the gate, so one scan down from the root's uid that marks the
+    children of each marked gate finds every reachable gate; runs of
+    unmarked uids are skipped by `bytearray.rfind`, so a small circuit
+    built late in a large pool costs little more than its own gates.
+    """
+    uid = circ.root.uid
+    gates = circ.pool.gates
+    mark = bytearray(uid + 1)
+    mark[uid] = 1
     out = []
-    stack: list[tuple[Gate, bool]] = [(circ.root, False)]
-    while stack:
-        gate, ready = stack.pop()
-        if ready:
+    while uid >= 0:
+        if mark[uid]:
+            gate = gates[uid]
             out.append(gate)
-            continue
-        if gate.uid in seen:
-            continue
-        seen.add(gate.uid)
-        stack.append((gate, True))
-        stack.extend((c, False) for c in gate.children)
+            for child in gate.children:
+                mark[child.uid] = 1
+            uid -= 1
+        else:
+            uid = mark.rfind(1, 0, uid)
+    out.reverse()
     return out
 
 
@@ -461,44 +481,63 @@ def condition(circ: Circuit, assumption: Term) -> Circuit:
         raise TypeError("condition expects a Term")
     if len(assumption) == 0:
         return circ
+    (root,) = _substitute(circ, (assumption._value.get,))
+    return Circuit(circ.pool, root)
+
+
+def cofactors(circ: Circuit, var: VarId) -> tuple[Circuit, Circuit]:
+    """The circuit conditioned on !var and on var, both built in one sweep.
+
+    The two roots are those of `condition` with each literal.
+    """
+    low, high = _substitute(circ, ({var: False}.get, {var: True}.get))
+    return Circuit(circ.pool, low), Circuit(circ.pool, high)
+
+
+def _substitute(circ: Circuit, values) -> list[Gate]:
+    """The root of `condition` under each of `values`, in one sweep.
+
+    Each value maps a variable to True, False or None (not fixed).
+    """
     pool = circ.pool
     true_gate = pool._gate(CONST, 1, ())
     false_gate = pool._gate(CONST, 0, ())
-    memo: dict[int, Gate] = {}
+    top = circ.root.uid
+    sides = [(value, [None] * (top + 1)) for value in values]
     for gate in iter_gates(circ):
         kind = gate.kind
-        if kind == CONST:
-            new = gate
-        elif kind == VAR:
-            fixed = assumption.value(gate.payload)
-            if fixed is None:
+        kids = gate.children
+        for value, memo in sides:
+            if kind == CONST:
                 new = gate
+            elif kind == VAR:
+                fixed = value(gate.payload)
+                if fixed is None:
+                    new = gate
+                else:
+                    new = true_gate if fixed else false_gate
+            elif kind == NOT:
+                child = memo[kids[0].uid]
+                if child.kind == CONST:
+                    new = false_gate if child.payload else true_gate
+                elif child is kids[0]:
+                    new = gate
+                else:
+                    new = pool._gate(NOT, None, (child,))
+            elif kind == DEC:
+                fixed = value(gate.payload)
+                low = memo[kids[0].uid]
+                high = memo[kids[1].uid]
+                if fixed is not None:
+                    new = high if fixed else low
+                elif low is kids[0] and high is kids[1]:
+                    new = gate
+                else:
+                    new = pool._gate(DEC, gate.payload, (low, high))
             else:
-                new = true_gate if fixed else false_gate
-        elif kind == NOT:
-            child = memo[gate.children[0].uid]
-            if child.kind == CONST:
-                new = false_gate if child.payload else true_gate
-            elif child is gate.children[0]:
-                new = gate
-            else:
-                new = pool._gate(NOT, None, (child,))
-        elif kind == AND or kind == OR:
-            new = _fold_nary(pool, gate, memo, true_gate, false_gate)
-        else:  # DEC
-            fixed = assumption.value(gate.payload)
-            low = memo[gate.children[0].uid]
-            high = memo[gate.children[1].uid]
-            if fixed is True:
-                new = high
-            elif fixed is False:
-                new = low
-            elif low is gate.children[0] and high is gate.children[1]:
-                new = gate
-            else:
-                new = pool._gate(DEC, gate.payload, (low, high))
-        memo[gate.uid] = new
-    return Circuit(pool, memo[circ.root.uid])
+                new = _fold_nary(pool, gate, memo, true_gate, false_gate)
+            memo[gate.uid] = new
+    return [memo[top] for _, memo in sides]
 
 
 def _fold_nary(pool, gate, memo, true_gate, false_gate):

@@ -6,11 +6,16 @@ Exit codes: 0 success (and, for check/fuzz, all checks passed);
 circuits by truth table; dt-rectify enumerates nothing and cannot exit 3);
 4 internal error (any other exception, `RecursionError` and
 `MemoryError` included).
+
+The argument parser is built once, on the first call of `main`; each
+call then runs the module's `_cmd_<command>` function of the moment, so
+a handler replaced after that first call (as tests do) is the one run.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 from pathlib import Path
@@ -38,9 +43,9 @@ from .verify import check_postulates, dalal_rectify, oracle_rectify
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()["_cmd_" + args.command.replace("-", "_")](args)
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -55,7 +60,8 @@ def main(argv=None) -> int:
         return 4
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="monorect",
         description="Rectify single-label Boolean classifiers against background knowledge.",
@@ -78,33 +84,27 @@ def _build_parser() -> argparse.ArgumentParser:
         help="print semantically reduced output (circuit output is rebuilt "
         "from its decision-tree expansion; dtree output is always reduced)",
     )
-    p.set_defaults(func=_cmd_rectify)
 
     p = sub.add_parser("classify", parents=[common], help="classify one instance")
     p.add_argument("--problem", required=True)
     p.add_argument("--instance", required=True, help="instance word such as 110")
-    p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("table", parents=[common], help="one row per instance")
     p.add_argument("--problem", required=True)
-    p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("check", parents=[common], help="run the postulate battery")
     p.add_argument("--problem", required=True)
     p.add_argument("--rewrites", type=int, default=5, help="syntactic variants to try")
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("dt-rectify", help="rectify a decision tree")
     p.add_argument("--sigma", required=True, help="classifier tree file")
     p.add_argument("--theory", required=True, help="background-knowledge tree file")
-    p.set_defaults(func=_cmd_dt_rectify)
 
     p = sub.add_parser("fuzz", parents=[common], help="random oracle and size-bound battery")
     p.add_argument("--vars", type=int, default=6, help="number of features")
     p.add_argument("--iters", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_fuzz)
 
     return parser
 

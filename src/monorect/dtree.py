@@ -312,18 +312,28 @@ def dt_check_classification(tree: DecisionTree, problem: ClassificationProblem) 
     unsatisfiable (Bryant 1986).  Only the label words are enumerated,
     never an assignment to the features.
     """
+    return _certified_top(tree, problem) is not None
+
+
+def _certified_top(tree: DecisionTree, problem: ClassificationProblem):
+    """Certify as `dt_check_classification` does.
+
+    Returns the reduced cofactor at the last label word (every label 1;
+    for a single label, the accepted region) if the tree is certified,
+    and None if it is not.
+    """
     ensure_within(
         dt_vars(tree), problem.all_vars, "tree mentions variables outside the problem: {names}"
     )
     union = None
     for word in product((0, 1), repeat=len(problem.labels)):
-        part = _reduce(tree, dict(zip(problem.labels, word)))
+        part = top = _reduce(tree, dict(zip(problem.labels, word)))
         if union is not None:
             if _reduce(part, {}, (LEAF0, union)) != LEAF0:
-                return False
+                return None
             part = _reduce(part, {}, (union, LEAF1))
         union = part
-    return union == LEAF1
+    return top if union == LEAF1 else None
 
 
 def dt_rectify(
@@ -345,11 +355,12 @@ def dt_rectify(
         "theory tree mentions variables outside the problem: {names}",
     )
     # certification rejects the classifier tree's variables outside the problem
-    if not dt_check_classification(sigma_tree, problem):
+    # and already reduces the accepted region, the cofactor at label 1
+    accepted = _certified_top(sigma_tree, problem)
+    if accepted is None:
         raise CertificationError(
             "classifier tree is not certified: some instance has no unique label"
         )
-    accepted = _reduce(sigma_tree, {label: 1})
     th_pos = _reduce(theory_tree, {label: 1})
     th_neg = _reduce(theory_tree, {label: 0})
     forces_pos = _reduce(th_pos, {}, (LEAF0, _reduce(th_neg, {}, (LEAF1, LEAF0))))

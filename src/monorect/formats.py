@@ -45,7 +45,6 @@ an unbalanced parenthesis is reported before any other error.
 from __future__ import annotations
 
 import re
-from collections import Counter
 from dataclasses import dataclass
 
 from .circuit import CONST, DEC, VAR
@@ -145,7 +144,10 @@ def print_circuit(circ: Circuit) -> str:
     names g0, g1, ... skip the pool's variable names.
     """
     gates = iter_gates(circ)
-    uses = Counter(child.uid for gate in gates for child in gate.children)
+    uses = [0] * (circ.root.uid + 1)
+    for gate in gates:
+        for child in gate.children:
+            uses[child.uid] += 1
     taken = {v.name for v in circ.pool.variables}
     names: dict[int, str] = {}
     out = ["(let ("]

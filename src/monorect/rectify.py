@@ -3,8 +3,8 @@
 Rectifying a certified classifier against a trusted theory yields the
 unique classifier that adopts the theory's verdict wherever the theory
 decides an instance one way only, and keeps the original verdict
-everywhere else.  The construction is purely structural: two
-conditionings of the theory, a handful of fixed gates, and no model
+everywhere else.  The construction is purely structural: the theory's
+two label cofactors (one sweep), a handful of fixed gates, and no model
 enumeration, so both the work and the output size are linear in the
 input sizes.
 """
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .circuit import Circuit, Literal, Term, condition, conjoin, disjoin, negate
+from .circuit import Circuit, cofactors, conjoin, disjoin, negate
 from .classifier import Classifier, ClassificationProblem, as_instance, positive_circuit
 from .errors import CapExceededError
 from .semantics import Assignment, ensure_within, evaluate, forget
@@ -53,8 +53,7 @@ def decisive_circuits(
         "theory mentions variables outside the problem ({names}); "
         "apply preprocess_project first",
     )
-    with_pos = condition(theory, Term([Literal(label, True)]))
-    with_neg = condition(theory, Term([Literal(label, False)]))
+    with_neg, with_pos = cofactors(theory, label)
     forces_pos = conjoin(with_pos, negate(with_neg))
     forces_neg = conjoin(with_neg, negate(with_pos))
     return forces_pos, forces_neg

@@ -18,7 +18,7 @@ from functools import cached_property
 from typing import Collection, Iterable, Sequence
 
 from .circuit import AND, CONST, DEC, NOT, OR, VAR
-from .circuit import Circuit, Literal, Term, VarId, condition, disjoin, iter_gates
+from .circuit import Circuit, Literal, Term, VarId, cofactors, disjoin, iter_gates
 from .errors import CapExceededError
 
 DEFAULT_VAR_CAP = 20
@@ -124,7 +124,7 @@ def truth_mask(circ: Circuit, over: Sequence[VarId]) -> int:
     ensure_within(circ.vars(), over, "circuit mentions variables outside the order: {names}")
     full = (1 << (1 << len(over))) - 1
     masks = var_masks(over)
-    memo: dict[int, int] = {}
+    memo = [0] * (circ.root.uid + 1)
     for gate in iter_gates(circ):
         kind = gate.kind
         if kind == CONST:
@@ -152,7 +152,7 @@ def truth_mask(circ: Circuit, over: Sequence[VarId]) -> int:
 
 def evaluate(circ: Circuit, omega: Assignment) -> int:
     """Classical Boolean evaluation under a total assignment."""
-    memo: dict[int, int] = {}
+    memo = [0] * (circ.root.uid + 1)
     try:
         for gate in iter_gates(circ):
             kind = gate.kind
@@ -229,8 +229,5 @@ def forget(circ: Circuit, vs: Iterable[VarId]) -> Circuit:
     """
     out = circ
     for v in _ordered(frozenset(vs)):
-        out = disjoin(
-            condition(out, Term([Literal(v, False)])),
-            condition(out, Term([Literal(v, True)])),
-        )
+        out = disjoin(*cofactors(out, v))
     return out

@@ -177,7 +177,7 @@ def dalal_rectify(clf: Classifier, theory: Circuit, cap: int = DEFAULT_VAR_CAP) 
 def syntactic_rewrite(circ: Circuit, rng: random.Random) -> Circuit:
     """Equivalent syntactic variant: commuted n-ary children, double negations."""
     pool = circ.pool
-    memo: dict[int, Gate] = {}
+    memo: list[Gate] = [None] * (circ.root.uid + 1)
     for gate in iter_gates(circ):
         kids = tuple(memo[c.uid] for c in gate.children)
         if gate.kind in (AND, OR) and len(kids) > 1 and rng.random() < 0.5:

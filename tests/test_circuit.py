@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,9 +7,11 @@ from hypothesis import given, settings, strategies as st
 from monorect import (
     Assignment,
     BuildError,
+    Circuit,
     Literal,
     Pool,
     Term,
+    cofactors,
     condition,
     conjoin,
     disjoin,
@@ -250,3 +253,72 @@ def test_shared_and_unshared_builds_agree(ast):
     shared = pool.build(["let", [["p", ast]], ["and", "p", ["not", "p"]]])
     assert shared == inline  # interning re-shares the spelled-out copy
     assert brute_equivalent(shared, inline, pool.variables)
+
+
+def dfs_gates(circ):
+    """A depth-first walk with a seen set, blind to uid order: the scan's reference."""
+    seen = set()
+    out = []
+    stack = [(circ.root, False)]
+    while stack:
+        gate, ready = stack.pop()
+        if ready:
+            out.append(gate)
+            continue
+        if gate.uid in seen:
+            continue
+        seen.add(gate.uid)
+        stack.append((gate, True))
+        stack.extend((c, False) for c in gate.children)
+    return out
+
+
+def walked_vars(circ):
+    return frozenset(g.payload for g in dfs_gates(circ) if g.kind in ("var", "dec"))
+
+
+@given(
+    asts=st.lists(ast_exprs(NAMES, max_leaves=10), min_size=1, max_size=4),
+    name=st.sampled_from(NAMES),
+)
+def test_scan_matches_depth_first_walk(asts, name):
+    # several circuits in one pool, so the scan has gates to skip
+    pool, *circs = build_with_vars(NAMES, *asts)
+    var = pool.var(name)
+    low, high = cofactors(circs[0], var)
+    assert low == condition(circs[0], Term([Literal(var, False)]))
+    assert high == condition(circs[0], Term([Literal(var, True)]))
+    circs += [low, high, disjoin(low, high), conjoin(circs[-1], low)]
+    for circ in circs:
+        gates = iter_gates(circ)
+        assert len({g.uid for g in gates}) == len(gates)
+        assert {id(g) for g in gates} == {id(g) for g in dfs_gates(circ)}
+        position = {g.uid: i for i, g in enumerate(gates)}
+        assert all(position[c.uid] < position[g.uid] for g in gates for c in g.children)
+        assert all(pool.gates[g.uid] is g for g in gates)
+        assert circ.vars() == walked_vars(circ)
+        assert Circuit(pool, circ.root).vars() is circ.vars()  # cached per root
+
+
+def test_small_circuit_built_last_in_a_large_pool():
+    pool = Pool()
+    x1, x2 = pool.declare("x1", "x2")
+    chain = pool.literal(x1)
+    for _ in range(100_000):
+        chain = pool.not_(chain)
+    small = pool.and_([pool.literal(x1), pool.literal(x2)])
+    assert len(pool.gates) == 100_003
+    assert [g.uid for g in iter_gates(small)] == sorted(g.uid for g in dfs_gates(small))
+    assert small.vars() == {x1, x2}
+
+    def best(circ, runs):
+        times = []
+        for _ in range(runs):
+            start = time.perf_counter()
+            iter_gates(circ)
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    # the scan skips the 1e5 unmarked uids below the root in C: far less
+    # than one visit per uid, which the walk over the whole chain makes
+    assert best(small, 20) * 20 < best(chain, 3)

@@ -160,6 +160,14 @@ def test_unexpected_exception_is_internal_error(monkeypatch, capsys, error):
     assert err == f"internal error: {error.__name__}: boom\n"
 
 
+def test_parser_is_built_once(capsys):
+    run(capsys, "table", "--problem", DEMO)
+    parser = cli._parser()
+    code, out, _ = run(capsys, "classify", "--problem", DEMO, "--instance", "110")
+    assert code == 0 and out == "sigma: neg, rectified: pos\n"
+    assert cli._parser() is parser
+
+
 def test_missing_file_is_input_error(capsys):
     code, _, err = run(capsys, "table", "--problem", "no-such-file.sexp")
     assert code == 2
