@@ -11,7 +11,9 @@ variable cap; classifier trees are certified without enumeration, in
 order, so each instance owns one block of 2**|Y| bits; only this module
 knows that layout, and `label_blocks` hands the blocks out.  Classifiers
 cache the verdict so downstream operations can fail fast on uncertified
-inputs.
+inputs.  The queries at one instance (`classify`, `fact_formula`,
+`is_fact_compliant`) read its block off the circuit in one walk of the
+gate interpreter, `semantics._table`, and build no gates.
 """
 
 from __future__ import annotations
@@ -19,11 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-from .circuit import Circuit, Literal, Pool, Term, VarId, condition, negate
+from .circuit import Circuit, Literal, Term, VarId, condition, negate
 from .errors import CertificationError
 from .semantics import (
     DEFAULT_VAR_CAP,
     Assignment,
+    _table,
     ensure_cap,
     ensure_within,
     truth_mask,
@@ -74,12 +77,6 @@ class FactFormula:
     @property
     def trivial(self) -> bool:
         return len(self.term) == 0
-
-    def to_circuit(self, pool: Pool) -> Circuit:
-        if self.trivial:
-            return pool.const(1)
-        parts = [pool.literal(lit.var, lit.positive) for lit in self.term.literals]
-        return parts[0] if len(parts) == 1 else pool.and_(parts)
 
     def __str__(self):
         if self.trivial:
@@ -240,17 +237,24 @@ class Classifier:
         return f"<Classifier {len(self.problem.features)}+{len(self.problem.labels)} vars, {status}>"
 
 
+def _at_instance(problem: ClassificationProblem, inst: Assignment) -> tuple[dict, int]:
+    """Masks and full mask under which `_table` returns the instance's label block."""
+    full = (1 << (1 << len(problem.labels))) - 1
+    masks = var_masks(problem.labels)
+    masks.update((v, full if b else 0) for v, b in zip(inst.vars, inst.bits))
+    return masks, full
+
+
 def classify(clf: Classifier, x: Instance) -> Assignment:
     """The unique label assignment for the instance."""
     clf.require_certified()
     inst = as_instance(clf.problem, x)
-    labels = clf.problem.labels
-    mask = truth_mask(condition(clf.circuit, inst.to_term()), labels)
+    mask = _table(clf.circuit, *_at_instance(clf.problem, inst))
     if mask.bit_count() != 1:
         raise CertificationError(
             f"instance {inst.word} does not have a unique label assignment"
         )
-    return Assignment.from_index(mask.bit_length() - 1, labels)
+    return Assignment.from_index(mask.bit_length() - 1, clf.problem.labels)
 
 
 def is_positive(clf: Classifier, x: Instance) -> bool:
@@ -268,21 +272,17 @@ def fact_formula(
     """All label literals the theory forces at the instance.
 
     If the theory is contradictory at the instance the formula is empty
-    (no constraint); otherwise it conjoins every label literal entailed by
-    the conditioned theory, found by brute force over the labels.
+    (no constraint); otherwise it conjoins every label literal true in
+    every label assignment the theory's block at the instance allows.
     """
-    labels = problem.labels
-    ensure_cap(len(labels), cap)
-    inst = as_instance(problem, x)
-    at_x = condition(theory, inst.to_term())
-    _check_problem_vars(at_x, problem, "theory")  # at_x mentions no feature
-    mask = truth_mask(at_x, labels)
+    ensure_cap(len(problem.labels), cap)
+    _check_problem_vars(theory, problem, "theory")
+    masks, full = _at_instance(problem, as_instance(problem, x))
+    mask = _table(theory, masks, full)
     if mask == 0:
         return FactFormula(Term())
-    full = (1 << (1 << len(labels))) - 1
-    masks = var_masks(labels)
     found = []
-    for label in labels:
+    for label in problem.labels:
         holds = masks[label]
         if mask & ~holds & full == 0:
             found.append(Literal(label, True))
@@ -301,12 +301,11 @@ def is_fact_compliant(
     clf.require_certified()
     inst = as_instance(clf.problem, x)
     facts = fact_formula(theory, inst, clf.problem, cap=cap)
-    if facts.trivial:
-        return True
-    labels = clf.problem.labels
-    verdict = truth_mask(condition(clf.circuit, inst.to_term()), labels)
-    forced = truth_mask(facts.to_circuit(clf.circuit.pool), labels)
-    return verdict & ~forced == 0
+    masks, full = _at_instance(clf.problem, inst)
+    forced = full
+    for lit in facts.term.literals:
+        forced &= masks[lit.var] if lit.positive else ~masks[lit.var]
+    return _table(clf.circuit, masks, full) & ~forced == 0
 
 
 def positive_circuit(clf: Classifier) -> Circuit:

@@ -209,6 +209,8 @@ def _cmd_dt_rectify(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
+    if args.iters < 0:
+        raise ValueError(f"--iters must be at least 0, got {args.iters}")
     rng = random.Random(args.seed)
     slack = []
     for i in range(args.iters):

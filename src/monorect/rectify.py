@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .circuit import Circuit, cofactors, conjoin, disjoin, negate
 from .classifier import Classifier, ClassificationProblem, as_instance, positive_circuit
 from .errors import CapExceededError
-from .semantics import Assignment, ensure_within, evaluate, forget
+from .semantics import ensure_within, evaluate, forget
 
 
 @dataclass(frozen=True)
@@ -97,5 +97,4 @@ def preprocess_project(circ: Circuit, problem: ClassificationProblem) -> Circuit
 
 def classify_rectified(result: RectificationResult, x) -> int:
     """Model-check the accepted-region circuit at the instance (linear time)."""
-    inst: Assignment = as_instance(result.rectified.problem, x)
-    return evaluate(result.positive, inst)
+    return evaluate(result.positive, as_instance(result.rectified.problem, x))

@@ -1,11 +1,14 @@
-"""Desk-scale model theory: evaluation, enumeration, entailment, forgetting.
+"""Desk-scale model theory: the gate interpreter, enumeration, entailment, forgetting.
 
-Enumeration is truth-table based: a circuit over an ordered tuple of n
-variables maps to a 2**n-bit integer whose bit i is the circuit's value
-under the i-th assignment.  Assignments are ordered lexicographically by
-their word (first variable = leftmost character = most significant bit),
-so bit i corresponds to the word format(i, f"0{n}b").  Bitwise integer
-operations then implement every gate over all assignments at once.
+One kernel, `_table`, computes gate values: each variable is read as an
+integer mask and each gate as the bitwise operation on its children's
+masks, so one walk evaluates the circuit on every row the masks encode.
+`truth_mask` passes one mask per variable of an ordered tuple of n: bit
+i of the result is the circuit's value under the i-th assignment in word
+order (first variable = leftmost character = most significant bit), the
+word format(i, f"0{n}b").  `evaluate` passes an assignment's 0/1 values,
+a table of one row; the classifier's queries at one instance pass all
+ones or zero for each feature and the labels' masks.
 
 All enumerating operations refuse to run past a variable cap
 (DEFAULT_VAR_CAP unless the caller overrides it).
@@ -15,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Collection, Iterable, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 from .circuit import AND, CONST, DEC, NOT, OR, VAR
 from .circuit import Circuit, Literal, Term, VarId, cofactors, disjoin, iter_gates
@@ -33,11 +36,12 @@ class Assignment:
 
     def __post_init__(self):
         object.__setattr__(self, "vars", tuple(self.vars))
-        object.__setattr__(self, "bits", tuple(int(b) for b in self.bits))
-        if len(self.vars) != len(self.bits):
+        bits = tuple(self.bits)
+        if len(self.vars) != len(bits):
             raise ValueError("assignment needs one bit per variable")
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValueError("assignment bits must be 0 or 1")
+        if any(not isinstance(b, int) or b not in (0, 1) for b in bits):
+            raise ValueError(f"assignment bits must be the ints 0 or 1, got {bits!r}")
+        object.__setattr__(self, "bits", tuple(int(b) for b in bits))  # bools become ints
         if len(set(self.vars)) != len(self.vars):
             raise ValueError("duplicate variable in assignment")
 
@@ -61,11 +65,11 @@ class Assignment:
         return "".join(str(b) for b in self.bits)
 
     @cached_property
-    def _table(self) -> dict[VarId, int]:
+    def _values(self) -> dict[VarId, int]:
         return dict(zip(self.vars, self.bits))
 
     def value(self, var: VarId) -> int:
-        return self._table[var]
+        return self._values[var]
 
     __getitem__ = value
 
@@ -122,8 +126,25 @@ def truth_mask(circ: Circuit, over: Sequence[VarId]) -> int:
     if len(set(over)) != len(over):
         raise ValueError("duplicate variables in enumeration order")
     ensure_within(circ.vars(), over, "circuit mentions variables outside the order: {names}")
-    full = (1 << (1 << len(over))) - 1
-    masks = var_masks(over)
+    return _table(circ, var_masks(over), (1 << (1 << len(over))) - 1)
+
+
+def evaluate(circ: Circuit, omega: Assignment) -> int:
+    """Classical Boolean evaluation under a total assignment: a table of one row."""
+    try:
+        return _table(circ, omega._values, 1)
+    except KeyError as exc:
+        raise ValueError(
+            f"assignment is not total over the circuit's variables (missing {exc})"
+        ) from None
+
+
+def _table(circ: Circuit, masks: Mapping[VarId, int], full: int) -> int:
+    """The gate interpreter: the root's mask, each variable read as its mask.
+
+    Every mask is a subset of `full`, one bit per row; a variable missing
+    from `masks` raises KeyError.
+    """
     memo = [0] * (circ.root.uid + 1)
     for gate in iter_gates(circ):
         kind = gate.kind
@@ -147,37 +168,6 @@ def truth_mask(circ: Circuit, over: Sequence[VarId]) -> int:
                 memo[gate.children[0].uid] & ~sel & full
             )
         memo[gate.uid] = m
-    return memo[circ.root.uid]
-
-
-def evaluate(circ: Circuit, omega: Assignment) -> int:
-    """Classical Boolean evaluation under a total assignment."""
-    memo = [0] * (circ.root.uid + 1)
-    try:
-        for gate in iter_gates(circ):
-            kind = gate.kind
-            if kind == CONST:
-                v = gate.payload
-            elif kind == VAR:
-                v = omega.value(gate.payload)
-            elif kind == NOT:
-                v = 1 - memo[gate.children[0].uid]
-            elif kind == AND:
-                v = 1
-                for child in gate.children:
-                    v &= memo[child.uid]
-            elif kind == OR:
-                v = 0
-                for child in gate.children:
-                    v |= memo[child.uid]
-            else:  # DEC
-                branch = gate.children[omega.value(gate.payload)]
-                v = memo[branch.uid]
-            memo[gate.uid] = v
-    except KeyError as exc:
-        raise ValueError(
-            f"assignment is not total over the circuit's variables (missing {exc})"
-        ) from None
     return memo[circ.root.uid]
 
 

@@ -238,6 +238,8 @@ def check_postulates(
     relevance adjoins one fresh tautological variable and checks that
     projecting it away leaves the outcome untouched.
     """
+    if rewrites < 0:
+        raise ValueError(f"rewrites must be at least 0, got {rewrites}")
     rng = rng if rng is not None else random.Random(0)
     problem = clf.problem
     n = len(problem.features)

@@ -16,6 +16,7 @@ from monorect import (
     as_instance,
     check_xy_property,
     classify,
+    classify_rectified,
     condition,
     entails,
     equivalent,
@@ -26,6 +27,7 @@ from monorect import (
     models,
     negate,
     positive_circuit,
+    rectify,
     truth_mask,
 )
 from monorect.verify import _forced_masks
@@ -93,6 +95,11 @@ class TestClassify:
         assert as_instance(demo.problem, (1, 1, 0)) == word
         assert classify(clf, term) == classify(clf, "110")
 
+    @pytest.mark.parametrize("bits", [(0.7, 1, 0), ("1", "1", "0"), (2, 1, 0)])
+    def test_instance_bits_are_not_truncated(self, demo, bits):
+        with pytest.raises(ValueError, match="ints 0 or 1"):
+            as_instance(demo.problem, bits)
+
 
 class TestFactFormula:
     def test_demo_rows(self, demo):
@@ -110,6 +117,13 @@ class TestFactFormula:
         second_out = fact_formula(twolabel.theory, "01", twolabel.problem)
         assert second_out.term == Term([Literal(y2, False)])
         assert fact_formula(twolabel.theory, "00", twolabel.problem).trivial
+
+    def test_theory_outside_the_problem_is_rejected_at_every_instance(self, twolabel):
+        twolabel.pool.declare("z")
+        theory = twolabel.pool.build(["and", "x1", "z"])
+        for word in ("00", "01", "10", "11"):
+            with pytest.raises(ValueError, match=r"outside features and labels \(z\)"):
+                fact_formula(theory, word, twolabel.problem)
 
 
 class TestFactCompliance:
@@ -177,7 +191,8 @@ def test_theory_entails_its_fact_formula(theory_ast):
         inst = Assignment(problem.features, bits)
         at_x = condition(theory, inst.to_term())
         facts = fact_formula(theory, inst, problem)
-        assert entails(at_x, facts.to_circuit(pool))
+        forced = [pool.literal(lit.var, lit.positive) for lit in facts.term.literals]
+        assert entails(at_x, pool.and_([pool.const(1), *forced]))
 
 
 @given(theory_ast=ast_exprs(("x1", "x2", "y"), max_leaves=10))
@@ -246,3 +261,23 @@ def test_label_blocks_check_cap_and_variables(demo):
     stray = demo.pool.declare("z1")[0]
     with pytest.raises(ValueError, match=r"outside features and labels \(z1\)"):
         label_blocks(demo.pool.literal(stray), demo.problem)
+
+
+@pytest.mark.parametrize("setting", ["demo", "twolabel"])
+def test_instance_queries_build_no_gates(request, setting):
+    fx = request.getfixturevalue(setting)
+    clf = Classifier(fx.problem, fx.sigma)
+    queries = [
+        lambda x: classify(clf, x),
+        lambda x: fact_formula(fx.theory, x, fx.problem),
+        lambda x: is_fact_compliant(clf, fx.theory, x),
+    ]
+    if fx.problem.mono_label:
+        result = rectify(clf, fx.theory)
+        queries += [lambda x: is_positive(clf, x), lambda x: classify_rectified(result, x)]
+    gates = len(fx.pool.gates)
+    for i in range(1 << len(fx.problem.features)):
+        inst = Assignment.from_index(i, fx.problem.features)
+        for query in queries:
+            query(inst)
+        assert len(fx.pool.gates) == gates, f"the pool grew at instance {inst.word}"

@@ -128,6 +128,21 @@ def test_fuzz_clean_run(capsys):
     assert 0 <= low <= mean
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", "--problem", DEMO, "--rewrites", "-2"),
+        ("fuzz", "--vars", "4", "--iters", "-3"),
+    ],
+    ids=["check-rewrites", "fuzz-iters"],
+)
+def test_negative_counts_are_input_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "must be at least 0" in err
+
+
 def test_fuzz_size_bound_violation_is_a_failure(monkeypatch, capsys):
     def bloated_rectify(clf, theory):
         # an equivalent rectified classifier, padded past the size bound

@@ -18,7 +18,7 @@ from monorect import (
 )
 from monorect.semantics import ensure_within
 
-from conftest import ast_exprs, brute_equivalent, build_with_vars
+from conftest import ast_exprs, brute_equivalent, build_with_vars, reference_evaluate
 
 NAMES = ("a", "b", "c")
 
@@ -47,6 +47,19 @@ class TestAssignment:
             Assignment.from_word("1", over)
         with pytest.raises(ValueError):
             Assignment.from_word("12", over)
+
+    @pytest.mark.parametrize("bad", [0.7, 1.0, "1", 2, -1, None])
+    def test_bits_must_be_the_ints_0_or_1(self, bad):
+        pool = Pool()
+        over = pool.declare("x1", "x2")
+        with pytest.raises(ValueError, match="ints 0 or 1"):
+            Assignment(over, (1, bad))
+
+    def test_bool_bits_become_ints(self):
+        pool = Pool()
+        over = pool.declare("x1", "x2")
+        omega = Assignment(over, (True, False))
+        assert omega.bits == (1, 0) and omega.word == "10"
 
 
 class TestEvaluate:
@@ -164,7 +177,7 @@ def test_evaluate_agrees_with_model_enumeration(ast):
     words = {m.word for m in models(circ, over)}
     for i in range(1 << len(over)):
         omega = Assignment.from_index(i, over)
-        assert (evaluate(circ, omega) == 1) == (omega.word in words)
+        assert (reference_evaluate(circ, omega) == 1) == (omega.word in words)
 
 
 @given(ast=ast_exprs(NAMES, max_leaves=10))
@@ -173,7 +186,24 @@ def test_truth_mask_matches_evaluate(ast):
     over = pool.variables
     mask = truth_mask(circ, over)
     for i in range(1 << len(over)):
-        assert (mask >> i) & 1 == evaluate(circ, Assignment.from_index(i, over))
+        assert (mask >> i) & 1 == reference_evaluate(circ, Assignment.from_index(i, over))
+
+
+@given(ast=ast_exprs(NAMES, max_leaves=12, allow_dec=True), data=st.data())
+def test_evaluate_agrees_with_the_reference_walk(ast, data):
+    pool, circ = build_with_vars(NAMES, ast)
+    over = pool.variables
+    for i in range(1 << len(over)):
+        omega = Assignment.from_index(i, over)
+        assert evaluate(circ, omega) == reference_evaluate(circ, omega)
+    if circ.vars():
+        missing = data.draw(st.sampled_from(sorted(circ.vars())))
+        rest = tuple(v for v in over if v != missing)
+        partial = Assignment(rest, data.draw(st.tuples(*(st.sampled_from((0, 1)) for _ in rest))))
+        with pytest.raises(ValueError, match="not total"):
+            evaluate(circ, partial)
+        with pytest.raises(ValueError):
+            reference_evaluate(circ, partial)
 
 
 def test_ensure_within_names_the_extra_variables_sorted():

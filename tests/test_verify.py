@@ -213,6 +213,11 @@ class TestPostulates:
         re4 = next(c for c in report.checks if c.name == "RE4")
         assert re4.checked == 1
 
+    def test_negative_rewrite_count_is_rejected(self, demo, demo_clf):
+        result = rectify(demo_clf, demo.theory)
+        with pytest.raises(ValueError, match="rewrites must be at least 0"):
+            check_postulates(demo_clf, demo.theory, result, rewrites=-1)
+
     def test_render_mentions_every_postulate(self, demo, demo_clf):
         result = rectify(demo_clf, demo.theory)
         text = check_postulates(demo_clf, demo.theory, result).render()
