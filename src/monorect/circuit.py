@@ -286,159 +286,197 @@ class Pool:
         return Circuit(self, self._gate(DEC, self._known(var), (low.root, high.root)))
 
     # ------------------------------------------------------------------
-    # building from expressions
+    # reading expressions
 
     def build(self, expr) -> Circuit:
         """Build a circuit from a nested-list expression.
 
-        Accepted forms (names are declared variables or let-bound names):
-
-            True | False | "true" | "false" | "name"
-            ["not", e]
-            ["and", e, ...]   ["or", e, ...]        at least one argument
-            ["imp", a, b]     ["iff", a, b]
-            ["dec", "name", low, high]
-            ["let", [["name", e], ...], body]       bindings see earlier ones
-
-        Let-bound subexpressions become shared DAG nodes (interning makes
-        any repeated subexpression shared, bindings just make it explicit).
+        The forms are those of the text format (see `formats`) as lists,
+        such as ["let", [["g", ["and", "x1", "x2"]]], ["or", "g", True]];
+        True and False are the constants.  The list is spelled out as the
+        tokens of its text and read by `read`, so it builds the gates,
+        uids and errors that the text does.
         """
-        # An explicit stack of steps, so nesting depth is bounded by memory
-        # only.  A step is (_EVAL, expr, env), which checks one form; a
-        # finishing step, which pops its operands' circuits off `done` and
-        # interns the form's gates; or (_BIND, ...), which binds a let name
-        # to the circuit on top of `done` and goes on with the let.  Forms
-        # are checked, variables looked up and gates interned in the order
-        # of a recursive descent, so errors and gate ids come out the same.
-        done: list[Circuit] = []
-        todo: list[tuple] = [(_EVAL, expr, {})]
-        while todo:
-            step = todo.pop()
-            if step[0] == _EVAL:
-                self._expand(step[1], step[2], todo, done)
-            elif step[0] == _BIND:
-                _, name, bindings, i, inner, body = step
-                inner[name] = done.pop()
-                self._let_step(bindings, i, inner, body, todo, done)
-            else:
-                self._finish(step, done)
-        return done[0]
+        return Circuit(self, self.read(_spell_tokens(expr), 0)[0][0])
 
-    def _leaf(self, expr, env) -> Circuit:
-        if isinstance(expr, bool):
-            return self.const(int(expr))
-        if expr == "true":
-            return self.const(1)
-        if expr == "false":
-            return self.const(0)
-        bound = env.get(expr)
-        return bound if bound is not None else self.literal(self.var(expr))
+    def read(self, tokens: list[str], i: int) -> tuple[list[Gate], int]:
+        """The gates of the expressions from tokens[i] to the ')' closing them, and the index after it.
 
-    def _expand(self, expr, env, todo, done):
-        """Check one form, then build its parts left to right.
-
-        Leading parts that are names or constants are built at once, and a
-        form made of them only is finished at once: nothing else could
-        happen in between in a recursive descent either.
+        Tokens are names, ')' and '(' glued to the name after it (see
+        `formats._tokens`).  One loop, with explicit stacks: `done` holds
+        the built operands, `opened` a frame per open form (its operator,
+        the height of `done` at its '(' and a payload).  A form's gates
+        are interned at its ')', so uids come out in the order of a
+        recursive descent.  Its arity is checked there too, so an error in
+        an operand comes first; a `let`'s bindings and a `dec`'s variable
+        are checked where they stand, each after its form's arity.
         """
-        if isinstance(expr, (str, bool)):
-            done.append(self._leaf(expr, env))
-            return
-        if not (isinstance(expr, (list, tuple)) and expr and isinstance(expr[0], str)):
-            raise BuildError(f"malformed expression {expr!r}")
-        head = expr[0]
-        if head == "not":
-            _arity(expr, 1)
-            finish = (_NOT,)
-        elif head in ("and", "or"):
-            if len(expr) < 2:
-                raise BuildError(f"zero-arity {head!r} gate")
-            finish = (_NARY, head, len(expr) - 1)
-        elif head in ("imp", "iff"):
-            _arity(expr, 2)
-            finish = (_IMP,) if head == "imp" else (_IFF,)
-        elif head == "dec":
-            _arity(expr, 3)
-            name = expr[1]
-            if not isinstance(name, str) or name in env:
-                raise BuildError("decision gate needs a declared variable")
-            finish = (_DEC, self.var(name))
-        elif head == "let":
-            _arity(expr, 2)
-            bindings = expr[1]
-            if not isinstance(bindings, (list, tuple)):
-                raise BuildError("let bindings must be a list of (name expr) pairs")
-            self._let_step(bindings, 0, dict(env), expr[2], todo, done)
-            return
-        else:
-            raise BuildError(f"unknown operator {head!r}")
-        first = 2 if head == "dec" else 1
-        while first < len(expr) and isinstance(expr[first], (str, bool)):
-            done.append(self._leaf(expr[first], env))
-            first += 1
-        if first == len(expr):
-            self._finish(finish, done)
-            return
-        todo.append(finish)
-        todo.extend((_EVAL, e, env) for e in reversed(expr[first:]))
-
-    def _let_step(self, bindings, i, inner, body, todo, done):
-        # Bindings see earlier ones: each is checked once the one before
-        # it is bound.  A binding that `_expand` finishes at once is bound
-        # at once; otherwise the rest of the let waits, as a _BIND step,
-        # under the steps that `_expand` scheduled.
-        while i < len(bindings):
-            pair = bindings[i]
-            if (
-                not isinstance(pair, (list, tuple))
-                or len(pair) != 2
-                or not isinstance(pair[0], str)
-            ):
-                raise BuildError("let bindings must be a list of (name expr) pairs")
-            name, sub = pair
-            if name in inner or name in self._by_name or name in _KEYWORDS:
-                why = ("a declared variable" if name in self._by_name
-                       else "a reserved word" if name in _KEYWORDS else "already bound")
-                raise BuildError(f"duplicate let binding {name!r}: {why}")
+        interned = self._interned
+        gates = self.gates
+        leaves: dict[str, Gate] = {}  # the gate of each name met, let names included
+        bound: dict[str, Gate] = {}  # the let names in scope, in binding order
+        done: list[Gate] = []
+        opened: list[tuple] = []
+        pairs = False  # whether tokens[i] opens a let binding or ends the bindings
+        while True:
+            token = tokens[i]
             i += 1
-            pending = len(todo)
-            self._expand(sub, inner, todo, done)
-            if len(todo) > pending:
-                todo.insert(pending, (_BIND, name, bindings, i, inner, body))
-                return
-            inner[name] = done.pop()
-        todo.append((_EVAL, body, inner))
+            if pairs:
+                pairs = False
+                name = token[1:]
+                if token == ")":
+                    continue
+                if token[0] != "(" or not name:
+                    why = _BINDINGS
+                elif name in self._by_name or name in _KEYWORDS or name in bound:
+                    why = ("a declared variable" if name in self._by_name
+                           else "a reserved word" if name in _KEYWORDS else "already bound")
+                    why = f"duplicate let binding {name!r}: {why}"
+                else:
+                    opened.append((_BIND, len(done), name))
+                    continue
+                raise _fault(tokens, opened[-1][2][0], 2, why)
+            if token == ")":
+                if not opened:
+                    return done, i
+                op, height, payload = opened.pop()
+                count = len(done) - height
+                if op is _BIND:
+                    if count != 1:
+                        raise _fault(tokens, opened[-1][2][0], 2, _BINDINGS)
+                    bound[payload] = leaves[payload] = done.pop()
+                    pairs = True
+                    continue
+                elif op is AND or op is OR:
+                    if count == 1:
+                        continue
+                    if not count:
+                        raise BuildError(f"zero-arity {op!r} gate")
+                    key = (op, None, tuple(done[height:]))
+                    del done[height:]
+                elif op is NOT:
+                    if count != 1:
+                        raise _arity_error(op, 1, count)
+                    key = (NOT, None, (done.pop(),))
+                elif op is DEC:
+                    if count != 2:
+                        raise _arity_error(op, 3, count + 1)
+                    high = done.pop()
+                    key = (DEC, payload, (done.pop(), high))
+                elif op is _LET:
+                    if count != 1:
+                        raise _arity_error(op, 2, count + 1)
+                    for _ in range(len(bound) - payload[1]):  # unbind its names, the last bound
+                        del leaves[bound.popitem()[0]]
+                    continue
+                else:  # imp or iff
+                    if count != 2:
+                        raise _arity_error(op, 2, count)
+                    b = done.pop()
+                    a = done.pop()
+                    if op is _IMP:
+                        key = (OR, None, (self._gate(NOT, None, (a,)), b))
+                    else:
+                        both = self._gate(AND, None, (a, b))
+                        neither = (self._gate(NOT, None, (a,)), self._gate(NOT, None, (b,)))
+                        key = (OR, None, (both, self._gate(AND, None, neither)))
+                gate = interned.get(key)
+                if gate is None:
+                    gate = interned[key] = Gate(key[0], key[1], key[2], len(gates))
+                    gates.append(gate)
+                done.append(gate)
+                continue
+            gate = leaves.get(token)
+            if gate is not None:
+                done.append(gate)
+                continue
+            op = _OPENS.get(token)
+            if op is not None:
+                opened.append((op, len(done), None))
+            elif token == "(dec":
+                name = tokens[i]
+                var = self._by_name.get(name)  # never a let name
+                if var is None:
+                    why = "decision gate needs a declared variable"
+                    raise _fault(tokens, i - 1, 3, why if name[0] == "(" or name in bound
+                                 else f"unknown identifier {name!r}")
+                opened.append((DEC, len(done), var))
+                i += 1
+            elif token == "(let":
+                if tokens[i] != "(":
+                    raise _fault(tokens, i - 1, 2, _BINDINGS)
+                opened.append((_LET, len(done), (i - 1, len(bound))))
+                i += 1
+                pairs = True
+            elif token[0] == "(":
+                raise BuildError(f"unknown operator {token[1:]!r}" if token != "("
+                                 else "malformed expression: '(' must be followed by an operator")
+            else:
+                if token == "true" or token == "false":
+                    gate = self._gate(CONST, int(token == "true"), ())
+                else:
+                    gate = self._gate(VAR, self.var(token), ())
+                leaves[token] = gate
+                done.append(gate)
 
-    def _finish(self, step, done):
-        op = step[0]
-        if op == _NOT:
-            done.append(self.not_(done.pop()))
-        elif op == _NARY:
-            count = step[2]
-            parts = done[-count:]
-            del done[-count:]
-            done.append(self.and_(parts) if step[1] == "and" else self.or_(parts))
-        elif op == _DEC:
-            high = done.pop()
-            done.append(self.decision(step[1], done.pop(), high))
+
+# Operators of `Pool.read` frames: gate kinds, and three more.
+_IMP, _IFF, _LET, _BIND = "imp", "iff", "let", "bind"
+_OPENS = {"(not": NOT, "(and": AND, "(or": OR, "(imp": _IMP, "(iff": _IFF}
+_BINDINGS = "let bindings must be a list of (name expr) pairs"
+
+
+def _arity_error(op, n, count) -> BuildError:
+    return BuildError(f"{op!r} expects {n} argument(s), got {count}")
+
+
+def _fault(tokens, start, n, message) -> BuildError:
+    """The error of the form opened at tokens[start], of `n` arguments: a wrong arity, else `message`."""
+    count = _form_end(tokens, start + 1)[0]
+    return _arity_error(tokens[start][1:], n, count) if count != n else BuildError(message)
+
+
+def _form_end(tokens: list[str], i: int) -> tuple[int, int]:
+    """The number of items from tokens[i] to the ')' closing them, and the index after it."""
+    count = depth = 0
+    while True:
+        token = tokens[i]
+        i += 1
+        if token == ")":
+            if not depth:
+                return count, i
+            depth -= 1
         else:
-            b = done.pop()
-            a = done.pop()
-            if op == _IMP:
-                done.append(self.or_([self.not_(a), b]))
-            else:  # _IFF
-                done.append(
-                    self.or_([self.and_([a, b]), self.and_([self.not_(a), self.not_(b)])])
-                )
+            count += not depth
+            depth += token[0] == "("
 
 
-# Steps of Pool.build.
-_EVAL, _BIND, _NOT, _NARY, _IMP, _IFF, _DEC = range(7)
+def _spell_tokens(expr) -> list[str]:
+    """The tokens of a nested-list expression's text, then a ')' closing the top level."""
+    tokens = []
+    todo = [expr]
+    while todo:
+        item = todo.pop()
+        if item is _CLOSE:
+            tokens.append(")")
+        elif isinstance(item, bool):
+            tokens.append("true" if item else "false")
+        elif isinstance(item, str) and item and item[0] != "(" and item != ")":
+            if tokens and tokens[-1] == "(":  # a list's head is glued to its '('
+                tokens[-1] += item
+            else:
+                tokens.append(item)
+        elif isinstance(item, (list, tuple)):
+            tokens.append("(")
+            todo.append(_CLOSE)
+            todo.extend(reversed(item))
+        else:
+            raise BuildError(f"malformed expression {item!r}")
+    tokens.append(")")
+    return tokens
 
 
-def _arity(expr, n):
-    if len(expr) != n + 1:
-        raise BuildError(f"{expr[0]!r} expects {n} argument(s), got {len(expr) - 1}")
+_CLOSE = object()
 
 
 def iter_gates(circ: Circuit) -> list[Gate]:

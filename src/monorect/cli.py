@@ -69,7 +69,7 @@ def _parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--max-vars",
-        type=int,
+        type=_at_least_0,
         default=DEFAULT_VAR_CAP,
         help=f"enumeration cap for brute-force checks (default {DEFAULT_VAR_CAP})",
     )
@@ -107,6 +107,17 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
 
     return parser
+
+
+def _at_least_0(text: str) -> int:
+    """An argument type: a whole number that is not negative."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
 
 
 def _load(args):

@@ -37,9 +37,15 @@ every shared gate in a `let`, so its output is linear in the arc count,
 and both printers work with explicit stacks, like the readers.
 
 Readers split the text into tokens with string methods and make one pass
-over them: trees go straight from tokens to nodes, circuits through nested
-lists into `Pool.build`.  Positions are found only on the error path, where
-an unbalanced parenthesis is reported before any other error.
+over them: trees go straight from tokens to nodes, circuits straight from
+tokens to pooled gates (`Pool.read`).  Positions are found only on the
+error path, where an unbalanced parenthesis is reported before any other
+error.  When a text has more than one fault, the first one read is
+reported: a circuit form is checked at its ')', so a fault inside an
+operand comes before a wrong arity of the form around it (the arity of a
+`let` or `dec` whose bindings or variable are at fault still comes
+first); a sigma or theory section is read where it stands once the
+declarations are in, so its fault comes before that of a later section.
 """
 
 from __future__ import annotations
@@ -48,7 +54,7 @@ import re
 from dataclasses import dataclass
 
 from .circuit import CONST, DEC, VAR
-from .circuit import Circuit, Gate, Pool, iter_gates
+from .circuit import Circuit, Gate, Pool, _form_end, iter_gates
 from .classifier import ClassificationProblem
 from .dtree import LEAF0, LEAF1, DecisionTree, DTLeaf, DTNode
 from .errors import ParseError, RectifyError
@@ -107,33 +113,13 @@ def _read_one(text: str, read, *args):
         raise _unbalanced(text) or error  # an unbalanced parenthesis is reported first
 
 
-def _forms_at(tokens: list[str], i: int) -> tuple[list, int]:
-    """Names and lists of forms, from tokens[i] to the ')' closing them, and the index after it."""
-    items: list = []
-    open_lists: list[list] = []  # the lists enclosing `items`
-    while True:
-        token = tokens[i]
-        i += 1
-        if token == ")":
-            if not open_lists:
-                return items, i
-            items = open_lists.pop()
-        elif token[0] == "(":
-            inner = [token[1:]] if token != "(" else []
-            items.append(inner)
-            open_lists.append(items)
-            items = inner
-        else:
-            items.append(token)
-
-
 # ----------------------------------------------------------------------
 # circuits
 
 
 def parse_circuit(text: str, pool: Pool) -> Circuit:
     """Parse one circuit expression against the pool's variable table."""
-    return pool.build(_read_one(text, _forms_at))
+    return Circuit(pool, _read_one(text, pool.read))
 
 
 def print_circuit(circ: Circuit) -> str:
@@ -271,11 +257,16 @@ _TREE_SECTIONS = ("features", "labels", "tree")
 
 
 def _read_file(text: str, known: tuple[str, ...], required: tuple[str, ...]):
-    """The pool, problem and sections of a file, read in order in one pass."""
+    """The pool, problem and sections of a file, read in order in one pass.
+
+    A section that needs the pool, met before it, waits: a tree is
+    scanned, a circuit skipped, and both are read at the end.  Sigma is
+    read before theory, so its gates come first in any order of sections.
+    """
     try:
         tokens = _tokens(text)
-        seen: dict[str, list] = {}
-        later: list[tuple[str, int]] = []  # trees met before the pool: scanned, then read at the end
+        seen: dict[str, list | None] = {}
+        later: list[tuple[str, int]] = []  # sections read at the end, and where they start
         pool = problem = None
         i = 0
         while i < len(tokens):
@@ -286,23 +277,29 @@ def _read_file(text: str, known: tuple[str, ...], required: tuple[str, ...]):
                 raise ParseError(f"unknown section {key!r}")
             if key in seen:
                 raise ParseError(f"duplicate section {key!r}")
-            if key in ("tree", "forest"):
+            if key in ("features", "labels"):
+                count, end = _form_end(tokens, i + 1)
+                if not count or count != end - i - 2:  # a '(' among them adds a token
+                    raise ParseError(f"{key} must be a non-empty list of names")
+                seen[key], i = tokens[i + 1 : end - 1], end
+            elif key in ("tree", "forest"):
                 if pool is None:
                     later.append((key, i + 1))
                 seen[key], i = _trees_at(tokens, i + 1, str if pool is None else pool.var)
+            elif pool is None or (key == "theory" and seen.get("sigma") is None):
+                later.append((key, i + 1))
+                seen[key], i = None, _form_end(tokens, i + 1)[1]
             else:
-                seen[key], i = _forms_at(tokens, i + 1)
+                seen[key], i = pool.read(tokens, i + 1)
             if pool is None and "features" in seen and "labels" in seen:
-                for what in ("features", "labels"):
-                    if not seen[what] or not all(isinstance(name, str) for name in seen[what]):
-                        raise ParseError(f"{what} must be a non-empty list of names")
                 pool = Pool()
                 problem = ClassificationProblem(pool.declare(*seen["features"]), pool.declare(*seen["labels"]))
         for key in required:
             if key not in seen:
                 raise ParseError(f"missing section {key!r}")
-        for key, start in later:
-            seen[key] = _trees_at(tokens, start, pool.var)[0]
+        for key, start in sorted(later, key=lambda entry: entry[0] == "theory"):
+            circuit = key in ("sigma", "theory")
+            seen[key] = (pool.read(tokens, start) if circuit else _trees_at(tokens, start, pool.var))[0]
         return pool, problem, seen
     except (RectifyError, IndexError) as error:
         raise _unbalanced(text) or error  # an unbalanced parenthesis is reported first
@@ -317,8 +314,8 @@ def _single(section: list, what: str):
 def parse_problem(text: str) -> ProblemFile:
     """Parse a problem file into a fresh pool."""
     pool, problem, seen = _read_file(text, _PROBLEM_SECTIONS, _PROBLEM_SECTIONS[:4])
-    sigma = pool.build(_single(seen["sigma"], "sigma"))
-    theory = pool.build(_single(seen["theory"], "theory"))
+    sigma = Circuit(pool, _single(seen["sigma"], "sigma"))
+    theory = Circuit(pool, _single(seen["theory"], "theory"))
     forest = seen.get("forest")
     if forest == []:
         raise ParseError("section 'forest' needs at least one tree")

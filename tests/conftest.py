@@ -4,8 +4,8 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import settings, strategies as st
 
-from monorect import Assignment, ClassificationProblem, Pool, iter_gates
-from monorect.circuit import AND, CONST, NOT, OR, VAR
+from monorect import Assignment, BuildError, ClassificationProblem, Pool, iter_gates
+from monorect.circuit import _KEYWORDS, AND, CONST, NOT, OR, VAR
 from monorect.dtree import DTLeaf, DTNode
 
 settings.register_profile("desk", deadline=None)
@@ -103,6 +103,123 @@ def reference_evaluate(circ, omega):
     return memo[circ.root.uid]
 
 
+def reference_build(pool, expr):
+    """Build a nested-list expression by recursive descent, with an explicit stack.
+
+    The library's earlier builder, kept as the oracle of `Pool.build` and
+    the circuit reader: each form is checked before its operands are
+    built (arity first), then operands are built left to right through
+    the pool's public constructors, so gates are interned in the order of
+    a recursive descent.  Let bindings see earlier ones.
+    """
+    done = []
+    todo = [("eval", expr, {})]
+    while todo:
+        step = todo.pop()
+        if step[0] == "eval":
+            _reference_expand(pool, step[1], step[2], todo, done)
+        elif step[0] == "bind":
+            _, name, bindings, i, inner, body = step
+            inner[name] = done.pop()
+            _reference_let(pool, bindings, i, inner, body, todo, done)
+        else:
+            _reference_finish(pool, step, done)
+    return done[0]
+
+
+def _reference_leaf(pool, expr, env):
+    if isinstance(expr, bool):
+        return pool.const(int(expr))
+    if expr == "true":
+        return pool.const(1)
+    if expr == "false":
+        return pool.const(0)
+    bound = env.get(expr)
+    return bound if bound is not None else pool.literal(pool.var(expr))
+
+
+def _reference_arity(expr, n):
+    if len(expr) != n + 1:
+        raise BuildError(f"{expr[0]!r} expects {n} argument(s), got {len(expr) - 1}")
+
+
+def _reference_expand(pool, expr, env, todo, done):
+    if isinstance(expr, (str, bool)):
+        done.append(_reference_leaf(pool, expr, env))
+        return
+    if not (isinstance(expr, (list, tuple)) and expr and isinstance(expr[0], str)):
+        raise BuildError(f"malformed expression {expr!r}")
+    head = expr[0]
+    if head == "not":
+        _reference_arity(expr, 1)
+        finish = ("not",)
+    elif head in ("and", "or"):
+        if len(expr) < 2:
+            raise BuildError(f"zero-arity {head!r} gate")
+        finish = ("nary", head, len(expr) - 1)
+    elif head in ("imp", "iff"):
+        _reference_arity(expr, 2)
+        finish = (head,)
+    elif head == "dec":
+        _reference_arity(expr, 3)
+        name = expr[1]
+        if not isinstance(name, str) or name in env:
+            raise BuildError("decision gate needs a declared variable")
+        finish = ("dec", pool.var(name))
+    elif head == "let":
+        _reference_arity(expr, 2)
+        bindings = expr[1]
+        if not isinstance(bindings, (list, tuple)):
+            raise BuildError("let bindings must be a list of (name expr) pairs")
+        _reference_let(pool, bindings, 0, dict(env), expr[2], todo, done)
+        return
+    else:
+        raise BuildError(f"unknown operator {head!r}")
+    todo.append(finish)
+    first = 2 if head == "dec" else 1
+    todo.extend(("eval", e, env) for e in reversed(expr[first:]))
+
+
+def _reference_let(pool, bindings, i, inner, body, todo, done):
+    # A binding is bound once its expression is built: the rest of the
+    # let waits, as a "bind" step, under the steps that build it.
+    declared = {var.name for var in pool.variables}
+    if i < len(bindings):
+        pair = bindings[i]
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2 or not isinstance(pair[0], str):
+            raise BuildError("let bindings must be a list of (name expr) pairs")
+        name, sub = pair
+        if name in inner or name in declared or name in _KEYWORDS:
+            why = ("a declared variable" if name in declared
+                   else "a reserved word" if name in _KEYWORDS else "already bound")
+            raise BuildError(f"duplicate let binding {name!r}: {why}")
+        todo.append(("bind", name, bindings, i + 1, inner, body))
+        todo.append(("eval", sub, inner))
+        return
+    todo.append(("eval", body, inner))
+
+
+def _reference_finish(pool, step, done):
+    op = step[0]
+    if op == "not":
+        done.append(pool.not_(done.pop()))
+    elif op == "nary":
+        count = step[2]
+        parts = done[-count:]
+        del done[-count:]
+        done.append(pool.and_(parts) if step[1] == "and" else pool.or_(parts))
+    elif op == "dec":
+        high = done.pop()
+        done.append(pool.decision(step[1], done.pop(), high))
+    else:
+        b = done.pop()
+        a = done.pop()
+        if op == "imp":
+            done.append(pool.or_([pool.not_(a), b]))
+        else:  # iff
+            done.append(pool.or_([pool.and_([a, b]), pool.and_([pool.not_(a), pool.not_(b)])]))
+
+
 def brute_equivalent(a, b, over):
     """Per-assignment equivalence via reference_evaluate, independent of the mask path."""
     over = tuple(over)
@@ -135,6 +252,41 @@ def ast_exprs(names, max_leaves=10, allow_dec=True):
         return st.one_of(options)
 
     return st.recursive(leaves, compose, max_leaves=max_leaves)
+
+
+LET_NAMES = ("p", "q", "r")
+
+
+@st.composite
+def shared_exprs(draw, names, depth=4):
+    """Nested-list circuit expressions with decision gates and nested lets.
+
+    Every name is in scope: a declared one, a constant, or a let name
+    bound around it; a let name is reused once its let has closed.
+    """
+    names = list(names)
+
+    def expr(env, depth):
+        if depth == 0 or draw(st.integers(0, 2)) == 0:
+            return draw(st.sampled_from(names + env + ["true", "false"]))
+        head = draw(st.sampled_from(["not", "and", "or", "imp", "iff", "dec", "let"]))
+        if head == "not":
+            return ["not", expr(env, depth - 1)]
+        if head in ("and", "or"):
+            return [head] + [expr(env, depth - 1) for _ in range(draw(st.integers(1, 3)))]
+        if head in ("imp", "iff"):
+            return [head, expr(env, depth - 1), expr(env, depth - 1)]
+        if head == "dec":
+            return ["dec", draw(st.sampled_from(names)), expr(env, depth - 1), expr(env, depth - 1)]
+        free = draw(st.permutations([name for name in LET_NAMES if name not in env]))
+        bindings = []
+        inner = list(env)
+        for name in free[: draw(st.integers(0, len(free)))]:
+            bindings.append([name, expr(inner, depth - 1)])
+            inner = inner + [name]
+        return ["let", bindings, expr(inner, depth - 1)]
+
+    return expr([], depth)
 
 
 def tree_specs(names, max_leaves=12):

@@ -143,6 +143,27 @@ def test_negative_counts_are_input_errors(capsys, argv):
     assert "must be at least 0" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("rectify", "--problem", DEMO),
+        ("classify", "--problem", DEMO, "--instance", "110"),
+        ("table", "--problem", DEMO),
+        ("check", "--problem", DEMO),
+        ("fuzz", "--vars", "4", "--iters", "1"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_negative_cap_is_an_input_error(capsys, argv):
+    # rejected by the argument parser, which exits 2 before the command runs
+    with pytest.raises(SystemExit) as exit_:
+        main([*argv, "--max-vars", "-1"])
+    captured = capsys.readouterr()
+    assert exit_.value.code == 2
+    assert captured.out == ""
+    assert "argument --max-vars: must be at least 0, got -1" in captured.err
+
+
 def test_fuzz_size_bound_violation_is_a_failure(monkeypatch, capsys):
     def bloated_rectify(clf, theory):
         # an equivalent rectified classifier, padded past the size bound

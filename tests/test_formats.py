@@ -24,6 +24,8 @@ from conftest import (
     REDUCED_TREE_TEXT,
     SIGMA_TREE_TEXT,
     ast_exprs,
+    reference_build,
+    shared_exprs,
     tree_from_spec,
     tree_specs,
 )
@@ -358,7 +360,7 @@ def test_dtree_print_parse_round_trip(spec):
 # ----------------------------------------------------------------------
 # Differential checks against the earlier two-pass reader, kept here as
 # the oracle: text into nested lists (`_oracle_read_all`), then nested
-# lists into trees (`_oracle_tree_from`).
+# lists into trees (`_oracle_tree_from`) or circuits (`reference_build`).
 
 _ORACLE_TOKEN = re.compile(r"[()]|[^ \t\r\n();]+|;[^\n]*")
 
@@ -585,5 +587,131 @@ def test_circuit_reader_matches_two_pass_oracle(ast, data):
     if kind is not None:
         tokens = _mutate(tokens, kind, data.draw(st.integers(0, 10_000))) or tokens
     text = _layout(tokens, _gaps(data.draw, tokens))
-    expected = _outcome(lambda: pool.build(_oracle_read_one(text)))
+    expected = _outcome(lambda: reference_build(pool, _oracle_read_one(text)))
     assert _outcome(parse_circuit, text, pool) == expected, (kind, text)
+
+
+# ----------------------------------------------------------------------
+# The circuit reader against `reference_build`, the earlier nested-list
+# builder: the same gates, in the same uid order, and the same errors.
+
+
+def _built(build):
+    """What a build on a fresh pool gives: every gate of the pool and the root uid, or the error."""
+    pool = fresh_pool()
+    try:
+        root = build(pool).root
+    except (ParseError, BuildError) as error:
+        return type(error), str(error)
+    gates = [(gate.kind, gate.payload, tuple(c.uid for c in gate.children)) for gate in pool.gates]
+    return gates, root.uid
+
+
+def _builds(ast):
+    """The outcomes of the reference, of `Pool.build` and of `parse_circuit` on the text of `ast`."""
+    text = " ".join(_ast_tokens(ast))
+    return (
+        _built(lambda pool: reference_build(pool, ast)),
+        _built(lambda pool: pool.build(ast)),
+        _built(lambda pool: parse_circuit(text, pool)),
+    )
+
+
+def _fault_sites(ast, env=(), path=()):
+    """(path, replacement) pairs, each of which puts one fault into `ast`."""
+    if isinstance(ast, str):
+        return [(path, "zz")]  # an unknown name
+    head = ast[0]
+    if head in ("and", "or"):
+        sites = [(path, [head])]  # zero arity
+    else:
+        sites = [(path, ast[:-1]), (path, ast + ["true"])]  # an argument short, one too many
+    first = 1
+    if head == "dec":
+        sites += [(path + (1,), name) for name in ("zz", *env[:1])]  # unknown, let-bound
+        first = 2
+    if head == "let":
+        inner = list(env)
+        for k, (name, sub) in enumerate(ast[1]):
+            sites += _fault_sites(sub, tuple(inner), path + (1, k, 1))
+            # already bound, reserved, declared
+            sites += [(path + (1, k, 0), clash) for clash in (*inner[-1:], "and", "x1")]
+            inner.append(name)
+        return sites + _fault_sites(ast[2], tuple(inner), path + (2,))
+    for k in range(first, len(ast)):
+        sites += _fault_sites(ast[k], env, path + (k,))
+    return sites
+
+
+def _replace(ast, path, new):
+    if not path:
+        return new
+    copy = list(ast)
+    copy[path[0]] = _replace(ast[path[0]], path[1:], new)
+    return copy
+
+
+@given(ast=shared_exprs(NAMES + ("y",)))
+def test_readers_intern_what_the_reference_interns(ast):
+    reference, built, parsed = _builds(ast)
+    assert isinstance(reference[0], list)
+    assert built == reference
+    assert parsed == reference
+
+
+@given(ast=shared_exprs(NAMES + ("y",)), pick=st.integers(0, 10_000))
+def test_single_faults_raise_what_the_reference_raises(ast, pick):
+    sites = _fault_sites(ast)
+    path, new = sites[pick % len(sites)]
+    reference, built, parsed = _builds(_replace(ast, path, new))
+    assert reference[0] is BuildError
+    assert built == reference
+    assert parsed == reference
+
+
+@pytest.mark.parametrize(
+    "ast",
+    [
+        ["let", "x1"],
+        ["let", ["and", "x1", "x2"]],
+        ["let", [], "x1", "x2"],
+        ["let", "x1", "x2"],
+        ["let", ["x1"], "x1"],
+        ["let", [["p"]], "p"],
+        ["let", [["p", "x1", "x2"]], "p"],
+        ["let", [[["p"], "x1"]], "p"],
+        ["let", [[]], "x1"],
+        ["let", [["p", "x1"]], ["dec", "p", "x1", "x2"]],
+        ["let", [["p", "x1"]], ["let", [["p", "x2"]], "p"]],
+        ["let", [["p", ["let", [["q", "x1"]], "q"]], ["q", "x2"]], ["and", "p", "q"]],
+        ["and", ["let", [["p", "x1"]], "p"], "p"],
+        ["let", [], "true"],
+        ["dec"],
+        ["dec", "x1"],
+        ["dec", "zz", "x1"],
+        ["dec", ["and", "x1"], "x2", "x3"],
+        ["dec", "true", "x1", "x2"],
+        ["not"],
+        ["and"],
+        ["imp", "x1"],
+        ["iff", "x1", "x2", "x3"],
+        ["foo", "x1"],
+        ["or", ["and", "x1", "x1"], "y"],
+    ],
+)
+def test_reader_errors_match_the_reference(ast):
+    reference, built, parsed = _builds(ast)
+    assert built == reference
+    assert parsed == reference
+
+
+def test_a_bare_open_head_may_be_named_alone():
+    reference, built, parsed = _builds(["and", "x1", [["not", "x1"], "x2"]])
+    assert reference == (BuildError, "malformed expression [['not', 'x1'], 'x2']")
+    assert built == parsed == (BuildError, "malformed expression: '(' must be followed by an operator")
+
+
+def test_an_operand_fault_is_reported_before_its_form_arity():
+    reference, built, parsed = _builds(["not", ["or"], "x1"])
+    assert reference == (BuildError, "'not' expects 1 argument(s), got 2")
+    assert built == parsed == (BuildError, "zero-arity 'or' gate")
