@@ -43,8 +43,6 @@ from .dtree import (
     dt_check_classification,
     dt_classify,
     dt_condition,
-    dt_conjoin,
-    dt_disjoin,
     dt_eval,
     dt_negate,
     dt_rectify,
@@ -52,7 +50,6 @@ from .dtree import (
     dt_to_circuit,
     dt_vars,
     is_read_once,
-    is_simplified,
     rf_classify,
     rf_rectify,
 )
@@ -75,6 +72,7 @@ from .formats import (
 )
 from .rectify import (
     RectificationResult,
+    classify_batch,
     classify_rectified,
     decisive_circuits,
     preprocess_project,

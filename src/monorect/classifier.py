@@ -11,9 +11,10 @@ variable cap; classifier trees are certified without enumeration, in
 order, so each instance owns one block of 2**|Y| bits; only this module
 knows that layout, and `label_blocks` hands the blocks out.  Classifiers
 cache the verdict so downstream operations can fail fast on uncertified
-inputs.  The queries at one instance (`classify`, `fact_formula`,
-`is_fact_compliant`) read its block off the circuit in one walk of the
-gate interpreter, `semantics._table`, and build no gates.
+inputs.  The queries at a batch of instances (`classify`, `fact_formula`
+and `is_fact_compliant` at a batch of one; `rectify.classify_batch`)
+read their blocks off the circuit in one bitsliced walk of the gate
+interpreter, `semantics._table`, and build no gates.
 """
 
 from __future__ import annotations
@@ -237,11 +238,19 @@ class Classifier:
         return f"<Classifier {len(self.problem.features)}+{len(self.problem.labels)} vars, {status}>"
 
 
-def _at_instance(problem: ClassificationProblem, inst: Assignment) -> tuple[dict, int]:
-    """Masks and full mask under which `_table` returns the instance's label block."""
-    full = (1 << (1 << len(problem.labels))) - 1
-    masks = var_masks(problem.labels)
-    masks.update((v, full if b else 0) for v, b in zip(inst.vars, inst.bits))
+def _at_instances(problem: ClassificationProblem, insts: Sequence[Assignment]) -> tuple[dict, int]:
+    """Bitsliced masks (Biham 1997) under which `_table` returns the instances' label blocks.
+
+    Block k, of 2**len(labels) bits, is instance k's: each label's mask
+    repeats in every block, and each feature's fills the blocks where it is 1.
+    """
+    width = 1 << len(problem.labels)
+    full = (1 << width * len(insts)) - 1
+    repeat = full // ((1 << width) - 1)
+    masks = {v: m * repeat for v, m in var_masks(problem.labels).items()}
+    cells = ("0" * width, "1" * width)
+    for j, v in enumerate(problem.features):
+        masks[v] = int("".join(cells[inst.bits[j]] for inst in reversed(insts)) or "0", 2)
     return masks, full
 
 
@@ -249,7 +258,7 @@ def classify(clf: Classifier, x: Instance) -> Assignment:
     """The unique label assignment for the instance."""
     clf.require_certified()
     inst = as_instance(clf.problem, x)
-    mask = _table(clf.circuit, *_at_instance(clf.problem, inst))
+    mask = _table(clf.circuit, *_at_instances(clf.problem, [inst]))
     if mask.bit_count() != 1:
         raise CertificationError(
             f"instance {inst.word} does not have a unique label assignment"
@@ -277,7 +286,7 @@ def fact_formula(
     """
     ensure_cap(len(problem.labels), cap)
     _check_problem_vars(theory, problem, "theory")
-    masks, full = _at_instance(problem, as_instance(problem, x))
+    masks, full = _at_instances(problem, [as_instance(problem, x)])
     mask = _table(theory, masks, full)
     if mask == 0:
         return FactFormula(Term())
@@ -301,7 +310,7 @@ def is_fact_compliant(
     clf.require_certified()
     inst = as_instance(clf.problem, x)
     facts = fact_formula(theory, inst, clf.problem, cap=cap)
-    masks, full = _at_instance(clf.problem, inst)
+    masks, full = _at_instances(clf.problem, [inst])
     forced = full
     for lit in facts.term.literals:
         forced &= masks[lit.var] if lit.positive else ~masks[lit.var]

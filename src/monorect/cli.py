@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 
 from .circuit import Literal, Pool, Term, condition
-from .classifier import Classifier, as_instance, is_positive, label_blocks
+from .classifier import Classifier, as_instance, label_blocks
 from .dtree import attach_label, circuit_to_dt, dt_rectify, dt_to_circuit
 from .errors import (
     BuildError,
@@ -37,7 +37,7 @@ from .formats import (
     print_dtree,
 )
 from .randgen import random_classifier, random_problem, random_theory
-from .rectify import classify_rectified, rectify
+from .rectify import classify_batch, rectify
 from .semantics import DEFAULT_VAR_CAP, equivalent
 from .verify import check_postulates, dalal_rectify, oracle_rectify
 
@@ -85,9 +85,11 @@ def _parser() -> argparse.ArgumentParser:
         "from its decision-tree expansion; dtree output is always reduced)",
     )
 
-    p = sub.add_parser("classify", parents=[common], help="classify one instance")
+    p = sub.add_parser("classify", parents=[common], help="classify instances")
     p.add_argument("--problem", required=True)
-    p.add_argument("--instance", required=True, help="instance word such as 110")
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument("--instance", help="instance word such as 110")
+    which.add_argument("--instances", help="file of instance words, one per line")
 
     p = sub.add_parser("table", parents=[common], help="one row per instance")
     p.add_argument("--problem", required=True)
@@ -160,12 +162,24 @@ def _via_tree(circ, order, pool, cap):
 def _cmd_classify(args) -> int:
     pf = _load(args)
     clf = _certify(pf, args.max_vars)
-    result = rectify(clf, pf.theory)
-    inst = as_instance(pf.problem, args.instance)
-    before = "pos" if is_positive(clf, inst) else "neg"
-    after = "pos" if classify_rectified(result, inst) else "neg"
-    print(f"sigma: {before}, rectified: {after}")
+    if args.instances is None:
+        prefixes, insts = [""], [args.instance]
+    else:
+        lines = Path(args.instances).read_text(encoding="utf-8").splitlines()
+        words = [(n, line.strip()) for n, line in enumerate(lines, 1) if line.strip()]
+        prefixes = [word + " " for _, word in words]
+        # parsed lazily, so the problem's own checks come first, as for one instance
+        insts = (_instance_at(pf.problem, args.instances, n, word) for n, word in words)
+    for prefix, (before, after) in zip(prefixes, classify_batch(clf, pf.theory, insts)):
+        print(f"{prefix}sigma: {'pos' if before else 'neg'}, rectified: {'pos' if after else 'neg'}")
     return 0
+
+
+def _instance_at(problem, path, n, word):
+    try:
+        return as_instance(problem, word)
+    except ValueError as exc:
+        raise ValueError(f"{path}, line {n}: {exc}") from None
 
 
 # A single-label block: bit 0 allows the negative label, bit 1 the positive.

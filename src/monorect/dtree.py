@@ -11,8 +11,8 @@ Nodes are plain slotted classes, immutable by convention (nothing sets
 a field after `__init__`), so trees share subtrees freely.  Equality is
 structural, with an identity shortcut for shared subtrees.  Every walk
 uses an explicit stack, so depth is bounded by memory only.  Grafting,
-conditioning, hashing, counting and conversion to a circuit are one
-bottom-up walk, `_fold`; `_reduce` (forced bits on the path),
+conditioning, hashing and conversion to a circuit are one bottom-up
+walk, `_fold`; `_reduce` (forced bits on the path),
 `is_read_once` (the path), equality (a pair of nodes) and `repr` (text)
 carry more state and keep their own loops.  Variables are `VarId` named
 tuples, hashed and compared in C; ids from two pools that declare the
@@ -143,17 +143,6 @@ def _keep(node: DTNode, low: DecisionTree, high: DecisionTree) -> DTNode:
     return DTNode(node.var, low, high)
 
 
-def node_count(tree: DecisionTree) -> int:
-    """All nodes, leaves included."""
-    return _fold(tree, lambda leaf: 1, lambda node, low, high: low + high + 1)
-
-
-def decision_count(tree: DecisionTree) -> int:
-    """Internal (variable) nodes only."""
-    # every decision node has two children, so leaves outnumber them by one
-    return (node_count(tree) - 1) // 2
-
-
 def dt_vars(tree: DecisionTree) -> frozenset[VarId]:
     found = set()
     todo = [tree] if isinstance(tree, DTNode) else []
@@ -199,16 +188,6 @@ def dt_negate(tree: DecisionTree) -> DecisionTree:
 def _graft(tree: DecisionTree, on0: DecisionTree, on1: DecisionTree) -> DecisionTree:
     """Every 0-leaf becomes `on0`, every 1-leaf `on1`."""
     return _fold(tree, lambda leaf: on1 if leaf.value else on0, _keep)
-
-
-def dt_conjoin(a: DecisionTree, b: DecisionTree) -> DecisionTree:
-    """Conjunction: every 1-leaf of the first tree becomes a copy of the second."""
-    return _graft(a, LEAF0, b)
-
-
-def dt_disjoin(a: DecisionTree, b: DecisionTree) -> DecisionTree:
-    """Disjunction: every 0-leaf of the first tree becomes a copy of the second."""
-    return _graft(a, b, LEAF1)
 
 
 def dt_simplify(tree: DecisionTree) -> DecisionTree:
@@ -280,10 +259,6 @@ def has_identical_children(tree: DecisionTree) -> bool:
     return _fold(
         tree, lambda leaf: False, lambda node, low, high: low or high or node.low == node.high
     )
-
-
-def is_simplified(tree: DecisionTree) -> bool:
-    return is_read_once(tree) and not has_identical_children(tree)
 
 
 def attach_label(tree: DecisionTree, label: VarId) -> DecisionTree:

@@ -6,7 +6,9 @@ decides an instance one way only, and keeps the original verdict
 everywhere else.  The construction is purely structural: the theory's
 two label cofactors (one sweep), a handful of fixed gates, and no model
 enumeration, so both the work and the output size are linear in the
-input sizes.
+input sizes.  That classifier is unique, so `classify_batch` reads its
+verdicts at a batch of instances pointwise off sigma and the theory:
+one bitsliced walk of each, and no rectified circuit built.
 """
 
 from __future__ import annotations
@@ -15,8 +17,9 @@ from dataclasses import dataclass
 
 from .circuit import Circuit, cofactors, conjoin, disjoin, negate
 from .classifier import Classifier, ClassificationProblem, as_instance, positive_circuit
+from .classifier import _at_instances
 from .errors import CapExceededError
-from .semantics import ensure_within, evaluate, forget
+from .semantics import _table, ensure_within, evaluate, forget
 
 
 @dataclass(frozen=True)
@@ -46,14 +49,8 @@ def decisive_circuits(
     the mirror image.  Instances where the theory allows both labels or
     neither are decided by neither circuit.
     """
-    label = problem.label
-    ensure_within(
-        theory.vars(),
-        problem.features + (label,),
-        "theory mentions variables outside the problem ({names}); "
-        "apply preprocess_project first",
-    )
-    with_neg, with_pos = cofactors(theory, label)
+    _check_theory(theory, problem)
+    with_neg, with_pos = cofactors(theory, problem.label)
     forces_pos = conjoin(with_pos, negate(with_neg))
     forces_neg = conjoin(with_neg, negate(with_pos))
     return forces_pos, forces_neg
@@ -68,15 +65,50 @@ def rectify(clf: Classifier, theory: Circuit) -> RectificationResult:
     unchanged.  Theory variables outside the problem are an error;
     `preprocess_project` forgets them first.
     """
-    clf.require_certified()
-    problem = clf.problem
-    if not problem.mono_label:
-        raise ValueError("rectification is defined for single-label classifiers only")
+    problem = _single_label(clf)
     forces_pos, forces_neg = decisive_circuits(theory, problem)
     kept = conjoin(positive_circuit(clf), negate(forces_neg))
     accepted = disjoin(kept, forces_pos)
     rectified = Classifier.from_positive_circuit(problem, accepted)
     return RectificationResult(accepted, rectified, forces_pos, forces_neg)
+
+
+def classify_batch(clf: Classifier, theory: Circuit, instances) -> list[tuple[int, int]]:
+    """The (sigma verdict, rectified verdict) pair at each instance, in order.
+
+    The rectified verdict is positive where the theory allows only the
+    positive label, negative where it allows only the negative one, and
+    sigma's elsewhere.  Bit 2k + b of both walks is instance k with label
+    b; no gate is created.  Raises what `rectify` raises, before reading
+    any instance.
+    """
+    problem = _single_label(clf)
+    _check_theory(theory, problem)
+    insts = [as_instance(problem, x) for x in instances]
+    masks, full = _at_instances(problem, insts)
+    sigma = _table(clf.circuit, masks, full) >> 1  # bit 2k: sigma accepts instance k
+    allowed = _table(theory, masks, full)
+    decided = allowed ^ allowed >> 1  # bit 2k: the theory allows one label there
+    after = (allowed >> 1 & decided) | (sigma & ~decided)
+    n = len(insts)
+    columns = (format(m, f"0{2 * n}b")[::-2][:n] for m in (sigma, after))
+    return [(int(b), int(a)) for b, a in zip(*columns)]
+
+
+def _single_label(clf: Classifier) -> ClassificationProblem:
+    clf.require_certified()
+    if not clf.problem.mono_label:
+        raise ValueError("rectification is defined for single-label classifiers only")
+    return clf.problem
+
+
+def _check_theory(theory: Circuit, problem: ClassificationProblem):
+    ensure_within(
+        theory.vars(),
+        problem.features + (problem.label,),
+        "theory mentions variables outside the problem ({names}); "
+        "apply preprocess_project first",
+    )
 
 
 # Each forgotten variable can double the circuit, hence a hard cap.
@@ -96,5 +128,5 @@ def preprocess_project(circ: Circuit, problem: ClassificationProblem) -> Circuit
 
 
 def classify_rectified(result: RectificationResult, x) -> int:
-    """Model-check the accepted-region circuit at the instance (linear time)."""
+    """Model-check the accepted region at the instance; `classify_batch` needs no result."""
     return evaluate(result.positive, as_instance(result.rectified.problem, x))

@@ -21,7 +21,7 @@ from functools import cached_property
 from typing import Collection, Iterable, Mapping, Sequence
 
 from .circuit import AND, CONST, DEC, NOT, OR, VAR
-from .circuit import Circuit, Literal, Term, VarId, cofactors, disjoin, iter_gates
+from .circuit import Circuit, VarId, cofactors, disjoin, iter_gates
 from .errors import CapExceededError
 
 DEFAULT_VAR_CAP = 20
@@ -72,9 +72,6 @@ class Assignment:
         return self._values[var]
 
     __getitem__ = value
-
-    def to_term(self) -> Term:
-        return Term(Literal(v, bool(b)) for v, b in zip(self.vars, self.bits))
 
     def extended(self, var: VarId, bit: int) -> "Assignment":
         return Assignment(self.vars + (var,), self.bits + (bit,))

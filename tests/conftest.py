@@ -4,9 +4,18 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import settings, strategies as st
 
-from monorect import Assignment, BuildError, ClassificationProblem, Pool, iter_gates
+from monorect import Assignment, BuildError, ClassificationProblem, Literal, Pool, Term, iter_gates
 from monorect.circuit import _KEYWORDS, AND, CONST, NOT, OR, VAR
-from monorect.dtree import DTLeaf, DTNode
+from monorect.dtree import (
+    LEAF0,
+    LEAF1,
+    DTLeaf,
+    DTNode,
+    _fold,
+    _graft,
+    has_identical_children,
+    is_read_once,
+)
 
 settings.register_profile("desk", deadline=None)
 settings.load_profile("desk")
@@ -74,6 +83,11 @@ def build_with_vars(names, *asts):
     pool = Pool()
     pool.declare(*names)
     return (pool, *(pool.build(a) for a in asts))
+
+
+def to_term(omega):
+    """The canonical term of an assignment: one literal per variable."""
+    return Term(Literal(v, bool(b)) for v, b in zip(omega.vars, omega.bits))
 
 
 def reference_evaluate(circ, omega):
@@ -306,3 +320,29 @@ def tree_from_spec(pool, spec):
         return DTLeaf(1)
     name, low, high = spec
     return DTNode(pool.var(name), tree_from_spec(pool, low), tree_from_spec(pool, high))
+
+
+def node_count(tree):
+    """All nodes of a decision tree, leaves included."""
+    return _fold(tree, lambda leaf: 1, lambda node, low, high: low + high + 1)
+
+
+def decision_count(tree):
+    """Internal (variable) nodes only."""
+    # every decision node has two children, so leaves outnumber them by one
+    return (node_count(tree) - 1) // 2
+
+
+def dt_conjoin(a, b):
+    """Conjunction: every 1-leaf of the first tree becomes a copy of the second."""
+    return _graft(a, LEAF0, b)
+
+
+def dt_disjoin(a, b):
+    """Disjunction: every 0-leaf of the first tree becomes a copy of the second."""
+    return _graft(a, b, LEAF1)
+
+
+def is_simplified(tree):
+    """Read-once on every path and no node with two identical children."""
+    return is_read_once(tree) and not has_identical_children(tree)

@@ -32,7 +32,7 @@ from monorect import (
 )
 from monorect.verify import _forced_masks
 
-from conftest import ast_exprs
+from conftest import ast_exprs, to_term
 
 
 class TestProblem:
@@ -189,7 +189,7 @@ def test_theory_entails_its_fact_formula(theory_ast):
     pool, problem, theory = _two_label_setting(theory_ast)
     for bits in itertools.product((0, 1), repeat=2):
         inst = Assignment(problem.features, bits)
-        at_x = condition(theory, inst.to_term())
+        at_x = condition(theory, to_term(inst))
         facts = fact_formula(theory, inst, problem)
         forced = [pool.literal(lit.var, lit.positive) for lit in facts.term.literals]
         assert entails(at_x, pool.and_([pool.const(1), *forced]))
@@ -209,7 +209,7 @@ def test_single_label_trichotomy(theory_ast):
         pool.const(0),
     )
     for bits in itertools.product((0, 1), repeat=2):
-        at_x = condition(theory, Assignment(features, bits).to_term())
+        at_x = condition(theory, to_term(Assignment(features, bits)))
         assert sum(equivalent(at_x, shape) for shape in shapes) == 1
 
 
@@ -251,7 +251,7 @@ def test_label_blocks_agree_with_the_per_instance_path(data, n_features, n_label
     for x in range(1 << n_features):
         inst = Assignment.from_index(x, features)
         assert sigma[x] == 1 << int(classify(clf, inst).word, 2)
-        assert allowed[x] == truth_mask(condition(theory, inst.to_term()), labels)
+        assert allowed[x] == truth_mask(condition(theory, to_term(inst)), labels)
         assert (sigma[x] & ~forced[x] == 0) == is_fact_compliant(clf, theory, inst)
 
 

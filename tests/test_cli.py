@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import random
 import re
 from pathlib import Path
@@ -52,6 +53,47 @@ def test_classify_unchanged_instance(capsys):
     code, out, _ = run(capsys, "classify", "--problem", DEMO, "--instance", "111")
     assert code == 0
     assert out == "sigma: pos, rectified: pos\n"
+
+
+def test_classify_instances_file(tmp_path, capsys):
+    words = tmp_path / "words.txt"
+    words.write_text("110\n\n  111 \n110\n")
+    code, out, err = run(capsys, "classify", "--problem", DEMO, "--instances", str(words))
+    assert (code, err) == (0, "")
+    assert out == (
+        "110 sigma: neg, rectified: pos\n"
+        "111 sigma: pos, rectified: pos\n"
+        "110 sigma: neg, rectified: pos\n"
+    )
+
+
+def test_classify_instances_bad_word_names_its_line(tmp_path, capsys):
+    words = tmp_path / "words.txt"
+    words.write_text("110\n\n0x1\n")
+    code, out, err = run(capsys, "classify", "--problem", DEMO, "--instances", str(words))
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: {words}, line 3: instance word must be 3 characters of 0/1, got '0x1'\n"
+    )
+
+
+def test_classify_instance_and_instances_exclude_each_other(tmp_path, capsys):
+    words = tmp_path / "words.txt"
+    words.write_text("110\n")
+    with pytest.raises(SystemExit) as info:
+        main(["classify", "--problem", DEMO, "--instance", "110", "--instances", str(words)])
+    assert info.value.code == 2
+    assert "not allowed with" in capsys.readouterr().err
+
+
+def test_classify_builds_no_rectified_circuit(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("classify built a rectified circuit")
+
+    monkeypatch.setattr(cli, "rectify", refuse)
+    monkeypatch.setattr(importlib.import_module("monorect.rectify"), "cofactors", refuse)
+    code, out, err = run(capsys, "classify", "--problem", DEMO, "--instance", "110")
+    assert (code, out, err) == (0, "sigma: neg, rectified: pos\n", "")
 
 
 def test_rectify_dtree_output(capsys):

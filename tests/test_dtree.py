@@ -19,8 +19,6 @@ from monorect import (
     condition,
     dt_check_classification,
     dt_condition,
-    dt_conjoin,
-    dt_disjoin,
     dt_eval,
     dt_negate,
     dt_rectify,
@@ -30,7 +28,6 @@ from monorect import (
     equivalent,
     evaluate,
     is_read_once,
-    is_simplified,
     iter_gates,
     parse_dtree,
     print_circuit,
@@ -47,16 +44,19 @@ from monorect.dtree import (
     LEAF1,
     _graft,
     _reduce,
-    decision_count,
     has_identical_children,
-    node_count,
 )
 from monorect.randgen import random_tree
 
 from conftest import (
     ast_exprs,
+    decision_count,
     DEMO_SIGMA_AST,
     DEMO_THEORY_AST,
+    dt_conjoin,
+    dt_disjoin,
+    is_simplified,
+    node_count,
     REDUCED_TREE_TEXT,
     SIGMA_TREE_TEXT,
     THEORY_TREE_TEXT,

@@ -2,13 +2,16 @@
 
 Each file under `tests/golden/` holds the exit code, standard output and
 standard error of `rectify --out circuit`, `rectify --out dtree`, `table`
-and `classify` (every instance word) on one problem of `problems/`.  The
-circuit printer names shared gates in uid order, so these outputs also
-pin the order in which the reader interns gates.
+and `classify` (every instance word) on one problem of `problems/`;
+`classify --instances` on `problems/demo.instances` prints the same
+single-instance lines, each after its word.  The circuit printer names
+shared gates in uid order, so these outputs also pin the order in which
+the reader interns gates.
 """
 
 import contextlib
 import io
+import re
 from pathlib import Path
 
 import pytest
@@ -53,3 +56,15 @@ def test_output_matches_golden(path):
 
 def test_section_order_does_not_change_output():
     assert render(PROBLEMS / "demo_reversed.sexp") == render(PROBLEMS / "demo.sexp")
+
+
+def test_instances_file_matches_the_single_instance_lines():
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main(["classify", "--problem", str(PROBLEMS / "demo.sexp"),
+                     "--instances", str(PROBLEMS / "demo.instances")])
+    golden = (GOLDEN / "demo.txt").read_text(encoding="utf-8")
+    singles = re.findall(r"^\$ classify --instance (\w+)\nexit 0\n(.*\n)", golden, re.M)
+    assert len(singles) == 8
+    assert code == 0
+    assert stdout.getvalue() == "".join(f"{word} {line}" for word, line in singles)

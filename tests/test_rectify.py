@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from monorect import (
     Assignment,
@@ -8,19 +9,27 @@ from monorect import (
     CertificationError,
     Classifier,
     Pool,
+    classify_batch,
     classify_rectified,
     condition,
     conjoin,
     decisive_circuits,
+    disjoin,
     equivalent,
     evaluate,
     is_consistent,
     is_fact_compliant,
+    is_positive,
+    models,
+    negate,
+    oracle_rectify,
     positive_circuit,
     preprocess_project,
     rectify,
 )
-from monorect.randgen import random_classifier, random_problem, random_theory
+from monorect.randgen import random_circuit, random_classifier, random_problem, random_theory
+
+from conftest import to_term
 
 
 @pytest.fixture
@@ -141,6 +150,103 @@ class TestClassifyRectified:
         assert classify_rectified(result, word) == expected
 
 
+DEMO_VERDICTS = {
+    "000": (1, 0), "001": (1, 0), "010": (0, 0), "011": (0, 0),
+    "100": (0, 0), "101": (1, 0), "110": (0, 1), "111": (1, 1),
+}
+
+
+class TestClassifyBatch:
+    def test_demo_words(self, demo):
+        clf = Classifier(demo.problem, demo.sigma)
+        words = list(DEMO_VERDICTS)
+        assert classify_batch(clf, demo.theory, words) == list(DEMO_VERDICTS.values())
+
+    def test_order_duplicates_and_empty(self, demo):
+        clf = Classifier(demo.problem, demo.sigma)
+        words = ["110", "000", "110", "111", "000"]
+        assert classify_batch(clf, demo.theory, words) == [DEMO_VERDICTS[w] for w in words]
+        assert classify_batch(clf, demo.theory, []) == []
+
+    def test_instance_forms(self, demo):
+        clf = Classifier(demo.problem, demo.sigma)
+        inst = Assignment.from_word("110", demo.problem.features)
+        assert classify_batch(clf, demo.theory, [inst, to_term(inst), (1, 1, 0)]) == [(0, 1)] * 3
+
+    def test_adds_no_gate(self, demo):
+        clf = Classifier(demo.problem, demo.sigma)
+        before = len(demo.pool.gates)
+        classify_batch(clf, demo.theory, list(DEMO_VERDICTS))
+        assert len(demo.pool.gates) == before
+
+    def test_rejections_match_rectify(self, demo, twolabel):
+        # the problem's checks come before any instance is read
+        (aux,) = demo.pool.declare("helper")
+        cases = [
+            (Classifier(twolabel.problem, twolabel.theory), twolabel.theory),
+            (Classifier(twolabel.problem, twolabel.sigma), twolabel.theory),
+            (Classifier(demo.problem, demo.sigma), conjoin(demo.theory, demo.pool.literal(aux))),
+        ]
+        for clf, theory in cases:
+            with pytest.raises(Exception) as batch:
+                classify_batch(clf, theory, ["not a word"])
+            with pytest.raises(Exception) as whole:
+                rectify(clf, theory)
+            assert (type(batch.value), str(batch.value)) == (type(whole.value), str(whole.value))
+
+    def test_bad_word_is_rejected(self, demo):
+        clf = Classifier(demo.problem, demo.sigma)
+        with pytest.raises(ValueError, match="3 characters"):
+            classify_batch(clf, demo.theory, ["110", "11"])
+
+
+@st.composite
+def desk_pairs(draw):
+    """A random desk problem, its classifier and a theory.
+
+    Half the classifiers are a decision gate on the label (built certified);
+    the others an `iff` of a region and the label, certified by truth table.
+    """
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    pool = Pool()
+    problem = random_problem(pool, draw(st.integers(1, 5)))
+    gates = draw(st.integers(1, 30))
+    if draw(st.booleans()):
+        clf = random_classifier(pool, problem, gates, rng)
+    else:
+        region = random_circuit(pool, problem.features, gates, rng)
+        y = pool.literal(problem.label)
+        clf = Classifier(problem, disjoin(conjoin(region, y), conjoin(negate(region), negate(y))))
+        assert clf.certified
+    return pool, problem, clf, random_theory(pool, problem, gates, rng)
+
+
+def _words(problem):
+    n = len(problem.features)
+    return [format(i, f"0{n}b") for i in range(1 << n)]
+
+
+@given(pair=desk_pairs())
+def test_classify_batch_matches_the_construction_and_the_oracle(pair):
+    pool, problem, clf, theory = pair
+    words = _words(problem)
+    gates = len(pool.gates)
+    got = classify_batch(clf, theory, words)
+    assert len(pool.gates) == gates
+    result = rectify(clf, theory)
+    assert got == [(int(is_positive(clf, w)), classify_rectified(result, w)) for w in words]
+    accepted = {m.word for m in models(oracle_rectify(clf, theory), problem.features)}
+    assert [after for _, after in got] == [int(w in accepted) for w in words]
+
+
+@given(pair=desk_pairs(), data=st.data())
+def test_a_batch_equals_its_singletons(pair, data):
+    _, problem, clf, theory = pair
+    words = data.draw(st.lists(st.sampled_from(_words(problem)), max_size=12))
+    singles = [classify_batch(clf, theory, [w])[0] for w in words]
+    assert classify_batch(clf, theory, words) == singles
+
+
 def _random_pair(seed, n_features=4, gates=25):
     rng = random.Random(seed)
     pool = Pool()
@@ -187,10 +293,10 @@ def test_knowledge_compliance(seed):
     result = rectify(clf, theory)
     for i in range(1 << len(problem.features)):
         inst = Assignment.from_index(i, problem.features)
-        at_x = condition(theory, inst.to_term())
+        at_x = condition(theory, to_term(inst))
         if not is_consistent(at_x):
             continue
-        verdict = condition(result.rectified.circuit, inst.to_term())
+        verdict = condition(result.rectified.circuit, to_term(inst))
         assert equivalent(conjoin(verdict, at_x), verdict)
         assert is_fact_compliant(result.rectified, theory, inst)
 

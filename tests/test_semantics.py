@@ -18,7 +18,13 @@ from monorect import (
 )
 from monorect.semantics import ensure_within
 
-from conftest import ast_exprs, brute_equivalent, build_with_vars, reference_evaluate
+from conftest import (
+    ast_exprs,
+    brute_equivalent,
+    build_with_vars,
+    reference_evaluate,
+    to_term,
+)
 
 NAMES = ("a", "b", "c")
 
@@ -36,7 +42,7 @@ class TestAssignment:
     def test_to_term(self):
         pool = Pool()
         over = pool.declare("x1", "x2")
-        term = Assignment.from_word("01", over).to_term()
+        term = to_term(Assignment.from_word("01", over))
         assert term.value(over[0]) is False
         assert term.value(over[1]) is True
 
@@ -115,7 +121,7 @@ class TestChecks:
 
     def test_everything_entails_truth(self, demo):
         at_011 = condition(
-            demo.theory, Assignment.from_word("011", demo.problem.features).to_term()
+            demo.theory, to_term(Assignment.from_word("011", demo.problem.features))
         )
         assert entails(at_011, demo.pool.const(1))
 

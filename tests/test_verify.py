@@ -24,7 +24,7 @@ from monorect import (
 )
 from monorect.randgen import random_classifier, random_problem, random_theory
 
-from conftest import ast_exprs, build_with_vars
+from conftest import ast_exprs, build_with_vars, to_term
 
 
 @pytest.fixture
@@ -94,15 +94,15 @@ class TestDalalRectify:
         reference = dalal_rectify(demo_clf, demo.theory)
         for word in ("010", "011", "100", "111"):  # rows with no forced facts
             inst = Assignment.from_word(word, demo.problem.features)
-            ref_at = condition(reference, inst.to_term())
-            sig_at = condition(demo_clf.circuit, inst.to_term())
+            ref_at = condition(reference, to_term(inst))
+            sig_at = condition(demo_clf.circuit, to_term(inst))
             assert equivalent(ref_at, sig_at)
 
     def test_two_label_forced_fact(self, twolabel):
         clf = Classifier(twolabel.problem, twolabel.sigma)
         reference = dalal_rectify(clf, twolabel.theory)
         inst = Assignment.from_word("01", twolabel.problem.features)
-        at_x = condition(reference, inst.to_term())
+        at_x = condition(reference, to_term(inst))
         y2 = twolabel.problem.labels[1]
         assert entails(at_x, twolabel.pool.literal(y2, False))
 
@@ -112,8 +112,8 @@ class TestDalalRectify:
         for word in ("00", "10", "11"):
             inst = Assignment.from_word(word, twolabel.problem.features)
             assert equivalent(
-                condition(reference, inst.to_term()),
-                condition(clf.circuit, inst.to_term()),
+                condition(reference, to_term(inst)),
+                condition(clf.circuit, to_term(inst)),
             )
 
 
