@@ -1,10 +1,12 @@
 """Byte-exact command output on every shipped problem file.
 
-Each file under `tests/golden/` holds the exit code, standard output and
-standard error of `rectify --out circuit`, `rectify --out dtree`, `table`
-and `classify` (every instance word) on one problem of `problems/`;
-`classify --instances` on `problems/demo.instances` prints the same
-single-instance lines, each after its word.  The circuit printer names
+Each file `tests/golden/<problem>.txt` holds the exit code, standard
+output and standard error of `rectify --out circuit`, `rectify --out
+dtree`, `table` and `classify` (every instance word) on one problem of
+`problems/`, and `tests/golden/<problem>.simplify.txt` those of `rectify
+--out circuit --simplify`; `classify --instances` on
+`problems/demo.instances` prints the same single-instance lines, each
+after its word.  The circuit printer names
 shared gates in uid order, so these outputs also pin the order in which
 the reader interns gates.
 """
@@ -36,10 +38,14 @@ def _commands(path: Path) -> list[list[str]]:
     return commands
 
 
-def render(path: Path) -> str:
+def _simplify_commands(path: Path) -> list[list[str]]:
+    return [["rectify", "--problem", str(path), "--out", "circuit", "--simplify"]]
+
+
+def render(path: Path, commands=_commands) -> str:
     """Every command's exit code and output on one problem file."""
     out = []
-    for argv in _commands(path):
+    for argv in commands(path):
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             code = main(argv)
@@ -52,6 +58,12 @@ def render(path: Path) -> str:
 @pytest.mark.parametrize("path", sorted(PROBLEMS.glob("*.sexp")), ids=lambda p: p.name)
 def test_output_matches_golden(path):
     assert render(path) == (GOLDEN / f"{path.stem}.txt").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("path", sorted(PROBLEMS.glob("*.sexp")), ids=lambda p: p.name)
+def test_simplified_output_matches_golden(path):
+    golden = GOLDEN / f"{path.stem}.simplify.txt"
+    assert render(path, _simplify_commands) == golden.read_text(encoding="utf-8")
 
 
 def test_section_order_does_not_change_output():
