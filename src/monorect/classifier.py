@@ -4,10 +4,10 @@ A classifier is a circuit over features X and labels Y that assigns every
 feature vector exactly one label assignment (the label-uniqueness
 property).  Checking that property for a circuit enumerates all
 2**(|X|+|Y|) assignments, bit-sliced: the classifier's truth table is one
-integer (see semantics.truth_mask), and `one_label_per_instance` reads
-the rule off it a byte at a time.  Being enumeration, it stays under the
-variable cap; classifier trees are certified without enumeration, in
-`dtree.dt_check_classification`.  Labels come last in the table's
+integer (see semantics.truth_mask), and `one_label_per_instance` tests
+it whole, with a popcount and one shift per label.  Being enumeration,
+it stays under the variable cap; classifier trees are certified without
+enumeration, in `dtree.dt_check_classification`.  Labels come last in the table's
 order, so each instance owns one block of 2**|Y| bits; only this module
 knows that layout, and `label_blocks` hands the blocks out.  Classifiers
 cache the verdict so downstream operations can fail fast on uncertified
@@ -110,15 +110,10 @@ def _check_problem_vars(circ: Circuit, problem: ClassificationProblem, what: str
     ensure_within(circ.vars(), problem.all_vars, what + message)
 
 
-# The 2-bit (resp. 4-bit) blocks of every byte, lowest bits first, and
-# the bytes whose blocks each contain exactly one set bit.
+# The 2-bit (resp. 4-bit) blocks of every byte, lowest bits first.
 _BYTE_BLOCKS = {
     w: [tuple(byte >> s & (1 << w) - 1 for s in range(0, 8, w)) for byte in range(256)]
     for w in (2, 4)
-}
-_EXACT_ONE = {
-    w: frozenset(i for i, blocks in enumerate(split) if all(b.bit_count() == 1 for b in blocks))
-    for w, split in _BYTE_BLOCKS.items()
 }
 
 
@@ -127,28 +122,19 @@ def one_label_per_instance(table: int, problem: ClassificationProblem) -> bool:
 
     Labels come last in that order, so each instance owns one aligned
     block of 2**len(labels) bits; the table passes when every block
-    holds exactly one set bit.  Serves `check_xy_property`.
+    holds exactly one set bit, that is, when it holds one set bit per
+    block and no block is empty.  One shift per label folds each block
+    onto its lowest bit, so one mask tests every block at once (bitsliced;
+    Biham 1997).  Serves `check_xy_property`.
     """
     n_blocks = 1 << len(problem.features)
-    block_bits = 1 << len(problem.labels)
-    total = n_blocks * block_bits
-    if total < 8:
-        block = (1 << block_bits) - 1
-        return all(
-            ((table >> (i * block_bits)) & block).bit_count() == 1
-            for i in range(n_blocks)
-        )
-    data = table.to_bytes(total // 8, "little")
-    if block_bits in _EXACT_ONE:
-        good = _EXACT_ONE[block_bits]
-        return all(byte in good for byte in data)
-    if block_bits == 8:
-        return all(byte.bit_count() == 1 for byte in data)
-    span = block_bits // 8
-    return all(
-        int.from_bytes(data[i * span : (i + 1) * span], "little").bit_count() == 1
-        for i in range(n_blocks)
-    )
+    width = 1 << len(problem.labels)
+    if table.bit_count() != n_blocks:
+        return False
+    for p in range(len(problem.labels)):
+        table |= table >> (1 << p)
+    lowest = ((1 << width * n_blocks) - 1) // ((1 << width) - 1)
+    return table & lowest == lowest
 
 
 def label_blocks(

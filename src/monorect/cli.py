@@ -81,8 +81,8 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--simplify",
         action="store_true",
-        help="print semantically reduced output (circuit output is rebuilt "
-        "from its decision-tree expansion; dtree output is always reduced)",
+        help="print semantically reduced output (both circuits are rebuilt from the "
+        "accepted region's decision tree; dtree output is always reduced)",
     )
 
     p = sub.add_parser("classify", parents=[common], help="classify instances")
@@ -139,24 +139,17 @@ def _cmd_rectify(args) -> int:
     pf = _load(args)
     clf = _certify(pf, args.max_vars)
     result = rectify(clf, pf.theory)
-    if args.out == "circuit":
-        accepted = result.positive
-        full = result.rectified.circuit
-        if args.simplify:
-            feats = pf.problem.features
-            accepted = _via_tree(accepted, feats, pf.pool, args.max_vars)
-            full = _via_tree(full, pf.problem.all_vars, pf.pool, args.max_vars)
-        print(f"positive: {print_circuit(accepted)}")
-        print(f"rectified: {print_circuit(full)}")
-    else:
-        tree = circuit_to_dt(result.positive, pf.problem.features, cap=args.max_vars)
-        print(f"positive: {print_dtree(tree)}")
-        print(f"rectified: {print_dtree(attach_label(tree, pf.problem.label))}")
+    accepted, full = result.positive, result.rectified.circuit
+    if args.out == "dtree" or args.simplify:
+        # one expansion: the rectified tree is the accepted one with the label at its leaves
+        accepted = circuit_to_dt(accepted, pf.problem.features, cap=args.max_vars)
+        full = attach_label(accepted, pf.problem.label)
+        if args.out == "circuit":
+            accepted, full = dt_to_circuit(accepted, pf.pool), dt_to_circuit(full, pf.pool)
+    show = print_dtree if args.out == "dtree" else print_circuit
+    print(f"positive: {show(accepted)}")
+    print(f"rectified: {show(full)}")
     return 0
-
-
-def _via_tree(circ, order, pool, cap):
-    return dt_to_circuit(circuit_to_dt(circ, order, cap=cap), pool)
 
 
 def _cmd_classify(args) -> int:
@@ -191,16 +184,14 @@ def _cmd_table(args) -> int:
     if not pf.problem.mono_label:
         raise ValueError("the table command needs a single-label problem")
     clf = _certify(pf, args.max_vars)
-    result = rectify(clf, pf.theory)
     blocks = (
-        label_blocks(circ, pf.problem, cap=args.max_vars)
-        for circ in (clf.circuit, pf.theory, result.rectified.circuit)
+        label_blocks(circ, pf.problem, cap=args.max_vars) for circ in (clf.circuit, pf.theory)
     )
     n = len(pf.problem.features)
-    for x, (before, allowed, after) in enumerate(zip(*blocks)):
-        verdict = _BLOCK_TEXT[allowed]
-        forced = verdict if allowed in (1, 2) else "T"
-        print(f"{x:0{n}b} {_BLOCK_TEXT[before]} {verdict} {forced} {_BLOCK_TEXT[after]}")
+    for x, (before, allowed) in enumerate(zip(*blocks)):
+        forced = allowed if allowed in (1, 2) else 3  # the theory's facts at x as a block; 3: none
+        after = before if forced == 3 else forced  # the rectified verdict, read pointwise
+        print(f"{x:0{n}b} " + " ".join(_BLOCK_TEXT[b] for b in (before, allowed, forced, after)))
     return 0
 
 

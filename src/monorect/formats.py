@@ -44,8 +44,8 @@ error.  When a text has more than one fault, the first one read is
 reported: a circuit form is checked at its ')', so a fault inside an
 operand comes before a wrong arity of the form around it (the arity of a
 `let` or `dec` whose bindings or variable are at fault still comes
-first); a sigma or theory section is read where it stands once the
-declarations are in, so its fault comes before that of a later section.
+first); a section is read where it stands once the declarations (and
+sigma, for the theory) are in, so its fault comes before a later one's.
 """
 
 from __future__ import annotations
@@ -259,9 +259,9 @@ _TREE_SECTIONS = ("features", "labels", "tree")
 def _read_file(text: str, known: tuple[str, ...], required: tuple[str, ...]):
     """The pool, problem and sections of a file, read in order in one pass.
 
-    A section that needs the pool, met before it, waits: a tree is
-    scanned, a circuit skipped, and both are read at the end.  Sigma is
-    read before theory, so its gates come first in any order of sections.
+    A section that needs the pool, met before it, is skipped and read at
+    the end.  Sigma is read before theory, so its gates come first in any
+    order of sections.
     """
     try:
         tokens = _tokens(text)
@@ -282,13 +282,11 @@ def _read_file(text: str, known: tuple[str, ...], required: tuple[str, ...]):
                 if not count or count != end - i - 2:  # a '(' among them adds a token
                     raise ParseError(f"{key} must be a non-empty list of names")
                 seen[key], i = tokens[i + 1 : end - 1], end
-            elif key in ("tree", "forest"):
-                if pool is None:
-                    later.append((key, i + 1))
-                seen[key], i = _trees_at(tokens, i + 1, str if pool is None else pool.var)
             elif pool is None or (key == "theory" and seen.get("sigma") is None):
                 later.append((key, i + 1))
                 seen[key], i = None, _form_end(tokens, i + 1)[1]
+            elif key in ("tree", "forest"):
+                seen[key], i = _trees_at(tokens, i + 1, pool.var)
             else:
                 seen[key], i = pool.read(tokens, i + 1)
             if pool is None and "features" in seen and "labels" in seen:

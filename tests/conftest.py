@@ -1,10 +1,23 @@
 import itertools
+import random
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import settings, strategies as st
 
-from monorect import Assignment, BuildError, ClassificationProblem, Literal, Pool, Term, iter_gates
+from monorect import (
+    Assignment,
+    BuildError,
+    ClassificationProblem,
+    Classifier,
+    Literal,
+    Pool,
+    Term,
+    conjoin,
+    disjoin,
+    iter_gates,
+    negate,
+)
 from monorect.circuit import _KEYWORDS, AND, CONST, NOT, OR, VAR
 from monorect.dtree import (
     LEAF0,
@@ -13,9 +26,12 @@ from monorect.dtree import (
     DTNode,
     _fold,
     _graft,
+    circuit_to_dt,
+    dt_to_circuit,
     has_identical_children,
     is_read_once,
 )
+from monorect.randgen import random_circuit, random_classifier, random_problem, random_theory
 
 settings.register_profile("desk", deadline=None)
 settings.load_profile("desk")
@@ -346,3 +362,38 @@ def dt_disjoin(a, b):
 def is_simplified(tree):
     """Read-once on every path and no node with two identical children."""
     return is_read_once(tree) and not has_identical_children(tree)
+
+
+@st.composite
+def desk_pairs(draw):
+    """A random desk problem, its classifier and a theory.
+
+    Half the classifiers are a decision gate on the label (built certified);
+    the others an `iff` of a region and the label, certified by truth table.
+    """
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    pool = Pool()
+    problem = random_problem(pool, draw(st.integers(1, 5)))
+    gates = draw(st.integers(1, 30))
+    if draw(st.booleans()):
+        clf = random_classifier(pool, problem, gates, rng)
+    else:
+        region = random_circuit(pool, problem.features, gates, rng)
+        y = pool.literal(problem.label)
+        clf = Classifier(problem, disjoin(conjoin(region, y), conjoin(negate(region), negate(y))))
+        assert clf.certified
+    return pool, problem, clf, random_theory(pool, problem, gates, rng)
+
+
+def reference_simplify(pf, result):
+    """The circuits `rectify --simplify` prints, by two expansions.
+
+    The command's earlier path: the accepted region expanded over the
+    features and the rectified classifier over features and label, each
+    rebuilt from its tree in the problem's pool, accepted region first.
+    """
+    def via_tree(circ, order):
+        return dt_to_circuit(circuit_to_dt(circ, order), pf.pool)
+
+    accepted = via_tree(result.positive, pf.problem.features)
+    return accepted, via_tree(result.rectified.circuit, pf.problem.all_vars)

@@ -30,6 +30,7 @@ from monorect import (
     rectify,
     truth_mask,
 )
+from monorect.classifier import one_label_per_instance
 from monorect.verify import _forced_masks
 
 from conftest import ast_exprs, to_term
@@ -67,6 +68,60 @@ class TestCheckXYProperty:
         (y,) = pool.declare("y")
         problem = ClassificationProblem((x,), (y,))
         assert not check_xy_property(pool.const(1), problem)
+
+
+def _problem(n_features, n_labels):
+    pool = Pool()
+    names = [f"x{i}" for i in range(n_features)] + [f"y{i}" for i in range(n_labels)]
+    found = pool.declare(*names)
+    return ClassificationProblem(found[:n_features], found[n_features:])
+
+
+def per_block_reference(table, problem):
+    """Each instance's block of 2**len(labels) bits holds exactly one set bit."""
+    width = 1 << len(problem.labels)
+    block = (1 << width) - 1
+    blocks = range(1 << len(problem.features))
+    return all((table >> x * width & block).bit_count() == 1 for x in blocks)
+
+
+class TestOneLabelPerInstance:
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 2), (2, 1)])
+    def test_every_table_up_to_8_bits(self, shape):
+        problem = _problem(*shape)
+        for table in range(1 << (1 << sum(shape))):
+            assert one_label_per_instance(table, problem) == per_block_reference(table, problem)
+
+    @given(data=st.data(), n_features=st.integers(1, 4), n_labels=st.integers(1, 5))
+    def test_matches_the_per_block_reference(self, data, n_features, n_labels):
+        problem = _problem(n_features, n_labels)
+        width, bits = 1 << n_labels, 1 << (n_features + n_labels)
+        if data.draw(st.booleans()):
+            table = data.draw(st.integers(0, (1 << bits) - 1))
+        else:  # one label per instance, then a few bits flipped
+            table = sum(
+                1 << x * width + data.draw(st.integers(0, width - 1))
+                for x in range(1 << n_features)
+            )
+            for bit in data.draw(st.lists(st.integers(0, bits - 1), max_size=3)):
+                table ^= 1 << bit
+        assert one_label_per_instance(table, problem) == per_block_reference(table, problem)
+
+    @given(data=st.data(), n_features=st.integers(1, 4), n_labels=st.integers(1, 5))
+    def test_an_emptied_block_and_a_doubled_one_fail(self, data, n_features, n_labels):
+        problem = _problem(n_features, n_labels)
+        n_blocks, width = 1 << n_features, 1 << n_labels
+        verdicts = [data.draw(st.integers(0, width - 1)) for _ in range(n_blocks)]
+        table = sum(1 << x * width + b for x, b in enumerate(verdicts))
+        assert one_label_per_instance(table, problem)
+        emptied, doubled = data.draw(
+            st.lists(st.integers(0, n_blocks - 1), min_size=2, max_size=2, unique=True)
+        )
+        extra = data.draw(st.integers(0, width - 1).filter(lambda b: b != verdicts[doubled]))
+        table ^= 1 << emptied * width + verdicts[emptied]
+        table |= 1 << doubled * width + extra
+        assert table.bit_count() == n_blocks
+        assert not one_label_per_instance(table, problem)
 
 
 class TestClassify:
@@ -246,7 +301,7 @@ def test_label_blocks_agree_with_the_per_instance_path(data, n_features, n_label
     theory = pool.build(data.draw(ast_exprs(names, max_leaves=10)))
     sigma = label_blocks(clf.circuit, problem)
     allowed = label_blocks(theory, problem)
-    forced = _forced_masks(theory, problem, DEFAULT_VAR_CAP)
+    forced = _forced_masks(allowed, problem)
     assert len(sigma) == len(allowed) == len(forced) == 1 << n_features
     for x in range(1 << n_features):
         inst = Assignment.from_index(x, features)

@@ -1,13 +1,20 @@
+import contextlib
 import dataclasses
 import importlib
+import io
 import random
 import re
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given
 
-from monorect import Classifier, cli, rectify
+from monorect import Classifier, cli, label_blocks, parse_problem, print_circuit, rectify
 from monorect.cli import main
+from monorect.dtree import circuit_to_dt
+
+from conftest import desk_pairs, reference_simplify
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 DEMO = str(PROBLEMS / "demo.sexp")
@@ -96,6 +103,29 @@ def test_classify_builds_no_rectified_circuit(monkeypatch, capsys):
     assert (code, out, err) == (0, "sigma: neg, rectified: pos\n", "")
 
 
+def test_table_builds_no_rectified_circuit(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("table built a rectified circuit")
+
+    monkeypatch.setattr(cli, "rectify", refuse)
+    monkeypatch.setattr(importlib.import_module("monorect.rectify"), "cofactors", refuse)
+    assert run(capsys, "table", "--problem", DEMO) == (0, GOLDEN_TABLE, "")
+
+
+@pytest.mark.parametrize("out", [["--out", "dtree"], ["--simplify"]])
+def test_rectify_expands_one_circuit(monkeypatch, capsys, out):
+    expanded = []
+
+    def expand(circ, order, cap):
+        expanded.append(tuple(order))
+        return circuit_to_dt(circ, order, cap=cap)
+
+    monkeypatch.setattr(cli, "circuit_to_dt", expand)
+    code, _, _ = run(capsys, "rectify", "--problem", DEMO, *out)
+    assert code == 0
+    assert [[v.name for v in order] for order in expanded] == [["x1", "x2", "x3"]]
+
+
 def test_rectify_dtree_output(capsys):
     code, out, _ = run(capsys, "rectify", "--problem", DEMO, "--out", "dtree")
     assert code == 0
@@ -122,6 +152,57 @@ def test_rectify_simplified_circuit_output(capsys):
     code, out, _ = run(capsys, "rectify", "--problem", DEMO, "--simplify")
     assert code == 0
     assert out.splitlines()[0] == "positive: (dec x1 false (dec x2 false true))"
+
+
+def _problem_text(problem, clf, theory) -> str:
+    names = lambda vs: " ".join(v.name for v in vs)
+    return (
+        f"(features {names(problem.features)})\n(labels {names(problem.labels)})\n"
+        f"(sigma {print_circuit(clf.circuit)})\n(theory {print_circuit(theory)})\n"
+    )
+
+
+def _run_on(text, *argv):
+    """Exit code and standard output of a command on a problem file holding `text`."""
+    out = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "problem.sexp"
+        path.write_text(text, encoding="utf-8")
+        with contextlib.redirect_stdout(out):
+            code = main([*argv, "--problem", str(path)])
+    return code, out.getvalue()
+
+
+BLOCK_TEXT = ("F", "!y", "y", "T")
+
+
+@given(pair=desk_pairs())
+def test_table_rows_end_with_the_rectified_circuit(pair):
+    _, problem, clf, theory = pair
+    text = _problem_text(problem, clf, theory)
+    code, out = _run_on(text, "table")
+    pf = parse_problem(text)
+    result = rectify(Classifier(pf.problem, pf.sigma), pf.theory)
+    blocks = (label_blocks(c, pf.problem) for c in (pf.sigma, pf.theory, result.rectified.circuit))
+    n = len(problem.features)
+    expected = [
+        f"{x:0{n}b} {BLOCK_TEXT[before]} {BLOCK_TEXT[allowed]} "
+        f"{BLOCK_TEXT[allowed] if allowed in (1, 2) else 'T'} {BLOCK_TEXT[after]}"
+        for x, (before, allowed, after) in enumerate(zip(*blocks))
+    ]
+    assert code == 0
+    assert out.splitlines() == expected
+
+
+@given(pair=desk_pairs())
+def test_simplify_prints_what_two_expansions_print(pair):
+    _, problem, clf, theory = pair
+    text = _problem_text(problem, clf, theory)
+    code, out = _run_on(text, "rectify", "--out", "circuit", "--simplify")
+    pf = parse_problem(text)
+    accepted, full = reference_simplify(pf, rectify(Classifier(pf.problem, pf.sigma), pf.theory))
+    assert code == 0
+    assert out == f"positive: {print_circuit(accepted)}\nrectified: {print_circuit(full)}\n"
 
 
 def test_check_passes(capsys):

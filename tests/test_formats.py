@@ -264,6 +264,15 @@ class TestProblemFiles:
         with pytest.raises(BuildError, match="unknown identifier 'z'"):
             parse_problem("(forest (z 0 1))\n" + self.GOOD)
 
+    @pytest.mark.parametrize("leaf", ["2", "x2", "(x1 0 1 1)"])
+    def test_bad_forest_before_declarations_raises_as_after_them(self, leaf):
+        bad = f"(forest (x1 0 {leaf}))\n"
+        with pytest.raises(ParseError) as after:
+            parse_problem(self.GOOD + bad)
+        with pytest.raises(ParseError) as before:
+            parse_problem(bad + self.GOOD)
+        assert str(before.value) == str(after.value)
+
     def test_shipped_problem_files_load(self):
         for name in ("demo.sexp", "twolabel.sexp", "forest.sexp"):
             parse_problem((PROBLEMS / name).read_text())

@@ -14,22 +14,20 @@ from monorect import (
     condition,
     conjoin,
     decisive_circuits,
-    disjoin,
     equivalent,
     evaluate,
     is_consistent,
     is_fact_compliant,
     is_positive,
     models,
-    negate,
     oracle_rectify,
     positive_circuit,
     preprocess_project,
     rectify,
 )
-from monorect.randgen import random_circuit, random_classifier, random_problem, random_theory
+from monorect.randgen import random_classifier, random_problem, random_theory
 
-from conftest import to_term
+from conftest import desk_pairs, to_term
 
 
 @pytest.fixture
@@ -198,27 +196,6 @@ class TestClassifyBatch:
         clf = Classifier(demo.problem, demo.sigma)
         with pytest.raises(ValueError, match="3 characters"):
             classify_batch(clf, demo.theory, ["110", "11"])
-
-
-@st.composite
-def desk_pairs(draw):
-    """A random desk problem, its classifier and a theory.
-
-    Half the classifiers are a decision gate on the label (built certified);
-    the others an `iff` of a region and the label, certified by truth table.
-    """
-    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    pool = Pool()
-    problem = random_problem(pool, draw(st.integers(1, 5)))
-    gates = draw(st.integers(1, 30))
-    if draw(st.booleans()):
-        clf = random_classifier(pool, problem, gates, rng)
-    else:
-        region = random_circuit(pool, problem.features, gates, rng)
-        y = pool.literal(problem.label)
-        clf = Classifier(problem, disjoin(conjoin(region, y), conjoin(negate(region), negate(y))))
-        assert clf.certified
-    return pool, problem, clf, random_theory(pool, problem, gates, rng)
 
 
 def _words(problem):

@@ -213,6 +213,24 @@ class TestPostulates:
         re4 = next(c for c in report.checks if c.name == "RE4")
         assert re4.checked == 1
 
+    def test_re4_reads_consistency_off_the_theory_blocks(self, demo, demo_clf):
+        from monorect import conjoin, disjoin, negate
+
+        # the demo theory is contradictory at 100 only, so RE4 is vacuous
+        result = rectify(demo_clf, demo.theory)
+        re4 = check_postulates(demo_clf, demo.theory, result).checks[3]
+        assert (re4.passed, re4.checked) == (True, 0)
+        absurd = demo.pool.build(["and", "x1", ["not", "x1"]])
+        flip = demo.pool.build(["and", "x1", "x2", "x3"])
+        kept = rectify(demo_clf, absurd).positive
+        xor = disjoin(conjoin(kept, negate(flip)), conjoin(negate(kept), flip))
+        corrupted = RectificationResult(
+            xor, Classifier.from_positive_circuit(demo.problem, xor), flip, flip
+        )
+        re4 = check_postulates(demo_clf, absurd, corrupted).checks[3]
+        assert (re4.name, re4.passed, re4.checked) == ("RE4", False, 1)
+        assert re4.detail == "rectified classifier differs from the original"
+
     def test_negative_rewrite_count_is_rejected(self, demo, demo_clf):
         result = rectify(demo_clf, demo.theory)
         with pytest.raises(ValueError, match="rewrites must be at least 0"):
