@@ -7,14 +7,17 @@ property).  Checking that property for a circuit enumerates all
 integer (see semantics.truth_mask), and `one_label_per_instance` tests
 it whole, with a popcount and one shift per label.  Being enumeration,
 it stays under the variable cap; classifier trees are certified without
-enumeration, in `dtree.dt_check_classification`.  Labels come last in the table's
-order, so each instance owns one block of 2**|Y| bits; only this module
-knows that layout, and `label_blocks` hands the blocks out.  Classifiers
-cache the verdict so downstream operations can fail fast on uncertified
-inputs.  The queries at a batch of instances (`classify`, `fact_formula`
-and `is_fact_compliant` at a batch of one; `rectify.classify_batch`)
-read their blocks off the circuit in one bitsliced walk of the gate
-interpreter, `semantics._table`, and build no gates.
+enumeration, in `dtree.dt_check_classification`.  A `Classifier` is a
+classification circuit by construction: its constructor raises
+CertificationError otherwise, so no operation on one checks again.
+Labels come last in the table's order, so each instance owns one block
+of 2**|Y| bits, and `label_blocks` hands the blocks out;
+`rectify.classify_batch` (bit 2k + b) and `cli._cmd_table` (blocks 1, 2,
+3) read that layout too.  The queries at a batch of instances
+(`classify`, `fact_formula` and `is_fact_compliant` at a batch of one;
+`rectify.classify_batch`) read their blocks off the circuit in one
+bitsliced walk of the gate interpreter, `semantics._table`, and build no
+gates.
 """
 
 from __future__ import annotations
@@ -171,14 +174,16 @@ def check_xy_property(
 
 
 class Classifier:
-    """A classification circuit with its cached certification verdict.
+    """A classification circuit: every instance gets exactly one label assignment.
 
-    The plain constructor runs the brute-force uniqueness check once.
-    `from_positive_circuit` builds a single-label classifier that is a
-    classification circuit by construction, with no enumeration at all.
+    The plain constructor runs the brute-force uniqueness check once and
+    raises CertificationError if it fails, so no operation on a
+    Classifier checks again.  `from_positive_circuit` builds a
+    single-label classifier that is a classification circuit by
+    construction, with no enumeration at all.
     """
 
-    __slots__ = ("problem", "circuit", "certified")
+    __slots__ = ("problem", "circuit")
 
     def __init__(
         self,
@@ -188,9 +193,13 @@ class Classifier:
         cap: int = DEFAULT_VAR_CAP,
     ):
         _check_problem_vars(circuit, problem, "classifier circuit")
+        if not check_xy_property(circuit, problem, cap=cap):
+            raise CertificationError(
+                "sigma is not a classification circuit: "
+                "some instance lacks a unique label assignment"
+            )
         self.problem = problem
         self.circuit = circuit
-        self.certified = check_xy_property(circuit, problem, cap=cap)
 
     @classmethod
     def from_positive_circuit(
@@ -210,18 +219,10 @@ class Classifier:
         clf = object.__new__(cls)
         clf.problem = problem
         clf.circuit = circuit
-        clf.certified = True
         return clf
 
-    def require_certified(self):
-        if not self.certified:
-            raise CertificationError(
-                "classifier is not certified: some instance has no unique label assignment"
-            )
-
     def __repr__(self):
-        status = "certified" if self.certified else "uncertified"
-        return f"<Classifier {len(self.problem.features)}+{len(self.problem.labels)} vars, {status}>"
+        return f"<Classifier {len(self.problem.features)}+{len(self.problem.labels)} vars>"
 
 
 def _at_instances(problem: ClassificationProblem, insts: Sequence[Assignment]) -> tuple[dict, int]:
@@ -242,13 +243,8 @@ def _at_instances(problem: ClassificationProblem, insts: Sequence[Assignment]) -
 
 def classify(clf: Classifier, x: Instance) -> Assignment:
     """The unique label assignment for the instance."""
-    clf.require_certified()
     inst = as_instance(clf.problem, x)
     mask = _table(clf.circuit, *_at_instances(clf.problem, [inst]))
-    if mask.bit_count() != 1:
-        raise CertificationError(
-            f"instance {inst.word} does not have a unique label assignment"
-        )
     return Assignment.from_index(mask.bit_length() - 1, clf.problem.labels)
 
 
@@ -293,7 +289,6 @@ def is_fact_compliant(
     cap: int = DEFAULT_VAR_CAP,
 ) -> bool:
     """Does the classifier's verdict at x entail every fact the theory forces there?"""
-    clf.require_certified()
     inst = as_instance(clf.problem, x)
     facts = fact_formula(theory, inst, clf.problem, cap=cap)
     masks, full = _at_instances(clf.problem, [inst])
@@ -309,6 +304,5 @@ def positive_circuit(clf: Classifier) -> Circuit:
     Single-label only: conditioning the classifier on a positive label
     leaves exactly the accepted region.
     """
-    clf.require_certified()
     label = clf.problem.label
     return condition(clf.circuit, Term([Literal(label, True)]))

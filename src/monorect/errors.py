@@ -31,4 +31,8 @@ class CapExceededError(RectifyError):
 
 
 class CertificationError(RectifyError):
-    """An operation that needs a certified classifier got an uncertified one."""
+    """A circuit or tree given as a classifier is not a classification circuit.
+
+    Some instance gets no label assignment, or more than one.  `Classifier`
+    raises it on construction, `dt_rectify` on its classifier tree.
+    """

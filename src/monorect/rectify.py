@@ -96,7 +96,6 @@ def classify_batch(clf: Classifier, theory: Circuit, instances) -> list[tuple[in
 
 
 def _single_label(clf: Classifier) -> ClassificationProblem:
-    clf.require_certified()
     if not clf.problem.mono_label:
         raise ValueError("rectification is defined for single-label classifiers only")
     return clf.problem

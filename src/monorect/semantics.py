@@ -197,14 +197,14 @@ def entails(a: Circuit, b: Circuit, cap: int = DEFAULT_VAR_CAP) -> bool:
     """a |= b, i.e. a & !b has no model over the union of their variables."""
     over = _ordered(a.vars() | b.vars())
     ensure_cap(len(over), cap)
-    return truth_mask(a, over) & ~truth_mask(b, over) == 0
+    return a == b or truth_mask(a, over) & ~truth_mask(b, over) == 0
 
 
 def equivalent(a: Circuit, b: Circuit, cap: int = DEFAULT_VAR_CAP) -> bool:
-    """Same models over the union of the two variable sets."""
+    """Same models over the union of the two variable sets; one circuit needs no walk."""
     over = _ordered(a.vars() | b.vars())
     ensure_cap(len(over), cap)
-    return truth_mask(a, over) == truth_mask(b, over)
+    return a == b or truth_mask(a, over) == truth_mask(b, over)
 
 
 def forget(circ: Circuit, vs: Iterable[VarId]) -> Circuit:

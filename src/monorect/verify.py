@@ -57,7 +57,6 @@ def oracle_rectify(
     when the theory decides the instance the other way.  Returns the
     accepted instances as a disjunction of canonical terms.
     """
-    clf.require_certified()
     problem = clf.problem
     feats = problem.features
     label = problem.label
@@ -152,7 +151,6 @@ def dalal_rectify(clf: Classifier, theory: Circuit, cap: int = DEFAULT_VAR_CAP) 
     then return the disjunction over instances of (canonical instance term
     AND revised verdict).
     """
-    clf.require_certified()
     problem = clf.problem
     feats = problem.features
     labels = problem.labels
@@ -247,7 +245,6 @@ def check_postulates(
     # RE1-RE4 read one truth table per circuit, a block per instance; the
     # facts forced at an instance are the label literals its theory block
     # entails (none where the theory is contradictory).
-    clf.require_certified()
     sigma = label_blocks(clf.circuit, problem, cap=cap)
     after = label_blocks(result.rectified.circuit, problem, cap=cap)
     allowed = label_blocks(theory, problem, cap=cap)

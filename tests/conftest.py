@@ -13,6 +13,7 @@ from monorect import (
     Literal,
     Pool,
     Term,
+    check_xy_property,
     conjoin,
     disjoin,
     iter_gates,
@@ -381,7 +382,7 @@ def desk_pairs(draw):
         region = random_circuit(pool, problem.features, gates, rng)
         y = pool.literal(problem.label)
         clf = Classifier(problem, disjoin(conjoin(region, y), conjoin(negate(region), negate(y))))
-        assert clf.certified
+        assert check_xy_property(clf.circuit, clf.problem)
     return pool, problem, clf, random_theory(pool, problem, gates, rng)
 
 

@@ -22,6 +22,7 @@ from monorect import (
     Term,
     attach_label,
     check_postulates,
+    check_xy_property,
     condition,
     dalal_rectify,
     dt_condition,
@@ -272,7 +273,7 @@ def test_criterion_9_forest_rectification():
         rectified = rf_rectify(forest, theory_dt, problem)
         for tree in rectified.trees:
             clf = Classifier(problem, dt_to_circuit(tree, pool))
-            assert clf.certified
+            assert check_xy_property(clf.circuit, clf.problem)
             for i in range(1 << len(problem.features)):
                 inst = Assignment.from_index(i, problem.features)
                 assert is_fact_compliant(clf, theory_circuit, inst)

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +19,8 @@ from monorect import (
     classify,
     classify_rectified,
     condition,
+    conjoin,
+    disjoin,
     entails,
     equivalent,
     fact_formula,
@@ -31,6 +34,7 @@ from monorect import (
     truth_mask,
 )
 from monorect.classifier import one_label_per_instance
+from monorect.randgen import random_circuit, random_problem, random_theory
 from monorect.verify import _forced_masks
 
 from conftest import ast_exprs, to_term
@@ -68,6 +72,19 @@ class TestCheckXYProperty:
         (y,) = pool.declare("y")
         problem = ClassificationProblem((x,), (y,))
         assert not check_xy_property(pool.const(1), problem)
+
+
+class TestConstructorErrorOrder:
+    def test_outside_variable_before_the_cap(self, demo):
+        # a problem file declares only the problem's variables; a library pool may hold more
+        (z,) = demo.pool.declare("z")
+        sigma = demo.pool.build(["iff", ["and", "x1", "z"], "y"])
+        with pytest.raises(ValueError, match=r"outside features and labels \(z\)"):
+            Classifier(demo.problem, sigma, cap=1)
+
+    def test_cap_before_certification(self, demo):
+        with pytest.raises(CapExceededError):
+            Classifier(demo.problem, demo.pool.const(1), cap=1)
 
 
 def _problem(n_features, n_labels):
@@ -136,10 +153,8 @@ class TestClassify:
         assert verdict.word == "10"
 
     def test_uncertified_rejected(self, twolabel):
-        bad = Classifier(twolabel.problem, twolabel.theory)
-        assert not bad.certified
-        with pytest.raises(CertificationError):
-            classify(bad, "10")
+        with pytest.raises(CertificationError, match="^sigma is not a classification circuit: "):
+            Classifier(twolabel.problem, twolabel.theory)
 
     def test_instance_forms_agree(self, demo):
         clf = Classifier(demo.problem, demo.sigma)
@@ -211,7 +226,7 @@ class TestPositiveCircuit:
         (y,) = pool.declare("y")
         problem = ClassificationProblem((x,), (y,))
         clf = Classifier(problem, pool.build(["iff", "false", "y"]))
-        assert clf.certified
+        assert check_xy_property(clf.circuit, clf.problem)
         assert models(positive_circuit(clf), (x,)) == []
 
     def test_round_trip(self, demo):
@@ -222,7 +237,6 @@ class TestPositiveCircuit:
     def test_from_positive_circuit_matches_plain_build(self, demo):
         region = demo.pool.build(["or", "x1", ["and", "x2", "x3"]])
         trusted = Classifier.from_positive_circuit(demo.problem, region)
-        assert trusted.certified
         assert check_xy_property(trusted.circuit, demo.problem)
         assert equivalent(positive_circuit(trusted), region)
 
@@ -279,6 +293,37 @@ def test_certified_classifiers_classify_every_instance(region_ast):
     for i in range(8):
         verdict = classify(clf, Assignment.from_index(i, features))
         assert verdict.word in ("0", "1")
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_features=st.integers(1, 5),
+    shape=st.sampled_from(["random", "iff", "iff or random", "iff and random"]),
+)
+@settings(max_examples=120)
+def test_a_classifier_is_a_classification_circuit(seed, n_features, shape):
+    rng = random.Random(seed)
+    pool = Pool()
+    problem = random_problem(pool, n_features)
+    noise = random_circuit(pool, problem.all_vars, rng.randint(1, 30), rng)
+    region = random_circuit(pool, problem.features, rng.randint(1, 30), rng)
+    y = pool.literal(problem.label)
+    iff = disjoin(conjoin(region, y), conjoin(negate(region), negate(y)))
+    circ = {
+        "random": noise,
+        "iff": iff,
+        "iff or random": disjoin(iff, noise),
+        "iff and random": conjoin(iff, noise),
+    }[shape]
+    if check_xy_property(circ, problem):
+        assert Classifier(problem, circ).circuit == circ
+    else:
+        with pytest.raises(CertificationError):
+            Classifier(problem, circ)
+    trusted = Classifier.from_positive_circuit(problem, region)
+    rectified = rectify(trusted, random_theory(pool, problem, rng.randint(1, 30), rng)).rectified
+    for clf in (trusted, rectified):
+        assert check_xy_property(clf.circuit, clf.problem)
 
 
 @given(data=st.data(), n_features=st.integers(1, 3), n_labels=st.integers(1, 4))

@@ -10,7 +10,15 @@ from pathlib import Path
 import pytest
 from hypothesis import given
 
-from monorect import Classifier, cli, label_blocks, parse_problem, print_circuit, rectify
+from monorect import (
+    Classifier,
+    check_xy_property,
+    cli,
+    label_blocks,
+    parse_problem,
+    print_circuit,
+    rectify,
+)
 from monorect.cli import main
 from monorect.dtree import circuit_to_dt
 
@@ -350,9 +358,13 @@ def test_bad_instance_word_is_input_error(capsys):
 def test_uncertified_sigma_is_input_error(tmp_path, capsys):
     bad = tmp_path / "loose.sexp"
     bad.write_text("(features x1)\n(labels y)\n(sigma true)\n(theory true)\n")
-    code, _, err = run(capsys, "table", "--problem", str(bad))
-    assert code == 2
-    assert "classification circuit" in err
+    for argv in (["rectify"], ["classify", "--instance", "1"], ["table"], ["check"]):
+        code, out, err = run(capsys, argv[0], "--problem", str(bad), *argv[1:])
+        assert (code, out) == (2, ""), argv
+        assert err == (
+            "error: sigma is not a classification circuit: "
+            "some instance lacks a unique label assignment\n"
+        ), argv
 
 
 def test_cap_exceeded_exit_code(tmp_path, capsys):
@@ -435,7 +447,7 @@ def test_deep_not_chain_classifies(tmp_path, capsys):
     )
     pf = parse_problem(text)
     clf = Classifier(pf.problem, pf.sigma)
-    assert clf.certified
+    assert check_xy_property(clf.circuit, clf.problem)
     result = rectify(clf, pf.theory)
     # the theory forces a negative verdict at 110 only among these two
     assert is_positive(clf, "110") and classify_rectified(result, "110") == 0

@@ -78,9 +78,9 @@ class TestRectify:
         assert equivalent(result.positive, positive_circuit(clf))
 
     def test_rejects_uncertified_and_multilabel(self, demo, twolabel):
-        bad = Classifier(twolabel.problem, twolabel.theory)
+        # no Classifier holds an uncertified circuit, so none reaches rectify
         with pytest.raises(CertificationError):
-            rectify(bad, twolabel.theory)
+            Classifier(twolabel.problem, twolabel.theory)
         good = Classifier(twolabel.problem, twolabel.sigma)
         with pytest.raises(ValueError, match="single-label"):
             rectify(good, twolabel.theory)
@@ -181,7 +181,6 @@ class TestClassifyBatch:
         # the problem's checks come before any instance is read
         (aux,) = demo.pool.declare("helper")
         cases = [
-            (Classifier(twolabel.problem, twolabel.theory), twolabel.theory),
             (Classifier(twolabel.problem, twolabel.sigma), twolabel.theory),
             (Classifier(demo.problem, demo.sigma), conjoin(demo.theory, demo.pool.literal(aux))),
         ]

@@ -16,9 +16,11 @@ from monorect import (
     models,
     truth_mask,
 )
+from monorect import semantics
 from monorect.semantics import ensure_within
 
 from conftest import (
+    DEMO_SIGMA_AST,
     ast_exprs,
     brute_equivalent,
     build_with_vars,
@@ -129,6 +131,27 @@ class TestChecks:
         pool, circ = build_with_vars(("a",), ["and", "a", ["not", "a"]])
         assert not is_consistent(circ)
         assert is_consistent(pool.const(1))
+
+    @pytest.mark.parametrize("check", [equivalent, entails])
+    def test_one_circuit_is_not_walked(self, demo, monkeypatch, check):
+        walked = []
+        real = semantics._table
+
+        def spy(circ, masks, full):
+            walked.append(circ.root.uid)
+            return real(circ, masks, full)
+
+        monkeypatch.setattr(semantics, "_table", spy)
+        again = demo.pool.build(DEMO_SIGMA_AST)  # interned: the same root
+        assert check(demo.sigma, again)
+        assert walked == []
+        check(demo.sigma, demo.theory)
+        assert walked == [demo.sigma.root.uid, demo.theory.root.uid]
+
+    @pytest.mark.parametrize("check", [equivalent, entails])
+    def test_one_circuit_over_the_cap_still_raises(self, demo, check):
+        with pytest.raises(CapExceededError):
+            check(demo.sigma, demo.sigma, cap=3)
 
 
 class TestForget:

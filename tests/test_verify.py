@@ -1,4 +1,5 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -194,11 +195,10 @@ class TestPostulates:
         both = disjoin(
             result.rectified.circuit, demo.pool.build(["and", "x1", "x2", ["not", "x3"]])
         )
+        # no Classifier can hold it: RE1 reads the circuit's blocks, not its type
+        stand_in = SimpleNamespace(problem=demo.problem, circuit=both)
         broken = RectificationResult(
-            result.positive,
-            Classifier(demo.problem, both),
-            result.forces_positive,
-            result.forces_negative,
+            result.positive, stand_in, result.forces_positive, result.forces_negative
         )
         report = check_postulates(demo_clf, demo.theory, broken)
         re1 = report.checks[0]
