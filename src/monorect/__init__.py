@@ -29,7 +29,6 @@ from .classifier import (
     classify,
     fact_formula,
     is_fact_compliant,
-    is_positive,
     label_blocks,
     positive_circuit,
 )
@@ -41,10 +40,8 @@ from .dtree import (
     attach_label,
     circuit_to_dt,
     dt_check_classification,
-    dt_classify,
     dt_condition,
     dt_eval,
-    dt_negate,
     dt_rectify,
     dt_simplify,
     dt_to_circuit,
@@ -85,7 +82,6 @@ from .semantics import (
     equivalent,
     evaluate,
     forget,
-    is_consistent,
     models,
     truth_mask,
     var_masks,
@@ -95,7 +91,6 @@ from .verify import (
     PostulateReport,
     check_postulates,
     dalal_rectify,
-    dalal_revise,
     oracle_rectify,
     syntactic_rewrite,
 )

@@ -17,7 +17,10 @@ of 2**|Y| bits, and `label_blocks` hands the blocks out;
 (`classify`, `fact_formula` and `is_fact_compliant` at a batch of one;
 `rectify.classify_batch`) read their blocks off the circuit in one
 bitsliced walk of the gate interpreter, `semantics._table`, and build no
-gates.
+gates.  One kernel, `_forced`, finds the label literals a theory forces
+at an instance: it maps the theory's block there to the label words
+those literals allow.  `fact_formula`, `is_fact_compliant` and the
+postulate battery (`verify`) all call it.
 """
 
 from __future__ import annotations
@@ -248,53 +251,53 @@ def classify(clf: Classifier, x: Instance) -> Assignment:
     return Assignment.from_index(mask.bit_length() - 1, clf.problem.labels)
 
 
-def is_positive(clf: Classifier, x: Instance) -> bool:
-    """Single-label convenience: is the instance classified into the concept?"""
-    label = clf.problem.label
-    return classify(clf, x).value(label) == 1
+def _forced(block: int, label_masks: Sequence[int]) -> int:
+    """The label words allowed by every label literal a theory block forces.
+
+    `block` holds the label words the theory allows at one instance, and
+    `label_masks` each label's word mask in that block.  A literal is
+    forced when every allowed word has it; an empty block forces none.
+    """
+    forced = (1 << (1 << len(label_masks))) - 1
+    if block:
+        for holds in label_masks:
+            if block & ~holds == 0:
+                forced &= holds
+            elif block & holds == 0:
+                forced &= ~holds
+    return forced
 
 
-def fact_formula(
-    theory: Circuit,
-    x: Instance,
-    problem: ClassificationProblem,
-    cap: int = DEFAULT_VAR_CAP,
-) -> FactFormula:
+def _forced_at(
+    theory: Circuit, problem: ClassificationProblem, x: Instance
+) -> tuple[dict, int, int]:
+    """The instance's masks, their width, and the label words the theory forces there."""
+    ensure_cap(len(problem.labels), DEFAULT_VAR_CAP)
+    _check_problem_vars(theory, problem, "theory")
+    masks, full = _at_instances(problem, [as_instance(problem, x)])
+    block = _table(theory, masks, full)
+    return masks, full, _forced(block, [masks[y] for y in problem.labels])
+
+
+def fact_formula(theory: Circuit, x: Instance, problem: ClassificationProblem) -> FactFormula:
     """All label literals the theory forces at the instance.
 
     If the theory is contradictory at the instance the formula is empty
     (no constraint); otherwise it conjoins every label literal true in
     every label assignment the theory's block at the instance allows.
     """
-    ensure_cap(len(problem.labels), cap)
-    _check_problem_vars(theory, problem, "theory")
-    masks, full = _at_instances(problem, [as_instance(problem, x)])
-    mask = _table(theory, masks, full)
-    if mask == 0:
-        return FactFormula(Term())
+    masks, _, forced = _forced_at(theory, problem, x)
     found = []
     for label in problem.labels:
-        holds = masks[label]
-        if mask & ~holds & full == 0:
-            found.append(Literal(label, True))
-        elif mask & holds == 0:
-            found.append(Literal(label, False))
+        inside = forced & masks[label]
+        if inside in (0, forced):
+            found.append(Literal(label, inside == forced))
     return FactFormula(Term(found))
 
 
-def is_fact_compliant(
-    clf: Classifier,
-    theory: Circuit,
-    x: Instance,
-    cap: int = DEFAULT_VAR_CAP,
-) -> bool:
+def is_fact_compliant(clf: Classifier, theory: Circuit, x: Instance) -> bool:
     """Does the classifier's verdict at x entail every fact the theory forces there?"""
-    inst = as_instance(clf.problem, x)
-    facts = fact_formula(theory, inst, clf.problem, cap=cap)
-    masks, full = _at_instances(clf.problem, [inst])
-    forced = full
-    for lit in facts.term.literals:
-        forced &= masks[lit.var] if lit.positive else ~masks[lit.var]
+    masks, full, forced = _forced_at(theory, clf.problem, x)
     return _table(clf.circuit, masks, full) & ~forced == 0
 
 

@@ -180,11 +180,6 @@ def dt_condition(tree: DecisionTree, lit: Literal) -> DecisionTree:
     return _fold(tree, lambda leaf: leaf, step)
 
 
-def dt_negate(tree: DecisionTree) -> DecisionTree:
-    """Swap the leaves; the branching shape is untouched."""
-    return _graft(tree, LEAF1, LEAF0)
-
-
 def _graft(tree: DecisionTree, on0: DecisionTree, on1: DecisionTree) -> DecisionTree:
     """Every 0-leaf becomes `on0`, every 1-leaf `on1`."""
     return _fold(tree, lambda leaf: on1 if leaf.value else on0, _keep)
@@ -269,12 +264,6 @@ def attach_label(tree: DecisionTree, label: VarId) -> DecisionTree:
     (label 0 1) and a 0-leaf into (label 1 0).
     """
     return _graft(tree, DTNode(label, LEAF1, LEAF0), DTNode(label, LEAF0, LEAF1))
-
-
-def dt_classify(tree: DecisionTree, x, problem: ClassificationProblem) -> int:
-    """Class assigned by a single-label classification tree at an instance."""
-    inst = as_instance(problem, x)
-    return dt_eval(tree, inst.extended(problem.label, 1))
 
 
 def dt_check_classification(tree: DecisionTree, problem: ClassificationProblem) -> bool:
@@ -395,9 +384,12 @@ class RandomForest:
 
 
 def rf_classify(forest: RandomForest, x, problem: ClassificationProblem) -> int:
-    """Strict majority of positive votes; ties count as negative."""
-    inst = as_instance(problem, x)
-    votes = sum(dt_classify(tree, inst, problem) for tree in forest.trees)
+    """Strict majority of positive votes; ties count as negative.
+
+    A tree votes positive when it accepts the instance with the label set to 1.
+    """
+    point = as_instance(problem, x).extended(problem.label, 1)
+    votes = sum(dt_eval(tree, point) for tree in forest.trees)
     return 1 if 2 * votes > len(forest.trees) else 0
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Collection, Iterable, Mapping, Sequence
 
-from .circuit import AND, CONST, DEC, NOT, OR, VAR
+from .circuit import AND, CONST, NOT, OR, VAR
 from .circuit import Circuit, VarId, cofactors, disjoin, iter_gates
 from .errors import CapExceededError
 
@@ -185,12 +185,6 @@ def models(
 
 def _ordered(vs: Iterable[VarId]) -> tuple[VarId, ...]:
     return tuple(sorted(vs, key=lambda v: v.index))
-
-
-def is_consistent(circ: Circuit, cap: int = DEFAULT_VAR_CAP) -> bool:
-    over = _ordered(circ.vars())
-    ensure_cap(len(over), cap)
-    return truth_mask(circ, over) != 0
 
 
 def entails(a: Circuit, b: Circuit, cap: int = DEFAULT_VAR_CAP) -> bool:

@@ -14,17 +14,9 @@ from dataclasses import dataclass
 
 from .circuit import AND, CONST, NOT, OR, VAR
 from .circuit import Circuit, Gate, Pool, VarId, conjoin, disjoin, iter_gates, negate
-from .classifier import Classifier, label_blocks
+from .classifier import Classifier, _forced, label_blocks
 from .rectify import RectificationResult, preprocess_project, rectify
-from .semantics import (
-    DEFAULT_VAR_CAP,
-    _position_mask,
-    ensure_cap,
-    ensure_within,
-    equivalent,
-    truth_mask,
-    var_masks,
-)
+from .semantics import DEFAULT_VAR_CAP, _position_mask, ensure_within, equivalent, var_masks
 
 
 def _term_circuit(idx: int, over: tuple[VarId, ...], pool: Pool) -> Circuit:
@@ -99,48 +91,10 @@ def _dalal_mask(phi_mask: int, alpha_mask: int, n: int) -> int:
     return reach & alpha_mask
 
 
-# Dalal revision enumerates the union of both circuits' variables.
-_DALAL_CAP = 12
-
-
-def dalal_revise(phi: Circuit, alpha: Circuit) -> Circuit:
-    """Distance-minimal revision: keep alpha's models closest to phi's.
-
-    Revision by an inconsistent alpha returns alpha itself; an
-    inconsistent phi imposes no distance constraint, so alpha wins whole.
-    """
-    if phi.pool is not alpha.pool:
-        raise ValueError("circuits belong to different pools")
-    over = tuple(sorted(phi.vars() | alpha.vars(), key=lambda v: v.index))
-    ensure_cap(len(over), _DALAL_CAP)
-    alpha_mask = truth_mask(alpha, over)
-    if alpha_mask == 0:
-        return alpha
-    phi_mask = truth_mask(phi, over)
-    if phi_mask == 0:
-        return alpha
-    chosen = _dalal_mask(phi_mask, alpha_mask, len(over))
-    return _mask_to_circuit(chosen, over, phi.pool)
-
-
-def _entailed_mask(y_mask: int, m: int, label_masks: list[int]) -> int:
-    """Mask of the fact formula: conjunction of the label literals y_mask entails."""
-    full = (1 << (1 << m)) - 1
-    if y_mask == 0:
-        return full
-    out = full
-    for holds in label_masks:
-        if y_mask & ~holds & full == 0:
-            out &= holds
-        elif y_mask & holds == 0:
-            out &= ~holds & full
-    return out
-
-
 def _forced_masks(blocks: list[int], problem) -> list[int]:
-    """Per instance, the mask of the label literals the theory's block there forces."""
+    """Per instance, the label words allowed by the literals the theory's block there forces."""
     label_masks = list(var_masks(problem.labels).values())
-    return [_entailed_mask(b, len(label_masks), label_masks) for b in blocks]
+    return [_forced(b, label_masks) for b in blocks]
 
 
 def dalal_rectify(clf: Classifier, theory: Circuit, cap: int = DEFAULT_VAR_CAP) -> Circuit:

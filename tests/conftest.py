@@ -350,6 +350,11 @@ def decision_count(tree):
     return (node_count(tree) - 1) // 2
 
 
+def dt_negate(tree):
+    """Negation: every leaf swaps its value."""
+    return _graft(tree, LEAF1, LEAF0)
+
+
 def dt_conjoin(a, b):
     """Conjunction: every 1-leaf of the first tree becomes a copy of the second."""
     return _graft(a, LEAF0, b)

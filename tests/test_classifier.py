@@ -25,7 +25,6 @@ from monorect import (
     equivalent,
     fact_formula,
     is_fact_compliant,
-    is_positive,
     label_blocks,
     models,
     negate,
@@ -144,8 +143,8 @@ class TestOneLabelPerInstance:
 class TestClassify:
     def test_demo_words(self, demo):
         clf = Classifier(demo.problem, demo.sigma)
-        assert not is_positive(clf, "110")
-        assert is_positive(clf, "000")
+        assert classify(clf, "110").word == "0"
+        assert classify(clf, "000").word == "1"
 
     def test_two_label_instance(self, twolabel):
         clf = Classifier(twolabel.problem, twolabel.sigma)
@@ -326,10 +325,8 @@ def test_a_classifier_is_a_classification_circuit(seed, n_features, shape):
         assert check_xy_property(clf.circuit, clf.problem)
 
 
-@given(data=st.data(), n_features=st.integers(1, 3), n_labels=st.integers(1, 4))
-@settings(max_examples=80)
-def test_label_blocks_agree_with_the_per_instance_path(data, n_features, n_labels):
-    # 1 label gives 2-bit blocks, 2 labels 4-bit, 3 labels 8-bit, 4 labels 16-bit
+def _multilabel_setting(data, n_features, n_labels):
+    """A classifier whose labels each follow a feature region, and a random theory."""
     pool = Pool()
     features = pool.declare(*(f"x{i + 1}" for i in range(n_features)))
     labels = pool.declare(*(f"y{j + 1}" for j in range(n_labels)))
@@ -343,7 +340,15 @@ def test_label_blocks_agree_with_the_per_instance_path(data, n_features, n_label
     clf = Classifier(
         problem, pool.and_(pool.decision(y, negate(r), r) for y, r in zip(labels, regions))
     )
-    theory = pool.build(data.draw(ast_exprs(names, max_leaves=10)))
+    return problem, clf, pool.build(data.draw(ast_exprs(names, max_leaves=10)))
+
+
+@given(data=st.data(), n_features=st.integers(1, 3), n_labels=st.integers(1, 4))
+@settings(max_examples=80)
+def test_label_blocks_agree_with_the_per_instance_path(data, n_features, n_labels):
+    # 1 label gives 2-bit blocks, 2 labels 4-bit, 3 labels 8-bit, 4 labels 16-bit
+    problem, clf, theory = _multilabel_setting(data, n_features, n_labels)
+    features, labels = problem.features, problem.labels
     sigma = label_blocks(clf.circuit, problem)
     allowed = label_blocks(theory, problem)
     forced = _forced_masks(allowed, problem)
@@ -353,6 +358,23 @@ def test_label_blocks_agree_with_the_per_instance_path(data, n_features, n_label
         assert sigma[x] == 1 << int(classify(clf, inst).word, 2)
         assert allowed[x] == truth_mask(condition(theory, to_term(inst)), labels)
         assert (sigma[x] & ~forced[x] == 0) == is_fact_compliant(clf, theory, inst)
+
+
+@given(data=st.data(), n_features=st.integers(1, 3), n_labels=st.integers(1, 4))
+@settings(max_examples=80)
+def test_forced_literals_hold_in_every_model_at_the_instance(data, n_features, n_labels):
+    # the reference enumerates the theory's label models at each instance,
+    # independently of the forced-facts kernel
+    problem, clf, theory = _multilabel_setting(data, n_features, n_labels)
+    for x in range(1 << n_features):
+        inst = Assignment.from_index(x, problem.features)
+        allowed = models(condition(theory, to_term(inst)), problem.labels)
+        values = {y: {m[y] for m in allowed} for y in problem.labels}
+        forced = [Literal(y, 1 in vs) for y, vs in values.items() if len(vs) == 1]
+        assert fact_formula(theory, inst, problem).term == Term(forced)
+        verdict = classify(clf, inst)
+        compliant = all(verdict[lit.var] == lit.positive for lit in forced)
+        assert is_fact_compliant(clf, theory, inst) is compliant
 
 
 def test_label_blocks_check_cap_and_variables(demo):
@@ -374,7 +396,7 @@ def test_instance_queries_build_no_gates(request, setting):
     ]
     if fx.problem.mono_label:
         result = rectify(clf, fx.theory)
-        queries += [lambda x: is_positive(clf, x), lambda x: classify_rectified(result, x)]
+        queries.append(lambda x: classify_rectified(result, x))
     gates = len(fx.pool.gates)
     for i in range(1 << len(fx.problem.features)):
         inst = Assignment.from_index(i, fx.problem.features)

@@ -436,7 +436,7 @@ def test_multilabel_table_rejected(capsys):
 
 
 def test_deep_not_chain_classifies(tmp_path, capsys):
-    from monorect import Classifier, classify_rectified, is_positive, parse_problem, rectify
+    from monorect import Classifier, classify, classify_rectified, parse_problem, rectify
 
     depth = 100_000  # even, so the chain stands for x1
     chain = "(not " * depth + "x1" + ")" * depth
@@ -450,8 +450,8 @@ def test_deep_not_chain_classifies(tmp_path, capsys):
     assert check_xy_property(clf.circuit, clf.problem)
     result = rectify(clf, pf.theory)
     # the theory forces a negative verdict at 110 only among these two
-    assert is_positive(clf, "110") and classify_rectified(result, "110") == 0
-    assert is_positive(clf, "101") and classify_rectified(result, "101") == 1
+    assert classify(clf, "110").word == "1" and classify_rectified(result, "110") == 0
+    assert classify(clf, "101").word == "1" and classify_rectified(result, "101") == 1
     deep = tmp_path / "deep.sexp"
     deep.write_text(text)
     code, out, _ = run(capsys, "classify", "--problem", str(deep), "--instance", "110")

@@ -20,7 +20,6 @@ from monorect import (
     dt_check_classification,
     dt_condition,
     dt_eval,
-    dt_negate,
     dt_rectify,
     dt_simplify,
     dt_to_circuit,
@@ -55,6 +54,7 @@ from conftest import (
     DEMO_THEORY_AST,
     dt_conjoin,
     dt_disjoin,
+    dt_negate,
     is_simplified,
     node_count,
     REDUCED_TREE_TEXT,

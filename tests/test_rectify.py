@@ -9,6 +9,7 @@ from monorect import (
     CertificationError,
     Classifier,
     Pool,
+    classify,
     classify_batch,
     classify_rectified,
     condition,
@@ -16,9 +17,7 @@ from monorect import (
     decisive_circuits,
     equivalent,
     evaluate,
-    is_consistent,
     is_fact_compliant,
-    is_positive,
     models,
     oracle_rectify,
     positive_circuit,
@@ -56,8 +55,8 @@ class TestDecisiveCircuits:
     def test_contradictory_theory_forces_nothing(self, demo):
         absurd = demo.pool.const(0)
         forces_pos, forces_neg = decisive_circuits(absurd, demo.problem)
-        assert not is_consistent(forces_pos)
-        assert not is_consistent(forces_neg)
+        assert not models(forces_pos, demo.problem.features)
+        assert not models(forces_neg, demo.problem.features)
 
 
 class TestRectify:
@@ -210,7 +209,7 @@ def test_classify_batch_matches_the_construction_and_the_oracle(pair):
     got = classify_batch(clf, theory, words)
     assert len(pool.gates) == gates
     result = rectify(clf, theory)
-    assert got == [(int(is_positive(clf, w)), classify_rectified(result, w)) for w in words]
+    assert got == [(classify(clf, w).bits[0], classify_rectified(result, w)) for w in words]
     accepted = {m.word for m in models(oracle_rectify(clf, theory), problem.features)}
     assert [after for _, after in got] == [int(w in accepted) for w in words]
 
@@ -251,7 +250,7 @@ def test_semantic_characterization(seed):
 def test_forced_regions_are_disjoint(seed):
     pool, problem, clf, theory = _random_pair(seed)
     result = rectify(clf, theory)
-    assert not is_consistent(conjoin(result.forces_positive, result.forces_negative))
+    assert not models(conjoin(result.forces_positive, result.forces_negative), problem.features)
 
 
 @pytest.mark.parametrize("seed", range(25))
@@ -270,7 +269,7 @@ def test_knowledge_compliance(seed):
     for i in range(1 << len(problem.features)):
         inst = Assignment.from_index(i, problem.features)
         at_x = condition(theory, to_term(inst))
-        if not is_consistent(at_x):
+        if not models(at_x, problem.labels):
             continue
         verdict = condition(result.rectified.circuit, to_term(inst))
         assert equivalent(conjoin(verdict, at_x), verdict)

@@ -12,7 +12,6 @@ from monorect import (
     equivalent,
     evaluate,
     forget,
-    is_consistent,
     models,
     truth_mask,
 )
@@ -129,8 +128,8 @@ class TestChecks:
 
     def test_consistency(self):
         pool, circ = build_with_vars(("a",), ["and", "a", ["not", "a"]])
-        assert not is_consistent(circ)
-        assert is_consistent(pool.const(1))
+        assert models(circ, pool.variables) == []
+        assert models(pool.const(1), ()) == [Assignment((), ())]
 
     @pytest.mark.parametrize("check", [equivalent, entails])
     def test_one_circuit_is_not_walked(self, demo, monkeypatch, check):

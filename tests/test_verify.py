@@ -14,7 +14,6 @@ from monorect import (
     check_postulates,
     condition,
     dalal_rectify,
-    dalal_revise,
     entails,
     equivalent,
     is_fact_compliant,
@@ -22,8 +21,10 @@ from monorect import (
     oracle_rectify,
     rectify,
     syntactic_rewrite,
+    truth_mask,
 )
 from monorect.randgen import random_classifier, random_problem, random_theory
+from monorect.verify import _dalal_mask
 
 from conftest import ast_exprs, build_with_vars, to_term
 
@@ -50,31 +51,30 @@ class TestOracleRectify:
 
 
 class TestDalalRevise:
+    # _dalal_mask revises truth tables over the same variables; dalal_rectify
+    # calls it per instance, over the labels
     def test_forced_move_picks_nearest(self):
-        pool = Pool()
-        y1, y2 = pool.declare("y1", "y2")
-        prior = pool.build(["and", ["not", "y1"], "y2"])
-        incoming = pool.build(["not", "y2"])
-        revised = dalal_revise(prior, incoming)
-        assert equivalent(revised, pool.build(["and", ["not", "y1"], ["not", "y2"]]))
+        pool, prior, incoming, nearest = build_with_vars(
+            ("y1", "y2"),
+            ["and", ["not", "y1"], "y2"],
+            ["not", "y2"],
+            ["and", ["not", "y1"], ["not", "y2"]],
+        )
+        over = pool.variables
+        phi, alpha, want = (truth_mask(c, over) for c in (prior, incoming, nearest))
+        assert _dalal_mask(phi, alpha, 2) == want
 
     def test_revision_by_itself_is_identity(self):
         pool, prior = build_with_vars(("y1", "y2"), ["or", "y1", ["not", "y2"]])
-        assert equivalent(dalal_revise(prior, prior), prior)
+        phi = truth_mask(prior, pool.variables)
+        assert _dalal_mask(phi, phi, 2) == phi
 
     def test_single_label_flip(self):
-        pool = Pool()
-        (y,) = pool.declare("y")
-        assert equivalent(
-            dalal_revise(pool.literal(y), pool.literal(y, False)),
-            pool.literal(y, False),
-        )
+        # over (y): bit 1 is y, bit 0 is not y
+        assert _dalal_mask(0b10, 0b01, 1) == 0b01
 
     def test_inconsistent_incoming_returned(self):
-        pool, prior, absurd = build_with_vars(
-            ("y1",), "y1", ["and", "y1", ["not", "y1"]]
-        )
-        assert dalal_revise(prior, absurd) == absurd
+        assert _dalal_mask(0b10, 0, 1) == 0
 
     @given(
         prior=ast_exprs(("y1", "y2", "y3"), max_leaves=8),
@@ -82,7 +82,9 @@ class TestDalalRevise:
     )
     def test_revision_entails_incoming(self, prior, incoming):
         pool, cp, ci = build_with_vars(("y1", "y2", "y3"), prior, incoming)
-        assert entails(dalal_revise(cp, ci), ci)
+        over = pool.variables
+        alpha = truth_mask(ci, over)
+        assert _dalal_mask(truth_mask(cp, over), alpha, 3) & ~alpha == 0
 
 
 class TestDalalRectify:
@@ -270,13 +272,13 @@ def test_keep_or_switch_dichotomy(seed):
     clf = random_classifier(pool, problem, 30, rng)
     theory = random_theory(pool, problem, 30, rng)
     result = rectify(clf, theory)
-    from monorect import evaluate, is_positive
+    from monorect import classify, evaluate
 
     for i in range(1 << len(problem.features)):
         inst = Assignment.from_index(i, problem.features)
         compliant = is_fact_compliant(clf, theory, inst)
         forces_pos = evaluate(result.forces_positive, inst) == 1
         forces_neg = evaluate(result.forces_negative, inst) == 1
-        was_positive = is_positive(clf, inst)
+        was_positive = classify(clf, inst).word == "1"
         conflict = (forces_pos and not was_positive) or (forces_neg and was_positive)
         assert compliant != conflict
