@@ -11,16 +11,15 @@ enumeration, in `dtree.dt_check_classification`.  A `Classifier` is a
 classification circuit by construction: its constructor raises
 CertificationError otherwise, so no operation on one checks again.
 Labels come last in the table's order, so each instance owns one block
-of 2**|Y| bits, and `label_blocks` hands the blocks out;
-`rectify.classify_batch` (bit 2k + b) and `cli._cmd_table` (blocks 1, 2,
-3) read that layout too.  The queries at a batch of instances
-(`classify`, `fact_formula` and `is_fact_compliant` at a batch of one;
-`rectify.classify_batch`) read their blocks off the circuit in one
-bitsliced walk of the gate interpreter, `semantics._table`, and build no
-gates.  One kernel, `_forced`, finds the label literals a theory forces
-at an instance: it maps the theory's block there to the label words
-those literals allow.  `fact_formula`, `is_fact_compliant` and the
-postulate battery (`verify`) all call it.
+of 2**|Y| bits, and `label_blocks` is the one reader of those blocks:
+at every instance, or at a listed batch in one bitsliced walk of the gate
+interpreter, `semantics._table`, that builds no gates.  Every query at
+an instance (`classify`, `fact_formula`, `is_fact_compliant`,
+`rectify.classify_batch`) reads its blocks there.  One kernel, `_forced`,
+finds the label literals a theory forces at an instance: it maps the
+theory's block there to the label words those literals allow.
+`fact_formula`, `is_fact_compliant` and the postulate battery (`verify`)
+all call it.
 """
 
 from __future__ import annotations
@@ -144,21 +143,30 @@ def one_label_per_instance(table: int, problem: ClassificationProblem) -> bool:
 
 
 def label_blocks(
-    circ: Circuit, problem: ClassificationProblem, cap: int = DEFAULT_VAR_CAP
+    circ: Circuit,
+    problem: ClassificationProblem,
+    instances: Sequence[Instance] | None = None,
+    cap: int = DEFAULT_VAR_CAP,
 ) -> list[int]:
     """The circuit's truth table over `problem.all_vars`, one block per instance.
 
-    Block x (instances in word order) holds the circuit's value under
-    every label assignment at instance x: bit j is the j-th label
-    assignment in word order.  For a classification circuit each block
-    has exactly one set bit, the instance's verdict.
+    Block k holds the circuit's value under every label assignment at
+    instance k: bit j is the j-th label assignment in word order.  For a
+    classification circuit each block has exactly one set bit, the
+    instance's verdict.  With `instances` None the blocks cover every
+    instance in word order, under the variable cap; otherwise they follow
+    the listed instances, read in one walk with no cap.
     """
-    over = problem.all_vars
-    ensure_cap(len(over), cap)
-    _check_problem_vars(circ, problem, "circuit")
-    n_blocks = 1 << len(problem.features)
+    if instances is None:
+        ensure_cap(len(problem.all_vars), cap)
+        _check_problem_vars(circ, problem, "circuit")
+        n_blocks, table = 1 << len(problem.features), truth_mask(circ, problem.all_vars)
+    else:
+        _check_problem_vars(circ, problem, "circuit")
+        insts = [as_instance(problem, x) for x in instances]
+        n_blocks, table = len(insts), _table(circ, *_at_instances(problem, insts))
     block_bits = 1 << len(problem.labels)
-    data = truth_mask(circ, over).to_bytes(max(1, n_blocks * block_bits // 8), "little")
+    data = table.to_bytes((n_blocks * block_bits + 7) // 8, "little")
     if block_bits < 8:
         split = _BYTE_BLOCKS[block_bits]
         return [b for byte in data for b in split[byte]][:n_blocks]
@@ -246,9 +254,8 @@ def _at_instances(problem: ClassificationProblem, insts: Sequence[Assignment]) -
 
 def classify(clf: Classifier, x: Instance) -> Assignment:
     """The unique label assignment for the instance."""
-    inst = as_instance(clf.problem, x)
-    mask = _table(clf.circuit, *_at_instances(clf.problem, [inst]))
-    return Assignment.from_index(mask.bit_length() - 1, clf.problem.labels)
+    [block] = label_blocks(clf.circuit, clf.problem, [x])
+    return Assignment.from_index(block.bit_length() - 1, clf.problem.labels)
 
 
 def _forced(block: int, label_masks: Sequence[int]) -> int:
@@ -268,15 +275,13 @@ def _forced(block: int, label_masks: Sequence[int]) -> int:
     return forced
 
 
-def _forced_at(
-    theory: Circuit, problem: ClassificationProblem, x: Instance
-) -> tuple[dict, int, int]:
-    """The instance's masks, their width, and the label words the theory forces there."""
+def _forced_at(theory: Circuit, problem: ClassificationProblem, x: Instance) -> tuple[dict, int]:
+    """Each label's word mask in a block, and the label words the theory forces at x."""
     ensure_cap(len(problem.labels), DEFAULT_VAR_CAP)
     _check_problem_vars(theory, problem, "theory")
-    masks, full = _at_instances(problem, [as_instance(problem, x)])
-    block = _table(theory, masks, full)
-    return masks, full, _forced(block, [masks[y] for y in problem.labels])
+    [block] = label_blocks(theory, problem, [x])
+    label_masks = var_masks(problem.labels)
+    return label_masks, _forced(block, list(label_masks.values()))
 
 
 def fact_formula(theory: Circuit, x: Instance, problem: ClassificationProblem) -> FactFormula:
@@ -286,10 +291,10 @@ def fact_formula(theory: Circuit, x: Instance, problem: ClassificationProblem) -
     (no constraint); otherwise it conjoins every label literal true in
     every label assignment the theory's block at the instance allows.
     """
-    masks, _, forced = _forced_at(theory, problem, x)
+    label_masks, forced = _forced_at(theory, problem, x)
     found = []
     for label in problem.labels:
-        inside = forced & masks[label]
+        inside = forced & label_masks[label]
         if inside in (0, forced):
             found.append(Literal(label, inside == forced))
     return FactFormula(Term(found))
@@ -297,8 +302,9 @@ def fact_formula(theory: Circuit, x: Instance, problem: ClassificationProblem) -
 
 def is_fact_compliant(clf: Classifier, theory: Circuit, x: Instance) -> bool:
     """Does the classifier's verdict at x entail every fact the theory forces there?"""
-    masks, full, forced = _forced_at(theory, clf.problem, x)
-    return _table(clf.circuit, masks, full) & ~forced == 0
+    _, forced = _forced_at(theory, clf.problem, x)
+    [verdict] = label_blocks(clf.circuit, clf.problem, [x])
+    return verdict & ~forced == 0
 
 
 def positive_circuit(clf: Classifier) -> Circuit:

@@ -16,10 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .circuit import Circuit, cofactors, conjoin, disjoin, negate
-from .classifier import Classifier, ClassificationProblem, as_instance, positive_circuit
-from .classifier import _at_instances
+from .classifier import Classifier, ClassificationProblem, as_instance, label_blocks
+from .classifier import positive_circuit
 from .errors import CapExceededError
-from .semantics import _table, ensure_within, evaluate, forget
+from .semantics import ensure_within, evaluate, forget
 
 
 @dataclass(frozen=True)
@@ -78,21 +78,16 @@ def classify_batch(clf: Classifier, theory: Circuit, instances) -> list[tuple[in
 
     The rectified verdict is positive where the theory allows only the
     positive label, negative where it allows only the negative one, and
-    sigma's elsewhere.  Bit 2k + b of both walks is instance k with label
-    b; no gate is created.  Raises what `rectify` raises, before reading
-    any instance.
+    sigma's elsewhere.  One label-block walk of each circuit reads every
+    instance; no gate is created.  Raises what `rectify` raises, before
+    reading any instance.
     """
     problem = _single_label(clf)
     _check_theory(theory, problem)
     insts = [as_instance(problem, x) for x in instances]
-    masks, full = _at_instances(problem, insts)
-    sigma = _table(clf.circuit, masks, full) >> 1  # bit 2k: sigma accepts instance k
-    allowed = _table(theory, masks, full)
-    decided = allowed ^ allowed >> 1  # bit 2k: the theory allows one label there
-    after = (allowed >> 1 & decided) | (sigma & ~decided)
-    n = len(insts)
-    columns = (format(m, f"0{2 * n}b")[::-2][:n] for m in (sigma, after))
-    return [(int(b), int(a)) for b, a in zip(*columns)]
+    sigma, allowed = (label_blocks(c, problem, insts) for c in (clf.circuit, theory))
+    # 2-bit blocks: bit 0 allows the negative label, bit 1 the positive
+    return [(s >> 1, (a if a in (1, 2) else s) >> 1) for s, a in zip(sigma, allowed)]
 
 
 def _single_label(clf: Classifier) -> ClassificationProblem:

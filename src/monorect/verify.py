@@ -2,9 +2,10 @@
 
 Everything here enumerates instances on purpose: these are the slow,
 independent reference paths that the structural construction is checked
-against.  The two oracles deliberately return the flat
-disjunction-of-canonical-terms representation, which is exponential in
-the number of features and exactly what the compact construction avoids.
+against.  The two oracles return the rectified classifier's label block
+at every instance, in word order (see `label_blocks`): a table
+exponential in the number of features, exactly what the compact
+construction avoids.
 """
 
 from __future__ import annotations
@@ -13,41 +14,19 @@ import random
 from dataclasses import dataclass
 
 from .circuit import AND, CONST, NOT, OR, VAR
-from .circuit import Circuit, Gate, Pool, VarId, conjoin, disjoin, iter_gates, negate
+from .circuit import Circuit, Gate, conjoin, disjoin, iter_gates, negate
 from .classifier import Classifier, _forced, label_blocks
 from .rectify import RectificationResult, preprocess_project, rectify
 from .semantics import DEFAULT_VAR_CAP, _position_mask, ensure_within, equivalent, var_masks
 
 
-def _term_circuit(idx: int, over: tuple[VarId, ...], pool: Pool) -> Circuit:
-    n = len(over)
-    parts = [pool.literal(v, bool((idx >> (n - 1 - j)) & 1)) for j, v in enumerate(over)]
-    if not parts:
-        return pool.const(1)
-    return parts[0] if len(parts) == 1 else pool.and_(parts)
-
-
-def _mask_to_circuit(mask: int, over: tuple[VarId, ...], pool: Pool) -> Circuit:
-    """Disjunction of canonical terms, one per set bit (ascending)."""
-    terms = []
-    while mask:
-        low = mask & -mask
-        terms.append(_term_circuit(low.bit_length() - 1, over, pool))
-        mask ^= low
-    if not terms:
-        return pool.const(0)
-    return terms[0] if len(terms) == 1 else pool.or_(terms)
-
-
-def oracle_rectify(
-    clf: Classifier, theory: Circuit, cap: int = DEFAULT_VAR_CAP
-) -> Circuit:
+def oracle_rectify(clf: Classifier, theory: Circuit, cap: int = DEFAULT_VAR_CAP) -> list[int]:
     """Instance-by-instance reference rectification (single label).
 
     For every instance: keep the classifier's verdict when the theory is
     trivial or contradictory there, or agrees with it; switch the class
     when the theory decides the instance the other way.  Returns the
-    accepted instances as a disjunction of canonical terms.
+    rectified label block at each instance.
     """
     problem = clf.problem
     feats = problem.features
@@ -57,15 +36,10 @@ def oracle_rectify(
         theory.vars(), feats + (label,), "theory mentions variables outside the problem: {names}"
     )
     allowed = label_blocks(theory, problem, cap=cap)
-    accepted = 0
-    for x, (verdict, allows) in enumerate(zip(sigma, allowed)):
-        # 2-bit blocks: bit 0 allows the negative label, bit 1 the positive.
-        # A decisive theory (one label allowed) wins, switching the class on
-        # conflict; a trivial (3) or contradictory (0) one keeps the verdict.
-        if allows in (1, 2):
-            verdict = allows
-        accepted |= (verdict >> 1) << x
-    return _mask_to_circuit(accepted, feats, clf.circuit.pool)
+    # 2-bit blocks: bit 0 allows the negative label, bit 1 the positive.
+    # A decisive theory (one label allowed) wins, switching the class on
+    # conflict; a trivial (3) or contradictory (0) one keeps the verdict.
+    return [allows if allows in (1, 2) else verdict for verdict, allows in zip(sigma, allowed)]
 
 
 def _flip_step(mask: int, n: int, full: int) -> int:
@@ -97,31 +71,21 @@ def _forced_masks(blocks: list[int], problem) -> list[int]:
     return [_forced(b, label_masks) for b in blocks]
 
 
-def dalal_rectify(clf: Classifier, theory: Circuit, cap: int = DEFAULT_VAR_CAP) -> Circuit:
+def dalal_rectify(clf: Classifier, theory: Circuit, cap: int = DEFAULT_VAR_CAP) -> list[int]:
     """Reference rectification via per-instance distance-minimal revision.
 
     Works for any number of labels at desk scale: for each instance,
     revise the classifier's verdict by the facts the theory forces there,
-    then return the disjunction over instances of (canonical instance term
-    AND revised verdict).
+    and return the revised label block at each instance.
     """
     problem = clf.problem
-    feats = problem.features
-    labels = problem.labels
-    m = len(labels)
     sigma = label_blocks(clf.circuit, problem, cap=cap)
     ensure_within(
         theory.vars(), problem.all_vars, "theory mentions variables outside the problem: {names}"
     )
-    pool = clf.circuit.pool
-    parts = []
     forced = _forced_masks(label_blocks(theory, problem, cap=cap), problem)
-    for x, (verdict, facts) in enumerate(zip(sigma, forced)):
-        revised = _dalal_mask(verdict, facts, m)
-        parts.append(
-            conjoin(_term_circuit(x, feats, pool), _mask_to_circuit(revised, labels, pool))
-        )
-    return parts[0] if len(parts) == 1 else pool.or_(parts)
+    m = len(problem.labels)
+    return [_dalal_mask(verdict, facts, m) for verdict, facts in zip(sigma, forced)]
 
 
 def syntactic_rewrite(circ: Circuit, rng: random.Random) -> Circuit:

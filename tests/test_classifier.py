@@ -377,6 +377,19 @@ def test_forced_literals_hold_in_every_model_at_the_instance(data, n_features, n
         assert is_fact_compliant(clf, theory, inst) is compliant
 
 
+@given(data=st.data(), n_features=st.integers(1, 3), n_labels=st.integers(1, 4))
+@settings(max_examples=80)
+def test_listed_instances_read_the_same_blocks(data, n_features, n_labels):
+    # 2/4-bit blocks take the byte-splitting path, 8/16-bit the span path;
+    # 5 instances at 2-bit blocks fill 10 bits, so the byte count rounds up
+    problem, clf, theory = _multilabel_setting(data, n_features, n_labels)
+    picks = data.draw(st.lists(st.integers(0, (1 << n_features) - 1), max_size=9))
+    words = [format(x, f"0{n_features}b") for x in picks]
+    for circ in (clf.circuit, theory):
+        every = label_blocks(circ, problem)
+        assert label_blocks(circ, problem, words) == [every[x] for x in picks]
+
+
 def test_label_blocks_check_cap_and_variables(demo):
     with pytest.raises(CapExceededError):
         label_blocks(demo.sigma, demo.problem, cap=3)

@@ -15,6 +15,7 @@ from monorect import (
     check_xy_property,
     cli,
     label_blocks,
+    negate,
     parse_problem,
     print_circuit,
     rectify,
@@ -313,6 +314,30 @@ def test_fuzz_size_bound_violation_is_a_failure(monkeypatch, capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("size bound exceeded at iteration 0 by ")
+
+
+def test_fuzz_mismatch_names_the_instance(monkeypatch, capsys):
+    def inverted_rectify(clf, theory):
+        # the complement of the right answer: wrong at every instance
+        result = rectify(clf, theory)
+        wrong = Classifier.from_positive_circuit(clf.problem, negate(result.positive))
+        return dataclasses.replace(result, rectified=wrong)
+
+    monkeypatch.setattr(cli, "rectify", inverted_rectify)
+    code, out, err = run(capsys, "fuzz", "--vars", "4", "--iters", "3", "--seed", "3")
+    assert code == 1
+    assert out == ""
+    lines = err.splitlines()
+    assert lines[:2] == [
+        "mismatch at iteration 0: construction != instance oracle at instance 0000",
+        "mismatch at iteration 0: construction != distance oracle at instance 0000",
+    ]
+    assert "instance oracle != distance oracle" not in err
+
+
+def test_fuzz_without_iterations_checks_nothing(capsys):
+    code, out, err = run(capsys, "fuzz", "--vars", "4", "--iters", "0")
+    assert (code, out, err) == (0, "fuzz: 0 iterations over 4 features, nothing checked\n", "")
 
 
 @pytest.mark.parametrize("error", [RuntimeError, RecursionError, MemoryError])

@@ -210,8 +210,8 @@ def test_classify_batch_matches_the_construction_and_the_oracle(pair):
     assert len(pool.gates) == gates
     result = rectify(clf, theory)
     assert got == [(classify(clf, w).bits[0], classify_rectified(result, w)) for w in words]
-    accepted = {m.word for m in models(oracle_rectify(clf, theory), problem.features)}
-    assert [after for _, after in got] == [int(w in accepted) for w in words]
+    # 2-bit blocks: bit 1 is the positive label
+    assert [after for _, after in got] == [b >> 1 for b in oracle_rectify(clf, theory)]
 
 
 @given(pair=desk_pairs(), data=st.data())

@@ -7,17 +7,14 @@ from hypothesis import given, settings
 from monorect import (
     Assignment,
     Classifier,
-    Literal,
     Pool,
     RectificationResult,
-    Term,
     check_postulates,
     condition,
     dalal_rectify,
-    entails,
     equivalent,
     is_fact_compliant,
-    models,
+    label_blocks,
     oracle_rectify,
     rectify,
     syntactic_rewrite,
@@ -37,7 +34,8 @@ def demo_clf(demo):
 class TestOracleRectify:
     def test_demo_accepted_words(self, demo, demo_clf):
         reference = oracle_rectify(demo_clf, demo.theory)
-        assert [m.word for m in models(reference, demo.problem.features)] == [
+        # 2-bit blocks: 2 is the positive label
+        assert [format(x, "03b") for x, b in enumerate(reference) if b == 2] == [
             "110",
             "111",
         ]
@@ -45,9 +43,7 @@ class TestOracleRectify:
     def test_contradictory_theory_keeps_classifier(self, demo, demo_clf):
         absurd = demo.pool.build(["and", "x1", ["not", "x1"]])
         reference = oracle_rectify(demo_clf, absurd)
-        from monorect import positive_circuit
-
-        assert equivalent(reference, positive_circuit(demo_clf))
+        assert reference == label_blocks(demo_clf.circuit, demo.problem)
 
 
 class TestDalalRevise:
@@ -91,33 +87,29 @@ class TestDalalRectify:
     def test_demo_matches_construction(self, demo, demo_clf):
         result = rectify(demo_clf, demo.theory)
         reference = dalal_rectify(demo_clf, demo.theory)
-        assert equivalent(reference, result.rectified.circuit)
+        assert reference == label_blocks(result.rectified.circuit, demo.problem)
 
     def test_trivial_facts_keep_the_verdict(self, demo, demo_clf):
         reference = dalal_rectify(demo_clf, demo.theory)
         for word in ("010", "011", "100", "111"):  # rows with no forced facts
             inst = Assignment.from_word(word, demo.problem.features)
-            ref_at = condition(reference, to_term(inst))
             sig_at = condition(demo_clf.circuit, to_term(inst))
-            assert equivalent(ref_at, sig_at)
+            assert reference[int(word, 2)] == truth_mask(sig_at, demo.problem.labels)
 
     def test_two_label_forced_fact(self, twolabel):
         clf = Classifier(twolabel.problem, twolabel.sigma)
         reference = dalal_rectify(clf, twolabel.theory)
-        inst = Assignment.from_word("01", twolabel.problem.features)
-        at_x = condition(reference, to_term(inst))
-        y2 = twolabel.problem.labels[1]
-        assert entails(at_x, twolabel.pool.literal(y2, False))
+        labels = twolabel.problem.labels
+        not_y2 = truth_mask(twolabel.pool.literal(labels[1], False), labels)
+        assert reference[0b01] & ~not_y2 == 0
 
     def test_two_label_compliant_rows_unchanged(self, twolabel):
         clf = Classifier(twolabel.problem, twolabel.sigma)
         reference = dalal_rectify(clf, twolabel.theory)
         for word in ("00", "10", "11"):
             inst = Assignment.from_word(word, twolabel.problem.features)
-            assert equivalent(
-                condition(reference, to_term(inst)),
-                condition(clf.circuit, to_term(inst)),
-            )
+            sig_at = condition(clf.circuit, to_term(inst))
+            assert reference[int(word, 2)] == truth_mask(sig_at, twolabel.problem.labels)
 
 
 class TestSyntacticRewrite:
@@ -254,12 +246,12 @@ def test_three_routes_agree(seed):
     theory = random_theory(pool, problem, 30, rng)
     result = rectify(clf, theory)
     reference = oracle_rectify(clf, theory)
-    distance = condition(
-        dalal_rectify(clf, theory), Term([Literal(problem.label, True)])
-    )
-    assert equivalent(result.positive, reference)
-    assert equivalent(result.positive, distance)
-    assert equivalent(reference, distance)
+    assert dalal_rectify(clf, theory) == reference
+    assert label_blocks(result.rectified.circuit, problem) == reference
+    # the accepted region read without label blocks, so a fault in the block
+    # splitter cannot hide by permuting both sides alike
+    accepted = truth_mask(result.positive, problem.features)
+    assert [accepted >> x & 1 for x in range(len(reference))] == [b >> 1 for b in reference]
 
 
 @pytest.mark.parametrize("seed", range(30))
