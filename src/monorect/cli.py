@@ -22,7 +22,7 @@ import sys
 from pathlib import Path
 
 from .circuit import Pool
-from .classifier import Classifier, as_instance, label_blocks
+from .classifier import Classifier, as_instance, label_blocks, positive_circuit
 from .dtree import attach_label, circuit_to_dt, dt_rectify, dt_to_circuit
 from .errors import (
     BuildError,
@@ -227,10 +227,11 @@ def _cmd_fuzz(args) -> int:
         clf = random_classifier(pool, problem, 40, rng)
         theory = random_theory(pool, problem, 40, rng)
         result = rectify(clf, theory)
+        sigma, allowed = (label_blocks(c, problem, cap=args.max_vars) for c in (clf.circuit, theory))
         routes = {  # the rectified label block at each instance, three ways
             "construction": label_blocks(result.rectified.circuit, problem, cap=args.max_vars),
-            "instance oracle": oracle_rectify(clf, theory, cap=args.max_vars),
-            "distance oracle": dalal_rectify(clf, theory, cap=args.max_vars),
+            "instance oracle": oracle_rectify(sigma, allowed, problem),
+            "distance oracle": dalal_rectify(sigma, allowed, problem),
         }
         failures = []
         for (name_a, a), (name_b, b) in itertools.combinations(routes.items(), 2):
@@ -246,7 +247,9 @@ def _cmd_fuzz(args) -> int:
             failures.append(f"size bound exceeded at iteration {i} by {-slack[-1]} arcs")
         if failures:
             print("\n".join(failures), file=sys.stderr)
-            print(f"sigma positive region: {print_circuit(result.positive)}", file=sys.stderr)
+            print(f"sigma positive region: {print_circuit(positive_circuit(clf))}", file=sys.stderr)
+            rectified_region = print_circuit(positive_circuit(result.rectified))
+            print(f"rectified positive region: {rectified_region}", file=sys.stderr)
             print(f"theory: {print_circuit(theory)}", file=sys.stderr)
             return 1
     if slack:

@@ -2,10 +2,11 @@
 
 Everything here enumerates instances on purpose: these are the slow,
 independent reference paths that the structural construction is checked
-against.  The two oracles return the rectified classifier's label block
-at every instance, in word order (see `label_blocks`): a table
-exponential in the number of features, exactly what the compact
-construction avoids.
+against.  The two oracles read no circuit: they map sigma's and the
+theory's label blocks at every instance, which the caller's
+`label_blocks` enumerates under its cap, to the rectified classifier's
+block there: a table exponential in the number of features, exactly
+what the compact construction avoids.
 """
 
 from __future__ import annotations
@@ -14,32 +15,27 @@ import random
 from dataclasses import dataclass
 
 from .circuit import AND, CONST, NOT, OR, VAR
-from .circuit import Circuit, Gate, conjoin, disjoin, iter_gates, negate
-from .classifier import Classifier, _forced, label_blocks
+from .circuit import Circuit, Gate, Pool, conjoin, disjoin, iter_gates, negate
+from .classifier import Classifier, ClassificationProblem, _forced, label_blocks
+from .formats import parse_circuit, print_circuit
 from .rectify import RectificationResult, preprocess_project, rectify
-from .semantics import DEFAULT_VAR_CAP, _position_mask, ensure_within, equivalent, var_masks
+from .semantics import DEFAULT_VAR_CAP, _position_mask, var_masks
 
 
-def oracle_rectify(clf: Classifier, theory: Circuit, cap: int = DEFAULT_VAR_CAP) -> list[int]:
+def oracle_rectify(sigma: list[int], allowed: list[int], problem) -> list[int]:
     """Instance-by-instance reference rectification (single label).
 
-    For every instance: keep the classifier's verdict when the theory is
-    trivial or contradictory there, or agrees with it; switch the class
-    when the theory decides the instance the other way.  Returns the
-    rectified label block at each instance.
+    `sigma` and `allowed` are sigma's and the theory's label blocks at
+    every instance.  At each one: keep the classifier's verdict when the
+    theory is trivial or contradictory there, or agrees with it; switch
+    the class when the theory decides the instance the other way.
+    Returns the rectified label block at each instance.
     """
-    problem = clf.problem
-    feats = problem.features
-    label = problem.label
-    sigma = label_blocks(clf.circuit, problem, cap=cap)
-    ensure_within(
-        theory.vars(), feats + (label,), "theory mentions variables outside the problem: {names}"
-    )
-    allowed = label_blocks(theory, problem, cap=cap)
+    problem.label  # raises ValueError unless the problem is single-label
     # 2-bit blocks: bit 0 allows the negative label, bit 1 the positive.
     # A decisive theory (one label allowed) wins, switching the class on
     # conflict; a trivial (3) or contradictory (0) one keeps the verdict.
-    return [allows if allows in (1, 2) else verdict for verdict, allows in zip(sigma, allowed)]
+    return [a if a in (1, 2) else verdict for verdict, a in zip(sigma, allowed, strict=True)]
 
 
 def _flip_step(mask: int, n: int, full: int) -> int:
@@ -71,21 +67,16 @@ def _forced_masks(blocks: list[int], problem) -> list[int]:
     return [_forced(b, label_masks) for b in blocks]
 
 
-def dalal_rectify(clf: Classifier, theory: Circuit, cap: int = DEFAULT_VAR_CAP) -> list[int]:
+def dalal_rectify(sigma: list[int], allowed: list[int], problem) -> list[int]:
     """Reference rectification via per-instance distance-minimal revision.
 
-    Works for any number of labels at desk scale: for each instance,
-    revise the classifier's verdict by the facts the theory forces there,
-    and return the revised label block at each instance.
+    Works for any number of labels at desk scale: at each instance,
+    revise sigma's verdict block by the facts the theory's block forces
+    there, and return the revised label block at each instance.
     """
-    problem = clf.problem
-    sigma = label_blocks(clf.circuit, problem, cap=cap)
-    ensure_within(
-        theory.vars(), problem.all_vars, "theory mentions variables outside the problem: {names}"
-    )
-    forced = _forced_masks(label_blocks(theory, problem, cap=cap), problem)
+    forced = _forced_masks(allowed, problem)
     m = len(problem.labels)
-    return [_dalal_mask(verdict, facts, m) for verdict, facts in zip(sigma, forced)]
+    return [_dalal_mask(verdict, facts, m) for verdict, facts in zip(sigma, forced, strict=True)]
 
 
 def syntactic_rewrite(circ: Circuit, rng: random.Random) -> Circuit:
@@ -198,22 +189,24 @@ def check_postulates(
     for k in range(rewrites):
         sigma_variant = syntactic_rewrite(clf.circuit, rng)
         theory_variant = syntactic_rewrite(theory, rng)
-        variant_clf = Classifier(problem, sigma_variant, cap=cap)
-        variant = rectify(variant_clf, theory_variant)
-        if not equivalent(variant.positive, result.positive, cap=cap):
+        variant = rectify(Classifier(problem, sigma_variant, cap=cap), theory_variant)
+        if label_blocks(variant.rectified.circuit, problem, cap=cap) != after:
             ok, detail = False, f"rewrite {k} produced a different classifier"
             break
     checks.append(PostulateCheck("RE5", "syntax independence", ok, rewrites, detail))
 
     # RE6: variables outside the problem are irrelevant once projected away.
-    pool = clf.circuit.pool
-    dummy = pool.fresh()
-    tautology = disjoin(pool.literal(dummy), negate(pool.literal(dummy)))
-    sigma_aux = preprocess_project(conjoin(clf.circuit, tautology), problem)
-    theory_aux = preprocess_project(conjoin(theory, tautology), problem)
-    aux_clf = Classifier(problem, sigma_aux, cap=cap)
-    aux = rectify(aux_clf, theory_aux)
-    ok = equivalent(aux.positive, result.positive, cap=cap)
+    # Sigma and the theory are re-read into a scratch pool that declares the
+    # problem's names and the dummy, so the caller's pool gains no variable.
+    scratch = Pool()
+    feats, labels = (scratch.declare(*map(str, vs)) for vs in (problem.features, problem.labels))
+    aux_problem = ClassificationProblem(feats, labels)
+    copies = [parse_circuit(print_circuit(c), scratch) for c in (clf.circuit, theory)]
+    dummy = scratch.literal(scratch.fresh())
+    tautology = disjoin(dummy, negate(dummy))
+    sigma_aux, theory_aux = (preprocess_project(conjoin(c, tautology), aux_problem) for c in copies)
+    aux = rectify(Classifier(aux_problem, sigma_aux, cap=cap), theory_aux)
+    ok = label_blocks(aux.rectified.circuit, aux_problem, cap=cap) == after
     detail = None if ok else "projected dummy variable changed the outcome"
     checks.append(PostulateCheck("RE6", "variable relevance", ok, 1, detail))
 

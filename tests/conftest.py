@@ -17,6 +17,7 @@ from monorect import (
     conjoin,
     disjoin,
     iter_gates,
+    label_blocks,
     negate,
 )
 from monorect.circuit import _KEYWORDS, AND, CONST, NOT, OR, VAR
@@ -105,6 +106,11 @@ def build_with_vars(names, *asts):
 def to_term(omega):
     """The canonical term of an assignment: one literal per variable."""
     return Term(Literal(v, bool(b)) for v, b in zip(omega.vars, omega.bits))
+
+
+def oracle_args(clf, theory):
+    """The reference oracles' arguments: sigma's and the theory's blocks, and the problem."""
+    return label_blocks(clf.circuit, clf.problem), label_blocks(theory, clf.problem), clf.problem
 
 
 def reference_evaluate(circ, omega):

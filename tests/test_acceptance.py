@@ -49,7 +49,7 @@ from monorect.randgen import (
     random_tree,
 )
 
-from conftest import REDUCED_TREE_TEXT, SIGMA_TREE_TEXT, THEORY_TREE_TEXT
+from conftest import REDUCED_TREE_TEXT, SIGMA_TREE_TEXT, THEORY_TREE_TEXT, oracle_args
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -134,8 +134,8 @@ def test_criterion_4_three_routes_agree(corpus):
     mismatches = 0
     for pool, problem, clf, theory, result in corpus:
         # each route's rectified label block at every instance
-        reference = oracle_rectify(clf, theory)
-        distance = dalal_rectify(clf, theory)
+        args = oracle_args(clf, theory)
+        reference, distance = oracle_rectify(*args), dalal_rectify(*args)
         if not label_blocks(result.rectified.circuit, problem) == reference == distance:
             mismatches += 1
     elapsed = time.perf_counter() - start

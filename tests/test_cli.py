@@ -13,12 +13,15 @@ from hypothesis import given
 from monorect import (
     Classifier,
     check_xy_property,
+    classifier,
     cli,
     label_blocks,
     negate,
     parse_problem,
+    positive_circuit,
     print_circuit,
     rectify,
+    semantics,
 )
 from monorect.cli import main
 from monorect.dtree import circuit_to_dt
@@ -333,6 +336,57 @@ def test_fuzz_mismatch_names_the_instance(monkeypatch, capsys):
         "mismatch at iteration 0: construction != distance oracle at instance 0000",
     ]
     assert "instance oracle != distance oracle" not in err
+
+
+def test_fuzz_failure_report_names_each_region(monkeypatch, capsys):
+    seen = []
+
+    def inverted_rectify(clf, theory):
+        result = rectify(clf, theory)
+        wrong = Classifier.from_positive_circuit(clf.problem, negate(result.positive))
+        seen.append((clf, theory, wrong))
+        return dataclasses.replace(result, rectified=wrong)
+
+    monkeypatch.setattr(cli, "rectify", inverted_rectify)
+    code, out, err = run(capsys, "fuzz", "--vars", "3", "--iters", "1")
+    [(clf, theory, wrong)] = seen
+    assert (code, out) == (1, "")
+    assert err.splitlines()[-3:] == [
+        f"sigma positive region: {print_circuit(positive_circuit(clf))}",
+        f"rectified positive region: {print_circuit(positive_circuit(wrong))}",
+        f"theory: {print_circuit(theory)}",
+    ]
+
+
+def _walks(monkeypatch) -> list[int]:
+    """The root uid of every circuit the gate interpreter walks from now on."""
+    walked = []
+    real = semantics._table
+
+    def spy(circ, masks, full):
+        walked.append(circ.root.uid)
+        return real(circ, masks, full)
+
+    for module in (semantics, classifier):
+        monkeypatch.setattr(module, "_table", spy)
+    return walked
+
+
+def test_fuzz_walks_each_circuit_once_per_iteration(monkeypatch, capsys):
+    walked = _walks(monkeypatch)
+    code, _, _ = run(capsys, "fuzz", "--vars", "6", "--iters", "10", "--seed", "0")
+    assert code == 0
+    # sigma's and the theory's blocks feed both references; the construction's are the third
+    assert len(walked) == 3 * 10
+
+
+def test_check_compares_the_blocks_it_holds(monkeypatch, capsys):
+    walked = _walks(monkeypatch)
+    code, _, _ = run(capsys, "check", "--problem", DEMO)
+    assert code == 0
+    # sigma certified, three block reads, then per rewrite (5) and for RE6 a
+    # certification and one block read; no second table of the outcome
+    assert len(walked) <= 16
 
 
 def test_fuzz_without_iterations_checks_nothing(capsys):

@@ -2,10 +2,11 @@ import random
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from monorect import (
     Assignment,
+    ClassificationProblem,
     Classifier,
     Pool,
     RectificationResult,
@@ -23,7 +24,7 @@ from monorect import (
 from monorect.randgen import random_classifier, random_problem, random_theory
 from monorect.verify import _dalal_mask
 
-from conftest import ast_exprs, build_with_vars, to_term
+from conftest import ast_exprs, build_with_vars, oracle_args, to_term
 
 
 @pytest.fixture
@@ -33,7 +34,7 @@ def demo_clf(demo):
 
 class TestOracleRectify:
     def test_demo_accepted_words(self, demo, demo_clf):
-        reference = oracle_rectify(demo_clf, demo.theory)
+        reference = oracle_rectify(*oracle_args(demo_clf, demo.theory))
         # 2-bit blocks: 2 is the positive label
         assert [format(x, "03b") for x, b in enumerate(reference) if b == 2] == [
             "110",
@@ -42,8 +43,60 @@ class TestOracleRectify:
 
     def test_contradictory_theory_keeps_classifier(self, demo, demo_clf):
         absurd = demo.pool.build(["and", "x1", ["not", "x1"]])
-        reference = oracle_rectify(demo_clf, absurd)
+        reference = oracle_rectify(*oracle_args(demo_clf, absurd))
         assert reference == label_blocks(demo_clf.circuit, demo.problem)
+
+
+    def test_multi_label_problem_is_rejected(self, twolabel):
+        clf = Classifier(twolabel.problem, twolabel.sigma)
+        with pytest.raises(ValueError, match="single-label"):
+            oracle_rectify(*oracle_args(clf, twolabel.theory))
+
+    @pytest.mark.parametrize("oracle", [oracle_rectify, dalal_rectify])
+    def test_block_lists_of_unequal_length_are_rejected(self, demo, oracle):
+        with pytest.raises(ValueError):
+            oracle([1, 2, 1], [3, 3], demo.problem)
+
+    # single-label blocks: sigma's verdict is 1 (negative) or 2 (positive);
+    # the theory's block is any subset of the two labels
+    @given(st.lists(st.tuples(st.sampled_from((1, 2)), st.integers(0, 3)), max_size=16))
+    def test_the_two_references_agree_on_single_label_blocks(self, pairs):
+        sigma, allowed = [s for s, _ in pairs], [a for _, a in pairs]
+        problem = _problem(1)
+        assert dalal_rectify(sigma, allowed, problem) == oracle_rectify(sigma, allowed, problem)
+
+
+def _problem(m):
+    """One feature and m labels: the oracles read only the label count off it."""
+    pool = Pool()
+    return ClassificationProblem(pool.declare("x1"), pool.declare(*(f"y{i}" for i in range(m))))
+
+
+def _complies(block, allowed, m):
+    """Does every label word of `block` keep each label literal that all allowed words share?"""
+    words = [w for w in range(1 << m) if allowed >> w & 1]
+    for w in range(1 << m):
+        if block >> w & 1 and words:
+            for i in range(m):  # label i is bit m - 1 - i of a word
+                values = {u >> (m - 1 - i) & 1 for u in words}
+                if len(values) == 1 and w >> (m - 1 - i) & 1 not in values:
+                    return False
+    return True
+
+
+@given(data=st.data(), m=st.integers(1, 3))
+def test_dalal_rectify_complies_and_keeps_compliant_verdicts(data, m):
+    problem = _problem(m)
+    # sigma's block holds one label word, its verdict; the theory's any set of words
+    verdicts = st.integers(0, (1 << m) - 1).map(lambda w: 1 << w)
+    pairs = data.draw(
+        st.lists(st.tuples(verdicts, st.integers(0, (1 << (1 << m)) - 1)), max_size=8)
+    )
+    sigma, allowed = [s for s, _ in pairs], [a for _, a in pairs]
+    for s, a, r in zip(sigma, allowed, dalal_rectify(sigma, allowed, problem)):
+        assert r and _complies(r, a, m)
+        if _complies(s, a, m):
+            assert r == s
 
 
 class TestDalalRevise:
@@ -86,11 +139,11 @@ class TestDalalRevise:
 class TestDalalRectify:
     def test_demo_matches_construction(self, demo, demo_clf):
         result = rectify(demo_clf, demo.theory)
-        reference = dalal_rectify(demo_clf, demo.theory)
+        reference = dalal_rectify(*oracle_args(demo_clf, demo.theory))
         assert reference == label_blocks(result.rectified.circuit, demo.problem)
 
     def test_trivial_facts_keep_the_verdict(self, demo, demo_clf):
-        reference = dalal_rectify(demo_clf, demo.theory)
+        reference = dalal_rectify(*oracle_args(demo_clf, demo.theory))
         for word in ("010", "011", "100", "111"):  # rows with no forced facts
             inst = Assignment.from_word(word, demo.problem.features)
             sig_at = condition(demo_clf.circuit, to_term(inst))
@@ -98,14 +151,14 @@ class TestDalalRectify:
 
     def test_two_label_forced_fact(self, twolabel):
         clf = Classifier(twolabel.problem, twolabel.sigma)
-        reference = dalal_rectify(clf, twolabel.theory)
+        reference = dalal_rectify(*oracle_args(clf, twolabel.theory))
         labels = twolabel.problem.labels
         not_y2 = truth_mask(twolabel.pool.literal(labels[1], False), labels)
         assert reference[0b01] & ~not_y2 == 0
 
     def test_two_label_compliant_rows_unchanged(self, twolabel):
         clf = Classifier(twolabel.problem, twolabel.sigma)
-        reference = dalal_rectify(clf, twolabel.theory)
+        reference = dalal_rectify(*oracle_args(clf, twolabel.theory))
         for word in ("00", "10", "11"):
             inst = Assignment.from_word(word, twolabel.problem.features)
             sig_at = condition(clf.circuit, to_term(inst))
@@ -225,6 +278,43 @@ class TestPostulates:
         assert (re4.name, re4.passed, re4.checked) == ("RE4", False, 1)
         assert re4.detail == "rectified classifier differs from the original"
 
+    def test_a_wrong_outcome_fails_re5_and_re6(self, demo, demo_clf):
+        from monorect import negate
+
+        result = rectify(demo_clf, demo.theory)
+        flipped = negate(result.positive)
+        wrong = RectificationResult(
+            flipped,
+            Classifier.from_positive_circuit(demo.problem, flipped),
+            result.forces_positive,
+            result.forces_negative,
+        )
+        re5, re6 = check_postulates(demo_clf, demo.theory, wrong).checks[4:]
+        assert (re5.passed, re5.detail) == (False, "rewrite 0 produced a different classifier")
+        assert (re6.passed, re6.detail) == (False, "projected dummy variable changed the outcome")
+
+    def test_the_callers_pool_gains_no_variable(self, demo, demo_clf):
+        before = demo.pool.variables
+        result = rectify(demo_clf, demo.theory)
+        for _ in range(2):
+            assert check_postulates(demo_clf, demo.theory, result).all_passed
+        assert demo.pool.variables == before
+
+    def test_re6_holds_in_a_pool_declared_in_another_order(self):
+        # the label first and an unused variable among the features
+        pool, sigma, theory = build_with_vars(
+            ("y", "x1", "z", "x2", "x3", "aux_0"),
+            ["iff", ["or", ["and", ["not", "x1"], ["not", "x2"]], ["and", "x1", "x3"]], "y"],
+            ["and", ["imp", ["and", "x1", ["not", "x3"]], "y"], ["imp", ["not", "x2"], ["not", "y"]]],
+        )
+        problem = ClassificationProblem(
+            tuple(pool.var(v) for v in ("x1", "x2", "x3")), (pool.var("y"),)
+        )
+        clf = Classifier(problem, sigma)
+        report = check_postulates(clf, theory, rectify(clf, theory))
+        assert report.all_passed
+        assert report.checks[5].render() == "RE6 (variable relevance): pass [1 checks]"
+
     def test_negative_rewrite_count_is_rejected(self, demo, demo_clf):
         result = rectify(demo_clf, demo.theory)
         with pytest.raises(ValueError, match="rewrites must be at least 0"):
@@ -245,8 +335,9 @@ def test_three_routes_agree(seed):
     clf = random_classifier(pool, problem, 30, rng)
     theory = random_theory(pool, problem, 30, rng)
     result = rectify(clf, theory)
-    reference = oracle_rectify(clf, theory)
-    assert dalal_rectify(clf, theory) == reference
+    args = oracle_args(clf, theory)
+    reference = oracle_rectify(*args)
+    assert dalal_rectify(*args) == reference
     assert label_blocks(result.rectified.circuit, problem) == reference
     # the accepted region read without label blocks, so a fault in the block
     # splitter cannot hide by permuting both sides alike
