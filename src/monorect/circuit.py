@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Collection, Iterable, NamedTuple
 
 from .errors import BuildError
 
@@ -160,6 +160,18 @@ class Circuit:
             )
         return found
 
+    def vars_outside(self, allowed: Collection[VarId]) -> frozenset[VarId]:
+        """The circuit's variables that are not in `allowed`.
+
+        Gates mention only variables their pool declares, so when the pool
+        declares none outside `allowed` the answer is empty and no gate is
+        walked; otherwise this reads `vars`.
+        """
+        allowed = frozenset(allowed)
+        if allowed.issuperset(self.pool._order):
+            return frozenset()
+        return self.vars() - allowed
+
     def __eq__(self, other):
         return (
             isinstance(other, Circuit)
@@ -181,6 +193,12 @@ class Pool:
     the module's operations must come from the same pool.  Construction
     of a pool is single-writer; once built, gates are immutable and safe
     to read from anywhere.
+
+    Every variable a gate mentions is one the pool declares: `literal`
+    and `decision` check it, `read` resolves names against the table, and
+    the kernels only reuse the payloads of existing gates.  So a circuit
+    checked against a superset of the declarations needs no walk
+    (`Circuit.vars_outside`).
     """
 
     def __init__(self):

@@ -34,7 +34,7 @@ from .semantics import (
     Assignment,
     _table,
     ensure_cap,
-    ensure_within,
+    ensure_circuit_within,
     truth_mask,
     var_masks,
 )
@@ -112,7 +112,7 @@ def as_instance(problem: ClassificationProblem, x: Instance) -> Assignment:
 
 def _check_problem_vars(circ: Circuit, problem: ClassificationProblem, what: str):
     message = " mentions variables outside features and labels ({names}); forget them first"
-    ensure_within(circ.vars(), problem.all_vars, what + message)
+    ensure_circuit_within(circ, problem.all_vars, what + message)
 
 
 # The 2-bit (resp. 4-bit) blocks of every byte, lowest bits first.
@@ -222,14 +222,18 @@ class Classifier:
         accepted region and whose low branch is its complement, which has
         the uniqueness property structurally.
         """
-        label = problem.label
-        ensure_within(
-            positive.vars(), problem.features, "positive circuit mentions non-features: {names}"
+        problem.label  # raises ValueError unless the problem is single-label
+        ensure_circuit_within(
+            positive, problem.features, "positive circuit mentions non-features: {names}"
         )
-        circuit = positive.pool.decision(label, negate(positive), positive)
+        return cls._of_region(problem, positive)
+
+    @classmethod
+    def _of_region(cls, problem: ClassificationProblem, positive: Circuit) -> "Classifier":
+        """`from_positive_circuit` without its check, for a region over the features by construction."""
         clf = object.__new__(cls)
         clf.problem = problem
-        clf.circuit = circuit
+        clf.circuit = positive.pool.decision(problem.label, negate(positive), positive)
         return clf
 
     def __repr__(self):

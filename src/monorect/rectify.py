@@ -19,7 +19,7 @@ from .circuit import Circuit, cofactors, conjoin, disjoin, negate
 from .classifier import Classifier, ClassificationProblem, as_instance, label_blocks
 from .classifier import positive_circuit
 from .errors import CapExceededError
-from .semantics import ensure_within, evaluate, forget
+from .semantics import ensure_circuit_within, evaluate, forget
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,8 @@ def rectify(clf: Classifier, theory: Circuit) -> RectificationResult:
     forces_pos, forces_neg = decisive_circuits(theory, problem)
     kept = conjoin(positive_circuit(clf), negate(forces_neg))
     accepted = disjoin(kept, forces_pos)
-    rectified = Classifier.from_positive_circuit(problem, accepted)
+    # made of label cofactors of sigma and of the checked theory, so over the features
+    rectified = Classifier._of_region(problem, accepted)
     return RectificationResult(accepted, rectified, forces_pos, forces_neg)
 
 
@@ -97,8 +98,8 @@ def _single_label(clf: Classifier) -> ClassificationProblem:
 
 
 def _check_theory(theory: Circuit, problem: ClassificationProblem):
-    ensure_within(
-        theory.vars(),
+    ensure_circuit_within(
+        theory,
         problem.features + (problem.label,),
         "theory mentions variables outside the problem ({names}); "
         "apply preprocess_project first",
@@ -111,7 +112,7 @@ _MAX_FORGET = 8
 
 def preprocess_project(circ: Circuit, problem: ClassificationProblem) -> Circuit:
     """Forget every variable outside the problem's features and labels."""
-    extra = sorted(circ.vars() - set(problem.all_vars), key=lambda v: v.index)
+    extra = sorted(circ.vars_outside(problem.all_vars), key=lambda v: v.index)
     if not extra:
         return circ
     if len(extra) > _MAX_FORGET:

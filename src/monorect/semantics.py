@@ -99,6 +99,12 @@ def ensure_within(found: Iterable[VarId], allowed: Collection[VarId], message: s
         raise ValueError(message.format(names=names))
 
 
+def ensure_circuit_within(circ: Circuit, allowed: Collection[VarId], message: str):
+    """`ensure_within(circ.vars(), allowed, message)`, walking the circuit only
+    if its pool declares a variable outside `allowed` (`Circuit.vars_outside`)."""
+    ensure_within(circ.vars_outside(allowed), allowed, message)
+
+
 def _position_mask(p: int, n: int) -> int:
     # bit i of the result is (i >> p) & 1, for all i < 2**n
     block = ((1 << (1 << p)) - 1) << (1 << p)
@@ -122,7 +128,7 @@ def truth_mask(circ: Circuit, over: Sequence[VarId]) -> int:
     over = tuple(over)
     if len(set(over)) != len(over):
         raise ValueError("duplicate variables in enumeration order")
-    ensure_within(circ.vars(), over, "circuit mentions variables outside the order: {names}")
+    ensure_circuit_within(circ, over, "circuit mentions variables outside the order: {names}")
     return _table(circ, var_masks(over), (1 << (1 << len(over))) - 1)
 
 

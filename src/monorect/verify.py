@@ -14,10 +14,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .circuit import AND, CONST, NOT, OR, VAR
+from .circuit import AND, CONST, DEC, NOT, OR, VAR
 from .circuit import Circuit, Gate, Pool, conjoin, disjoin, iter_gates, negate
 from .classifier import Classifier, ClassificationProblem, _forced, label_blocks
-from .formats import parse_circuit, print_circuit
 from .rectify import RectificationResult, preprocess_project, rectify
 from .semantics import DEFAULT_VAR_CAP, _position_mask, var_masks
 
@@ -96,6 +95,17 @@ def syntactic_rewrite(circ: Circuit, rng: random.Random) -> Circuit:
         if rng.random() < 0.25:
             new = pool._gate(NOT, None, (pool._gate(NOT, None, (new,)),))
         memo[gate.uid] = new
+    return Circuit(pool, memo[circ.root.uid])
+
+
+def _copy(circ: Circuit, pool: Pool) -> Circuit:
+    """The circuit's gates interned in `pool`, each variable matched by name."""
+    memo: list[Gate] = [None] * (circ.root.uid + 1)
+    for gate in iter_gates(circ):
+        payload = gate.payload
+        if gate.kind == VAR or gate.kind == DEC:
+            payload = pool.var(payload.name)
+        memo[gate.uid] = pool._gate(gate.kind, payload, tuple(memo[c.uid] for c in gate.children))
     return Circuit(pool, memo[circ.root.uid])
 
 
@@ -196,12 +206,15 @@ def check_postulates(
     checks.append(PostulateCheck("RE5", "syntax independence", ok, rewrites, detail))
 
     # RE6: variables outside the problem are irrelevant once projected away.
-    # Sigma and the theory are re-read into a scratch pool that declares the
+    # Sigma and the theory are copied into a scratch pool that declares the
     # problem's names and the dummy, so the caller's pool gains no variable.
+    # preprocess_project(conjoin(c, d | !d)) folds back to c's own root (both
+    # cofactors of d | !d are true), so the dummy never reaches `rectify`:
+    # RE6 checks that re-interning and rectifying again gives the same blocks.
     scratch = Pool()
     feats, labels = (scratch.declare(*map(str, vs)) for vs in (problem.features, problem.labels))
     aux_problem = ClassificationProblem(feats, labels)
-    copies = [parse_circuit(print_circuit(c), scratch) for c in (clf.circuit, theory)]
+    copies = [_copy(c, scratch) for c in (clf.circuit, theory)]
     dummy = scratch.literal(scratch.fresh())
     tautology = disjoin(dummy, negate(dummy))
     sigma_aux, theory_aux = (preprocess_project(conjoin(c, tautology), aux_problem) for c in copies)

@@ -1,4 +1,5 @@
 import itertools
+import random
 import time
 
 import pytest
@@ -19,7 +20,11 @@ from monorect import (
     iter_gates,
     negate,
 )
-from monorect.circuit import AND, VAR
+from monorect.circuit import AND, DEC, VAR
+from monorect.dtree import dt_to_circuit
+from monorect.randgen import random_circuit, random_problem, random_tree
+from monorect.semantics import forget
+from monorect.verify import syntactic_rewrite
 
 from conftest import ast_exprs, brute_equivalent, build_with_vars
 
@@ -322,3 +327,33 @@ def test_small_circuit_built_last_in_a_large_pool():
     # the scan skips the 1e5 unmarked uids below the root in C: far less
     # than one visit per uid, which the walk over the whole chain makes
     assert best(small, 20) * 20 < best(chain, 3)
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5), gates=st.integers(0, 40))
+@settings(max_examples=80)
+def test_every_gate_mentions_a_variable_its_pool_declares(seed, n, gates):
+    # the invariant behind Circuit.vars_outside, over the builders and every kernel
+    rng = random.Random(seed)
+    pool = Pool()
+    problem = random_problem(pool, n)
+    circ = random_circuit(pool, problem.all_vars, gates, rng)
+    extra = pool.literal(pool.fresh())
+    widened = conjoin(circ, disjoin(extra, random_circuit(pool, problem.features, gates, rng)))
+    pool.fresh()  # declared after every circuit above
+    label = problem.label
+    outputs = [
+        circ,
+        widened,
+        *cofactors(widened, label),
+        forget(widened, [extra.root.payload, rng.choice(problem.features)]),
+        syntactic_rewrite(widened, rng),
+        dt_to_circuit(random_tree(problem.all_vars, rng), pool),
+    ]
+    declared = set(pool.variables)
+    for out in outputs:
+        for gate in iter_gates(out):
+            if gate.kind == VAR or gate.kind == DEC:
+                assert gate.payload in declared
+        assert out.vars() <= declared
+        assert out.vars_outside(pool.variables) == frozenset()
+        assert out.vars_outside(problem.all_vars) == out.vars() - set(problem.all_vars)

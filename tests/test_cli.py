@@ -4,6 +4,7 @@ import importlib
 import io
 import random
 import re
+import sys
 import tempfile
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from hypothesis import given
 from monorect import (
     Classifier,
     check_xy_property,
+    circuit,
     classifier,
     cli,
     label_blocks,
@@ -370,6 +372,46 @@ def _walks(monkeypatch) -> list[int]:
     for module in (semantics, classifier):
         monkeypatch.setattr(module, "_table", spy)
     return walked
+
+
+def _traversals(monkeypatch) -> list[int]:
+    """The root uid of every `iter_gates` walk from now on, in whichever module."""
+    walked = []
+    real = circuit.iter_gates
+
+    def spy(circ):
+        walked.append(circ.root.uid)
+        return real(circ)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("monorect") and getattr(module, "iter_gates", None) is real:
+            monkeypatch.setattr(module, "iter_gates", spy)
+    return walked
+
+
+@pytest.mark.parametrize(
+    "argv, walks",
+    [
+        # sigma certified, then sigma's and the theory's blocks at the instance
+        (("classify", "--problem", DEMO, "--instance", "101"), 3),
+        # sigma certified, then sigma's and the theory's full tables
+        (("table", "--problem", DEMO), 3),
+        # sigma certified, the theory's cofactors, sigma's positive cofactor, two prints
+        (("rectify", "--problem", DEMO), 5),
+    ],
+    ids=lambda v: v[0] if isinstance(v, tuple) else None,
+)
+def test_a_pool_of_the_problem_file_is_walked_for_work_only(monkeypatch, capsys, argv, walks):
+    walked = _traversals(monkeypatch)
+    assert run(capsys, *argv)[0] == 0
+    assert len(walked) == walks
+
+
+def test_check_walks_no_circuit_to_list_its_variables_outside_re6(monkeypatch, capsys):
+    walked = _traversals(monkeypatch)
+    assert run(capsys, "check", "--problem", DEMO)[0] == 0
+    # the battery's work, plus RE6's variable checks: its scratch pool declares a dummy
+    assert len(walked) <= 49
 
 
 def test_fuzz_walks_each_circuit_once_per_iteration(monkeypatch, capsys):

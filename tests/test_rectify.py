@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,6 +8,8 @@ from monorect import (
     Assignment,
     CapExceededError,
     CertificationError,
+    Circuit,
+    ClassificationProblem,
     Classifier,
     Pool,
     classify,
@@ -18,11 +21,15 @@ from monorect import (
     equivalent,
     evaluate,
     is_fact_compliant,
+    label_blocks,
     models,
     oracle_rectify,
+    parse_circuit,
     positive_circuit,
     preprocess_project,
+    print_circuit,
     rectify,
+    truth_mask,
 )
 from monorect.randgen import random_classifier, random_problem, random_theory
 
@@ -284,3 +291,92 @@ def test_size_stays_linear(seed):
     region = positive_circuit(clf)
     assert result.positive.size <= region.size + 2 * theory.size + 16
     assert result.rectified.circuit.size <= clf.circuit.size + 2 * theory.size + 16
+
+
+# Each variable check compares the pool's declarations with the allowed
+# variables first and walks the circuit only when the pool declares more.
+# Cases: the declared names, the region R of the subject circuit
+# (dec y (not R) R) over features x1 x2 and label y, and whether one more
+# variable is declared after the circuit is built.
+DECLARATIONS = {
+    "exact": (("x1", "x2", "y"), "(and x1 x2)", False),
+    "unused extra": (("x1", "x2", "y", "z"), "(and x1 x2)", False),
+    "used extra": (("x1", "x2", "y", "z"), "(and x1 z)", False),
+    "extra declared first": (("z", "x1", "x2", "y"), "(or x2 z)", False),
+    "two used extras": (("x1", "x2", "y", "w", "z"), "(or (and x1 z) w)", False),
+    "one of two extras used": (("x1", "x2", "y", "w", "z"), "(and z x2)", False),
+    "extra declared after": (("x1", "x2", "y"), "(and x1 x2)", True),
+}
+
+# Each site's use of the subject circuit, given the problem and a clean classifier.
+SITES = {
+    "Classifier": lambda problem, circ, clf: print_circuit(Classifier(problem, circ).circuit),
+    "rectify": lambda problem, circ, clf: print_circuit(rectify(clf, circ).rectified.circuit),
+    "classify_batch": lambda problem, circ, clf: classify_batch(clf, circ, ["10", "01"]),
+    "label_blocks": lambda problem, circ, clf: label_blocks(circ, problem),
+    "label_blocks at instances": lambda problem, circ, clf: label_blocks(circ, problem, ["11"]),
+    "truth_mask": lambda problem, circ, clf: truth_mask(circ, problem.all_vars),
+    "preprocess_project": lambda problem, circ, clf: print_circuit(preprocess_project(circ, problem)),
+}
+
+
+def _outcome(site, case):
+    """What the site returns on the case, or the type and message of what it raises."""
+    names, region, declare_after = DECLARATIONS[case]
+    pool = Pool()
+    pool.declare(*names)
+    problem = ClassificationProblem((pool.var("x1"), pool.var("x2")), (pool.var("y"),))
+    clf = Classifier.from_positive_circuit(problem, parse_circuit("(or x1 x2)", pool))
+    circ = parse_circuit(f"(dec y (not {region}) {region})", pool)
+    if declare_after:
+        pool.fresh()
+    try:
+        return SITES[site](problem, circ, clf)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("case", DECLARATIONS)
+@pytest.mark.parametrize("site", SITES)
+def test_the_declarations_shortcut_agrees_with_the_walk(monkeypatch, site, case):
+    shortcut = _outcome(site, case)
+    monkeypatch.setattr(Circuit, "vars_outside", lambda c, allowed: c.vars() - frozenset(allowed))
+    assert shortcut == _outcome(site, case)
+
+
+@pytest.mark.parametrize("case", DECLARATIONS)
+def test_only_a_used_extra_variable_is_refused(case):
+    used = sorted(set(re.findall(r"\b[wz]\b", DECLARATIONS[case][1])))
+    outcomes = {site: _outcome(site, case) for site in SITES}
+    refusals = {site: out for site, out in outcomes.items() if isinstance(out, tuple)}
+    if not used:
+        assert refusals == {}
+        return
+    # every site but preprocess_project, which forgets them, names exactly the used ones
+    assert sorted(refusals) == sorted(set(SITES) - {"preprocess_project"})
+    names = ", ".join(used)
+    assert refusals["Classifier"] == (
+        ValueError,
+        f"classifier circuit mentions variables outside features and labels ({names}); "
+        "forget them first",
+    )
+    assert refusals["rectify"] == refusals["classify_batch"] == (
+        ValueError,
+        f"theory mentions variables outside the problem ({names}); apply preprocess_project first",
+    )
+    assert refusals["truth_mask"] == (
+        ValueError, f"circuit mentions variables outside the order: {names}"
+    )
+
+
+def test_a_pool_declaring_only_the_problem_is_not_walked(monkeypatch):
+    pool = Pool()
+    problem = ClassificationProblem(pool.declare("x1", "x2"), pool.declare("y"))
+    circ = parse_circuit("(dec y (not (and x1 x2)) (and x1 x2))", pool)
+    walked = []
+    monkeypatch.setattr(Circuit, "vars", lambda c: walked.append(c) or frozenset())
+    assert circ.vars_outside(problem.all_vars) == frozenset()
+    assert walked == []
+    pool.fresh()
+    assert circ.vars_outside(problem.all_vars) == frozenset()
+    assert walked == [circ]

@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -12,19 +13,29 @@ from monorect import (
     RectificationResult,
     check_postulates,
     condition,
+    conjoin,
     dalal_rectify,
+    disjoin,
     equivalent,
     is_fact_compliant,
     label_blocks,
+    negate,
     oracle_rectify,
+    parse_circuit,
+    parse_problem,
+    preprocess_project,
+    print_circuit,
     rectify,
     syntactic_rewrite,
     truth_mask,
 )
 from monorect.randgen import random_classifier, random_problem, random_theory
-from monorect.verify import _dalal_mask
+from monorect.verify import _copy, _dalal_mask
 
 from conftest import ast_exprs, build_with_vars, oracle_args, to_term
+
+
+PROBLEM_FILES = sorted((Path(__file__).resolve().parent.parent / "problems").glob("*.sexp"))
 
 
 @pytest.fixture
@@ -314,6 +325,30 @@ class TestPostulates:
         report = check_postulates(clf, theory, rectify(clf, theory))
         assert report.all_passed
         assert report.checks[5].render() == "RE6 (variable relevance): pass [1 checks]"
+
+    @pytest.mark.parametrize("path", PROBLEM_FILES, ids=lambda p: p.name)
+    def test_re6_copies_the_gates_the_printed_text_reads_back(self, path):
+        pf = parse_problem(path.read_text(encoding="utf-8"))
+        scratch = Pool()
+        for vs in (pf.problem.features, pf.problem.labels):  # declared as the battery does
+            scratch.declare(*map(str, vs))
+        for circ in (pf.sigma, pf.theory):
+            parsed = parse_circuit(print_circuit(circ), scratch)
+            size = len(scratch.gates)
+            # interning: equal kinds, variable names and child order give the parsed root
+            assert _copy(circ, scratch).root is parsed.root
+            assert len(scratch.gates) == size
+
+    @pytest.mark.parametrize("path", PROBLEM_FILES, ids=lambda p: p.name)
+    def test_re6_projection_folds_back_to_the_circuit_itself(self, path):
+        # so the dummy never reaches rectify: RE6 checks re-interning and rectifying again
+        pf = parse_problem(path.read_text(encoding="utf-8"))
+        dummy = pf.pool.literal(pf.pool.fresh())
+        tautology = disjoin(dummy, negate(dummy))
+        for circ in (pf.sigma, pf.theory):
+            conjoined = conjoin(circ, tautology)
+            assert conjoined.root is not circ.root
+            assert preprocess_project(conjoined, pf.problem).root is circ.root
 
     def test_negative_rewrite_count_is_rejected(self, demo, demo_clf):
         result = rectify(demo_clf, demo.theory)
