@@ -56,9 +56,6 @@ class Literal:
     var: VarId
     positive: bool = True
 
-    def negated(self):
-        return Literal(self.var, not self.positive)
-
     def __str__(self):
         return self.var.name if self.positive else "!" + self.var.name
 

@@ -187,11 +187,15 @@ def check_xy_property(
 class Classifier:
     """A classification circuit: every instance gets exactly one label assignment.
 
-    The plain constructor runs the brute-force uniqueness check once and
-    raises CertificationError if it fails, so no operation on a
-    Classifier checks again.  `from_positive_circuit` builds a
-    single-label classifier that is a classification circuit by
-    construction, with no enumeration at all.
+    Only circuits from outside, such as a problem file's sigma, are
+    certified: the plain constructor runs the brute-force uniqueness
+    check once and raises CertificationError if it fails, so no operation
+    on a Classifier checks again.  Every other classifier is a
+    classification circuit by construction and is built unchecked by
+    `_trusted`: the postulate battery's rewrites of a certified sigma,
+    and the decision gates on the label over an accepted region that
+    `from_positive_circuit` (after checking the region's variables),
+    `rectify` and `randgen` build.
     """
 
     __slots__ = ("problem", "circuit")
@@ -231,9 +235,15 @@ class Classifier:
     @classmethod
     def _of_region(cls, problem: ClassificationProblem, positive: Circuit) -> "Classifier":
         """`from_positive_circuit` without its check, for a region over the features by construction."""
+        circuit = positive.pool.decision(problem.label, negate(positive), positive)
+        return cls._trusted(problem, circuit)
+
+    @classmethod
+    def _trusted(cls, problem: ClassificationProblem, circuit: Circuit) -> "Classifier":
+        """The constructor without its check, for a classification circuit by construction."""
         clf = object.__new__(cls)
         clf.problem = problem
-        clf.circuit = positive.pool.decision(problem.label, negate(positive), positive)
+        clf.circuit = circuit
         return clf
 
     def __repr__(self):

@@ -24,13 +24,7 @@ from pathlib import Path
 from .circuit import Pool
 from .classifier import Classifier, as_instance, label_blocks, positive_circuit
 from .dtree import attach_label, circuit_to_dt, dt_rectify, dt_to_circuit
-from .errors import (
-    BuildError,
-    CapExceededError,
-    CertificationError,
-    ParseError,
-    RectifyError,
-)
+from .errors import CapExceededError, RectifyError
 from .formats import (
     parse_problem,
     parse_tree_file,
@@ -50,10 +44,7 @@ def main(argv=None) -> int:
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ParseError, BuildError, CertificationError, RectifyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, TypeError, OSError) as exc:
+    except (RectifyError, ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -60,9 +60,8 @@ def random_circuit(
 def random_classifier(
     pool: Pool, problem: ClassificationProblem, gates: int, rng: random.Random
 ) -> Classifier:
-    """A certified single-label classifier with a random accepted region."""
-    region = random_circuit(pool, problem.features, gates, rng)
-    return Classifier.from_positive_circuit(problem, region)
+    """A classifier by construction: a random accepted region over the features."""
+    return Classifier._of_region(problem, random_circuit(pool, problem.features, gates, rng))
 
 
 def random_theory(

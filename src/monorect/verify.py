@@ -6,7 +6,8 @@ against.  The two oracles read no circuit: they map sigma's and the
 theory's label blocks at every instance, which the caller's
 `label_blocks` enumerates under its cap, to the rectified classifier's
 block there: a table exponential in the number of features, exactly
-what the compact construction avoids.
+what the compact construction avoids.  The battery certifies nothing:
+its rewrites of a certified sigma are classifiers by construction.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .circuit import AND, CONST, DEC, NOT, OR, VAR
+from .circuit import AND, DEC, NOT, OR, VAR
 from .circuit import Circuit, Gate, Pool, conjoin, disjoin, iter_gates, negate
 from .classifier import Classifier, ClassificationProblem, _forced, label_blocks
 from .rectify import RectificationResult, preprocess_project, rectify
@@ -78,9 +79,11 @@ def dalal_rectify(sigma: list[int], allowed: list[int], problem) -> list[int]:
     return [_dalal_mask(verdict, facts, m) for verdict, facts in zip(sigma, forced, strict=True)]
 
 
-def syntactic_rewrite(circ: Circuit, rng: random.Random) -> Circuit:
-    """Equivalent syntactic variant: commuted n-ary children, double negations."""
-    pool = circ.pool
+def syntactic_rewrite(circ: Circuit, rng: random.Random, pool: Pool) -> Circuit:
+    """An equivalent variant in `pool`: commuted n-ary children, double negations.
+
+    Variables are matched by name, so `pool` may declare them in any order.
+    """
     memo: list[Gate] = [None] * (circ.root.uid + 1)
     for gate in iter_gates(circ):
         kids = tuple(memo[c.uid] for c in gate.children)
@@ -88,24 +91,13 @@ def syntactic_rewrite(circ: Circuit, rng: random.Random) -> Circuit:
             shuffled = list(kids)
             rng.shuffle(shuffled)
             kids = tuple(shuffled)
-        if gate.kind in (CONST, VAR):
-            new = gate
-        else:
-            new = pool._gate(gate.kind, gate.payload, kids)
-        if rng.random() < 0.25:
-            new = pool._gate(NOT, None, (pool._gate(NOT, None, (new,)),))
-        memo[gate.uid] = new
-    return Circuit(pool, memo[circ.root.uid])
-
-
-def _copy(circ: Circuit, pool: Pool) -> Circuit:
-    """The circuit's gates interned in `pool`, each variable matched by name."""
-    memo: list[Gate] = [None] * (circ.root.uid + 1)
-    for gate in iter_gates(circ):
         payload = gate.payload
         if gate.kind == VAR or gate.kind == DEC:
             payload = pool.var(payload.name)
-        memo[gate.uid] = pool._gate(gate.kind, payload, tuple(memo[c.uid] for c in gate.children))
+        new = pool._gate(gate.kind, payload, kids)
+        if rng.random() < 0.25:
+            new = pool._gate(NOT, None, (pool._gate(NOT, None, (new,)),))
+        memo[gate.uid] = new
     return Circuit(pool, memo[circ.root.uid])
 
 
@@ -150,8 +142,10 @@ def check_postulates(
 
     Per-instance postulates are exhaustive over the feature space; syntax
     independence samples equivalent rewrites of both inputs; variable
-    relevance adjoins one fresh tautological variable and checks that
-    projecting it away leaves the outcome untouched.
+    relevance adjoins one fresh tautological variable to a rewrite of each
+    and checks that projecting it away leaves the outcome untouched.  The
+    rewrites go into one scratch pool and none is certified: a rewrite of
+    the certified sigma is a classifier by construction.
     """
     if rewrites < 0:
         raise ValueError(f"rewrites must be at least 0, got {rewrites}")
@@ -194,32 +188,37 @@ def check_postulates(
         detail = None if ok else "rectified classifier differs from the original"
     checks.append(PostulateCheck("RE4", "inconsistent theory", ok, checked, detail))
 
+    # RE5 and RE6 rewrite into a scratch pool, so the caller's pool gains no
+    # gate and no variable.
+    scratch = Pool()
+    feats, labels = (scratch.declare(*map(str, vs)) for vs in (problem.features, problem.labels))
+    aux_problem = ClassificationProblem(feats, labels)
+
+    def outcome(sigma_copy: Circuit, theory_copy: Circuit) -> list[int]:
+        rectified = rectify(Classifier._trusted(aux_problem, sigma_copy), theory_copy).rectified
+        return label_blocks(rectified.circuit, aux_problem, cap=cap)
+
     # RE5: the outcome depends on semantics only, not on how inputs are written.
+    # The pool declares only the problem's names yet, so no variable check walks.
     ok, detail = True, None
     for k in range(rewrites):
-        sigma_variant = syntactic_rewrite(clf.circuit, rng)
-        theory_variant = syntactic_rewrite(theory, rng)
-        variant = rectify(Classifier(problem, sigma_variant, cap=cap), theory_variant)
-        if label_blocks(variant.rectified.circuit, problem, cap=cap) != after:
+        if outcome(*(syntactic_rewrite(c, rng, scratch) for c in (clf.circuit, theory))) != after:
             ok, detail = False, f"rewrite {k} produced a different classifier"
             break
     checks.append(PostulateCheck("RE5", "syntax independence", ok, rewrites, detail))
 
     # RE6: variables outside the problem are irrelevant once projected away.
-    # Sigma and the theory are copied into a scratch pool that declares the
-    # problem's names and the dummy, so the caller's pool gains no variable.
-    # preprocess_project(conjoin(c, d | !d)) folds back to c's own root (both
-    # cofactors of d | !d are true), so the dummy never reaches `rectify`:
-    # RE6 checks that re-interning and rectifying again gives the same blocks.
-    scratch = Pool()
-    feats, labels = (scratch.declare(*map(str, vs)) for vs in (problem.features, problem.labels))
-    aux_problem = ClassificationProblem(feats, labels)
-    copies = [_copy(c, scratch) for c in (clf.circuit, theory)]
+    # The dummy is declared only now, after RE5.  preprocess_project(conjoin(c,
+    # d | !d)) folds back to c's own root (both cofactors of d | !d are true),
+    # so the dummy never reaches `rectify`: RE6 checks that rewriting and
+    # rectifying again gives the same blocks.
     dummy = scratch.literal(scratch.fresh())
     tautology = disjoin(dummy, negate(dummy))
-    sigma_aux, theory_aux = (preprocess_project(conjoin(c, tautology), aux_problem) for c in copies)
-    aux = rectify(Classifier(aux_problem, sigma_aux, cap=cap), theory_aux)
-    ok = label_blocks(aux.rectified.circuit, aux_problem, cap=cap) == after
+    sigma_aux, theory_aux = (
+        preprocess_project(conjoin(syntactic_rewrite(c, rng, scratch), tautology), aux_problem)
+        for c in (clf.circuit, theory)
+    )
+    ok = outcome(sigma_aux, theory_aux) == after
     detail = None if ok else "projected dummy variable changed the outcome"
     checks.append(PostulateCheck("RE6", "variable relevance", ok, 1, detail))
 

@@ -346,7 +346,7 @@ def test_every_gate_mentions_a_variable_its_pool_declares(seed, n, gates):
         widened,
         *cofactors(widened, label),
         forget(widened, [extra.root.payload, rng.choice(problem.features)]),
-        syntactic_rewrite(widened, rng),
+        syntactic_rewrite(widened, rng, pool),
         dt_to_circuit(random_tree(problem.all_vars, rng), pool),
     ]
     declared = set(pool.variables)
@@ -357,3 +357,39 @@ def test_every_gate_mentions_a_variable_its_pool_declares(seed, n, gates):
         assert out.vars() <= declared
         assert out.vars_outside(pool.variables) == frozenset()
         assert out.vars_outside(problem.all_vars) == out.vars() - set(problem.all_vars)
+
+
+def _two_pools():
+    pool, other = Pool(), Pool()
+    pool.declare(*NAMES)
+    other.declare("x1", "z")
+    return pool, other
+
+
+@pytest.mark.parametrize(
+    "make, error, message",
+    [
+        (lambda pool, other: pool.declare("and"), BuildError, "variable name 'and' is a reserved word"),
+        (lambda pool, other: pool.not_(other.literal(other.var("z"))), ValueError,
+         "circuit belongs to a different pool"),
+        (lambda pool, other: pool.literal(other.var("z")), BuildError,
+         "variable 'z' is not declared in this pool"),
+        (lambda pool, other: pool.const(2), BuildError, "constant must be 0 or 1, got 2"),
+        (lambda pool, other: pool.and_([]), BuildError, "zero-arity 'and' gate"),
+        (lambda pool, other: pool.build(["and", "x1", 3]), BuildError, "malformed expression 3"),
+        (lambda pool, other: condition(pool.build("x1"), "x1"), TypeError,
+         "condition expects a Term"),
+    ],
+    ids=["reserved-name", "foreign-circuit", "foreign-variable", "constant-2", "empty-and",
+         "int-leaf", "string-assumption"],
+)
+def test_rejected_builds(make, error, message):
+    with pytest.raises(error) as raised:
+        make(*_two_pools())
+    assert str(raised.value) == message
+
+
+def test_a_bool_leaf_builds_a_constant():
+    pool, _ = _two_pools()
+    expected = pool.and_([pool.build("x1"), pool.const(1)])
+    assert pool.build(["and", "x1", True]) == expected

@@ -416,3 +416,31 @@ def test_instance_queries_build_no_gates(request, setting):
         for query in queries:
             query(inst)
         assert len(fx.pool.gates) == gates, f"the pool grew at instance {inst.word}"
+
+
+class TestAsInstance:
+    @pytest.fixture
+    def problem(self):
+        pool = Pool()
+        return ClassificationProblem(pool.declare("x1", "x2", "x3"), pool.declare("y"))
+
+    def test_a_reordered_assignment_is_accepted(self, problem):
+        x1, x2, x3 = problem.features
+        omega = as_instance(problem, Assignment((x3, x1, x2), (1, 0, 1)))
+        assert (omega.vars, omega.word) == (problem.features, "011")
+
+    @pytest.mark.parametrize(
+        "make, error, message",
+        [
+            (lambda p: Assignment((*p.features[:2], p.label), (1, 0, 1)), ValueError,
+             "instance assignment must cover exactly the features"),
+            (lambda p: Term([Literal(p.features[0], True)]), ValueError,
+             "instance term must mention every feature exactly once"),
+            (lambda p: 1.5, TypeError, "cannot interpret float as an instance"),
+        ],
+        ids=["other-variables", "partial-term", "float"],
+    )
+    def test_rejected_instances(self, problem, make, error, message):
+        with pytest.raises(error) as raised:
+            as_instance(problem, make(problem))
+        assert str(raised.value) == message

@@ -411,7 +411,29 @@ def test_check_walks_no_circuit_to_list_its_variables_outside_re6(monkeypatch, c
     walked = _traversals(monkeypatch)
     assert run(capsys, "check", "--problem", DEMO)[0] == 0
     # the battery's work, plus RE6's variable checks: its scratch pool declares a dummy
-    assert len(walked) <= 49
+    assert len(walked) == 42
+
+
+def test_fuzz_walks_no_region_to_list_its_variables(monkeypatch, capsys):
+    walked = _traversals(monkeypatch)
+    code, _, _ = run(capsys, "fuzz", "--vars", "6", "--iters", "10", "--seed", "0")
+    assert code == 0
+    # the generator builds each classifier from a region over the features, unchecked
+    assert len(walked) == 8 * 10
+
+
+def test_check_certifies_only_the_problem_file(monkeypatch, capsys):
+    certified = []
+    real = classifier.check_xy_property
+
+    def spy(circ, problem, cap=semantics.DEFAULT_VAR_CAP):
+        certified.append(circ.root.uid)
+        return real(circ, problem, cap)
+
+    monkeypatch.setattr(classifier, "check_xy_property", spy)
+    assert run(capsys, "check", "--problem", DEMO)[0] == 0
+    # RE5's and RE6's rewrites of sigma are classifiers by construction
+    assert len(certified) == 1
 
 
 def test_fuzz_walks_each_circuit_once_per_iteration(monkeypatch, capsys):
@@ -426,9 +448,30 @@ def test_check_compares_the_blocks_it_holds(monkeypatch, capsys):
     walked = _walks(monkeypatch)
     code, _, _ = run(capsys, "check", "--problem", DEMO)
     assert code == 0
-    # sigma certified, three block reads, then per rewrite (5) and for RE6 a
-    # certification and one block read; no second table of the outcome
-    assert len(walked) <= 16
+    # sigma certified, three block reads, then one block read per rewrite (5)
+    # and one for RE6; no rewrite certified, no second table of the outcome
+    assert len(walked) == 10
+
+
+def test_check_without_rewrites_walks_for_re1_to_re4_and_re6(monkeypatch, capsys):
+    walked = _walks(monkeypatch)
+    code, _, _ = run(capsys, "check", "--problem", DEMO, "--rewrites", "0")
+    assert code == 0
+    assert len(walked) == 5
+
+
+def test_a_failed_battery_exits_1(monkeypatch, capsys):
+    def complemented_rectify(clf, theory):
+        result = rectify(clf, theory)
+        wrong = Classifier.from_positive_circuit(clf.problem, negate(result.positive))
+        return dataclasses.replace(result, rectified=wrong)
+
+    monkeypatch.setattr(cli, "rectify", complemented_rectify)
+    code, out, err = run(capsys, "check", "--problem", DEMO)
+    assert code == 1
+    assert "FAIL" in out
+    assert "all postulates hold" not in out
+    assert err == "postulate battery failed\n"
 
 
 def test_fuzz_without_iterations_checks_nothing(capsys):
@@ -619,3 +662,12 @@ def test_deep_theory_tree_rectifies(tmp_path, capsys):
     )
     assert code == 0
     assert printed == text + "\n"
+
+
+def test_a_cap_that_is_no_number_is_an_input_error(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["table", "--problem", DEMO, "--max-vars", "abc"])
+    captured = capsys.readouterr()
+    assert exit_.value.code == 2
+    assert captured.out == ""
+    assert captured.err.endswith("error: argument --max-vars: invalid int value: 'abc'\n")

@@ -877,3 +877,11 @@ def test_tree_helpers_on_a_deep_tree():
         bits = [1] * cut + [0] + [rng.randint(0, 1) for _ in range(DEEP - cut - 1)]
         omega = Assignment(over, bits[:DEEP])
         assert evaluate(circ, omega) == dt_eval(tree, omega)
+
+
+def test_dt_eval_rejects_a_missing_variable():
+    pool = Pool()
+    x1, x2 = pool.declare("x1", "x2")
+    with pytest.raises(ValueError) as raised:
+        dt_eval(DTNode(x2, LEAF0, LEAF1), Assignment((x1,), (1,)))
+    assert str(raised.value) == "assignment is not total over the tree's variables (missing x2)"

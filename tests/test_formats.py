@@ -724,3 +724,17 @@ def test_an_operand_fault_is_reported_before_its_form_arity():
     reference, built, parsed = _builds(["not", ["or"], "x1"])
     assert reference == (BuildError, "'not' expects 1 argument(s), got 2")
     assert built == parsed == (BuildError, "zero-arity 'or' gate")
+
+
+@pytest.mark.parametrize(
+    "section, message",
+    [
+        ("(sigma y y)\n(theory true)", "section 'sigma' needs exactly one entry"),
+        ("(sigma y)\n(theory true)\n(forest)", "section 'forest' needs at least one tree"),
+    ],
+    ids=["two-sigmas", "empty-forest"],
+)
+def test_rejected_sections(section, message):
+    with pytest.raises(ParseError) as raised:
+        parse_problem(f"(features x1)\n(labels y)\n{section}\n")
+    assert str(raised.value) == message

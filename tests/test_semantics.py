@@ -240,3 +240,22 @@ def test_ensure_within_names_the_extra_variables_sorted():
     ensure_within([a, b], (a, b), "unused {names}")
     with pytest.raises(ValueError, match=r"^outside \(b, c\)!$"):
         ensure_within([c, a, b], {a}, "outside ({names})!")
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda pool, x1: Assignment((x1, pool.var("x2")), (1,)),
+         "assignment needs one bit per variable"),
+        (lambda pool, x1: Assignment((x1, x1), (1, 0)), "duplicate variable in assignment"),
+        (lambda pool, x1: truth_mask(pool.literal(x1), (x1, x1)),
+         "duplicate variables in enumeration order"),
+    ],
+    ids=["wrong-length", "duplicate-assignment", "duplicate-order"],
+)
+def test_rejected_orders(make, message):
+    pool = Pool()
+    x1, _ = pool.declare("x1", "x2")
+    with pytest.raises(ValueError) as raised:
+        make(pool, x1)
+    assert str(raised.value) == message

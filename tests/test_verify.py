@@ -12,6 +12,7 @@ from monorect import (
     Pool,
     RectificationResult,
     check_postulates,
+    check_xy_property,
     condition,
     conjoin,
     dalal_rectify,
@@ -30,9 +31,9 @@ from monorect import (
     truth_mask,
 )
 from monorect.randgen import random_classifier, random_problem, random_theory
-from monorect.verify import _copy, _dalal_mask
+from monorect.verify import _dalal_mask
 
-from conftest import ast_exprs, build_with_vars, oracle_args, to_term
+from conftest import ast_exprs, build_with_vars, desk_pairs, oracle_args, to_term
 
 
 PROBLEM_FILES = sorted((Path(__file__).resolve().parent.parent / "problems").glob("*.sexp"))
@@ -183,7 +184,46 @@ class TestSyntacticRewrite:
         pool, circ = build_with_vars(("a", "b", "c"), ast)
         rng = random.Random(5)
         for _ in range(3):
-            assert equivalent(syntactic_rewrite(circ, rng), circ)
+            assert equivalent(syntactic_rewrite(circ, rng, pool), circ)
+
+    @given(ast=ast_exprs(("a", "b", "c"), max_leaves=10), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60)
+    def test_a_rewrite_matches_variables_by_name(self, ast, seed):
+        # another order of the same names, plus one the circuit does not use
+        pool, circ = build_with_vars(("a", "b", "c"), ast)
+        other = Pool()
+        other.declare("c", "extra", "a", "b")
+        rewrite = syntactic_rewrite(circ, random.Random(seed), other)
+        assert rewrite.pool is other
+        by_name = tuple(other.var(v.name) for v in pool.variables)
+        assert truth_mask(rewrite, by_name) == truth_mask(circ, pool.variables)
+
+    @given(pair=desk_pairs(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60)
+    def test_a_rewrite_of_a_classifier_is_one(self, pair, seed):
+        # why the battery builds its rewrites' classifiers without certifying them
+        pool, problem, clf, _ = pair
+        scratch = Pool()
+        names = (scratch.declare(*map(str, vs)) for vs in (problem.features, problem.labels))
+        rng = random.Random(seed)
+        for target, over in ((pool, problem), (scratch, ClassificationProblem(*names))):
+            assert check_xy_property(syntactic_rewrite(clf.circuit, rng, target), over)
+
+    @pytest.mark.parametrize("path", PROBLEM_FILES, ids=lambda p: p.name)
+    def test_a_rewrite_reads_as_the_printed_text(self, path):
+        pf = parse_problem(path.read_text(encoding="utf-8"))
+        scratch = Pool()
+        for vs in (pf.problem.features, pf.problem.labels):  # declared as the battery does
+            scratch.declare(*map(str, vs))
+        rng = random.Random(0)
+        never = SimpleNamespace(random=lambda: 1.0)  # no child shuffled, no negation added
+        for circ in (pf.sigma, pf.theory):
+            parsed = parse_circuit(print_circuit(circ), scratch)
+            assert equivalent(syntactic_rewrite(circ, rng, scratch), parsed)
+            size = len(scratch.gates)
+            # interning: equal kinds, variable names and child order give the parsed root
+            assert syntactic_rewrite(circ, never, scratch).root is parsed.root
+            assert len(scratch.gates) == size
 
 
 class TestPostulates:
@@ -311,6 +351,12 @@ class TestPostulates:
             assert check_postulates(demo_clf, demo.theory, result).all_passed
         assert demo.pool.variables == before
 
+    def test_the_callers_pool_gains_no_gate(self, demo, demo_clf):
+        result = rectify(demo_clf, demo.theory)
+        size = len(demo.pool.gates)
+        assert check_postulates(demo_clf, demo.theory, result, rewrites=8).all_passed
+        assert len(demo.pool.gates) == size
+
     def test_re6_holds_in_a_pool_declared_in_another_order(self):
         # the label first and an unused variable among the features
         pool, sigma, theory = build_with_vars(
@@ -325,19 +371,6 @@ class TestPostulates:
         report = check_postulates(clf, theory, rectify(clf, theory))
         assert report.all_passed
         assert report.checks[5].render() == "RE6 (variable relevance): pass [1 checks]"
-
-    @pytest.mark.parametrize("path", PROBLEM_FILES, ids=lambda p: p.name)
-    def test_re6_copies_the_gates_the_printed_text_reads_back(self, path):
-        pf = parse_problem(path.read_text(encoding="utf-8"))
-        scratch = Pool()
-        for vs in (pf.problem.features, pf.problem.labels):  # declared as the battery does
-            scratch.declare(*map(str, vs))
-        for circ in (pf.sigma, pf.theory):
-            parsed = parse_circuit(print_circuit(circ), scratch)
-            size = len(scratch.gates)
-            # interning: equal kinds, variable names and child order give the parsed root
-            assert _copy(circ, scratch).root is parsed.root
-            assert len(scratch.gates) == size
 
     @pytest.mark.parametrize("path", PROBLEM_FILES, ids=lambda p: p.name)
     def test_re6_projection_folds_back_to_the_circuit_itself(self, path):
