@@ -17,13 +17,13 @@ Decision trees::
 
     tree := '0' | '1' | '(' NAME tree tree ')'       low (NAME = 0) first
 
-Problem files are a sequence of top-level forms, in any order::
+Problem files are a sequence of top-level forms, in any order, each
+required exactly once::
 
-    (features NAME+)     required
-    (labels NAME+)       required, disjoint from the features
-    (sigma EXPR)         required: the classifier circuit
-    (theory EXPR)        required: the background knowledge
-    (forest TREE+)       optional: classification trees over features+labels
+    (features NAME+)
+    (labels NAME+)       disjoint from the features
+    (sigma EXPR)         the classifier circuit
+    (theory EXPR)        the background knowledge
 
 Decision-tree files (inputs of the dt-rectify command)::
 
@@ -242,7 +242,6 @@ class ProblemFile:
     problem: ClassificationProblem
     sigma: Circuit
     theory: Circuit
-    forest: tuple[DecisionTree, ...] | None
 
 
 @dataclass(frozen=True)
@@ -252,16 +251,17 @@ class TreeFile:
     tree: DecisionTree
 
 
-_PROBLEM_SECTIONS = ("features", "labels", "sigma", "theory", "forest")
+_PROBLEM_SECTIONS = ("features", "labels", "sigma", "theory")
 _TREE_SECTIONS = ("features", "labels", "tree")
 
 
-def _read_file(text: str, known: tuple[str, ...], required: tuple[str, ...]):
+def _read_file(text: str, sections: tuple[str, ...]):
     """The pool, problem and sections of a file, read in order in one pass.
 
-    A section that needs the pool, met before it, is skipped and read at
-    the end.  Sigma is read before theory, so its gates come first in any
-    order of sections.
+    Each of `sections` must appear once, and no other.  A section that
+    needs the pool, met before it, is skipped and read at the end.  Sigma
+    is read before theory, so its gates come first in any order of
+    sections.
     """
     try:
         tokens = _tokens(text)
@@ -273,7 +273,7 @@ def _read_file(text: str, known: tuple[str, ...], required: tuple[str, ...]):
             key = tokens[i][1:]
             if tokens[i][0] != "(" or not key:
                 raise ParseError("top-level forms must look like (keyword ...)")
-            if key not in known:
+            if key not in sections:
                 raise ParseError(f"unknown section {key!r}")
             if key in seen:
                 raise ParseError(f"duplicate section {key!r}")
@@ -285,19 +285,19 @@ def _read_file(text: str, known: tuple[str, ...], required: tuple[str, ...]):
             elif pool is None or (key == "theory" and seen.get("sigma") is None):
                 later.append((key, i + 1))
                 seen[key], i = None, _form_end(tokens, i + 1)[1]
-            elif key in ("tree", "forest"):
+            elif key == "tree":
                 seen[key], i = _trees_at(tokens, i + 1, pool.var)
             else:
                 seen[key], i = pool.read(tokens, i + 1)
             if pool is None and "features" in seen and "labels" in seen:
                 pool = Pool()
                 problem = ClassificationProblem(pool.declare(*seen["features"]), pool.declare(*seen["labels"]))
-        for key in required:
+        for key in sections:
             if key not in seen:
                 raise ParseError(f"missing section {key!r}")
         for key, start in sorted(later, key=lambda entry: entry[0] == "theory"):
-            circuit = key in ("sigma", "theory")
-            seen[key] = (pool.read(tokens, start) if circuit else _trees_at(tokens, start, pool.var))[0]
+            read = _trees_at(tokens, start, pool.var) if key == "tree" else pool.read(tokens, start)
+            seen[key] = read[0]
         return pool, problem, seen
     except (RectifyError, IndexError) as error:
         raise _unbalanced(text) or error  # an unbalanced parenthesis is reported first
@@ -311,18 +311,15 @@ def _single(section: list, what: str):
 
 def parse_problem(text: str) -> ProblemFile:
     """Parse a problem file into a fresh pool."""
-    pool, problem, seen = _read_file(text, _PROBLEM_SECTIONS, _PROBLEM_SECTIONS[:4])
+    pool, problem, seen = _read_file(text, _PROBLEM_SECTIONS)
     sigma = Circuit(pool, _single(seen["sigma"], "sigma"))
     theory = Circuit(pool, _single(seen["theory"], "theory"))
-    forest = seen.get("forest")
-    if forest == []:
-        raise ParseError("section 'forest' needs at least one tree")
-    return ProblemFile(pool, problem, sigma, theory, forest and tuple(forest))
+    return ProblemFile(pool, problem, sigma, theory)
 
 
 def parse_tree_file(text: str) -> TreeFile:
     """Parse a decision-tree file into a fresh pool."""
-    pool, problem, seen = _read_file(text, _TREE_SECTIONS, _TREE_SECTIONS)
+    pool, problem, seen = _read_file(text, _TREE_SECTIONS)
     if not problem.mono_label:
         raise ParseError("decision-tree files declare exactly one label")
     return TreeFile(pool, problem, _single(seen["tree"], "tree"))

@@ -1,4 +1,4 @@
-"""Seeded random circuits, classifiers, trees, and forests.
+"""Seeded random circuits, classifiers and trees.
 
 Used by the fuzz command, the property-test suites, and the timing
 sweeps.  Everything is driven by a caller-supplied random.Random, so runs

@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 
 from .circuit import AND, DEC, NOT, OR, VAR
-from .circuit import Circuit, Gate, Pool, conjoin, disjoin, iter_gates, negate
+from .circuit import Circuit, Gate, Pool, conjoin, iter_gates, negate
 from .classifier import Classifier, ClassificationProblem, _forced, label_blocks
 from .rectify import RectificationResult, preprocess_project, rectify
 from .semantics import DEFAULT_VAR_CAP, _position_mask, var_masks
@@ -142,8 +142,8 @@ def check_postulates(
 
     Per-instance postulates are exhaustive over the feature space; syntax
     independence samples equivalent rewrites of both inputs; variable
-    relevance adjoins one fresh tautological variable to a rewrite of each
-    and checks that projecting it away leaves the outcome untouched.  The
+    relevance splits a rewrite of each on one fresh variable and checks
+    that projecting it away leaves the outcome untouched.  The
     rewrites go into one scratch pool and none is certified: a rewrite of
     the certified sigma is a classifier by construction.
     """
@@ -208,17 +208,17 @@ def check_postulates(
     checks.append(PostulateCheck("RE5", "syntax independence", ok, rewrites, detail))
 
     # RE6: variables outside the problem are irrelevant once projected away.
-    # The dummy is declared only now, after RE5.  preprocess_project(conjoin(c,
-    # d | !d)) folds back to c's own root (both cofactors of d | !d are true),
-    # so the dummy never reaches `rectify`: RE6 checks that rewriting and
-    # rectifying again gives the same blocks.
-    dummy = scratch.literal(scratch.fresh())
-    tautology = disjoin(dummy, negate(dummy))
-    sigma_aux, theory_aux = (
-        preprocess_project(conjoin(syntactic_rewrite(c, rng, scratch), tautology), aux_problem)
-        for c in (clf.circuit, theory)
-    )
-    ok = outcome(sigma_aux, theory_aux) == after
+    # The dummy d, declared only now, after RE5, splits each rewrite c along
+    # the label: (dec d (and c !y) (and c y)).  Forgetting d gives a circuit
+    # equivalent to c but not c; a cofactor on d alone is c with the label
+    # fixed, so a projection that keeps one changes the outcome.
+    dummy, y = scratch.fresh(), scratch.literal(aux_problem.label)
+    projected = []
+    for c in (clf.circuit, theory):
+        c = syntactic_rewrite(c, rng, scratch)
+        split = scratch.decision(dummy, conjoin(c, negate(y)), conjoin(c, y))
+        projected.append(preprocess_project(split, aux_problem))
+    ok = outcome(*projected) == after
     detail = None if ok else "projected dummy variable changed the outcome"
     checks.append(PostulateCheck("RE6", "variable relevance", ok, 1, detail))
 

@@ -9,7 +9,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings, strategies as st
 
 from monorect import (
     Classifier,
@@ -19,6 +19,7 @@ from monorect import (
     cli,
     label_blocks,
     negate,
+    parse_circuit,
     parse_problem,
     positive_circuit,
     print_circuit,
@@ -671,3 +672,85 @@ def test_a_cap_that_is_no_number_is_an_input_error(capsys):
     assert exit_.value.code == 2
     assert captured.out == ""
     assert captured.err.endswith("error: argument --max-vars: invalid int value: 'abc'\n")
+
+
+# ----------------------------------------------------------------------
+# Typed rejection: every command either works on a token mutant of a
+# shipped input or rejects it with a documented exit code and one line.
+
+_INPUTS = sorted(PROBLEMS.iterdir())
+_SPARE_TOKENS = (
+    *"()012",
+    *("true", "false", "not", "and", "or", "imp", "iff", "dec", "let", "x1", "y", "zz"),
+    *("features", "labels", "sigma", "theory", "tree", "forest", "110", "10"),
+)
+
+
+def _input_tokens(path: Path) -> list[str]:
+    text = re.sub(r";[^\n]*", "", path.read_text(encoding="utf-8"))
+    return re.findall(r"[()]|[^\s()]+", text)
+
+
+@st.composite
+def _mutants(draw):
+    """A shipped input and the text of its tokens after one to three edits."""
+    path = draw(st.sampled_from(_INPUTS))
+    tokens = _input_tokens(path)
+    spare = st.sampled_from(_SPARE_TOKENS + tuple(tokens))
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["delete", "insert", "replace", "swap"]))
+        if kind == "insert":
+            tokens.insert(draw(st.integers(0, len(tokens))), draw(spare))
+            continue
+        if not tokens:
+            continue
+        i = draw(st.integers(0, len(tokens) - 1))
+        if kind == "delete":
+            del tokens[i]
+        elif kind == "replace":
+            tokens[i] = draw(spare)
+        else:
+            j = draw(st.integers(0, len(tokens) - 1))
+            tokens[i], tokens[j] = tokens[j], tokens[i]
+    return path, "\n".join(tokens)  # a line per token keeps the instance words apart
+
+
+def _commands(path: Path, mutant: str) -> list[list[str]]:
+    if path.suffix == ".sexp":
+        problem = ["--problem", mutant]
+        return [
+            ["rectify", *problem, "--out", "circuit"],
+            ["rectify", *problem, "--out", "dtree"],
+            ["rectify", *problem, "--out", "circuit", "--simplify"],
+            ["classify", *problem, "--instance", "110"],
+            ["table", *problem],
+            ["check", *problem, "--rewrites", "1"],
+        ]
+    if path.suffix == ".tree":
+        sigma, theory = (
+            mutant if path.name == name else str(PROBLEMS / name)
+            for name in ("demo_sigma.tree", "demo_theory.tree")
+        )
+        return [["dt-rectify", "--sigma", sigma, "--theory", theory]]
+    return [["classify", "--problem", DEMO, "--instances", mutant]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_mutants())
+def test_a_mutated_input_works_or_is_rejected_with_one_typed_line(case):
+    path, text = case
+    with tempfile.TemporaryDirectory() as tmp:
+        mutant = Path(tmp) / path.name
+        mutant.write_text(text, encoding="utf-8")
+        for argv in _commands(path, str(mutant)):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 1, 2, 3), (argv, text, err.getvalue())
+            assert "internal error" not in err.getvalue(), (argv, text)
+            if code:
+                assert len(err.getvalue().splitlines()) == 1, (argv, text, err.getvalue())
+            elif argv[0] == "rectify" and argv[-1] == "circuit":  # the linear size bound
+                pf = parse_problem(text)
+                rectified = parse_circuit(out.getvalue().splitlines()[1][len("rectified: ") :], pf.pool)
+                assert rectified.size <= pf.sigma.size + 2 * pf.theory.size + 16, text

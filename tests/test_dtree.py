@@ -26,6 +26,7 @@ from monorect import (
     dt_vars,
     equivalent,
     evaluate,
+    is_fact_compliant,
     is_read_once,
     iter_gates,
     parse_dtree,
@@ -335,21 +336,23 @@ class TestForest:
         with pytest.raises(ValueError):
             RandomForest(())
 
-    def test_shipped_forest_file_rectifies(self):
-        from pathlib import Path
-
-        from monorect import is_fact_compliant, parse_problem
-
-        path = Path(__file__).resolve().parent.parent / "problems" / "forest.sexp"
-        pf = parse_problem(path.read_text())
-        theory_tree = circuit_to_dt(pf.theory, pf.problem.all_vars)
-        rectified = rf_rectify(RandomForest(pf.forest), theory_tree, pf.problem)
+    def test_shipped_forest_file_rectifies(self, demo):
+        # three trees over the demo problem: the first matches sigma, the others
+        # are different classifiers, so the majority vote is non-trivial
+        texts = (
+            SIGMA_TREE_TEXT,
+            "(x2 (y 1 0) (x1 (y 0 1) (y 1 0)))",
+            "(x3 (y 1 0) (x1 (y 1 0) (y 0 1)))",
+        )
+        forest = RandomForest(tuple(parse_dtree(text, demo.pool) for text in texts))
+        theory_tree = circuit_to_dt(demo.theory, demo.problem.all_vars)
+        rectified = rf_rectify(forest, theory_tree, demo.problem)
         for tree in rectified.trees:
-            clf = Classifier(pf.problem, dt_to_circuit(tree, pf.pool))
+            clf = Classifier(demo.problem, dt_to_circuit(tree, demo.pool))
             for word in ("000", "001", "010", "011", "100", "101", "110", "111"):
-                assert is_fact_compliant(clf, pf.theory, word)
+                assert is_fact_compliant(clf, demo.theory, word)
         # the highlighted instance flips to positive for every tree, so the vote does too
-        assert rf_classify(rectified, "110", pf.problem) == 1
+        assert rf_classify(rectified, "110", demo.problem) == 1
 
 
 # ----------------------------------------------------------------------

@@ -16,6 +16,7 @@ from monorect import (
     print_dtree,
 )
 from monorect.circuit import VarId
+from monorect.cli import main
 from monorect.dtree import DTLeaf, DTNode
 
 from conftest import (
@@ -225,7 +226,6 @@ class TestProblemFiles:
         pf = parse_problem(self.GOOD)
         assert [v.name for v in pf.problem.features] == ["x1", "x2", "x3"]
         assert [v.name for v in pf.problem.labels] == ["y"]
-        assert pf.forest is None
         assert pf.sigma == pf.pool.build(DEMO_SIGMA_AST)
 
     def test_missing_section(self):
@@ -250,31 +250,8 @@ class TestProblemFiles:
         with pytest.raises(ParseError, match="non-empty"):
             parse_problem(bad)
 
-    def test_forest_section(self):
-        text = self.GOOD + f"(forest {SIGMA_TREE_TEXT} {SIGMA_TREE_TEXT})\n"
-        pf = parse_problem(text)
-        assert len(pf.forest) == 2
-        assert pf.forest[0] == pf.forest[1]
-
-    def test_forest_before_declarations(self):
-        text = f"(forest {SIGMA_TREE_TEXT} 1)\n" + self.GOOD
-        pf = parse_problem(text)
-        assert pf.forest == (parse_dtree(SIGMA_TREE_TEXT, pf.pool), DTLeaf(1))
-        assert [v.name for v in pf.pool.variables] == ["x1", "x2", "x3", "y"]
-        with pytest.raises(BuildError, match="unknown identifier 'z'"):
-            parse_problem("(forest (z 0 1))\n" + self.GOOD)
-
-    @pytest.mark.parametrize("leaf", ["2", "x2", "(x1 0 1 1)"])
-    def test_bad_forest_before_declarations_raises_as_after_them(self, leaf):
-        bad = f"(forest (x1 0 {leaf}))\n"
-        with pytest.raises(ParseError) as after:
-            parse_problem(self.GOOD + bad)
-        with pytest.raises(ParseError) as before:
-            parse_problem(bad + self.GOOD)
-        assert str(before.value) == str(after.value)
-
     def test_shipped_problem_files_load(self):
-        for name in ("demo.sexp", "twolabel.sexp", "forest.sexp"):
+        for name in ("demo.sexp", "twolabel.sexp"):
             parse_problem((PROBLEMS / name).read_text())
         for name in ("demo_sigma.tree", "demo_theory.tree"):
             parse_tree_file((PROBLEMS / name).read_text())
@@ -294,12 +271,9 @@ def _header(problem) -> str:
 
 
 def _print_problem(pf) -> str:
-    text = _header(pf.problem) + (
+    return _header(pf.problem) + (
         f"(sigma {print_circuit(pf.sigma)})\n(theory {print_circuit(pf.theory)})\n"
     )
-    if pf.forest is not None:
-        text += f"(forest {' '.join(print_dtree(t) for t in pf.forest)})\n"
-    return text
 
 
 class TestTreeFiles:
@@ -730,11 +704,22 @@ def test_an_operand_fault_is_reported_before_its_form_arity():
     "section, message",
     [
         ("(sigma y y)\n(theory true)", "section 'sigma' needs exactly one entry"),
-        ("(sigma y)\n(theory true)\n(forest)", "section 'forest' needs at least one tree"),
     ],
-    ids=["two-sigmas", "empty-forest"],
+    ids=["two-sigmas"],
 )
 def test_rejected_sections(section, message):
     with pytest.raises(ParseError) as raised:
         parse_problem(f"(features x1)\n(labels y)\n{section}\n")
     assert str(raised.value) == message
+
+
+def test_a_forest_section_is_an_unknown_section(tmp_path, capsys):
+    # classification trees are read from tree files one at a time; a problem file holds none
+    text = TestProblemFiles.GOOD + f"(forest {SIGMA_TREE_TEXT})\n"
+    with pytest.raises(ParseError) as raised:
+        parse_problem(text)
+    assert str(raised.value) == "unknown section 'forest'"
+    path = tmp_path / "forest.sexp"
+    path.write_text(text, encoding="utf-8")
+    assert main(["table", "--problem", str(path)]) == 2
+    assert capsys.readouterr() == ("", "error: unknown section 'forest'\n")

@@ -1,4 +1,5 @@
 import random
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -13,6 +14,7 @@ from monorect import (
     RectificationResult,
     check_postulates,
     check_xy_property,
+    cofactors,
     condition,
     conjoin,
     dalal_rectify,
@@ -374,14 +376,37 @@ class TestPostulates:
 
     @pytest.mark.parametrize("path", PROBLEM_FILES, ids=lambda p: p.name)
     def test_re6_projection_folds_back_to_the_circuit_itself(self, path):
-        # so the dummy never reaches rectify: RE6 checks re-interning and rectifying again
+        # a tautological dummy would never reach rectify, so RE6 splits on the
+        # label instead: its projection is equivalent to the circuit but not it
         pf = parse_problem(path.read_text(encoding="utf-8"))
-        dummy = pf.pool.literal(pf.pool.fresh())
+        d = pf.pool.fresh()
+        dummy = pf.pool.literal(d)
         tautology = disjoin(dummy, negate(dummy))
+        y = pf.pool.literal(pf.problem.labels[0])
         for circ in (pf.sigma, pf.theory):
             conjoined = conjoin(circ, tautology)
             assert conjoined.root is not circ.root
             assert preprocess_project(conjoined, pf.problem).root is circ.root
+            split = pf.pool.decision(d, conjoin(circ, negate(y)), conjoin(circ, y))
+            projected = preprocess_project(split, pf.problem)
+            assert projected.root is not circ.root
+            assert equivalent(projected, circ)
+
+    @pytest.mark.parametrize("side", [0, 1], ids=["low", "high"])
+    @pytest.mark.parametrize("name", ["demo.sexp", "demo_reversed.sexp"])
+    def test_re6_fails_where_projection_keeps_one_cofactor(self, monkeypatch, name, side):
+        def one_cofactor(circ, vs):
+            for v in vs:
+                circ = cofactors(circ, v)[side]
+            return circ
+
+        # `monorect.rectify` is the function; the module is looked up by name
+        monkeypatch.setattr(sys.modules["monorect.rectify"], "forget", one_cofactor)
+        pf = parse_problem((PROBLEM_FILES[0].parent / name).read_text(encoding="utf-8"))
+        clf = Classifier(pf.problem, pf.sigma)
+        report = check_postulates(clf, pf.theory, rectify(clf, pf.theory))
+        assert [c.name for c in report.checks if not c.passed] == ["RE6"]
+        assert report.checks[5].detail == "projected dummy variable changed the outcome"
 
     def test_negative_rewrite_count_is_rejected(self, demo, demo_clf):
         result = rectify(demo_clf, demo.theory)
