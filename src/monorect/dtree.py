@@ -17,7 +17,7 @@ walk, `_fold`; `_reduce` (forced bits on the path),
 carry more state and keep their own loops.  Variables are `VarId` named
 tuples, hashed and compared in C; ids from two pools that declare the
 same names in the same order are equal, which lets `dt_rectify` combine
-trees read from two files.
+trees read from two files, whose roots record their variables (`dt_vars`).
 
 Certifying the classifier tree (`dt_check_classification`) is structural:
 it reduces the tree's label cofactors and combines them by grafts, so it
@@ -93,6 +93,16 @@ class DTNode:
         return "".join(out)
 
 
+class _ReadRoot(DTNode):
+    """A read tree's root, with the variables the reader resolved: exactly the tree's."""
+
+    __slots__ = ("variables",)
+
+    def __init__(self, node: DTNode, variables: frozenset[VarId]):
+        super().__init__(node.var, node.low, node.high)
+        self.variables = variables
+
+
 def _same(a: "DecisionTree", b: "DecisionTree") -> bool:
     """Structural equality over an explicit stack; shared subtrees are skipped."""
     todo = [(a, b)]
@@ -144,6 +154,13 @@ def _keep(node: DTNode, low: DecisionTree, high: DecisionTree) -> DTNode:
 
 
 def dt_vars(tree: DecisionTree) -> frozenset[VarId]:
+    """The tree's variables, reached or not; walked unless the reader recorded them."""
+    if type(tree) is _ReadRoot:
+        return tree.variables
+    return _var_walk(tree)
+
+
+def _var_walk(tree: DecisionTree) -> frozenset[VarId]:
     found = set()
     todo = [tree] if isinstance(tree, DTNode) else []
     while todo:

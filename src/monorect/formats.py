@@ -56,7 +56,7 @@ from dataclasses import dataclass
 from .circuit import CONST, DEC, VAR
 from .circuit import Circuit, Gate, Pool, _form_end, iter_gates
 from .classifier import ClassificationProblem
-from .dtree import LEAF0, LEAF1, DecisionTree, DTLeaf, DTNode
+from .dtree import LEAF0, LEAF1, DecisionTree, DTLeaf, DTNode, _ReadRoot
 from .errors import ParseError, RectifyError
 
 
@@ -186,7 +186,8 @@ def parse_dtree(text: str, pool: Pool) -> DecisionTree:
 
 
 def _trees_at(tokens: list[str], i: int, var) -> tuple[list[DecisionTree], int]:
-    """The trees from tokens[i] to the ')' closing them, and the index after it."""
+    """The trees from tokens[i] to the ')' closing them, and the index after it;
+    a single tree's root records its variables, all resolved here (`_ReadRoot`)."""
     resolved: dict = {}  # `var` of each '(name' token met
     done: list[DecisionTree] = []
     opened: list = []  # each open node's variable and the height of `done` at its '('
@@ -195,6 +196,8 @@ def _trees_at(tokens: list[str], i: int, var) -> tuple[list[DecisionTree], int]:
         i += 1
         if token == ")":
             if not opened:
+                if resolved and len(done) == 1:  # one tree, not a bare leaf
+                    done[0] = _ReadRoot(done[0], frozenset(resolved.values()))
                 return done, i
             var_id, height = opened.pop()
             if len(done) != height + 2:  # the node's two subtrees, and nothing else

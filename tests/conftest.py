@@ -16,6 +16,7 @@ from monorect import (
     check_xy_property,
     conjoin,
     disjoin,
+    dtree,
     iter_gates,
     label_blocks,
     negate,
@@ -343,6 +344,36 @@ def tree_from_spec(pool, spec):
         return DTLeaf(1)
     name, low, high = spec
     return DTNode(pool.var(name), tree_from_spec(pool, low), tree_from_spec(pool, high))
+
+
+def reference_tree_vars(tree):
+    """Every variable a decision tree mentions, reached or not, by a walk over all its nodes."""
+    found = set()
+    todo = [tree]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, DTNode):
+            found.add(node.var)
+            todo += (node.low, node.high)
+    return frozenset(found)
+
+
+def rebuilt_tree(tree):
+    """A node-by-node copy of a decision tree, built by hand, so it vouches for nothing."""
+    return _fold(tree, lambda leaf: leaf, lambda node, low, high: DTNode(node.var, low, high))
+
+
+def var_walks(monkeypatch) -> list:
+    """Every tree whose variables `dt_vars` walks from now on."""
+    walked = []
+    real = dtree._var_walk
+
+    def spy(tree):
+        walked.append(tree)
+        return real(tree)
+
+    monkeypatch.setattr(dtree, "_var_walk", spy)
+    return walked
 
 
 def node_count(tree):

@@ -29,7 +29,7 @@ from monorect import (
 from monorect.cli import main
 from monorect.dtree import circuit_to_dt
 
-from conftest import desk_pairs, reference_simplify
+from conftest import desk_pairs, rebuilt_tree, reference_simplify, var_walks
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 DEMO = str(PROBLEMS / "demo.sexp")
@@ -239,6 +239,21 @@ def test_dt_rectify(capsys):
     )
     assert code == 0
     assert out == "(x1 (y 1 0) (x2 (y 1 0) (y 0 1)))\n"
+
+
+def test_dt_rectify_walks_no_tree_it_read(monkeypatch, capsys):
+    from monorect import dt_rectify, parse_tree_file, print_dtree
+
+    sigma_path, theory_path = PROBLEMS / "demo_sigma.tree", PROBLEMS / "demo_theory.tree"
+    walks = var_walks(monkeypatch)
+    code, out, _ = run(capsys, "dt-rectify", "--sigma", str(sigma_path), "--theory", str(theory_path))
+    assert (code, out) == (0, "(x1 (y 1 0) (x2 (y 1 0) (y 0 1)))\n")
+    assert walks == []
+    # the same classifier tree built by hand is walked once
+    sigma, theory = (parse_tree_file(path.read_text()) for path in (sigma_path, theory_path))
+    hand_built = rebuilt_tree(sigma.tree)
+    assert print_dtree(dt_rectify(hand_built, theory.tree, sigma.problem)) + "\n" == out
+    assert len(walks) == 1 and walks[0] is hand_built
 
 
 def test_dt_rectify_mismatched_files(tmp_path, capsys):

@@ -42,10 +42,12 @@ from monorect.dtree import (
     DTNode,
     LEAF0,
     LEAF1,
+    _ReadRoot,
     _graft,
     _reduce,
     has_identical_children,
 )
+from monorect.formats import parse_tree_file
 from monorect.randgen import random_tree
 
 from conftest import (
@@ -58,6 +60,9 @@ from conftest import (
     dt_negate,
     is_simplified,
     node_count,
+    rebuilt_tree,
+    reference_tree_vars,
+    var_walks,
     REDUCED_TREE_TEXT,
     SIGMA_TREE_TEXT,
     THEORY_TREE_TEXT,
@@ -888,3 +893,159 @@ def test_dt_eval_rejects_a_missing_variable():
     with pytest.raises(ValueError) as raised:
         dt_eval(DTNode(x2, LEAF0, LEAF1), Assignment((x1,), (1,)))
     assert str(raised.value) == "assignment is not total over the tree's variables (missing x2)"
+
+
+# ----------------------------------------------------------------------
+# Read trees vouch for their variables: the reader records each tree's
+# variable set on its root, and `dt_vars` walks only other trees.
+
+WIDE_NAMES = ("x1", "x2", "x3", "x4", "x5")
+
+
+def _outcome(call):
+    try:
+        return "ok", call()
+    except Exception as error:
+        return type(error).__name__, str(error)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    names=st.lists(st.sampled_from(WIDE_NAMES + ("y",)), min_size=1, max_size=6, unique=True),
+    depth=st.integers(0, 6),
+)
+def test_a_read_tree_records_exactly_its_variables(seed, names, depth):
+    pool = Pool()
+    pool.declare(*WIDE_NAMES, "y", "z1", "z2")  # wider than any tree drawn
+    text = print_dtree(random_tree([pool.var(n) for n in names], random.Random(seed), depth))
+    head = f"(features {' '.join(WIDE_NAMES)})", "(labels y)"
+    reads = [parse_dtree(text, pool)]
+    # every order of the sections, three of which read the tree after the pool is built
+    for order in itertools.permutations(head + (f"(tree {text})",)):
+        reads.append(parse_tree_file("\n".join(order)).tree)
+    for tree in reads:
+        assert print_dtree(tree) == text
+        if isinstance(tree, DTNode):
+            assert type(tree) is _ReadRoot
+            assert tree.variables == reference_tree_vars(tree)
+        assert dt_vars(tree) == reference_tree_vars(tree)
+
+
+@pytest.mark.parametrize("text", ["0", "1"])
+def test_a_bare_leaf_reads_as_a_leaf_without_variables(text):
+    pool = Pool()
+    pool.declare("x1", "y")
+    leaf = parse_dtree(text, pool)
+    assert leaf is (LEAF1 if text == "1" else LEAF0)
+    assert dt_vars(leaf) == frozenset()
+    for order in itertools.permutations(("(features x1)", "(labels y)", f"(tree {text})")):
+        assert parse_tree_file("".join(order)).tree is leaf
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    sigma_over=st.sampled_from(["features", "features and z1", "all"]),
+    theory_over=st.sampled_from(["all", "all and z1"]),
+)
+def test_rectifying_read_trees_prints_what_rebuilt_copies_print(seed, sigma_over, theory_over):
+    pool = Pool()
+    problem = ClassificationProblem(pool.declare("x1", "x2", "x3", "x4"), pool.declare("y"))
+    (z1,) = pool.declare("z1")
+    rng = random.Random(seed)
+    if sigma_over == "all":  # mostly not a classifier
+        sigma = random_tree(problem.all_vars, rng, depth=5)
+    else:
+        extra = (z1,) if sigma_over == "features and z1" else ()
+        sigma = attach_label(random_tree(problem.features + extra, rng, depth=5), problem.label)
+    extra = (z1,) if theory_over == "all and z1" else ()
+    theory = random_tree(problem.all_vars + extra, rng, depth=5)
+    read_sigma = parse_dtree(print_dtree(sigma), pool)
+    read_theory = parse_dtree(print_dtree(theory), pool)
+    copies = rebuilt_tree(read_sigma), rebuilt_tree(read_theory)
+    assert all(type(copy) is not _ReadRoot for copy in copies)
+    assert _outcome(lambda: dt_check_classification(read_sigma, problem)) == _outcome(
+        lambda: dt_check_classification(copies[0], problem)
+    )
+    rectified = _outcome(lambda: print_dtree(dt_rectify(read_sigma, read_theory, problem)))
+    assert rectified == _outcome(lambda: print_dtree(dt_rectify(*copies, problem)))
+
+
+def _sized_tree(rng, over, depth, internal, leaf):
+    """A random tree with exactly `internal` decisions and depth at most `depth`."""
+    if internal == 0:
+        return leaf()
+    cap = (1 << (depth - 1)) - 1
+    low = rng.randint(max(0, internal - 1 - cap), min(cap, internal - 1))
+    return DTNode(
+        rng.choice(over),
+        _sized_tree(rng, over, depth - 1, low, leaf),
+        _sized_tree(rng, over, depth - 1, internal - 1 - low, leaf),
+    )
+
+
+def test_a_bench_shaped_read_pair_rectifies_as_its_rebuilt_copy(monkeypatch):
+    # the shape of the tree-pipeline benchmark's largest class: 12 features, depth 16-18
+    pool = Pool()
+    features = pool.declare(*(f"x{i}" for i in range(1, 13)))
+    problem = ClassificationProblem(features, pool.declare("y"))
+    y = problem.label
+    rng = random.Random(12)
+    classes = DTNode(y, LEAF1, LEAF0), DTNode(y, LEAF0, LEAF1)
+    sigma = _sized_tree(rng, features, 16, 2000, lambda: rng.choice(classes))
+    theory = _sized_tree(rng, problem.all_vars, 16, 1000, lambda: rng.choice((LEAF0, LEAF1)))
+    assert decision_count(sigma) + decision_count(theory) >= 3000
+    head = f"(features {' '.join(v.name for v in features)})\n(labels y)\n"
+    read_sigma, read_theory = (
+        parse_tree_file(head + f"(tree {print_dtree(tree)})\n").tree for tree in (sigma, theory)
+    )
+    walks = var_walks(monkeypatch)
+    out = print_dtree(dt_rectify(read_sigma, read_theory, problem))
+    assert walks == []
+    copies = rebuilt_tree(read_sigma), rebuilt_tree(read_theory)
+    assert out == print_dtree(dt_rectify(*copies, problem))
+    assert len(walks) == 2
+
+
+SIGMA_OUTSIDE = "^tree mentions variables outside the problem: z1$"
+THEORY_OUTSIDE = "^theory tree mentions variables outside the problem: z1$"
+
+
+def test_trees_built_on_read_trees_are_walked(trees, monkeypatch):
+    pool, problem, parse = trees
+    (z1,) = pool.declare("z1")
+    x1, x3 = pool.var("x1"), pool.var("x3")
+    sigma, theory = parse(SIGMA_TREE_TEXT), parse(THEORY_TREE_TEXT)
+    walks = var_walks(monkeypatch)
+    with pytest.raises(ValueError, match=SIGMA_OUTSIDE):
+        dt_rectify(DTNode(z1, sigma, LEAF0), theory, problem)
+    with pytest.raises(ValueError, match=SIGMA_OUTSIDE):
+        dt_check_classification(DTNode(z1, sigma, LEAF0), problem)
+    with pytest.raises(ValueError, match=THEORY_OUTSIDE):
+        dt_rectify(sigma, DTNode(z1, theory, LEAF0), problem)
+    assert len(walks) == 3
+
+    # a kernel that changes a read tree returns a new root, which is walked
+    wide = parse("(x1 (y 0 1) (z1 (y 0 1) (x2 (y 1 0) (y 0 1))))")
+    kept_z1 = dt_condition(wide, Literal(x1, True))
+    dropped_z1 = dt_condition(wide, Literal(z1, False))
+    labelled = attach_label(parse("(x1 0 (z1 1 (x2 0 1)))"), problem.label)
+    theory_z1 = dt_condition(parse("(z1 (x1 0 (y 0 1)) 1)"), Literal(x1, False))
+    for built in (kept_z1, dropped_z1, labelled, theory_z1):
+        assert type(built) is DTNode
+        assert dt_vars(built) == reference_tree_vars(built)
+    for built in (kept_z1, labelled):
+        with pytest.raises(ValueError, match=SIGMA_OUTSIDE):
+            dt_check_classification(built, problem)
+        with pytest.raises(ValueError, match=SIGMA_OUTSIDE):
+            dt_rectify(built, theory, problem)
+    with pytest.raises(ValueError, match=THEORY_OUTSIDE):
+        dt_rectify(sigma, theory_z1, problem)
+    # z1 conditioned away: no stale record of it
+    out = print_dtree(dt_rectify(dropped_z1, theory, problem))
+    assert out == print_dtree(dt_rectify(rebuilt_tree(dropped_z1), theory, problem))
+
+    # a kernel that changes nothing keeps the read root, whose record still holds
+    unchanged = dt_condition(wide, Literal(x3, True))
+    assert unchanged is wide
+    with pytest.raises(ValueError, match=SIGMA_OUTSIDE):
+        dt_check_classification(unchanged, problem)
