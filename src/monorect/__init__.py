@@ -33,20 +33,13 @@ from .classifier import (
     positive_circuit,
 )
 from .dtree import (
-    DecisionTree,
-    DTLeaf,
-    DTNode,
     RandomForest,
     attach_label,
     circuit_to_dt,
     dt_check_classification,
-    dt_condition,
     dt_eval,
     dt_rectify,
     dt_simplify,
-    dt_to_circuit,
-    dt_vars,
-    is_read_once,
     rf_classify,
     rf_rectify,
 )

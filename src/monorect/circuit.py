@@ -192,10 +192,13 @@ class Pool:
     to read from anywhere.
 
     Every variable a gate mentions is one the pool declares: `literal`
-    and `decision` check it, `read` resolves names against the table, and
-    the kernels only reuse the payloads of existing gates.  So a circuit
-    checked against a superset of the declarations needs no walk
-    (`Circuit.vars_outside`).
+    and `decision` check it, `read` and the tree reader resolve names
+    against the table, and the kernels only reuse the payloads of
+    existing gates.  So a circuit checked against a superset of the
+    declarations needs no walk (`Circuit.vars_outside`).
+
+    Decision trees share the store: a tree is a circuit of `dec` gates
+    and constants (see `dtree`).
     """
 
     def __init__(self):

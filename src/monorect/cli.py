@@ -23,7 +23,7 @@ from pathlib import Path
 
 from .circuit import Pool
 from .classifier import Classifier, as_instance, label_blocks, positive_circuit
-from .dtree import attach_label, circuit_to_dt, dt_rectify, dt_to_circuit
+from .dtree import attach_label, circuit_to_dt, dt_rectify
 from .errors import CapExceededError, RectifyError
 from .formats import (
     parse_problem,
@@ -127,8 +127,6 @@ def _cmd_rectify(args) -> int:
         # one expansion: the rectified tree is the accepted one with the label at its leaves
         accepted = circuit_to_dt(accepted, pf.problem.features, cap=args.max_vars)
         full = attach_label(accepted, pf.problem.label)
-        if args.out == "circuit":
-            accepted, full = dt_to_circuit(accepted, pf.pool), dt_to_circuit(full, pf.pool)
     show = print_dtree if args.out == "dtree" else print_circuit
     print(f"positive: {show(accepted)}")
     print(f"rectified: {show(full)}")

@@ -37,10 +37,11 @@ every shared gate in a `let`, so its output is linear in the arc count,
 and both printers work with explicit stacks, like the readers.
 
 Readers split the text into tokens with string methods and make one pass
-over them: trees go straight from tokens to nodes, circuits straight from
-tokens to pooled gates (`Pool.read`).  Positions are found only on the
-error path, where an unbalanced parenthesis is reported before any other
-error.  When a text has more than one fault, the first one read is
+over them, straight from tokens to pooled gates: circuits through
+`Pool.read`, decision trees (`dec` gates and constants) through the tree
+reader, a loop of its own for its own grammar.  Positions are found only
+on the error path, where an unbalanced parenthesis is reported before any
+other error.  When a text has more than one fault, the first one read is
 reported: a circuit form is checked at its ')', so a fault inside an
 operand comes before a wrong arity of the form around it (the arity of a
 `let` or `dec` whose bindings or variable are at fault still comes
@@ -56,7 +57,7 @@ from dataclasses import dataclass
 from .circuit import CONST, DEC, VAR
 from .circuit import Circuit, Gate, Pool, _form_end, iter_gates
 from .classifier import ClassificationProblem
-from .dtree import LEAF0, LEAF1, DecisionTree, DTLeaf, DTNode, _ReadRoot
+from .dtree import _not_a_tree
 from .errors import ParseError, RectifyError
 
 
@@ -180,58 +181,71 @@ def _spell(gate: Gate, names: dict[int, str], out: list[str]):
 # decision trees
 
 
-def parse_dtree(text: str, pool: Pool) -> DecisionTree:
-    """Parse one decision tree against the pool's variable table."""
-    return _read_one(text, _trees_at, pool.var)
+def parse_dtree(text: str, pool: Pool) -> Circuit:
+    """Parse one decision tree into the pool, against its variable table."""
+    return Circuit(pool, _read_one(text, _trees_at, pool))
 
 
-def _trees_at(tokens: list[str], i: int, var) -> tuple[list[DecisionTree], int]:
-    """The trees from tokens[i] to the ')' closing them, and the index after it;
-    a single tree's root records its variables, all resolved here (`_ReadRoot`)."""
-    resolved: dict = {}  # `var` of each '(name' token met
-    done: list[DecisionTree] = []
+def _trees_at(tokens: list[str], i: int, pool: Pool) -> tuple[list[Gate], int]:
+    """The trees from tokens[i] to the ')' closing them, and the index after it.
+
+    Each node is interned at its ')', with the pool's key, so equal
+    subtrees are one gate, and uids come out in the order of a recursive
+    descent.
+    """
+    interned = pool._interned
+    gates = pool.gates
+    resolved: dict = {}  # the variable of each '(name' token met
+    leaves: dict = {}  # the constant of each leaf token met
+    done: list[Gate] = []
     opened: list = []  # each open node's variable and the height of `done` at its '('
     while True:
         token = tokens[i]
         i += 1
         if token == ")":
             if not opened:
-                if resolved and len(done) == 1:  # one tree, not a bare leaf
-                    done[0] = _ReadRoot(done[0], frozenset(resolved.values()))
                 return done, i
             var_id, height = opened.pop()
             if len(done) != height + 2:  # the node's two subtrees, and nothing else
                 raise ParseError("decision-tree node must be (variable low high)")
             high = done.pop()
-            done[-1] = DTNode(var_id, done[-1], high)
-        elif token == "0":
-            done.append(LEAF0)
-        elif token == "1":
-            done.append(LEAF1)
+            key = (DEC, var_id, (done[-1], high))
+            gate = interned.get(key)
+            if gate is None:
+                gate = interned[key] = Gate(DEC, var_id, key[2], len(gates))
+                gates.append(gate)
+            done[-1] = gate
+        elif token == "0" or token == "1":
+            gate = leaves.get(token)
+            if gate is None:
+                gate = leaves[token] = pool._gate(CONST, int(token), ())
+            done.append(gate)
         elif token == "(":
             raise ParseError("decision-tree node must be (variable low high)")
         elif token[0] == "(":
             var_id = resolved.get(token)
             if var_id is None:
-                var_id = resolved[token] = var(token[1:])
+                var_id = resolved[token] = pool.var(token[1:])
             opened.append((var_id, len(done)))
         else:
             raise ParseError(f"decision-tree leaf must be 0 or 1, got {token!r}")
 
 
-def print_dtree(tree: DecisionTree) -> str:
-    """Canonical text for a decision tree, with an explicit stack."""
+def print_dtree(tree: Circuit) -> str:
+    """Canonical text for a decision tree, every path spelled out, with an explicit stack."""
     out: list[str] = []
-    todo: list = [tree]
+    todo: list = [tree.root]
     while todo:
         item = todo.pop()
         if isinstance(item, str):
             out.append(item)
-        elif isinstance(item, DTLeaf):
-            out.append("1" if item.value else "0")
+        elif item.kind == DEC:
+            out.append(f"({item.payload.name} ")
+            todo.extend((")", item.children[1], " ", item.children[0]))
+        elif item.kind == CONST:
+            out.append("1" if item.payload else "0")
         else:
-            out.append(f"({item.var.name} ")
-            todo.extend((")", item.high, " ", item.low))
+            raise _not_a_tree(item)
     return "".join(out)
 
 
@@ -251,7 +265,7 @@ class ProblemFile:
 class TreeFile:
     pool: Pool
     problem: ClassificationProblem
-    tree: DecisionTree
+    tree: Circuit
 
 
 _PROBLEM_SECTIONS = ("features", "labels", "sigma", "theory")
@@ -289,7 +303,7 @@ def _read_file(text: str, sections: tuple[str, ...]):
                 later.append((key, i + 1))
                 seen[key], i = None, _form_end(tokens, i + 1)[1]
             elif key == "tree":
-                seen[key], i = _trees_at(tokens, i + 1, pool.var)
+                seen[key], i = _trees_at(tokens, i + 1, pool)
             else:
                 seen[key], i = pool.read(tokens, i + 1)
             if pool is None and "features" in seen and "labels" in seen:
@@ -299,7 +313,7 @@ def _read_file(text: str, sections: tuple[str, ...]):
             if key not in seen:
                 raise ParseError(f"missing section {key!r}")
         for key, start in sorted(later, key=lambda entry: entry[0] == "theory"):
-            read = _trees_at(tokens, start, pool.var) if key == "tree" else pool.read(tokens, start)
+            read = _trees_at(tokens, start, pool) if key == "tree" else pool.read(tokens, start)
             seen[key] = read[0]
         return pool, problem, seen
     except (RectifyError, IndexError) as error:
@@ -325,4 +339,4 @@ def parse_tree_file(text: str) -> TreeFile:
     pool, problem, seen = _read_file(text, _TREE_SECTIONS)
     if not problem.mono_label:
         raise ParseError("decision-tree files declare exactly one label")
-    return TreeFile(pool, problem, _single(seen["tree"], "tree"))
+    return TreeFile(pool, problem, Circuit(pool, _single(seen["tree"], "tree")))

@@ -12,7 +12,6 @@ from typing import Sequence
 
 from .circuit import Circuit, Pool, VarId
 from .classifier import Classifier, ClassificationProblem
-from .dtree import DecisionTree, DTLeaf, DTNode
 
 
 def random_problem(pool: Pool, n_features: int, label: str = "y") -> ClassificationProblem:
@@ -71,26 +70,27 @@ def random_theory(
 
 
 def random_tree(
+    pool: Pool,
     over: Sequence[VarId],
     rng: random.Random,
     depth: int = 6,
     leaf_prob: float = 0.25,
     identical_prob: float = 0.0,
-) -> DecisionTree:
-    """A random tree; repeated variables along paths arise naturally.
+) -> Circuit:
+    """A random decision tree in the pool; repeated variables along paths arise naturally.
 
-    With identical_prob > 0 some nodes get two structurally equal
-    children, which together with the path repetitions gives the
-    redundancy the simplifier is supposed to remove.
+    With identical_prob > 0 some nodes get two identical children, which
+    together with the path repetitions gives the redundancy the
+    simplifier is supposed to remove.
     """
     if depth == 0 or rng.random() < leaf_prob:
-        return DTLeaf(rng.randint(0, 1))
+        return pool.const(rng.randint(0, 1))
     var = rng.choice(tuple(over))
     if rng.random() < identical_prob:
-        child = random_tree(over, rng, depth - 1, leaf_prob, identical_prob)
-        return DTNode(var, child, child)
-    return DTNode(
+        child = random_tree(pool, over, rng, depth - 1, leaf_prob, identical_prob)
+        return pool.decision(var, child, child)
+    return pool.decision(
         var,
-        random_tree(over, rng, depth - 1, leaf_prob, identical_prob),
-        random_tree(over, rng, depth - 1, leaf_prob, identical_prob),
+        random_tree(pool, over, rng, depth - 1, leaf_prob, identical_prob),
+        random_tree(pool, over, rng, depth - 1, leaf_prob, identical_prob),
     )

@@ -16,24 +16,12 @@ from monorect import (
     check_xy_property,
     conjoin,
     disjoin,
-    dtree,
     iter_gates,
     label_blocks,
     negate,
 )
-from monorect.circuit import _KEYWORDS, AND, CONST, NOT, OR, VAR
-from monorect.dtree import (
-    LEAF0,
-    LEAF1,
-    DTLeaf,
-    DTNode,
-    _fold,
-    _graft,
-    circuit_to_dt,
-    dt_to_circuit,
-    has_identical_children,
-    is_read_once,
-)
+from monorect.circuit import _KEYWORDS, AND, CONST, DEC, NOT, OR, VAR, Circuit
+from monorect.dtree import _graft, circuit_to_dt
 from monorect.randgen import random_circuit, random_classifier, random_problem, random_theory
 
 settings.register_profile("desk", deadline=None)
@@ -338,47 +326,44 @@ def tree_specs(names, max_leaves=12):
 
 
 def tree_from_spec(pool, spec):
-    if spec == "0":
-        return DTLeaf(0)
-    if spec == "1":
-        return DTLeaf(1)
+    """The decision tree of a nested-tuple shape, built in the pool."""
+    if spec in ("0", "1"):
+        return pool.const(int(spec))
     name, low, high = spec
-    return DTNode(pool.var(name), tree_from_spec(pool, low), tree_from_spec(pool, high))
+    return pool.decision(pool.var(name), tree_from_spec(pool, low), tree_from_spec(pool, high))
 
 
 def reference_tree_vars(tree):
     """Every variable a decision tree mentions, reached or not, by a walk over all its nodes."""
     found = set()
-    todo = [tree]
+    todo = [tree.root]
     while todo:
-        node = todo.pop()
-        if isinstance(node, DTNode):
-            found.add(node.var)
-            todo += (node.low, node.high)
+        gate = todo.pop()
+        if gate.kind == DEC:
+            found.add(gate.payload)
+            todo += gate.children
     return frozenset(found)
 
 
-def rebuilt_tree(tree):
-    """A node-by-node copy of a decision tree, built by hand, so it vouches for nothing."""
-    return _fold(tree, lambda leaf: leaf, lambda node, low, high: DTNode(node.var, low, high))
-
-
 def var_walks(monkeypatch) -> list:
-    """Every tree whose variables `dt_vars` walks from now on."""
+    """Every circuit whose variables are listed by a walk (`Circuit.vars`) from now on."""
     walked = []
-    real = dtree._var_walk
+    real = Circuit.vars
 
-    def spy(tree):
-        walked.append(tree)
-        return real(tree)
+    def spy(circ):
+        walked.append(circ)
+        return real(circ)
 
-    monkeypatch.setattr(dtree, "_var_walk", spy)
+    monkeypatch.setattr(Circuit, "vars", spy)
     return walked
 
 
 def node_count(tree):
-    """All nodes of a decision tree, leaves included."""
-    return _fold(tree, lambda leaf: 1, lambda node, low, high: low + high + 1)
+    """All nodes of a decision tree with every path spelled out, leaves included."""
+    count = {}
+    for gate in iter_gates(tree):
+        count[gate.uid] = 1 + sum(count[child.uid] for child in gate.children)
+    return count[tree.root.uid]
 
 
 def decision_count(tree):
@@ -387,19 +372,45 @@ def decision_count(tree):
     return (node_count(tree) - 1) // 2
 
 
+def graft(tree, on0, on1):
+    """Every 0-leaf of the tree becomes `on0`, every 1-leaf `on1`, unreduced."""
+    return _graft(tree, lambda c: (on1 if c else on0).root)
+
+
 def dt_negate(tree):
     """Negation: every leaf swaps its value."""
-    return _graft(tree, LEAF1, LEAF0)
+    return graft(tree, tree.pool.const(1), tree.pool.const(0))
 
 
 def dt_conjoin(a, b):
-    """Conjunction: every 1-leaf of the first tree becomes a copy of the second."""
-    return _graft(a, LEAF0, b)
+    """Conjunction: every 1-leaf of the first tree becomes the second."""
+    return graft(a, a.pool.const(0), b)
 
 
 def dt_disjoin(a, b):
-    """Disjunction: every 0-leaf of the first tree becomes a copy of the second."""
-    return _graft(a, b, LEAF1)
+    """Disjunction: every 0-leaf of the first tree becomes the second."""
+    return graft(a, b, a.pool.const(1))
+
+
+def is_read_once(tree):
+    """No variable twice on any root-to-leaf path."""
+    path: set = set()
+    todo: list = [tree.root]
+    while todo:
+        gate = todo.pop()
+        if gate is None:
+            path.remove(todo.pop().payload)
+        elif gate.kind == DEC:
+            if gate.payload in path:
+                return False
+            path.add(gate.payload)
+            todo.extend((gate, None, *reversed(gate.children)))
+    return True
+
+
+def has_identical_children(tree):
+    """Some node has one gate as both children."""
+    return any(gate.kind == DEC and gate.children[0] is gate.children[1] for gate in iter_gates(tree))
 
 
 def is_simplified(tree):
@@ -433,10 +444,7 @@ def reference_simplify(pf, result):
 
     The command's earlier path: the accepted region expanded over the
     features and the rectified classifier over features and label, each
-    rebuilt from its tree in the problem's pool, accepted region first.
+    built in the problem's pool, accepted region first.
     """
-    def via_tree(circ, order):
-        return dt_to_circuit(circuit_to_dt(circ, order), pf.pool)
-
-    accepted = via_tree(result.positive, pf.problem.features)
-    return accepted, via_tree(result.rectified.circuit, pf.problem.all_vars)
+    accepted = circuit_to_dt(result.positive, pf.problem.features)
+    return accepted, circuit_to_dt(result.rectified.circuit, pf.problem.all_vars)

@@ -23,16 +23,14 @@ from monorect import (
     attach_label,
     check_postulates,
     check_xy_property,
+    condition,
     dalal_rectify,
-    dt_condition,
     dt_eval,
     dt_rectify,
     dt_simplify,
-    dt_to_circuit,
     equivalent,
     fact_formula,
     is_fact_compliant,
-    is_read_once,
     label_blocks,
     oracle_rectify,
     parse_dtree,
@@ -40,7 +38,7 @@ from monorect import (
     rf_rectify,
 )
 from monorect.cli import main as cli_main
-from monorect.dtree import RandomForest, has_identical_children
+from monorect.dtree import RandomForest
 from monorect.randgen import (
     random_circuit,
     random_classifier,
@@ -49,7 +47,14 @@ from monorect.randgen import (
     random_tree,
 )
 
-from conftest import REDUCED_TREE_TEXT, SIGMA_TREE_TEXT, THEORY_TREE_TEXT, oracle_args
+from conftest import (
+    REDUCED_TREE_TEXT,
+    SIGMA_TREE_TEXT,
+    THEORY_TREE_TEXT,
+    has_identical_children,
+    is_read_once,
+    oracle_args,
+)
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -204,11 +209,11 @@ def test_criterion_7_tree_pipeline(demo):
     sigma_tree = parse(SIGMA_TREE_TEXT)
     theory_tree = parse(THEORY_TREE_TEXT)
     out = dt_rectify(sigma_tree, theory_tree, demo.problem)
-    accepted_tree = dt_condition(out, Literal(label, True))
+    accepted_tree = condition(out, Term([Literal(label, True)]))
     assert accepted_tree == parse(REDUCED_TREE_TEXT)
     clf = Classifier(demo.problem, demo.sigma)
     result = rectify(clf, demo.theory)
-    assert equivalent(dt_to_circuit(accepted_tree, demo.pool), result.positive)
+    assert equivalent(accepted_tree, result.positive)
 
     # random cross-check of the tree route against the circuit route
     rng = random.Random(CORPUS_SEED)
@@ -216,15 +221,13 @@ def test_criterion_7_tree_pipeline(demo):
     for _ in range(500):
         pool = Pool()
         problem = random_problem(pool, rng.randint(3, 8))
-        region_tree = random_tree(problem.features, rng, depth=5)
+        region_tree = random_tree(pool, problem.features, rng, depth=5)
         sigma_dt = attach_label(region_tree, problem.label)
-        theory_dt = random_tree(problem.all_vars, rng, depth=5)
+        theory_dt = random_tree(pool, problem.all_vars, rng, depth=5)
         tree_route = dt_rectify(sigma_dt, theory_dt, problem)
-        clf = Classifier(problem, dt_to_circuit(sigma_dt, pool))
-        circuit_route = rectify(clf, dt_to_circuit(theory_dt, pool))
-        if not equivalent(
-            dt_to_circuit(tree_route, pool), circuit_route.rectified.circuit
-        ):
+        clf = Classifier(problem, sigma_dt)
+        circuit_route = rectify(clf, theory_dt)
+        if not equivalent(tree_route, circuit_route.rectified.circuit):
             mismatches += 1
     elapsed = time.perf_counter() - start
     assert mismatches == 0
@@ -238,7 +241,7 @@ def test_criterion_8_simplification_normal_form():
     for _ in range(1000):
         pool = Pool()
         over = pool.declare(*(f"v{i}" for i in range(rng.randint(3, 8))))
-        tree = random_tree(over, rng, depth=7, leaf_prob=0.2, identical_prob=0.25)
+        tree = random_tree(pool, over, rng, depth=7, leaf_prob=0.2, identical_prob=0.25)
         reduced = dt_simplify(tree)
         same = all(
             dt_eval(reduced, Assignment.from_index(i, over))
@@ -259,18 +262,17 @@ def test_criterion_9_forest_rectification():
         problem = random_problem(pool, rng.randint(3, 6))
         forest = RandomForest(
             tuple(
-                attach_label(random_tree(problem.features, rng, depth=4), problem.label)
+                attach_label(random_tree(pool, problem.features, rng, depth=4), problem.label)
                 for _ in range(3)
             )
         )
-        theory_dt = random_tree(problem.all_vars, rng, depth=4)
-        theory_circuit = dt_to_circuit(theory_dt, pool)
+        theory_dt = random_tree(pool, problem.all_vars, rng, depth=4)
         rectified = rf_rectify(forest, theory_dt, problem)
         for tree in rectified.trees:
-            clf = Classifier(problem, dt_to_circuit(tree, pool))
+            clf = Classifier(problem, tree)
             assert check_xy_property(clf.circuit, clf.problem)
             for i in range(1 << len(problem.features)):
                 inst = Assignment.from_index(i, problem.features)
-                assert is_fact_compliant(clf, theory_circuit, inst)
+                assert is_fact_compliant(clf, theory_dt, inst)
                 checked += 1
     _report(9, f"every rectified forest tree fact-compliant ({checked} instance checks)")

@@ -21,7 +21,6 @@ from monorect import (
     negate,
 )
 from monorect.circuit import AND, DEC, VAR
-from monorect.dtree import dt_to_circuit
 from monorect.randgen import random_circuit, random_problem, random_tree
 from monorect.semantics import forget
 from monorect.verify import syntactic_rewrite
@@ -347,7 +346,7 @@ def test_every_gate_mentions_a_variable_its_pool_declares(seed, n, gates):
         *cofactors(widened, label),
         forget(widened, [extra.root.payload, rng.choice(problem.features)]),
         syntactic_rewrite(widened, rng, pool),
-        dt_to_circuit(random_tree(problem.all_vars, rng), pool),
+        random_tree(pool, problem.all_vars, rng),
     ]
     declared = set(pool.variables)
     for out in outputs:

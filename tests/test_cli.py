@@ -29,7 +29,7 @@ from monorect import (
 from monorect.cli import main
 from monorect.dtree import circuit_to_dt
 
-from conftest import desk_pairs, rebuilt_tree, reference_simplify, var_walks
+from conftest import desk_pairs, reference_simplify, var_walks
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 DEMO = str(PROBLEMS / "demo.sexp")
@@ -169,6 +169,23 @@ def test_rectify_simplified_circuit_output(capsys):
     assert out.splitlines()[0] == "positive: (dec x1 false (dec x2 false true))"
 
 
+def test_simplify_names_label_gates_in_the_order_they_are_first_reached(tmp_path, capsys):
+    # the first leaf reached is a 1-leaf, and both label gates are shared:
+    # the printer names shared gates by uid, so this pins the order they are created in
+    path = tmp_path / "letorder.sexp"
+    path.write_text(
+        "(features x1 x2 x3)\n(labels y)\n"
+        "(sigma (iff (dec x1 (not x2) (not x3)) y))\n(theory true)\n"
+    )
+    code, out, err = run(capsys, "rectify", "--problem", str(path), "--out", "circuit", "--simplify")
+    assert (code, err) == (0, "")
+    assert out == (
+        "positive: (dec x1 (dec x2 true false) (dec x3 true false))\n"
+        "rectified: (let ((g0 (dec y false true)) (g1 (dec y true false)))"
+        " (dec x1 (dec x2 g0 g1) (dec x3 g0 g1)))\n"
+    )
+
+
 def _problem_text(problem, clf, theory) -> str:
     names = lambda vs: " ".join(v.name for v in vs)
     return (
@@ -249,11 +266,18 @@ def test_dt_rectify_walks_no_tree_it_read(monkeypatch, capsys):
     code, out, _ = run(capsys, "dt-rectify", "--sigma", str(sigma_path), "--theory", str(theory_path))
     assert (code, out) == (0, "(x1 (y 1 0) (x2 (y 1 0) (y 0 1)))\n")
     assert walks == []
-    # the same classifier tree built by hand is walked once
+    # nor one built by hand: its pool declares only the problem's variables
     sigma, theory = (parse_tree_file(path.read_text()) for path in (sigma_path, theory_path))
-    hand_built = rebuilt_tree(sigma.tree)
+    pool = sigma.pool
+    x1, x2, x3, y = pool.variables
+    zero, one = pool.const(0), pool.const(1)
+    positive, negative = pool.decision(y, zero, one), pool.decision(y, one, zero)
+    hand_built = pool.decision(
+        x1, pool.decision(x2, positive, negative), pool.decision(x3, negative, positive)
+    )
+    assert hand_built == sigma.tree
     assert print_dtree(dt_rectify(hand_built, theory.tree, sigma.problem)) + "\n" == out
-    assert len(walks) == 1 and walks[0] is hand_built
+    assert walks == []
 
 
 def test_dt_rectify_mismatched_files(tmp_path, capsys):
@@ -595,8 +619,8 @@ def test_wide_tree_pair_rectifies(tmp_path, capsys, width):
     features = pool.declare(*(f"x{i}" for i in range(width)))
     problem = ClassificationProblem(features, pool.declare("y"))
     rng = random.Random(width)
-    sigma = attach_label(random_tree(features, rng, depth=10), problem.label)
-    theory = random_tree(problem.all_vars, rng, depth=10)
+    sigma = attach_label(random_tree(pool, features, rng, depth=10), problem.label)
+    theory = random_tree(pool, problem.all_vars, rng, depth=10)
     head = f"(features {' '.join(v.name for v in features)})\n(labels y)\n"
     sigma_path = tmp_path / "sigma.tree"
     theory_path = tmp_path / "theory.tree"
@@ -640,7 +664,7 @@ def test_deep_not_chain_classifies(tmp_path, capsys):
 
 
 def test_deep_theory_tree_rectifies(tmp_path, capsys):
-    from monorect import Assignment, DTLeaf, DTNode, dt_eval, dt_rectify
+    from monorect import Assignment, dt_eval, dt_rectify
     from monorect import parse_dtree, parse_tree_file, print_dtree
 
     depth = 100_000
@@ -659,10 +683,12 @@ def test_deep_theory_tree_rectifies(tmp_path, capsys):
     # the same verdicts as rectifying by the theory's truth table, as a full tree
     over = sigma.problem.all_vars
 
+    pool = sigma.pool
+
     def full(bits=()):
         if len(bits) == len(over):
-            return DTLeaf(dt_eval(theory.tree, Assignment(over, bits)))
-        return DTNode(over[len(bits)], full(bits + (0,)), full(bits + (1,)))
+            return pool.const(dt_eval(theory.tree, Assignment(over, bits)))
+        return pool.decision(over[len(bits)], full(bits + (0,)), full(bits + (1,)))
 
     shallow = dt_rectify(sigma.tree, full(), sigma.problem)
     for i in range(1 << len(over)):

@@ -6,9 +6,11 @@ from hypothesis import given, strategies as st
 
 from monorect import (
     Assignment,
+    BuildError,
     CapExceededError,
     CertificationError,
     ClassificationProblem,
+    Circuit,
     Classifier,
     Literal,
     Pool,
@@ -18,37 +20,25 @@ from monorect import (
     circuit_to_dt,
     condition,
     dt_check_classification,
-    dt_condition,
     dt_eval,
     dt_rectify,
     dt_simplify,
-    dt_to_circuit,
-    dt_vars,
     equivalent,
     evaluate,
     is_fact_compliant,
-    is_read_once,
     iter_gates,
+    label_blocks,
+    oracle_rectify,
     parse_dtree,
-    print_circuit,
     print_dtree,
     rectify,
     rf_classify,
     rf_rectify,
 )
-from monorect.circuit import CONST
-from monorect.dtree import (
-    DTLeaf,
-    DTNode,
-    LEAF0,
-    LEAF1,
-    _ReadRoot,
-    _graft,
-    _reduce,
-    has_identical_children,
-)
+from monorect.circuit import CONST, DEC
+from monorect.dtree import _reduce
 from monorect.formats import parse_tree_file
-from monorect.randgen import random_tree
+from monorect.randgen import random_problem, random_tree
 
 from conftest import (
     ast_exprs,
@@ -58,9 +48,11 @@ from conftest import (
     dt_conjoin,
     dt_disjoin,
     dt_negate,
+    graft,
+    has_identical_children,
+    is_read_once,
     is_simplified,
     node_count,
-    rebuilt_tree,
     reference_tree_vars,
     var_walks,
     REDUCED_TREE_TEXT,
@@ -96,45 +88,50 @@ def trees():
     return pool, problem, parse
 
 
+def _fix(tree, lit):
+    """The tree with every node over the literal's variable replaced by the branch it selects."""
+    return condition(tree, Term([lit]))
+
+
 def test_condition_on_label_selects_subtree(trees):
     pool, problem, parse = trees
     theory = parse(THEORY_TREE_TEXT)
     label = problem.label
-    assert dt_condition(theory, Literal(label, True)) == parse("(x2 0 1)")
-    assert dt_condition(theory, Literal(label, False)) == parse("(x1 1 (x3 0 1))")
+    assert _fix(theory, Literal(label, True)) == parse("(x2 0 1)")
+    assert _fix(theory, Literal(label, False)) == parse("(x1 1 (x3 0 1))")
 
 
 def test_condition_on_leaf_is_identity(trees):
     pool, problem, parse = trees
-    assert dt_condition(LEAF1, Literal(problem.label)) == LEAF1
+    assert _fix(pool.const(1), Literal(problem.label)) == pool.const(1)
 
 
 def test_conditioned_classifier_tree_matches_accepted_region(trees):
     pool, problem, parse = trees
     sigma_tree = parse(SIGMA_TREE_TEXT)
-    region_tree = dt_condition(sigma_tree, Literal(problem.label, True))
+    region_tree = _fix(sigma_tree, Literal(problem.label, True))
     expected = pool.build(
         ["or", ["and", ["not", "x1"], ["not", "x2"]], ["and", "x1", "x3"]]
     )
-    assert equivalent(dt_to_circuit(region_tree, pool), expected)
+    assert equivalent(region_tree, expected)
 
 
 def test_negate_swaps_leaves(trees):
     pool, problem, parse = trees
-    assert dt_negate(LEAF1) == LEAF0
+    assert dt_negate(pool.const(1)) == pool.const(0)
     theory = parse(THEORY_TREE_TEXT)
     assert dt_negate(dt_negate(theory)) == theory
-    negated_pos = dt_negate(dt_condition(theory, Literal(problem.label, True)))
-    assert equivalent(dt_to_circuit(negated_pos, pool), pool.build(["not", "x2"]))
+    negated_pos = dt_negate(_fix(theory, Literal(problem.label, True)))
+    assert equivalent(negated_pos, pool.build(["not", "x2"]))
 
 
 def test_combinations_reproduce_the_worked_pipeline(trees):
     pool, problem, parse = trees
     label = problem.label
-    sigma_x = dt_condition(parse(SIGMA_TREE_TEXT), Literal(label, True))
+    sigma_x = _fix(parse(SIGMA_TREE_TEXT), Literal(label, True))
     theory = parse(THEORY_TREE_TEXT)
-    th_pos = dt_condition(theory, Literal(label, True))
-    th_neg = dt_condition(theory, Literal(label, False))
+    th_pos = _fix(theory, Literal(label, True))
+    th_neg = _fix(theory, Literal(label, False))
 
     forces_neg = dt_conjoin(th_neg, dt_negate(th_pos))
     assert forces_neg == parse(FORCES_NEG_TEXT)
@@ -155,40 +152,39 @@ def test_combinations_reproduce_the_worked_pipeline(trees):
 def test_conjoin_with_true_leaf_is_identity(trees):
     pool, problem, parse = trees
     theory = parse(THEORY_TREE_TEXT)
-    assert dt_conjoin(theory, LEAF1) == theory
-    assert dt_disjoin(theory, LEAF0) == theory
+    assert dt_conjoin(theory, pool.const(1)) == theory
+    assert dt_disjoin(theory, pool.const(0)) == theory
 
 
 def test_simplify_merges_identical_children(trees):
     pool, problem, parse = trees
     x1 = pool.var("x1")
-    assert dt_simplify(DTNode(x1, LEAF0, LEAF0)) == LEAF0
+    assert dt_simplify(pool.decision(x1, pool.const(0), pool.const(0))) == pool.const(0)
 
 
 def test_rectify_pipeline_end_to_end(trees):
     pool, problem, parse = trees
     out = dt_rectify(parse(SIGMA_TREE_TEXT), parse(THEORY_TREE_TEXT), problem)
-    region = dt_condition(out, Literal(problem.label, True))
+    region = _fix(out, Literal(problem.label, True))
     assert region == parse(REDUCED_TREE_TEXT)
-    circuit = dt_to_circuit(out, pool)
     clf = Classifier(problem, pool.build(DEMO_SIGMA_AST))
     result = rectify(clf, pool.build(DEMO_THEORY_AST))
-    assert equivalent(circuit, result.rectified.circuit)
+    assert equivalent(out, result.rectified.circuit)
 
 
 def test_rectify_by_constant_theories_changes_nothing(trees):
     pool, problem, parse = trees
     sigma_tree = parse(SIGMA_TREE_TEXT)
-    for leaf in (LEAF1, LEAF0):
+    for leaf in (pool.const(1), pool.const(0)):
         out = dt_rectify(sigma_tree, leaf, problem)
-        assert equivalent(dt_to_circuit(out, pool), dt_to_circuit(sigma_tree, pool))
+        assert equivalent(out, sigma_tree)
 
 
 def test_rectify_rejects_uncertified_trees(trees):
     pool, problem, parse = trees
     not_a_classifier = parse("(x1 0 1)")  # never touches the label
     with pytest.raises(CertificationError):
-        dt_rectify(not_a_classifier, LEAF1, problem)
+        dt_rectify(not_a_classifier, pool.const(1), problem)
 
 
 def test_rectify_rejects_variables_outside_the_problem(trees):
@@ -210,7 +206,7 @@ def test_tree_certification(trees):
     pool, problem, parse = trees
     assert dt_check_classification(parse(SIGMA_TREE_TEXT), problem)
     assert not dt_check_classification(parse("(x1 0 1)"), problem)
-    assert not dt_check_classification(LEAF1, problem)
+    assert not dt_check_classification(pool.const(1), problem)
 
 
 def test_tree_certification_skips_unreached_subtrees(trees):
@@ -234,7 +230,7 @@ def test_tree_certification_rejects_variables_outside_the_problem(trees):
 def _wide_problem(width):
     pool = Pool()
     features = pool.declare(*(f"x{i}" for i in range(width)))
-    return ClassificationProblem(features, pool.declare("y"))
+    return pool, ClassificationProblem(features, pool.declare("y"))
 
 
 def _replace_first(tree, old, new):
@@ -242,38 +238,42 @@ def _replace_first(tree, old, new):
     None when it has none."""
     if tree == old:
         return new
-    if isinstance(tree, DTLeaf):
+    gate = tree.root
+    if gate.kind == CONST:
         return None
-    low = _replace_first(tree.low, old, new)
-    if low is not None:
-        return DTNode(tree.var, low, tree.high)
-    high = _replace_first(tree.high, old, new)
-    return None if high is None else DTNode(tree.var, tree.low, high)
+    pool = tree.pool
+    low, high = (Circuit(pool, child) for child in gate.children)
+    new_low = _replace_first(low, old, new)
+    if new_low is not None:
+        return pool.decision(gate.payload, new_low, high)
+    new_high = _replace_first(high, old, new)
+    return None if new_high is None else pool.decision(gate.payload, low, new_high)
 
 
 @pytest.mark.parametrize("width", [30, 64])
 def test_wide_tree_certification(width):
     # far past the enumeration cap: certification reduces, it does not enumerate
-    problem = _wide_problem(width)
+    pool, problem = _wide_problem(width)
     label = problem.label
-    features = dt_simplify(random_tree(problem.features, random.Random(width), depth=10))
-    assert len(dt_vars(features)) > 20
+    features = dt_simplify(random_tree(pool, problem.features, random.Random(width), depth=10))
+    assert len(features.vars()) > 20
     tree = attach_label(features, label)
     assert dt_check_classification(tree, problem)
     # the feature tree is read-once, so every leaf is reached: the instances
     # reaching the replaced leaf now allow both labels
-    loose = _replace_first(tree, DTNode(label, LEAF0, LEAF1), LEAF1)
+    accepting = pool.decision(label, pool.const(0), pool.const(1))
+    loose = _replace_first(tree, accepting, pool.const(1))
     assert loose is not None
     assert not dt_check_classification(loose, problem)
 
 
 def test_wide_rectification_follows_the_flip_rule():
-    problem = _wide_problem(30)
+    pool, problem = _wide_problem(30)
     label = problem.label
     rng = random.Random(30)
-    sigma = attach_label(random_tree(problem.features, rng, depth=10), label)
-    theory = random_tree(problem.all_vars, rng, depth=10)
-    assert len(dt_vars(sigma) | dt_vars(theory)) > 20
+    sigma = attach_label(random_tree(pool, problem.features, rng, depth=10), label)
+    theory = random_tree(pool, problem.all_vars, rng, depth=10)
+    assert len(sigma.vars() | theory.vars()) > 20
     out = dt_rectify(sigma, theory, problem)
     assert dt_check_classification(out, problem)
     flipped = 0
@@ -299,10 +299,10 @@ def test_attach_label_convention(trees):
 
 def test_circuit_round_trips(trees):
     pool, problem, parse = trees
-    assert dt_to_circuit(LEAF1, pool) == pool.const(1)
+    assert circuit_to_dt(pool.const(1), pool.variables) == pool.const(1)
     tree = parse(THEORY_TREE_TEXT)
-    back = circuit_to_dt(dt_to_circuit(tree, pool), pool.variables)
-    assert equivalent(dt_to_circuit(back, pool), dt_to_circuit(tree, pool))
+    back = circuit_to_dt(tree, pool.variables)
+    assert equivalent(back, tree)
 
 
 def test_expansion_of_conjunction(trees):
@@ -330,8 +330,8 @@ class TestForest:
 
     def test_vote_ties_break_negative(self, trees):
         pool, problem, parse = trees
-        always_yes = attach_label(LEAF1, problem.label)
-        always_no = attach_label(LEAF0, problem.label)
+        always_yes = attach_label(pool.const(1), problem.label)
+        always_no = attach_label(pool.const(0), problem.label)
         even = RandomForest((always_yes, always_no))
         assert rf_classify(even, "000", problem) == 0
         majority = RandomForest((always_yes, always_yes, always_no))
@@ -353,7 +353,7 @@ class TestForest:
         theory_tree = circuit_to_dt(demo.theory, demo.problem.all_vars)
         rectified = rf_rectify(forest, theory_tree, demo.problem)
         for tree in rectified.trees:
-            clf = Classifier(demo.problem, dt_to_circuit(tree, demo.pool))
+            clf = Classifier(demo.problem, tree)
             for word in ("000", "001", "010", "011", "100", "101", "110", "111"):
                 assert is_fact_compliant(clf, demo.theory, word)
         # the highlighted instance flips to positive for every tree, so the vote does too
@@ -381,22 +381,12 @@ def _exhaustive_same(pool, tree, circ):
     return True
 
 
-@given(spec=tree_specs(NAMES), positive=st.booleans(), name=st.sampled_from(NAMES))
-def test_dt_condition_matches_circuit_condition(spec, positive, name):
-    pool, tree, _ = _tree_setting(spec)
-    lit = Literal(pool.var(name), positive)
-    conditioned = dt_condition(tree, lit)
-    assert lit.var not in dt_vars(conditioned)
-    expected = condition(dt_to_circuit(tree, pool), Term([lit]))
-    assert _exhaustive_same(pool, conditioned, expected)
-
-
 @given(spec=tree_specs(NAMES))
 def test_dt_negate_matches_circuit_negate(spec):
     pool, tree, _ = _tree_setting(spec)
     from monorect import negate
 
-    assert _exhaustive_same(pool, dt_negate(tree), negate(dt_to_circuit(tree, pool)))
+    assert _exhaustive_same(pool, dt_negate(tree), negate(tree))
 
 
 @given(
@@ -409,12 +399,11 @@ def test_dt_combinations_match_circuit_combinations(a, b, c):
 
     pool, ta, tb = _tree_setting(a, b)
     tc = tree_from_spec(pool, c)
-    ca, cb, cc = (dt_to_circuit(t, pool) for t in (ta, tb, tc))
-    assert _exhaustive_same(pool, dt_conjoin(ta, tb), conjoin(ca, cb))
-    assert _exhaustive_same(pool, dt_disjoin(ta, tb), disjoin(ca, cb))
+    assert _exhaustive_same(pool, dt_conjoin(ta, tb), conjoin(ta, tb))
+    assert _exhaustive_same(pool, dt_disjoin(ta, tb), disjoin(ta, tb))
     # 0-leaves of a become b, 1-leaves become c
-    either = disjoin(conjoin(negate(ca), cb), conjoin(ca, cc))
-    assert _exhaustive_same(pool, _graft(ta, tb, tc), either)
+    either = disjoin(conjoin(negate(ta), tb), conjoin(ta, tc))
+    assert _exhaustive_same(pool, graft(ta, tb, tc), either)
     bound = node_count(ta) + node_count(ta) * node_count(tb)
     assert node_count(dt_conjoin(ta, tb)) <= bound
     assert node_count(dt_disjoin(ta, tb)) <= bound
@@ -426,8 +415,8 @@ def test_dt_simplify_normal_form_and_equivalence(spec):
     reduced = dt_simplify(tree)
     assert is_read_once(reduced)
     assert is_simplified(reduced)
-    assert dt_simplify(reduced) is reduced
-    assert _exhaustive_same(pool, reduced, dt_to_circuit(tree, pool))
+    assert dt_simplify(reduced) == reduced
+    assert _exhaustive_same(pool, reduced, tree)
 
 
 def twin_tree_specs(names, max_leaves=16):
@@ -457,8 +446,8 @@ def test_reduce_with_grafts_is_reduce_of_the_graft(spec, on0, on1, name, bit):
     for t in (tree, dt_simplify(tree)):
         for forced in ({}, {var: bit}):
             path = dict(forced)
-            want = _reduce(_graft(t, a, b), dict(forced))
-            assert print_dtree(_reduce(t, path, (a, b))) == print_dtree(want)
+            want = _reduce(graft(t, a, b), dict(forced))
+            assert _reduce(t, path, (a, b)) == want
             assert path == forced
 
 
@@ -466,32 +455,15 @@ def test_reduce_with_grafts_is_reduce_of_the_graft(spec, on0, on1, name, bit):
 def test_reduce_on_a_path_is_condition_then_simplify(spec, name, bit):
     pool, tree, _ = _tree_setting(spec)
     var = pool.var(name)
-    expected = dt_simplify(dt_condition(tree, Literal(var, bool(bit))))
+    expected = dt_simplify(_fix(tree, Literal(var, bool(bit))))
     assert _reduce(tree, {var: bit}) == expected
-
-
-def shared_tree_from_spec(pool, spec, memo=None):
-    """Like `tree_from_spec`, but equal sub-shapes share one node object."""
-    memo = {} if memo is None else memo
-    if spec not in memo:
-        if spec in ("0", "1"):
-            memo[spec] = DTLeaf(int(spec))
-        else:
-            name, low, high = spec
-            memo[spec] = DTNode(
-                pool.var(name),
-                shared_tree_from_spec(pool, low, memo),
-                shared_tree_from_spec(pool, high, memo),
-            )
-    return memo[spec]
 
 
 @given(a=twin_tree_specs(NAMES), b=twin_tree_specs(NAMES))
 def test_equality_is_equality_of_printed_text(a, b):
     pool, ta, tb = _tree_setting(a, b)
     again = tree_from_spec(pool, a)
-    shared = shared_tree_from_spec(pool, a)
-    for x, y in ((ta, tb), (ta, again), (ta, shared), (shared, tb), (again, dt_negate(ta))):
+    for x, y in ((ta, tb), (ta, again), (again, dt_negate(ta))):
         same = print_dtree(x) == print_dtree(y)
         assert (x == y) is same
         assert (x != y) is not same
@@ -500,91 +472,114 @@ def test_equality_is_equality_of_printed_text(a, b):
 
 
 def test_leaf_values_are_checked():
-    with pytest.raises(ValueError, match="leaf value must be 0 or 1"):
-        DTLeaf(2)
+    with pytest.raises(BuildError, match="constant must be 0 or 1, got 2"):
+        Pool().const(2)
 
 
 def test_node_repr_and_comparison_with_other_types(trees):
     pool, problem, parse = trees
-    assert repr(parse("(x1 0 1)")) == (
-        "DTNode(var=VarId(index=0, name='x1'), low=DTLeaf(value=0), high=DTLeaf(value=1))"
-    )
+    assert repr(parse("(x1 0 1)")) == "<Circuit dec size=2>"
     assert parse("(x1 0 1)") != "(x1 0 1)"
-    assert LEAF1 != 1
+    assert pool.const(1) != 1
+
+
+def test_a_circuit_that_is_not_a_tree_is_rejected_where_it_is_reached(trees):
+    pool, problem, parse = trees
+    message = "^not a decision tree: found an 'and' gate$"
+    conjunction = pool.build(["and", "x1", "x2"])
+    sigma, theory = parse(SIGMA_TREE_TEXT), parse(THEORY_TREE_TEXT)
+    for call in (
+        lambda: dt_rectify(conjunction, theory, problem),
+        lambda: dt_rectify(sigma, conjunction, problem),
+        lambda: dt_check_classification(conjunction, problem),
+        lambda: dt_simplify(conjunction),
+        lambda: print_dtree(conjunction),
+        lambda: dt_eval(conjunction, Assignment(problem.all_vars, (1, 1, 1, 1))),
+        lambda: attach_label(conjunction, problem.label),
+    ):
+        with pytest.raises(ValueError, match=message):
+            call()
+    # below a decision, too, wherever the walk reaches it
+    below = pool.decision(pool.var("x3"), pool.const(0), pool.build(["not", "x1"]))
+    with pytest.raises(ValueError, match="^not a decision tree: found a 'not' gate$"):
+        print_dtree(below)
+    with pytest.raises(ValueError, match="^not a decision tree: found a 'not' gate$"):
+        dt_simplify(below)
+    assert dt_eval(below, Assignment(problem.all_vars, (1, 1, 0, 1))) == 0
 
 
 # ----------------------------------------------------------------------
-# stack-based kernels against the recursive ones they replaced
+# stack-based kernels against recursive versions
+
+
+def _children(tree):
+    return tuple(Circuit(tree.pool, child) for child in tree.root.children)
 
 
 def recursive_condition(tree, lit):
-    if isinstance(tree, DTLeaf):
+    gate = tree.root
+    if gate.kind == CONST:
         return tree
-    if tree.var == lit.var:
-        return recursive_condition(tree.high if lit.positive else tree.low, lit)
-    low = recursive_condition(tree.low, lit)
-    high = recursive_condition(tree.high, lit)
-    if low is tree.low and high is tree.high:
-        return tree
-    return DTNode(tree.var, low, high)
+    low, high = _children(tree)
+    if gate.payload == lit.var:
+        return recursive_condition(high if lit.positive else low, lit)
+    low = recursive_condition(low, lit)
+    return tree.pool.decision(gate.payload, low, recursive_condition(high, lit))
 
 
 def recursive_graft(tree, on0, on1):
-    if isinstance(tree, DTLeaf):
-        return on1 if tree.value else on0
-    low = recursive_graft(tree.low, on0, on1)
-    high = recursive_graft(tree.high, on0, on1)
-    if low is tree.low and high is tree.high:
-        return tree
-    return DTNode(tree.var, low, high)
+    gate = tree.root
+    if gate.kind == CONST:
+        return on1 if gate.payload else on0
+    low, high = _children(tree)
+    low = recursive_graft(low, on0, on1)
+    return tree.pool.decision(gate.payload, low, recursive_graft(high, on0, on1))
+
+
+def recursive_attach_label(tree, label):
+    pool = tree.pool
+    gate = tree.root
+    if gate.kind == CONST:
+        return pool.decision(label, pool.const(1 - gate.payload), pool.const(gate.payload))
+    low, high = _children(tree)
+    low = recursive_attach_label(low, label)
+    return pool.decision(gate.payload, low, recursive_attach_label(high, label))
 
 
 def recursive_reduce(tree, path):
-    if isinstance(tree, DTLeaf):
+    gate = tree.root
+    if gate.kind == CONST:
         return tree
-    forced = path.get(tree.var)
+    low, high = _children(tree)
+    var = gate.payload
+    forced = path.get(var)
     if forced is not None:
-        return recursive_reduce(tree.high if forced else tree.low, path)
-    path[tree.var] = 0
-    low = recursive_reduce(tree.low, path)
-    path[tree.var] = 1
-    high = recursive_reduce(tree.high, path)
-    del path[tree.var]
+        return recursive_reduce(high if forced else low, path)
+    path[var] = 0
+    low = recursive_reduce(low, path)
+    path[var] = 1
+    high = recursive_reduce(high, path)
+    del path[var]
     if low == high:
         return low
-    if low is tree.low and high is tree.high:
-        return tree
-    return DTNode(tree.var, low, high)
+    return tree.pool.decision(var, low, high)
 
 
 def recursive_node_count(tree):
-    if isinstance(tree, DTLeaf):
+    if tree.root.kind == CONST:
         return 1
-    return 1 + recursive_node_count(tree.low) + recursive_node_count(tree.high)
+    return 1 + sum(recursive_node_count(child) for child in _children(tree))
 
 
 def recursive_has_identical_children(tree):
-    if isinstance(tree, DTLeaf):
+    if tree.root.kind == CONST:
         return False
+    low, high = _children(tree)
     return (
-        tree.low == tree.high
-        or recursive_has_identical_children(tree.low)
-        or recursive_has_identical_children(tree.high)
+        low == high
+        or recursive_has_identical_children(low)
+        or recursive_has_identical_children(high)
     )
-
-
-def recursive_hash(tree):
-    if isinstance(tree, DTLeaf):
-        return hash(tree.value)
-    return hash((tree.var, recursive_hash(tree.low), recursive_hash(tree.high)))
-
-
-def recursive_to_circuit(tree, pool):
-    if isinstance(tree, DTLeaf):
-        return pool.const(tree.value)
-    low = recursive_to_circuit(tree.low, pool)
-    high = recursive_to_circuit(tree.high, pool)
-    return pool.decision(tree.var, low, high)
 
 
 def _gates(circ):
@@ -592,25 +587,6 @@ def _gates(circ):
     return [
         (g.uid, g.kind, g.payload, tuple(c.uid for c in g.children)) for g in iter_gates(circ)
     ]
-
-
-def _kept_nodes(out, *inputs):
-    """Ids of the input nodes (leaves included) that the output reuses."""
-    ids = set()
-    todo = list(inputs)
-    while todo:
-        node = todo.pop()
-        ids.add(id(node))
-        if isinstance(node, DTNode):
-            todo += [node.low, node.high]
-    kept, todo = set(), [out]
-    while todo:
-        node = todo.pop()
-        if id(node) in ids:
-            kept.add(id(node))
-        if isinstance(node, DTNode):
-            todo += [node.low, node.high]
-    return kept
 
 
 @given(
@@ -624,33 +600,33 @@ def test_kernels_match_their_recursive_versions(spec, other, name, bit):
     var = pool.var(name)
     lit = Literal(var, bool(bit))
     path = {var: bit}
+    one, zero = pool.const(1), pool.const(0)
     for got, want in (
-        (dt_condition(tree, lit), recursive_condition(tree, lit)),
-        (_graft(tree, extra, LEAF1), recursive_graft(tree, extra, LEAF1)),
-        (dt_negate(tree), recursive_graft(tree, LEAF1, LEAF0)),
+        (_fix(tree, lit), recursive_condition(tree, lit)),
+        (graft(tree, extra, one), recursive_graft(tree, extra, one)),
+        (dt_negate(tree), recursive_graft(tree, one, zero)),
+        (attach_label(tree, var), recursive_attach_label(tree, var)),
         (_reduce(tree, path), recursive_reduce(tree, dict(path))),
         (dt_simplify(tree), recursive_reduce(tree, {})),
     ):
-        assert print_dtree(got) == print_dtree(want)
-        assert _kept_nodes(got, tree, extra) == _kept_nodes(want, tree, extra)
+        assert got == want
     assert path == {var: bit}
     assert node_count(tree) == recursive_node_count(tree)
     assert has_identical_children(tree) is recursive_has_identical_children(tree)
-    assert hash(tree) == recursive_hash(tree)
-    # each conversion builds in a fresh pool of its own
-    got = dt_to_circuit(tree, _tree_setting()[0])
-    want = recursive_to_circuit(tree, _tree_setting()[0])
-    assert print_circuit(got) == print_circuit(want)
-    assert _gates(got) == _gates(want)
+    # each graft builds in a fresh pool of its own, creating gates in the recursive order
+    (a, tree_a, extra_a), (b, tree_b, extra_b) = _tree_setting(spec, other), _tree_setting(spec, other)
+    got = attach_label(tree_a, a.var(name))
+    assert _gates(got) == _gates(recursive_attach_label(tree_b, b.var(name)))
+    got = graft(tree_a, a.const(1), extra_a)
+    assert _gates(got) == _gates(recursive_graft(tree_b, b.const(1), extra_b))
 
 
 @given(spec=tree_specs(NAMES, max_leaves=10))
 def test_circuit_to_dt_round_trip(spec):
     pool, tree, _ = _tree_setting(spec)
-    circ = dt_to_circuit(tree, pool)
-    back = circuit_to_dt(circ, pool.variables)
+    back = circuit_to_dt(tree, pool.variables)
     assert is_simplified(back)
-    assert _exhaustive_same(pool, back, circ)
+    assert _exhaustive_same(pool, back, tree)
 
 
 # ----------------------------------------------------------------------
@@ -663,18 +639,18 @@ def cofactor_expansion(circ, order):
 
     def expand(circ, start):
         if circ.root.kind == CONST:
-            return DTLeaf(circ.root.payload)
+            return circ
         live = circ.vars()
         if not live:
             # constant in disguise (unfolded constants in a raw circuit)
-            return DTLeaf(evaluate(circ, Assignment((), ())))
+            return circ.pool.const(evaluate(circ, Assignment((), ())))
         j = start
         while order[j] not in live:
             j += 1
         var = order[j]
         low = expand(condition(circ, Term([Literal(var, False)])), j + 1)
         high = expand(condition(circ, Term([Literal(var, True)])), j + 1)
-        return DTNode(var, low, high)
+        return circ.pool.decision(var, low, high)
 
     return dt_simplify(expand(circ, 0))
 
@@ -719,8 +695,8 @@ def test_combination_growth_stays_polynomial():
     for _ in range(150):
         pool = Pool()
         over = pool.declare(*(f"v{i}" for i in range(rng.randint(3, 8))))
-        a = dt_simplify(random_tree(over, rng, depth=6))
-        b = dt_simplify(random_tree(over, rng, depth=6))
+        a = dt_simplify(random_tree(pool, over, rng, depth=6))
+        b = dt_simplify(random_tree(pool, over, rng, depth=6))
         for combined in (dt_conjoin(a, b), dt_disjoin(a, b)):
             reduced = dt_simplify(combined)
             assert node_count(reduced) <= node_count(a) * node_count(b) + node_count(a)
@@ -756,24 +732,24 @@ def _shaped_problem(n_features, n_labels):
     return pool, ClassificationProblem(features, labels)
 
 
-def _one_hot_label_tree(labels, k, prefix=0):
+def _one_hot_label_tree(pool, labels, k, prefix=0):
     """Tree over the labels whose only 1-leaf is at label word number k."""
     if not labels:
-        return LEAF1 if prefix == k else LEAF0
+        return pool.const(int(prefix == k))
     head, rest = labels[0], labels[1:]
-    return DTNode(
+    return pool.decision(
         head,
-        _one_hot_label_tree(rest, k, 2 * prefix),
-        _one_hot_label_tree(rest, k, 2 * prefix + 1),
+        _one_hot_label_tree(pool, rest, k, 2 * prefix),
+        _one_hot_label_tree(pool, rest, k, 2 * prefix + 1),
     )
 
 
 def _classification_tree(spec, pool, labels):
     """Feature tree whose leaves (label word numbers) become one-hot label trees."""
     if isinstance(spec, int):
-        return _one_hot_label_tree(labels, spec)
+        return _one_hot_label_tree(pool, labels, spec)
     name, low, high = spec
-    return DTNode(
+    return pool.decision(
         pool.var(name),
         _classification_tree(low, pool, labels),
         _classification_tree(high, pool, labels),
@@ -806,7 +782,7 @@ def test_structural_certification_matches_per_instance_loop(data, shape, certifi
 @pytest.mark.parametrize("shape", PROBLEM_SHAPES)
 def test_bare_leaves_are_not_classifiers(shape):
     pool, problem = _shaped_problem(*shape)
-    for leaf in (LEAF0, LEAF1):
+    for leaf in (pool.const(0), pool.const(1)):
         assert not brute_check_classification(leaf, problem)
         assert not dt_check_classification(leaf, problem)
 
@@ -815,15 +791,14 @@ def test_two_label_certification():
     pool, problem = _shaped_problem(2, 2)
     x1, x2 = problem.features
     # x1=0 gets labels 01, x1=1 splits on x2 into 10 and 11
-    tree = DTNode(
-        x1,
-        _one_hot_label_tree(problem.labels, 1),
-        DTNode(x2, _one_hot_label_tree(problem.labels, 2), _one_hot_label_tree(problem.labels, 3)),
-    )
+    words = [_one_hot_label_tree(pool, problem.labels, k) for k in (1, 2, 3)]
+    high = pool.decision(x2, words[1], words[2])
+    tree = pool.decision(x1, words[0], high)
     assert dt_check_classification(tree, problem)
     # one instance allowing two label words
     y1, y2 = problem.labels
-    loose = DTNode(x1, DTNode(y1, LEAF0, DTNode(y2, LEAF1, LEAF1)), tree.high)
+    both = pool.decision(y2, pool.const(1), pool.const(1))
+    loose = pool.decision(x1, pool.decision(y1, pool.const(0), both), high)
     assert not brute_check_classification(loose, problem)
     assert not dt_check_classification(loose, problem)
 
@@ -834,72 +809,71 @@ def test_two_label_certification():
 DEEP = 100_000
 
 
-def _deep_pair():
-    """Two separately built 1e5-deep chains, equal but for shared leaves."""
-    pool = Pool()
-    x1, x2 = pool.declare("x1", "x2")
-    a, b = LEAF1, DTLeaf(1)
+def _deep_chain(pool, x1, x2):
+    tree = pool.const(1)
     for i in range(DEEP):
-        var = x1 if i % 2 else x2
-        a, b = DTNode(var, LEAF0, a), DTNode(var, DTLeaf(0), b)
-    return a, b
+        tree = pool.decision(x1 if i % 2 else x2, pool.const(0), tree)
+    return tree
 
 
 def test_equality_hash_and_repr_of_a_deep_tree():
-    a, b = _deep_pair()
+    # two separately built 1e5-deep chains of one pool are one gate
+    pool = Pool()
+    x1, x2 = pool.declare("x1", "x2")
+    a, b = _deep_chain(pool, x1, x2), _deep_chain(pool, x1, x2)
     assert a == b and not a != b
+    assert a.root is b.root
     assert hash(a) == hash(b)
     assert a != dt_negate(b)
-    text = repr(a)
-    assert text == repr(b)
-    assert text.count("DTNode(") == DEEP
-    assert text.endswith("high=DTLeaf(value=1)" + ")" * DEEP)
+    assert repr(a) == repr(b) == f"<Circuit dec size={2 * DEEP}>"
+    text = print_dtree(a)
+    assert text.count("(x") == DEEP
+    assert text.endswith(" 1" + ")" * DEEP)
 
 
 def test_tree_helpers_on_a_deep_tree():
     pool = Pool()
     over = pool.declare(*(f"v{i}" for i in range(DEEP)))
+    zero, one = pool.const(0), pool.const(1)
 
     def chain(bottom):
         # (v0 0 (v1 1 (v2 0 ... bottom)))
         tree = bottom
         for i in range(DEEP - 2, -1, -1):
-            tree = DTNode(over[i], DTLeaf(i % 2), tree)
+            tree = pool.decision(over[i], pool.const(i % 2), tree)
         return tree
 
-    tree = chain(DTNode(over[-1], LEAF0, LEAF1))
+    tree = chain(pool.decision(over[-1], zero, one))
     assert node_count(tree) == 2 * DEEP + 1
     assert decision_count(tree) == DEEP
     assert is_read_once(tree) and not has_identical_children(tree)
-    assert dt_simplify(tree) is tree
-    assert _reduce(tree, {over[0]: 1}) is tree.high
-    assert node_count(dt_condition(tree, Literal(over[-1], True))) == 2 * DEEP - 1
-    assert not is_read_once(chain(DTNode(over[0], LEAF0, LEAF1)))
-    twins = chain(DTNode(over[-1], LEAF1, DTLeaf(1)))
+    assert dt_simplify(tree) == tree
+    assert _reduce(tree, {over[0]: 1}).root is tree.root.children[1]
+    assert node_count(_fix(tree, Literal(over[-1], True))) == 2 * DEEP - 1
+    assert not is_read_once(chain(pool.decision(over[0], zero, one)))
+    twins = chain(pool.decision(over[-1], one, one))
     assert has_identical_children(twins)
     assert decision_count(dt_simplify(twins)) == DEEP - 1
-    circ = dt_to_circuit(tree, pool)
     rng = random.Random(5)
     for cut in (0, 1, DEEP // 2, DEEP - 1, DEEP):
         # ones down to `cut`, then a zero: the walk leaves the chain at `cut`
         bits = [1] * cut + [0] + [rng.randint(0, 1) for _ in range(DEEP - cut - 1)]
         omega = Assignment(over, bits[:DEEP])
-        assert evaluate(circ, omega) == dt_eval(tree, omega)
+        assert evaluate(tree, omega) == dt_eval(tree, omega)
 
 
 def test_dt_eval_rejects_a_missing_variable():
     pool = Pool()
     x1, x2 = pool.declare("x1", "x2")
     with pytest.raises(ValueError) as raised:
-        dt_eval(DTNode(x2, LEAF0, LEAF1), Assignment((x1,), (1,)))
+        dt_eval(pool.decision(x2, pool.const(0), pool.const(1)), Assignment((x1,), (1,)))
     assert str(raised.value) == "assignment is not total over the tree's variables (missing x2)"
 
 
 # ----------------------------------------------------------------------
-# Read trees vouch for their variables: the reader records each tree's
-# variable set on its root, and `dt_vars` walks only other trees.
-
-WIDE_NAMES = ("x1", "x2", "x3", "x4", "x5")
+# Read trees: a tree file's tree lives in the file's own pool, and a
+# tree's variables are checked against its pool's declarations, with no
+# walk when the pool declares only the problem's.
 
 
 def _outcome(call):
@@ -909,37 +883,16 @@ def _outcome(call):
         return type(error).__name__, str(error)
 
 
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    names=st.lists(st.sampled_from(WIDE_NAMES + ("y",)), min_size=1, max_size=6, unique=True),
-    depth=st.integers(0, 6),
-)
-def test_a_read_tree_records_exactly_its_variables(seed, names, depth):
-    pool = Pool()
-    pool.declare(*WIDE_NAMES, "y", "z1", "z2")  # wider than any tree drawn
-    text = print_dtree(random_tree([pool.var(n) for n in names], random.Random(seed), depth))
-    head = f"(features {' '.join(WIDE_NAMES)})", "(labels y)"
-    reads = [parse_dtree(text, pool)]
-    # every order of the sections, three of which read the tree after the pool is built
-    for order in itertools.permutations(head + (f"(tree {text})",)):
-        reads.append(parse_tree_file("\n".join(order)).tree)
-    for tree in reads:
-        assert print_dtree(tree) == text
-        if isinstance(tree, DTNode):
-            assert type(tree) is _ReadRoot
-            assert tree.variables == reference_tree_vars(tree)
-        assert dt_vars(tree) == reference_tree_vars(tree)
-
-
 @pytest.mark.parametrize("text", ["0", "1"])
 def test_a_bare_leaf_reads_as_a_leaf_without_variables(text):
     pool = Pool()
     pool.declare("x1", "y")
     leaf = parse_dtree(text, pool)
-    assert leaf is (LEAF1 if text == "1" else LEAF0)
-    assert dt_vars(leaf) == frozenset()
+    assert leaf == pool.const(int(text))
+    assert leaf.vars() == frozenset()
     for order in itertools.permutations(("(features x1)", "(labels y)", f"(tree {text})")):
-        assert parse_tree_file("".join(order)).tree is leaf
+        tree = parse_tree_file("".join(order)).tree
+        assert (tree.root.kind, tree.root.payload) == (CONST, int(text))
 
 
 @given(
@@ -953,33 +906,34 @@ def test_rectifying_read_trees_prints_what_rebuilt_copies_print(seed, sigma_over
     (z1,) = pool.declare("z1")
     rng = random.Random(seed)
     if sigma_over == "all":  # mostly not a classifier
-        sigma = random_tree(problem.all_vars, rng, depth=5)
+        sigma = random_tree(pool, problem.all_vars, rng, depth=5)
     else:
         extra = (z1,) if sigma_over == "features and z1" else ()
-        sigma = attach_label(random_tree(problem.features + extra, rng, depth=5), problem.label)
+        sigma = attach_label(random_tree(pool, problem.features + extra, rng, depth=5), problem.label)
     extra = (z1,) if theory_over == "all and z1" else ()
-    theory = random_tree(problem.all_vars + extra, rng, depth=5)
-    read_sigma = parse_dtree(print_dtree(sigma), pool)
-    read_theory = parse_dtree(print_dtree(theory), pool)
-    copies = rebuilt_tree(read_sigma), rebuilt_tree(read_theory)
-    assert all(type(copy) is not _ReadRoot for copy in copies)
+    theory = random_tree(pool, problem.all_vars + extra, rng, depth=5)
+    # the same trees read into a second pool that declares the same variables
+    copies = Pool()
+    copies.declare(*(v.name for v in pool.variables))
+    read_sigma, read_theory = (parse_dtree(print_dtree(tree), copies) for tree in (sigma, theory))
     assert _outcome(lambda: dt_check_classification(read_sigma, problem)) == _outcome(
-        lambda: dt_check_classification(copies[0], problem)
+        lambda: dt_check_classification(sigma, problem)
     )
-    rectified = _outcome(lambda: print_dtree(dt_rectify(read_sigma, read_theory, problem)))
-    assert rectified == _outcome(lambda: print_dtree(dt_rectify(*copies, problem)))
+    rectified = _outcome(lambda: print_dtree(dt_rectify(sigma, theory, problem)))
+    assert rectified == _outcome(lambda: print_dtree(dt_rectify(read_sigma, read_theory, problem)))
+    assert rectified == _outcome(lambda: print_dtree(dt_rectify(sigma, read_theory, problem)))
 
 
-def _sized_tree(rng, over, depth, internal, leaf):
+def _sized_tree(pool, rng, over, depth, internal, leaf):
     """A random tree with exactly `internal` decisions and depth at most `depth`."""
     if internal == 0:
         return leaf()
     cap = (1 << (depth - 1)) - 1
     low = rng.randint(max(0, internal - 1 - cap), min(cap, internal - 1))
-    return DTNode(
+    return pool.decision(
         rng.choice(over),
-        _sized_tree(rng, over, depth - 1, low, leaf),
-        _sized_tree(rng, over, depth - 1, internal - 1 - low, leaf),
+        _sized_tree(pool, rng, over, depth - 1, low, leaf),
+        _sized_tree(pool, rng, over, depth - 1, internal - 1 - low, leaf),
     )
 
 
@@ -990,20 +944,23 @@ def test_a_bench_shaped_read_pair_rectifies_as_its_rebuilt_copy(monkeypatch):
     problem = ClassificationProblem(features, pool.declare("y"))
     y = problem.label
     rng = random.Random(12)
-    classes = DTNode(y, LEAF1, LEAF0), DTNode(y, LEAF0, LEAF1)
-    sigma = _sized_tree(rng, features, 16, 2000, lambda: rng.choice(classes))
-    theory = _sized_tree(rng, problem.all_vars, 16, 1000, lambda: rng.choice((LEAF0, LEAF1)))
+    zero, one = pool.const(0), pool.const(1)
+    classes = pool.decision(y, one, zero), pool.decision(y, zero, one)
+    sigma = _sized_tree(pool, rng, features, 16, 2000, lambda: rng.choice(classes))
+    theory = _sized_tree(pool, rng, problem.all_vars, 16, 1000, lambda: rng.choice((zero, one)))
     assert decision_count(sigma) + decision_count(theory) >= 3000
     head = f"(features {' '.join(v.name for v in features)})\n(labels y)\n"
     read_sigma, read_theory = (
-        parse_tree_file(head + f"(tree {print_dtree(tree)})\n").tree for tree in (sigma, theory)
+        parse_tree_file(head + f"(tree {print_dtree(tree)})\n") for tree in (sigma, theory)
     )
     walks = var_walks(monkeypatch)
-    out = print_dtree(dt_rectify(read_sigma, read_theory, problem))
+    out = dt_rectify(read_sigma.tree, read_theory.tree, problem)
     assert walks == []
-    copies = rebuilt_tree(read_sigma), rebuilt_tree(read_theory)
-    assert out == print_dtree(dt_rectify(*copies, problem))
-    assert len(walks) == 2
+    assert print_dtree(out) == print_dtree(dt_rectify(sigma, theory, problem))
+    assert walks == []
+    # the output lives in the theory's pool, and no gate of the classifier's pool leaks into it
+    assert out.pool is read_theory.pool
+    assert all(read_theory.pool.gates[gate.uid] is gate for gate in iter_gates(out))
 
 
 SIGMA_OUTSIDE = "^tree mentions variables outside the problem: z1$"
@@ -1015,24 +972,24 @@ def test_trees_built_on_read_trees_are_walked(trees, monkeypatch):
     (z1,) = pool.declare("z1")
     x1, x3 = pool.var("x1"), pool.var("x3")
     sigma, theory = parse(SIGMA_TREE_TEXT), parse(THEORY_TREE_TEXT)
+    # the pool declares z1, so every tree of it is walked for its variables
     walks = var_walks(monkeypatch)
     with pytest.raises(ValueError, match=SIGMA_OUTSIDE):
-        dt_rectify(DTNode(z1, sigma, LEAF0), theory, problem)
+        dt_rectify(pool.decision(z1, sigma, pool.const(0)), theory, problem)
     with pytest.raises(ValueError, match=SIGMA_OUTSIDE):
-        dt_check_classification(DTNode(z1, sigma, LEAF0), problem)
+        dt_check_classification(pool.decision(z1, sigma, pool.const(0)), problem)
     with pytest.raises(ValueError, match=THEORY_OUTSIDE):
-        dt_rectify(sigma, DTNode(z1, theory, LEAF0), problem)
-    assert len(walks) == 3
+        dt_rectify(sigma, pool.decision(z1, theory, pool.const(0)), problem)
+    assert [walked.root.kind for walked in walks] == [DEC] * 4
+    assert walks[0] == theory
 
-    # a kernel that changes a read tree returns a new root, which is walked
     wide = parse("(x1 (y 0 1) (z1 (y 0 1) (x2 (y 1 0) (y 0 1))))")
-    kept_z1 = dt_condition(wide, Literal(x1, True))
-    dropped_z1 = dt_condition(wide, Literal(z1, False))
+    kept_z1 = _fix(wide, Literal(x1, True))
+    dropped_z1 = _fix(wide, Literal(z1, False))
     labelled = attach_label(parse("(x1 0 (z1 1 (x2 0 1)))"), problem.label)
-    theory_z1 = dt_condition(parse("(z1 (x1 0 (y 0 1)) 1)"), Literal(x1, False))
+    theory_z1 = _fix(parse("(z1 (x1 0 (y 0 1)) 1)"), Literal(x1, False))
     for built in (kept_z1, dropped_z1, labelled, theory_z1):
-        assert type(built) is DTNode
-        assert dt_vars(built) == reference_tree_vars(built)
+        assert built.vars() == reference_tree_vars(built)
     for built in (kept_z1, labelled):
         with pytest.raises(ValueError, match=SIGMA_OUTSIDE):
             dt_check_classification(built, problem)
@@ -1040,12 +997,55 @@ def test_trees_built_on_read_trees_are_walked(trees, monkeypatch):
             dt_rectify(built, theory, problem)
     with pytest.raises(ValueError, match=THEORY_OUTSIDE):
         dt_rectify(sigma, theory_z1, problem)
-    # z1 conditioned away: no stale record of it
+    # z1 conditioned away: the same output as from a pool that never declared it
     out = print_dtree(dt_rectify(dropped_z1, theory, problem))
-    assert out == print_dtree(dt_rectify(rebuilt_tree(dropped_z1), theory, problem))
+    clean = Pool()
+    clean.declare(*NAMES, "y")
+    read = (parse_dtree(print_dtree(tree), clean) for tree in (dropped_z1, theory))
+    assert out == print_dtree(dt_rectify(*read, problem))
 
-    # a kernel that changes nothing keeps the read root, whose record still holds
-    unchanged = dt_condition(wide, Literal(x3, True))
-    assert unchanged is wide
+    # a kernel that changes nothing returns the tree itself
+    unchanged = _fix(wide, Literal(x3, True))
+    assert unchanged == wide
     with pytest.raises(ValueError, match=SIGMA_OUTSIDE):
         dt_check_classification(unchanged, problem)
+
+
+# ----------------------------------------------------------------------
+# The tree route against the independent instance oracle
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_features=st.integers(1, 6),
+    depth=st.integers(0, 6),
+    from_files=st.booleans(),
+)
+def test_tree_route_matches_the_instance_oracle(seed, n_features, depth, from_files):
+    pool = Pool()
+    problem = random_problem(pool, n_features)
+    rng = random.Random(seed)
+    sigma = attach_label(random_tree(pool, problem.features, rng, depth=depth), problem.label)
+    theory = random_tree(pool, problem.all_vars, rng, depth=depth)
+    if from_files:  # two tree files, so two pools, as the dt-rectify command reads them
+        head = f"(features {' '.join(v.name for v in problem.features)})\n(labels y)\n"
+        sigma, theory = (
+            parse_tree_file(head + f"(tree {print_dtree(tree)})\n").tree for tree in (sigma, theory)
+        )
+        assert sigma.pool is not theory.pool
+    out = dt_rectify(sigma, theory, problem)
+    blocks = (label_blocks(tree, problem) for tree in (sigma, theory))
+    assert label_blocks(out, problem) == oracle_rectify(*blocks, problem)
+
+
+POOLS_DIFFER = "^sigma and theory trees come from pools that declare different variables$"
+
+
+def test_trees_from_pools_with_different_declarations_are_rejected():
+    sigma = parse_tree_file("(features x1 x2)\n(labels y)\n(tree (x1 (y 1 0) (y 0 1)))\n")
+    theory = parse_tree_file("(features x1 x2 z1)\n(labels y)\n(tree (x2 1 (x1 0 1)))\n")
+    with pytest.raises(ValueError, match=POOLS_DIFFER):
+        dt_rectify(sigma.tree, theory.tree, sigma.problem)
+    # the checks that came before keep their order
+    with pytest.raises(CertificationError):
+        dt_rectify(theory.tree, theory.tree, sigma.problem)

@@ -15,9 +15,8 @@ from monorect import (
     print_circuit,
     print_dtree,
 )
-from monorect.circuit import VarId
+from monorect.circuit import CONST, DEC, VarId
 from monorect.cli import main
-from monorect.dtree import DTLeaf, DTNode
 
 from conftest import (
     DEMO_SIGMA_AST,
@@ -161,7 +160,7 @@ class TestParseDtree:
 
     def test_bare_leaf(self):
         pool = fresh_pool()
-        assert parse_dtree("1", pool) == DTLeaf(1)
+        assert parse_dtree("1", pool) == pool.const(1)
 
     def test_bad_leaf_token(self):
         pool = fresh_pool()
@@ -177,14 +176,15 @@ class TestParseDtree:
     def test_deep_tree_parses(self):
         depth = 100_000
         text = "(x1 0 " * depth + "1" + ")" * depth
-        tree = parse_dtree(text, fresh_pool())
+        pool = fresh_pool()
+        gate = parse_dtree(text, pool).root
         seen = 0
-        while isinstance(tree, DTNode):
-            assert tree.low == DTLeaf(0)
-            tree = tree.high
+        while gate.kind == DEC:
+            assert gate.children[0] is pool.const(0).root
+            gate = gate.children[1]
             seen += 1
         assert seen == depth
-        assert tree == DTLeaf(1)
+        assert gate is pool.const(1).root
 
     def test_deep_tree_prints_and_parses_back(self):
         depth = 100_000
@@ -284,7 +284,7 @@ class TestTreeFiles:
         first = parse_tree_file(path.read_text())
         second = parse_tree_file(_header(first.problem) + f"(tree {print_dtree(first.tree)})\n")
         assert second.problem == first.problem
-        assert second.tree == first.tree
+        assert print_dtree(second.tree) == print_dtree(first.tree)
 
     def test_round_trip(self):
         tf = parse_tree_file(self.GOOD)
@@ -308,12 +308,13 @@ class TestTreeFiles:
     def test_deep_tree_file(self):
         depth = 100_000
         text = "(features x1)\n(labels y)\n(tree " + "(x1 0 " * depth + "1" + ")" * depth + ")\n"
-        tree = parse_tree_file(text).tree
+        gate = parse_tree_file(text).tree.root
         seen = 0
-        while isinstance(tree, DTNode):
-            tree = tree.high
+        while gate.kind == DEC:
+            gate = gate.children[1]
             seen += 1
         assert seen == depth
+        assert gate.kind == CONST
 
     def test_single_label_enforced(self):
         with pytest.raises(ParseError, match="exactly one label"):
@@ -401,11 +402,11 @@ def _oracle_tree_from(node, pool):
         item = todo.pop()
         if isinstance(item, VarId):
             high = done.pop()
-            done.append(DTNode(item, done.pop(), high))
+            done.append(pool.decision(item, done.pop(), high))
         elif isinstance(item, str):
             if item not in ("0", "1"):
                 raise ParseError(f"decision-tree leaf must be 0 or 1, got {item!r}")
-            done.append(DTLeaf(int(item)))
+            done.append(pool.const(int(item)))
         elif len(item) != 3 or not isinstance(item[0], str):
             raise ParseError("decision-tree node must be (variable low high)")
         else:
@@ -557,9 +558,15 @@ def test_tree_file_reader_matches_two_pass_oracle(spec, data):
     order = data.draw(st.permutations(sections))
     file_tokens = [token for section in order for token in section]
     text = _layout(file_tokens, _gaps(data.draw, file_tokens))
-    expected = _outcome(_oracle_tree_file, text)
-    got = _outcome(lambda: parse_tree_file(text).tree)
+    expected = _outcome(lambda: _pool_of(_oracle_tree_file(text)))
+    got = _outcome(lambda: _pool_of(parse_tree_file(text).tree))
     assert got == expected, (kind, text)
+
+
+def _pool_of(tree):
+    """A tree's text and every gate of its pool, so the order gates were created in counts too."""
+    gates = [(g.kind, g.payload, tuple(c.uid for c in g.children)) for g in tree.pool.gates]
+    return print_dtree(tree), gates
 
 
 @given(ast=ast_exprs(NAMES, max_leaves=10), data=st.data())
