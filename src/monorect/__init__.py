@@ -37,7 +37,6 @@ from .dtree import (
     attach_label,
     circuit_to_dt,
     dt_check_classification,
-    dt_eval,
     dt_rectify,
     dt_simplify,
     rf_classify,
@@ -71,11 +70,9 @@ from .rectify import (
 from .semantics import (
     DEFAULT_VAR_CAP,
     Assignment,
-    entails,
     equivalent,
     evaluate,
     forget,
-    models,
     truth_mask,
     var_masks,
 )

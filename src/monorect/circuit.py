@@ -237,12 +237,12 @@ class Pool:
     def variables(self) -> tuple[VarId, ...]:
         return tuple(self._order)
 
-    def fresh(self, stem: str = "aux") -> VarId:
-        """Declare and return a variable with an unused name."""
+    def fresh(self) -> VarId:
+        """Declare and return a variable with an unused name, aux_0, aux_1, ..."""
         i = 0
-        while f"{stem}_{i}" in self._by_name:
+        while f"aux_{i}" in self._by_name:
             i += 1
-        return self.declare(f"{stem}_{i}")[0]
+        return self.declare(f"aux_{i}")[0]
 
     # ------------------------------------------------------------------
     # gate construction (arity checks only; no logical simplification)

@@ -31,11 +31,10 @@ from dataclasses import dataclass
 from itertools import product
 
 from .circuit import AND, CONST, DEC, OR, Circuit, Gate, VarId
-from .classifier import ClassificationProblem, as_instance
+from .classifier import ClassificationProblem, as_instance, label_blocks
 from .errors import CertificationError
 from .semantics import (
     DEFAULT_VAR_CAP,
-    Assignment,
     ensure_cap,
     ensure_circuit_within,
     ensure_within,
@@ -47,21 +46,6 @@ def _not_a_tree(gate: Gate) -> ValueError:
     """The error for a gate that is neither a decision nor a constant."""
     article = "an" if gate.kind in (AND, OR) else "a"
     return ValueError(f"not a decision tree: found {article} {gate.kind!r} gate")
-
-
-def dt_eval(tree: Circuit, omega: Assignment) -> int:
-    gate = tree.root
-    while gate.kind == DEC:
-        try:
-            bit = omega.value(gate.payload)
-        except KeyError:
-            raise ValueError(
-                f"assignment is not total over the tree's variables (missing {gate.payload.name})"
-            ) from None
-        gate = gate.children[bit]
-    if gate.kind != CONST:
-        raise _not_a_tree(gate)
-    return gate.payload
 
 
 def _graft(tree: Circuit, leaf) -> Circuit:
@@ -278,10 +262,13 @@ class RandomForest:
 def rf_classify(forest: RandomForest, x, problem: ClassificationProblem) -> int:
     """Strict majority of positive votes; ties count as negative.
 
-    A tree votes positive when it accepts the instance with the label set to 1.
+    A tree votes positive when it accepts the instance with the label set
+    to 1: bit 1 of its label block at the instance.
     """
-    point = as_instance(problem, x).extended(problem.label, 1)
-    votes = sum(dt_eval(tree, point) for tree in forest.trees)
+    if not problem.mono_label:
+        raise ValueError("this operation needs a single-label problem")
+    inst = as_instance(problem, x)
+    votes = sum(label_blocks(tree, problem, [inst])[0] >> 1 for tree in forest.trees)
     return 1 if 2 * votes > len(forest.trees) else 0
 
 

@@ -14,19 +14,13 @@ from .circuit import Circuit, Pool, VarId
 from .classifier import Classifier, ClassificationProblem
 
 
-def random_problem(pool: Pool, n_features: int, label: str = "y") -> ClassificationProblem:
+def random_problem(pool: Pool, n_features: int) -> ClassificationProblem:
     features = pool.declare(*(f"x{i + 1}" for i in range(n_features)))
-    labels = pool.declare(label)
+    labels = pool.declare("y")
     return ClassificationProblem(features, labels)
 
 
-def random_circuit(
-    pool: Pool,
-    over: Sequence[VarId],
-    gates: int,
-    rng: random.Random,
-    const_prob: float = 0.03,
-) -> Circuit:
+def random_circuit(pool: Pool, over: Sequence[VarId], gates: int, rng: random.Random) -> Circuit:
     """A random DAG built from roughly `gates` gate creations over `over`.
 
     Gates accumulate onto a running root, so everything created stays
@@ -38,7 +32,7 @@ def random_circuit(
     nodes = [pool.literal(v) for v in over]
     acc = rng.choice(nodes)
     for _ in range(gates):
-        if rng.random() < const_prob:
+        if rng.random() < 0.03:
             nodes.append(pool.const(rng.randint(0, 1)))
         kind = rng.choice(("not", "and", "or", "dec"))
         if kind == "not":

@@ -1,4 +1,4 @@
-"""Desk-scale model theory: the gate interpreter, enumeration, entailment, forgetting.
+"""Desk-scale model theory: the gate interpreter, equivalence, forgetting.
 
 One kernel, `_table`, computes gate values: each variable is read as an
 integer mask and each gate as the bitwise operation on its children's
@@ -73,9 +73,6 @@ class Assignment:
 
     __getitem__ = value
 
-    def extended(self, var: VarId, bit: int) -> "Assignment":
-        return Assignment(self.vars + (var,), self.bits + (bit,))
-
     def __str__(self):
         return self.word
 
@@ -138,7 +135,7 @@ def evaluate(circ: Circuit, omega: Assignment) -> int:
         return _table(circ, omega._values, 1)
     except KeyError as exc:
         raise ValueError(
-            f"assignment is not total over the circuit's variables (missing {exc})"
+            f"assignment is not total over the circuit's variables (missing {exc.args[0].name})"
         ) from None
 
 
@@ -174,30 +171,8 @@ def _table(circ: Circuit, masks: Mapping[VarId, int], full: int) -> int:
     return memo[circ.root.uid]
 
 
-def models(
-    circ: Circuit, over: Sequence[VarId], cap: int = DEFAULT_VAR_CAP
-) -> list[Assignment]:
-    """All satisfying assignments over `over`, in lexicographic word order."""
-    over = tuple(over)
-    ensure_cap(len(over), cap)
-    mask = truth_mask(circ, over)
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(Assignment.from_index(low.bit_length() - 1, over))
-        mask ^= low
-    return out
-
-
 def _ordered(vs: Iterable[VarId]) -> tuple[VarId, ...]:
     return tuple(sorted(vs, key=lambda v: v.index))
-
-
-def entails(a: Circuit, b: Circuit, cap: int = DEFAULT_VAR_CAP) -> bool:
-    """a |= b, i.e. a & !b has no model over the union of their variables."""
-    over = _ordered(a.vars() | b.vars())
-    ensure_cap(len(over), cap)
-    return a == b or truth_mask(a, over) & ~truth_mask(b, over) == 0
 
 
 def equivalent(a: Circuit, b: Circuit, cap: int = DEFAULT_VAR_CAP) -> bool:

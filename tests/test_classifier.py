@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from monorect import (
-    DEFAULT_VAR_CAP,
     Assignment,
     CapExceededError,
     CertificationError,
@@ -21,12 +20,10 @@ from monorect import (
     condition,
     conjoin,
     disjoin,
-    entails,
     equivalent,
     fact_formula,
     is_fact_compliant,
     label_blocks,
-    models,
     negate,
     positive_circuit,
     rectify,
@@ -226,7 +223,7 @@ class TestPositiveCircuit:
         problem = ClassificationProblem((x,), (y,))
         clf = Classifier(problem, pool.build(["iff", "false", "y"]))
         assert check_xy_property(clf.circuit, clf.problem)
-        assert models(positive_circuit(clf), (x,)) == []
+        assert truth_mask(positive_circuit(clf), (x,)) == 0
 
     def test_round_trip(self, demo):
         region = demo.pool.build(["or", "x1", ["and", "x2", "x3"]])
@@ -260,7 +257,9 @@ def test_theory_entails_its_fact_formula(theory_ast):
         at_x = condition(theory, to_term(inst))
         facts = fact_formula(theory, inst, problem)
         forced = [pool.literal(lit.var, lit.positive) for lit in facts.term.literals]
-        assert entails(at_x, pool.and_([pool.const(1), *forced]))
+        implied = pool.and_([pool.const(1), *forced])
+        over = pool.variables
+        assert truth_mask(at_x, over) & ~truth_mask(implied, over) == 0
 
 
 @given(theory_ast=ast_exprs(("x1", "x2", "y"), max_leaves=10))
@@ -368,7 +367,9 @@ def test_forced_literals_hold_in_every_model_at_the_instance(data, n_features, n
     problem, clf, theory = _multilabel_setting(data, n_features, n_labels)
     for x in range(1 << n_features):
         inst = Assignment.from_index(x, problem.features)
-        allowed = models(condition(theory, to_term(inst)), problem.labels)
+        table = truth_mask(condition(theory, to_term(inst)), problem.labels)
+        words = (k for k in range(1 << n_labels) if table >> k & 1)
+        allowed = [Assignment.from_index(k, problem.labels) for k in words]
         values = {y: {m[y] for m in allowed} for y in problem.labels}
         forced = [Literal(y, 1 in vs) for y, vs in values.items() if len(vs) == 1]
         assert fact_formula(theory, inst, problem).term == Term(forced)

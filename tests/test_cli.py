@@ -664,7 +664,7 @@ def test_deep_not_chain_classifies(tmp_path, capsys):
 
 
 def test_deep_theory_tree_rectifies(tmp_path, capsys):
-    from monorect import Assignment, dt_eval, dt_rectify
+    from monorect import dt_rectify, truth_mask
     from monorect import parse_dtree, parse_tree_file, print_dtree
 
     depth = 100_000
@@ -684,16 +684,16 @@ def test_deep_theory_tree_rectifies(tmp_path, capsys):
     over = sigma.problem.all_vars
 
     pool = sigma.pool
+    table = truth_mask(theory.tree, over)
 
-    def full(bits=()):
-        if len(bits) == len(over):
-            return pool.const(dt_eval(theory.tree, Assignment(over, bits)))
-        return pool.decision(over[len(bits)], full(bits + (0,)), full(bits + (1,)))
+    def full(k=0, i=0):
+        # the subtree below the first k variables set as the k bits of i
+        if k == len(over):
+            return pool.const(table >> i & 1)
+        return pool.decision(over[k], full(k + 1, 2 * i), full(k + 1, 2 * i + 1))
 
     shallow = dt_rectify(sigma.tree, full(), sigma.problem)
-    for i in range(1 << len(over)):
-        omega = Assignment.from_index(i, over)
-        assert dt_eval(out, omega) == dt_eval(shallow, omega)
+    assert truth_mask(out, over) == truth_mask(shallow, over)
 
     sigma_path = tmp_path / "sigma.tree"
     theory_path = tmp_path / "theory.tree"

@@ -20,7 +20,6 @@ from monorect import (
     circuit_to_dt,
     condition,
     dt_check_classification,
-    dt_eval,
     dt_rectify,
     dt_simplify,
     equivalent,
@@ -53,6 +52,7 @@ from conftest import (
     is_read_once,
     is_simplified,
     node_count,
+    reference_evaluate,
     reference_tree_vars,
     var_walks,
     REDUCED_TREE_TEXT,
@@ -278,14 +278,15 @@ def test_wide_rectification_follows_the_flip_rule():
     assert dt_check_classification(out, problem)
     flipped = 0
     for _ in range(200):
-        inst = Assignment(problem.features, [rng.randint(0, 1) for _ in problem.features])
-        pos, neg = (dt_eval(theory, inst.extended(label, bit)) for bit in (1, 0))
-        verdict = dt_eval(sigma, inst.extended(label, 1))
-        if pos != neg:  # the theory decides the instance
-            flipped += verdict != pos
-            verdict = pos
-        assert dt_eval(out, inst.extended(label, 1)) == verdict
-        assert dt_eval(out, inst.extended(label, 0)) == 1 - verdict
+        inst = [rng.randint(0, 1) for _ in problem.features]
+        # bit b of a tree's label block is its value with the label set to b
+        [allowed] = label_blocks(theory, problem, [inst])
+        [block] = label_blocks(sigma, problem, [inst])
+        verdict = block >> 1
+        if allowed in (0b01, 0b10):  # the theory decides the instance
+            flipped += verdict != allowed >> 1
+            verdict = allowed >> 1
+        assert label_blocks(out, problem, [inst]) == [0b10 if verdict else 0b01]
     assert flipped > 0
 
 
@@ -360,6 +361,20 @@ class TestForest:
         assert rf_classify(rectified, "110", demo.problem) == 1
 
 
+@given(seed=st.integers(0, 2**32 - 1), n_features=st.integers(1, 5), n_trees=st.integers(1, 5))
+def test_a_forest_votes_by_strict_majority_at_label_1(seed, n_features, n_trees):
+    rng = random.Random(seed)
+    pool = Pool()
+    problem = random_problem(pool, n_features)
+    trees = tuple(random_tree(pool, problem.all_vars, rng, depth=4) for _ in range(n_trees))
+    for i in range(1 << n_features):
+        inst = Assignment.from_index(i, problem.features)
+        point = Assignment(problem.all_vars, inst.bits + (1,))
+        votes = sum(reference_evaluate(tree, point) for tree in trees)
+        # ties count as negative
+        assert rf_classify(RandomForest(trees), inst, problem) == int(votes > n_trees - votes)
+
+
 # ----------------------------------------------------------------------
 # properties
 
@@ -376,7 +391,7 @@ def _exhaustive_same(pool, tree, circ):
     over = pool.variables
     for bits in itertools.product((0, 1), repeat=len(over)):
         omega = Assignment(over, bits)
-        if dt_eval(tree, omega) != evaluate(circ, omega):
+        if reference_evaluate(tree, omega) != evaluate(circ, omega):
             return False
     return True
 
@@ -494,7 +509,6 @@ def test_a_circuit_that_is_not_a_tree_is_rejected_where_it_is_reached(trees):
         lambda: dt_check_classification(conjunction, problem),
         lambda: dt_simplify(conjunction),
         lambda: print_dtree(conjunction),
-        lambda: dt_eval(conjunction, Assignment(problem.all_vars, (1, 1, 1, 1))),
         lambda: attach_label(conjunction, problem.label),
     ):
         with pytest.raises(ValueError, match=message):
@@ -505,7 +519,6 @@ def test_a_circuit_that_is_not_a_tree_is_rejected_where_it_is_reached(trees):
         print_dtree(below)
     with pytest.raises(ValueError, match="^not a decision tree: found a 'not' gate$"):
         dt_simplify(below)
-    assert dt_eval(below, Assignment(problem.all_vars, (1, 1, 0, 1))) == 0
 
 
 # ----------------------------------------------------------------------
@@ -707,7 +720,7 @@ def test_combination_growth_stays_polynomial():
 
 
 def brute_check_classification(tree, problem):
-    """dt_eval at every word over features plus labels, one instance at a time."""
+    """The reference walk at every word over features plus labels, one instance at a time."""
     feats = problem.features
     labels = problem.labels
     for i in range(1 << len(feats)):
@@ -715,7 +728,7 @@ def brute_check_classification(tree, problem):
         hits = 0
         for k in range(1 << len(labels)):
             word = Assignment(feats + labels, inst.bits + Assignment.from_index(k, labels).bits)
-            hits += dt_eval(tree, word)
+            hits += reference_evaluate(tree, word)
         if hits != 1:
             return False
     return True
@@ -859,15 +872,7 @@ def test_tree_helpers_on_a_deep_tree():
         # ones down to `cut`, then a zero: the walk leaves the chain at `cut`
         bits = [1] * cut + [0] + [rng.randint(0, 1) for _ in range(DEEP - cut - 1)]
         omega = Assignment(over, bits[:DEEP])
-        assert evaluate(tree, omega) == dt_eval(tree, omega)
-
-
-def test_dt_eval_rejects_a_missing_variable():
-    pool = Pool()
-    x1, x2 = pool.declare("x1", "x2")
-    with pytest.raises(ValueError) as raised:
-        dt_eval(pool.decision(x2, pool.const(0), pool.const(1)), Assignment((x1,), (1,)))
-    assert str(raised.value) == "assignment is not total over the tree's variables (missing x2)"
+        assert evaluate(tree, omega) == reference_evaluate(tree, omega)
 
 
 # ----------------------------------------------------------------------

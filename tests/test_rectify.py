@@ -22,7 +22,6 @@ from monorect import (
     evaluate,
     is_fact_compliant,
     label_blocks,
-    models,
     oracle_rectify,
     parse_circuit,
     positive_circuit,
@@ -62,8 +61,8 @@ class TestDecisiveCircuits:
     def test_contradictory_theory_forces_nothing(self, demo):
         absurd = demo.pool.const(0)
         forces_pos, forces_neg = decisive_circuits(absurd, demo.problem)
-        assert not models(forces_pos, demo.problem.features)
-        assert not models(forces_neg, demo.problem.features)
+        assert truth_mask(forces_pos, demo.problem.features) == 0
+        assert truth_mask(forces_neg, demo.problem.features) == 0
 
 
 class TestRectify:
@@ -258,7 +257,7 @@ def test_semantic_characterization(seed):
 def test_forced_regions_are_disjoint(seed):
     pool, problem, clf, theory = _random_pair(seed)
     result = rectify(clf, theory)
-    assert not models(conjoin(result.forces_positive, result.forces_negative), problem.features)
+    assert truth_mask(conjoin(result.forces_positive, result.forces_negative), problem.features) == 0
 
 
 @pytest.mark.parametrize("seed", range(25))
@@ -277,7 +276,7 @@ def test_knowledge_compliance(seed):
     for i in range(1 << len(problem.features)):
         inst = Assignment.from_index(i, problem.features)
         at_x = condition(theory, to_term(inst))
-        if not models(at_x, problem.labels):
+        if truth_mask(at_x, problem.labels) == 0:
             continue
         verdict = condition(result.rectified.circuit, to_term(inst))
         assert equivalent(conjoin(verdict, at_x), verdict)
