@@ -8,7 +8,6 @@ and its postulates at desk scale.
 
 from .circuit import (
     Circuit,
-    Gate,
     Literal,
     Pool,
     Term,

@@ -16,6 +16,10 @@ in creation order and a gate is created after its children, so uid order
 is a topological order: every traversal is one scan down the gate list
 from the root's uid (`iter_gates`), and every kernel memoises in a list
 indexed by uid.
+
+Only this module makes gates: `Pool._gate`, `Pool.read` (circuit text)
+and `Pool.read_tree` (tree text) construct, number and intern them.
+`Gate` is not exported; `Circuit.root` and `Pool.gates` hand gates out.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import re
 from dataclasses import dataclass
 from typing import Collection, Iterable, NamedTuple
 
-from .errors import BuildError
+from .errors import BuildError, ParseError
 
 CONST = "const"
 VAR = "var"
@@ -103,7 +107,7 @@ class Term:
 
 
 class Gate:
-    """One pooled gate.  Never constructed directly; identity is equality."""
+    """One pooled gate, made only by `Pool` in this module; identity is equality."""
 
     __slots__ = ("kind", "payload", "children", "uid")
 
@@ -130,19 +134,16 @@ class Circuit:
     same pool are == exactly when they are syntactically identical.
     """
 
-    __slots__ = ("pool", "root", "_size")
+    __slots__ = ("pool", "root")
 
     def __init__(self, pool: "Pool", root: Gate):
         self.pool = pool
         self.root = root
-        self._size = None
 
     @property
     def size(self) -> int:
-        """Number of arcs reachable from the root (shared gates counted once)."""
-        if self._size is None:
-            self._size = sum(len(g.children) for g in iter_gates(self))
-        return self._size
+        """Number of arcs reachable from the root (shared gates counted once); walks each read."""
+        return sum(len(g.children) for g in iter_gates(self))
 
     def vars(self) -> frozenset[VarId]:
         """Variables occurring in the circuit, including decision-gate variables.
@@ -192,13 +193,13 @@ class Pool:
     to read from anywhere.
 
     Every variable a gate mentions is one the pool declares: `literal`
-    and `decision` check it, `read` and the tree reader resolve names
+    and `decision` check it, `read` and `read_tree` resolve names
     against the table, and the kernels only reuse the payloads of
     existing gates.  So a circuit checked against a superset of the
     declarations needs no walk (`Circuit.vars_outside`).
 
     Decision trees share the store: a tree is a circuit of `dec` gates
-    and constants (see `dtree`).
+    and constants (see `dtree`), read by `read_tree`.
     """
 
     def __init__(self):
@@ -437,6 +438,51 @@ class Pool:
                 leaves[token] = gate
                 done.append(gate)
 
+    def read_tree(self, tokens: list[str], i: int) -> tuple[list[Gate], int]:
+        """The decision trees from tokens[i] to the ')' closing them, and the index after it.
+
+        Tokens are as for `read`; the grammar and messages are the tree
+        format's (see `formats`).  Each node is interned at its ')' with
+        `_gate`'s key, so equal subtrees are one gate and uids come out in
+        the order of a recursive descent.
+        """
+        interned = self._interned
+        gates = self.gates
+        resolved: dict = {}  # the variable of each '(name' token met
+        leaves: dict = {}  # the constant of each leaf token met
+        done: list[Gate] = []
+        opened: list = []  # each open node's variable and the height of `done` at its '('
+        while True:
+            token = tokens[i]
+            i += 1
+            if token == ")":
+                if not opened:
+                    return done, i
+                var_id, height = opened.pop()
+                if len(done) != height + 2:  # the node's two subtrees, and nothing else
+                    raise ParseError("decision-tree node must be (variable low high)")
+                high = done.pop()
+                key = (DEC, var_id, (done[-1], high))
+                gate = interned.get(key)
+                if gate is None:
+                    gate = interned[key] = Gate(DEC, var_id, key[2], len(gates))
+                    gates.append(gate)
+                done[-1] = gate
+            elif token == "0" or token == "1":
+                gate = leaves.get(token)
+                if gate is None:
+                    gate = leaves[token] = self._gate(CONST, int(token), ())
+                done.append(gate)
+            elif token == "(":
+                raise ParseError("decision-tree node must be (variable low high)")
+            elif token[0] == "(":
+                var_id = resolved.get(token)
+                if var_id is None:
+                    var_id = resolved[token] = self.var(token[1:])
+                opened.append((var_id, len(done)))
+            else:
+                raise ParseError(f"decision-tree leaf must be 0 or 1, got {token!r}")
+
 
 # Operators of `Pool.read` frames: gate kinds, and three more.
 _IMP, _IFF, _LET, _BIND = "imp", "iff", "let", "bind"
@@ -503,8 +549,11 @@ def iter_gates(circ: Circuit) -> list[Gate]:
     The gates come in ascending uid order.  A gate's children are older
     than the gate, so one scan down from the root's uid that marks the
     children of each marked gate finds every reachable gate; runs of
-    unmarked uids are skipped by `bytearray.rfind`, so a small circuit
-    built late in a large pool costs little more than its own gates.
+    unmarked uids are skipped by `bytearray.rfind`, so for a small
+    circuit built late in a large pool the scan costs little more than
+    its own gates.  The kernels built on it do not: each allocates a memo
+    list of root uid + 1 entries, so `condition` and `truth_mask` of such
+    a circuit cost O(root uid).
     """
     uid = circ.root.uid
     gates = circ.pool.gates

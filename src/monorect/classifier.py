@@ -84,11 +84,6 @@ class FactFormula:
     def trivial(self) -> bool:
         return len(self.term) == 0
 
-    def __str__(self):
-        if self.trivial:
-            return "T"
-        return " & ".join(str(lit) for lit in self.term.literals)
-
 
 def as_instance(problem: ClassificationProblem, x: Instance) -> Assignment:
     """Normalize a word, bit sequence, canonical term, or assignment to the feature order."""

@@ -32,7 +32,7 @@ from .formats import (
     print_dtree,
 )
 from .randgen import random_classifier, random_problem, random_theory
-from .rectify import classify_batch, rectify
+from .rectify import _single_label, classify_batch, rectify
 from .semantics import DEFAULT_VAR_CAP
 from .verify import check_postulates, dalal_rectify, oracle_rectify
 
@@ -88,7 +88,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", parents=[common], help="run the postulate battery")
     p.add_argument("--problem", required=True)
-    p.add_argument("--rewrites", type=int, default=5, help="syntactic variants to try")
+    p.add_argument("--rewrites", type=_at_least_0, default=5, help="syntactic variants to try")
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("dt-rectify", help="rectify a decision tree")
@@ -97,7 +97,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fuzz", parents=[common], help="random oracle and size-bound battery")
     p.add_argument("--vars", type=int, default=6, help="number of features")
-    p.add_argument("--iters", type=int, default=100)
+    p.add_argument("--iters", type=_at_least_0, default=100)
     p.add_argument("--seed", type=int, default=0)
 
     return parser
@@ -114,8 +114,15 @@ def _at_least_0(text: str) -> int:
     return value
 
 
+def _text(path: str) -> str:
+    """An input file's text; a UTF-8 byte-order mark, which some editors write, is dropped."""
+    return Path(path).read_text(encoding="utf-8-sig")
+
+
 def _load(args):
-    return parse_problem(Path(args.problem).read_text(encoding="utf-8"))
+    pf = parse_problem(_text(args.problem))
+    _single_label(pf.problem)  # before sigma's truth table, so a wide two-label file is exit 2
+    return pf
 
 
 def _cmd_rectify(args) -> int:
@@ -139,7 +146,7 @@ def _cmd_classify(args) -> int:
     if args.instances is None:
         prefixes, insts = [""], [args.instance]
     else:
-        lines = Path(args.instances).read_text(encoding="utf-8").splitlines()
+        lines = _text(args.instances).splitlines()
         words = [(n, line.strip()) for n, line in enumerate(lines, 1) if line.strip()]
         prefixes = [word + " " for _, word in words]
         # parsed lazily, so the problem's own checks come first, as for one instance
@@ -161,7 +168,7 @@ _BLOCK_TEXT = ("F", "!y", "y", "T")
 
 
 def _cmd_table(args) -> int:
-    pf = _load(args)
+    pf = parse_problem(_text(args.problem))
     if not pf.problem.mono_label:
         raise ValueError("the table command needs a single-label problem")
     clf = Classifier(pf.problem, pf.sigma, cap=args.max_vars)
@@ -197,8 +204,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_dt_rectify(args) -> int:
-    sigma_file = parse_tree_file(Path(args.sigma).read_text(encoding="utf-8"))
-    theory_file = parse_tree_file(Path(args.theory).read_text(encoding="utf-8"))
+    sigma_file = parse_tree_file(_text(args.sigma))
+    theory_file = parse_tree_file(_text(args.theory))
     if sigma_file.problem != theory_file.problem:
         raise ValueError("sigma and theory files declare different variables")
     print(print_dtree(dt_rectify(sigma_file.tree, theory_file.tree, sigma_file.problem)))
@@ -206,8 +213,6 @@ def _cmd_dt_rectify(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
-    if args.iters < 0:
-        raise ValueError(f"--iters must be at least 0, got {args.iters}")
     rng = random.Random(args.seed)
     slack = []
     for i in range(args.iters):

@@ -265,8 +265,7 @@ def rf_classify(forest: RandomForest, x, problem: ClassificationProblem) -> int:
     A tree votes positive when it accepts the instance with the label set
     to 1: bit 1 of its label block at the instance.
     """
-    if not problem.mono_label:
-        raise ValueError("this operation needs a single-label problem")
+    problem.label  # raises ValueError unless the problem is single-label
     inst = as_instance(problem, x)
     votes = sum(label_blocks(tree, problem, [inst])[0] >> 1 for tree in forest.trees)
     return 1 if 2 * votes > len(forest.trees) else 0

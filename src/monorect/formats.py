@@ -38,10 +38,10 @@ and both printers work with explicit stacks, like the readers.
 
 Readers split the text into tokens with string methods and make one pass
 over them, straight from tokens to pooled gates: circuits through
-`Pool.read`, decision trees (`dec` gates and constants) through the tree
-reader, a loop of its own for its own grammar.  Positions are found only
-on the error path, where an unbalanced parenthesis is reported before any
-other error.  When a text has more than one fault, the first one read is
+`Pool.read`, decision trees (`dec` gates and constants) through
+`Pool.read_tree`.  This module tokenises and dispatches sections; it
+makes no gate itself.  Positions are found only on the error path, where
+an unbalanced parenthesis is reported before any other error.  When a text has more than one fault, the first one read is
 reported: a circuit form is checked at its ')', so a fault inside an
 operand comes before a wrong arity of the form around it (the arity of a
 `let` or `dec` whose bindings or variable are at fault still comes
@@ -54,8 +54,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .circuit import CONST, DEC, VAR
-from .circuit import Circuit, Gate, Pool, _form_end, iter_gates
+from .circuit import CONST, DEC, VAR, Circuit, Gate, Pool, _form_end, iter_gates
 from .classifier import ClassificationProblem
 from .dtree import _not_a_tree
 from .errors import ParseError, RectifyError
@@ -102,11 +101,11 @@ def _position(text: str, offset: int) -> tuple[int, int]:
     return text.count("\n", 0, line_start) + 1, offset - line_start + 1
 
 
-def _read_one(text: str, read, *args):
-    """The one form of `text`, read by `read(tokens, 0, *args)`."""
+def _read_one(text: str, read):
+    """The one form of `text`, read by `read(tokens, 0)`: `Pool.read` or `Pool.read_tree`."""
     try:
         tokens = _tokens(text) + [")"]  # the ')' closes the top level
-        forms, end = read(tokens, 0, *args)
+        forms, end = read(tokens, 0)
         if len(forms) != 1 or end != len(tokens):
             raise ParseError("expected exactly one expression" if forms else "empty input")
         return forms[0]
@@ -183,52 +182,7 @@ def _spell(gate: Gate, names: dict[int, str], out: list[str]):
 
 def parse_dtree(text: str, pool: Pool) -> Circuit:
     """Parse one decision tree into the pool, against its variable table."""
-    return Circuit(pool, _read_one(text, _trees_at, pool))
-
-
-def _trees_at(tokens: list[str], i: int, pool: Pool) -> tuple[list[Gate], int]:
-    """The trees from tokens[i] to the ')' closing them, and the index after it.
-
-    Each node is interned at its ')', with the pool's key, so equal
-    subtrees are one gate, and uids come out in the order of a recursive
-    descent.
-    """
-    interned = pool._interned
-    gates = pool.gates
-    resolved: dict = {}  # the variable of each '(name' token met
-    leaves: dict = {}  # the constant of each leaf token met
-    done: list[Gate] = []
-    opened: list = []  # each open node's variable and the height of `done` at its '('
-    while True:
-        token = tokens[i]
-        i += 1
-        if token == ")":
-            if not opened:
-                return done, i
-            var_id, height = opened.pop()
-            if len(done) != height + 2:  # the node's two subtrees, and nothing else
-                raise ParseError("decision-tree node must be (variable low high)")
-            high = done.pop()
-            key = (DEC, var_id, (done[-1], high))
-            gate = interned.get(key)
-            if gate is None:
-                gate = interned[key] = Gate(DEC, var_id, key[2], len(gates))
-                gates.append(gate)
-            done[-1] = gate
-        elif token == "0" or token == "1":
-            gate = leaves.get(token)
-            if gate is None:
-                gate = leaves[token] = pool._gate(CONST, int(token), ())
-            done.append(gate)
-        elif token == "(":
-            raise ParseError("decision-tree node must be (variable low high)")
-        elif token[0] == "(":
-            var_id = resolved.get(token)
-            if var_id is None:
-                var_id = resolved[token] = pool.var(token[1:])
-            opened.append((var_id, len(done)))
-        else:
-            raise ParseError(f"decision-tree leaf must be 0 or 1, got {token!r}")
+    return Circuit(pool, _read_one(text, pool.read_tree))
 
 
 def print_dtree(tree: Circuit) -> str:
@@ -302,10 +256,8 @@ def _read_file(text: str, sections: tuple[str, ...]):
             elif pool is None or (key == "theory" and seen.get("sigma") is None):
                 later.append((key, i + 1))
                 seen[key], i = None, _form_end(tokens, i + 1)[1]
-            elif key == "tree":
-                seen[key], i = _trees_at(tokens, i + 1, pool)
             else:
-                seen[key], i = pool.read(tokens, i + 1)
+                seen[key], i = (pool.read_tree if key == "tree" else pool.read)(tokens, i + 1)
             if pool is None and "features" in seen and "labels" in seen:
                 pool = Pool()
                 problem = ClassificationProblem(pool.declare(*seen["features"]), pool.declare(*seen["labels"]))
@@ -313,8 +265,7 @@ def _read_file(text: str, sections: tuple[str, ...]):
             if key not in seen:
                 raise ParseError(f"missing section {key!r}")
         for key, start in sorted(later, key=lambda entry: entry[0] == "theory"):
-            read = _trees_at(tokens, start, pool) if key == "tree" else pool.read(tokens, start)
-            seen[key] = read[0]
+            seen[key] = (pool.read_tree if key == "tree" else pool.read)(tokens, start)[0]
         return pool, problem, seen
     except (RectifyError, IndexError) as error:
         raise _unbalanced(text) or error  # an unbalanced parenthesis is reported first

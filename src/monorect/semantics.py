@@ -71,8 +71,6 @@ class Assignment:
     def value(self, var: VarId) -> int:
         return self._values[var]
 
-    __getitem__ = value
-
     def __str__(self):
         return self.word
 

@@ -370,11 +370,11 @@ def test_forced_literals_hold_in_every_model_at_the_instance(data, n_features, n
         table = truth_mask(condition(theory, to_term(inst)), problem.labels)
         words = (k for k in range(1 << n_labels) if table >> k & 1)
         allowed = [Assignment.from_index(k, problem.labels) for k in words]
-        values = {y: {m[y] for m in allowed} for y in problem.labels}
+        values = {y: {m.value(y) for m in allowed} for y in problem.labels}
         forced = [Literal(y, 1 in vs) for y, vs in values.items() if len(vs) == 1]
         assert fact_formula(theory, inst, problem).term == Term(forced)
         verdict = classify(clf, inst)
-        compliant = all(verdict[lit.var] == lit.positive for lit in forced)
+        compliant = all(verdict.value(lit.var) == lit.positive for lit in forced)
         assert is_fact_compliant(clf, theory, inst) is compliant
 
 

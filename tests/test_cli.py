@@ -306,18 +306,21 @@ def test_fuzz_clean_run(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, option",
     [
-        ("check", "--problem", DEMO, "--rewrites", "-2"),
-        ("fuzz", "--vars", "4", "--iters", "-3"),
+        (("check", "--problem", DEMO, "--rewrites", "-2"), "--rewrites"),
+        (("fuzz", "--vars", "4", "--iters", "-3"), "--iters"),
     ],
     ids=["check-rewrites", "fuzz-iters"],
 )
-def test_negative_counts_are_input_errors(capsys, argv):
-    code, out, err = run(capsys, *argv)
-    assert code == 2
-    assert out == ""
-    assert "must be at least 0" in err
+def test_negative_counts_are_input_errors(capsys, argv, option):
+    # rejected by the argument parser, like --max-vars, before the file is read
+    with pytest.raises(SystemExit) as exit_:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert exit_.value.code == 2
+    assert captured.out == ""
+    assert f"argument {option}: must be at least 0, got {argv[-1]}" in captured.err
 
 
 @pytest.mark.parametrize(
@@ -637,6 +640,48 @@ def test_multilabel_table_rejected(capsys):
     code, _, err = run(capsys, "table", "--problem", str(PROBLEMS / "twolabel.sexp"))
     assert code == 2
     assert "single-label" in err
+
+
+@pytest.mark.parametrize(
+    "argv", [["rectify"], ["classify", "--instance", "0" * 25], ["check"]], ids=lambda a: a[0]
+)
+def test_wide_multilabel_file_is_an_input_error(tmp_path, monkeypatch, capsys, argv):
+    # rejected for its second label before sigma's 27-variable truth table is tried
+    names = " ".join(f"x{i}" for i in range(1, 26))
+    wide = tmp_path / "wide.sexp"
+    wide.write_text(
+        f"(features {names}) (labels y1 y2) (sigma (and (iff x1 y1) (not y2))) (theory true)\n"
+    )
+    certified = []
+    monkeypatch.setattr(classifier, "check_xy_property", lambda *a, **k: certified.append(a))
+    code, out, err = run(capsys, argv[0], "--problem", str(wide), *argv[1:])
+    assert (code, out) == (2, "")
+    assert err == "error: rectification is defined for single-label classifiers only\n"
+    assert certified == []
+
+
+def _with_bom(tmp_path, name):
+    copy = tmp_path / name
+    copy.write_bytes(b"\xef\xbb\xbf" + (PROBLEMS / name).read_bytes())
+    return str(copy)
+
+
+def test_inputs_with_a_byte_order_mark_read_as_without(tmp_path, capsys):
+    sigma, theory = (str(PROBLEMS / f"demo_{part}.tree") for part in ("sigma", "theory"))
+    instances = str(PROBLEMS / "demo.instances")
+    commands = [
+        ["table", "--problem", DEMO],
+        ["rectify", "--problem", DEMO],
+        ["classify", "--problem", DEMO, "--instances", instances],
+        ["dt-rectify", "--sigma", sigma, "--theory", theory],
+    ]
+    copies = {
+        path: _with_bom(tmp_path, Path(path).name) for path in (DEMO, sigma, theory, instances)
+    }
+    for argv in commands:
+        expected = run(capsys, *argv)
+        assert expected[0] == 0 and expected[1]
+        assert run(capsys, *(copies.get(word, word) for word in argv)) == expected
 
 
 def test_deep_not_chain_classifies(tmp_path, capsys):
