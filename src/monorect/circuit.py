@@ -18,7 +18,9 @@ from the root's uid (`iter_gates`), and every kernel memoises in a list
 indexed by uid.
 
 Only this module makes gates: `Pool._gate`, `Pool.read` (circuit text)
-and `Pool.read_tree` (tree text) construct, number and intern them.
+and `Pool.read_tree` (tree text) construct, number and intern them, each
+in the unique table of the gate's kind and payload (`Pool._unique`),
+keyed by the children tuple the gate keeps, so interning allocates no key.
 `Gate` is not exported; `Circuit.root` and `Pool.gates` hand gates out.
 """
 
@@ -187,7 +189,8 @@ class Circuit:
 class Pool:
     """Variable table plus append-only interned gate storage.
 
-    `gates` lists every gate, indexed by uid.  All circuits combined by
+    `gates` lists every gate, indexed by uid; there is one unique table
+    per (kind, payload), see `_unique`.  All circuits combined by
     the module's operations must come from the same pool.  Construction
     of a pool is single-writer; once built, gates are immutable and safe
     to read from anywhere.
@@ -205,7 +208,7 @@ class Pool:
     def __init__(self):
         self._by_name: dict[str, VarId] = {}
         self._order: list[VarId] = []
-        self._interned: dict[tuple, Gate] = {}
+        self._interned: dict[tuple, dict[tuple[Gate, ...], Gate]] = {}  # see `_unique`
         self.gates: list[Gate] = []
         self._vars_of: dict[int, frozenset[VarId]] = {}
 
@@ -249,14 +252,20 @@ class Pool:
     # gate construction (arity checks only; no logical simplification)
 
     def _gate(self, kind, payload, children: tuple[Gate, ...]) -> Gate:
-        # gates hash and compare by identity, so the children tuple is the key
-        key = (kind, payload, children)
-        gate = self._interned.get(key)
+        """The interned gate of this kind, payload and children; a new one keeps `children` as its key."""
+        try:  # `_unique`, inlined on this hot path
+            table = self._interned[kind, payload]
+        except KeyError:
+            table = self._unique(kind, payload)
+        gate = table.get(children)
         if gate is None:
-            gate = Gate(kind, payload, children, len(self.gates))
+            gate = table[children] = Gate(kind, payload, children, len(self.gates))
             self.gates.append(gate)
-            self._interned[key] = gate
         return gate
+
+    def _unique(self, kind, payload) -> dict[tuple[Gate, ...], Gate]:
+        """The unique table of (kind, payload): its gates, keyed by their children tuples."""
+        return self._interned.setdefault((kind, payload), {})
 
     def _owned(self, *circuits: Circuit):
         for c in circuits:
@@ -330,7 +339,7 @@ class Pool:
         an operand comes first; a `let`'s bindings and a `dec`'s variable
         are checked where they stand, each after its form's arity.
         """
-        interned = self._interned
+        tables = {kind: self._unique(kind, None) for kind in (NOT, AND, OR)}
         gates = self.gates
         leaves: dict[str, Gate] = {}  # the gate of each name met, let names included
         bound: dict[str, Gate] = {}  # the let names in scope, in binding order
@@ -371,17 +380,17 @@ class Pool:
                         continue
                     if not count:
                         raise BuildError(f"zero-arity {op!r} gate")
-                    key = (op, None, tuple(done[height:]))
+                    kids = tuple(done[height:])
                     del done[height:]
                 elif op is NOT:
                     if count != 1:
                         raise _arity_error(op, 1, count)
-                    key = (NOT, None, (done.pop(),))
+                    kids = (done.pop(),)
                 elif op is DEC:
                     if count != 2:
                         raise _arity_error(op, 3, count + 1)
                     high = done.pop()
-                    key = (DEC, payload, (done.pop(), high))
+                    kids = (done.pop(), high)
                 elif op is _LET:
                     if count != 1:
                         raise _arity_error(op, 2, count + 1)
@@ -394,14 +403,16 @@ class Pool:
                     b = done.pop()
                     a = done.pop()
                     if op is _IMP:
-                        key = (OR, None, (self._gate(NOT, None, (a,)), b))
+                        kids = (self._gate(NOT, None, (a,)), b)
                     else:
                         both = self._gate(AND, None, (a, b))
                         neither = (self._gate(NOT, None, (a,)), self._gate(NOT, None, (b,)))
-                        key = (OR, None, (both, self._gate(AND, None, neither)))
-                gate = interned.get(key)
+                        kids = (both, self._gate(AND, None, neither))
+                    op = OR
+                table = tables[op] if payload is None else self._unique(DEC, payload)
+                gate = table.get(kids)
                 if gate is None:
-                    gate = interned[key] = Gate(key[0], key[1], key[2], len(gates))
+                    gate = table[kids] = Gate(op, payload, kids, len(gates))
                     gates.append(gate)
                 done.append(gate)
                 continue
@@ -442,46 +453,58 @@ class Pool:
         """The decision trees from tokens[i] to the ')' closing them, and the index after it.
 
         Tokens are as for `read`; the grammar and messages are the tree
-        format's (see `formats`).  Each node is interned at its ')' with
-        `_gate`'s key, so equal subtrees are one gate and uids come out in
-        the order of a recursive descent.
+        format's (see `formats`).  Each '(name' token is resolved once, to
+        its variable and that variable's `dec` table; a node is interned
+        there at its ')', so equal subtrees are one gate and uids come out
+        in the order of a recursive descent.  A node of two leaves already
+        met, `(x 0 1)`, is taken in one step, reading each next token only
+        while those read so far leave a ')' to come.
         """
-        interned = self._interned
         gates = self.gates
-        resolved: dict = {}  # the variable of each '(name' token met
+        resolved: dict = {}  # each '(name' token met: its variable and that variable's table
         leaves: dict = {}  # the constant of each leaf token met
         done: list[Gate] = []
-        opened: list = []  # each open node's variable and the height of `done` at its '('
+        opened: list = []  # flat: each open node's `resolved` entry, then the height of `done`
         while True:
             token = tokens[i]
             i += 1
             if token == ")":
                 if not opened:
                     return done, i
-                var_id, height = opened.pop()
-                if len(done) != height + 2:  # the node's two subtrees, and nothing else
+                if len(done) != opened.pop() + 2:  # the node's two subtrees, and nothing else
                     raise ParseError("decision-tree node must be (variable low high)")
+                var_id, table = opened.pop()
                 high = done.pop()
-                key = (DEC, var_id, (done[-1], high))
-                gate = interned.get(key)
-                if gate is None:
-                    gate = interned[key] = Gate(DEC, var_id, key[2], len(gates))
-                    gates.append(gate)
-                done[-1] = gate
+                kids = (done.pop(), high)
             elif token == "0" or token == "1":
                 gate = leaves.get(token)
                 if gate is None:
                     gate = leaves[token] = self._gate(CONST, int(token), ())
                 done.append(gate)
+                continue
             elif token == "(":
                 raise ParseError("decision-tree node must be (variable low high)")
             elif token[0] == "(":
-                var_id = resolved.get(token)
-                if var_id is None:
-                    var_id = resolved[token] = self.var(token[1:])
-                opened.append((var_id, len(done)))
+                entry = resolved.get(token)
+                if entry is None:
+                    var_id = self.var(token[1:])
+                    entry = resolved[token] = (var_id, self._unique(DEC, var_id))
+                low = leaves.get(tokens[i])
+                high = None if low is None else leaves.get(tokens[i + 1])
+                if high is None or tokens[i + 2] != ")":
+                    opened.append(entry)
+                    opened.append(len(done))
+                    continue
+                var_id, table = entry
+                kids = (low, high)
+                i += 3
             else:
                 raise ParseError(f"decision-tree leaf must be 0 or 1, got {token!r}")
+            gate = table.get(kids)
+            if gate is None:
+                gate = table[kids] = Gate(DEC, var_id, kids, len(gates))
+                gates.append(gate)
+            done.append(gate)
 
 
 # Operators of `Pool.read` frames: gate kinds, and three more.

@@ -62,18 +62,28 @@ from .errors import ParseError, RectifyError
 
 # `_tokens` deletes comments and the blanks after a '('; `_TOKEN` splits alike, with positions.
 _COMMENT = re.compile(r";[^\n]*")
-_OPEN_BLANKS = re.compile(r"\( +")
+_OPEN_BLANKS = re.compile(r"\([ \t\r\n]+")
 _TOKEN = re.compile(r"[()]|[^ \t\r\n();]+|;[^\n]*")
+_ODD_BLANKS = "\x0b\x0c\x1c\x1d\x1e\x1f"  # the blanks of `str.split()` in ASCII other than the four
 
 
 def _tokens(text: str) -> list[str]:
-    """Names, ')' and '(' glued to the name after it; only space, tab, CR and LF are blanks."""
+    """Names, ')' and '(' glued to the name after it; only space, tab, CR and LF are blanks.
+
+    ASCII text without `_ODD_BLANKS` is split by `str.split()`, whose
+    blanks there are the four.  Other text can only fail to read; it
+    splits on spaces once the four are spaces, so its messages name the
+    same tokens.
+    """
     if ";" in text:
         text = _COMMENT.sub("", text)
-    text = text.replace("\t", " ").replace("\r", " ").replace("\n", " ")
-    if "( " in text:
+    if "( " in text or "(\t" in text or "(\r" in text or "(\n" in text:
         text = _OPEN_BLANKS.sub("(", text)
-    return list(filter(None, text.replace("(", " (").replace(")", " ) ").split(" ")))
+    text = text.replace("(", " (").replace(")", " ) ")
+    if text.isascii() and not any(odd in text for odd in _ODD_BLANKS):
+        return text.split()
+    text = text.replace("\t", " ").replace("\r", " ").replace("\n", " ")
+    return list(filter(None, text.split(" ")))
 
 
 def _unbalanced(text: str) -> ParseError | None:

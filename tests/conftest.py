@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from types import SimpleNamespace
 
 import pytest
@@ -127,6 +128,20 @@ def reference_evaluate(circ, omega):
     except KeyError as exc:
         raise ValueError(f"assignment misses {exc}") from None
     return memo[circ.root.uid]
+
+
+_COMMENT = re.compile(r";[^\n]*")
+_OPEN_BLANKS = re.compile(r"\( +")
+
+
+def reference_tokens(text: str) -> list[str]:
+    """The earlier `formats._tokens`: blanks turned into spaces, then one split on spaces."""
+    if ";" in text:
+        text = _COMMENT.sub("", text)
+    text = text.replace("\t", " ").replace("\r", " ").replace("\n", " ")
+    if "( " in text:
+        text = _OPEN_BLANKS.sub("(", text)
+    return list(filter(None, text.replace("(", " (").replace(")", " ) ").split(" ")))
 
 
 def reference_build(pool, expr):

@@ -19,8 +19,12 @@ from monorect import (
     evaluate,
     iter_gates,
     negate,
+    parse_circuit,
+    parse_dtree,
 )
 from monorect.circuit import AND, DEC, VAR
+from monorect.dtree import _reduce
+from monorect.formats import _tokens
 from monorect.randgen import random_circuit, random_problem, random_tree
 from monorect.semantics import forget
 from monorect.verify import syntactic_rewrite
@@ -392,3 +396,92 @@ def test_a_bool_leaf_builds_a_constant():
     pool, _ = _two_pools()
     expected = pool.and_([pool.build("x1"), pool.const(1)])
     assert pool.build(["and", "x1", True]) == expected
+
+
+# ----------------------------------------------------------------------
+# One unique table per gate kind: the readers, the constructors and the
+# kernels find the same gate for the same kind, payload and children.
+
+
+def _read_tree_second(pool):
+    """The second of two trees read by one `Pool.read_tree` call, so its leaves are met already."""
+    return pool.read_tree(_tokens("(x3 0 1) (x1 0 1)") + [")"], 0)[0][1]
+
+
+# kind: (texts of the circuits made first, the reads that make the gate, the
+# constructors and kernels that make it; each takes the pool and those circuits)
+_SAME_GATE = {
+    "const": (
+        ["false", "x1"],
+        [lambda p, c: parse_circuit("true", p), lambda p, c: parse_dtree("1", p)],
+        [lambda p, c: p.const(1), lambda p, c: p.const(True), lambda p, c: negate(c[0]),
+         lambda p, c: cofactors(c[1], p.var("x1"))[1]],
+    ),
+    "var": (
+        ["false", "true"],
+        [lambda p, c: parse_circuit("x1", p)],
+        [lambda p, c: p.literal(p.var("x1"))],
+    ),
+    "not": (
+        ["false", "true", "(not (and x1 x2))"],
+        [lambda p, c: parse_circuit("(not x1)", p)],
+        [lambda p, c: p.not_(p.literal(p.var("x1"))), lambda p, c: p.literal(p.var("x1"), False),
+         lambda p, c: negate(p.literal(p.var("x1"))), lambda p, c: cofactors(c[2], p.var("x2"))[1]],
+    ),
+    "and": (
+        ["false", "true", "(and x1 x2 x3)"],
+        [lambda p, c: parse_circuit("(and x1 x2)", p)],
+        [lambda p, c: p.and_([p.literal(p.var("x1")), p.literal(p.var("x2"))]),
+         lambda p, c: conjoin(p.literal(p.var("x1")), p.literal(p.var("x2"))),
+         lambda p, c: cofactors(c[2], p.var("x3"))[1]],
+    ),
+    "or": (
+        ["false", "true", "(or x1 x2 x3)"],
+        [lambda p, c: parse_circuit("(or x1 x2)", p)],
+        [lambda p, c: p.or_([p.literal(p.var("x1")), p.literal(p.var("x2"))]),
+         lambda p, c: disjoin(p.literal(p.var("x1")), p.literal(p.var("x2"))),
+         lambda p, c: cofactors(c[2], p.var("x3"))[0]],
+    ),
+    "dec": (
+        # x3's low cofactor, the first tree `_read_tree_second` reads, the tree `_reduce` reduces
+        ["false", "true", "(dec x1 false x3)", "(dec x1 false false)", "(dec x3 false true)",
+         "(dec x1 (dec x2 false false) true)"],
+        [lambda p, c: parse_circuit("(dec x1 false true)", p), lambda p, c: parse_dtree("(x1 0 1)", p),
+         lambda p, c: Circuit(p, _read_tree_second(p))],
+        [lambda p, c: p.decision(p.var("x1"), c[0], c[1]),
+         lambda p, c: cofactors(c[2], p.var("x3"))[1],
+         lambda p, c: _reduce(c[5], {})],
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "kind, read, make",
+    [
+        (kind, read, make)
+        for kind, (_, reads, makes) in _SAME_GATE.items()
+        for read in range(len(reads))
+        for make in range(len(makes))
+    ],
+)
+@pytest.mark.parametrize("read_first", [True, False], ids=["read-first", "read-second"])
+def test_readers_constructors_and_kernels_share_one_table(kind, read, make, read_first):
+    texts, reads, makes = _SAME_GATE[kind]
+    pool = Pool()
+    pool.declare(*NAMES)
+    made = [parse_circuit(text, pool) for text in texts]
+    before = len(pool.gates)
+    steps = [reads[read], makes[make]]
+    if not read_first:
+        steps.reverse()
+    first = steps[0](pool, made).root
+    assert (first.kind, len(pool.gates)) == (kind, before + 1)
+    assert steps[1](pool, made).root is first
+    assert len(pool.gates) == before + 1
+
+
+def test_true_and_one_are_one_constant():
+    pool = Pool()
+    assert pool.const(True).root is pool.const(1).root
+    assert pool.const(False).root is pool.const(0).root
+    assert len(pool.gates) == 2

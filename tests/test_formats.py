@@ -1,4 +1,6 @@
+import random
 import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -17,6 +19,8 @@ from monorect import (
 )
 from monorect.circuit import CONST, DEC, VarId
 from monorect.cli import main
+from monorect.formats import _tokens
+from monorect.randgen import random_circuit
 
 from conftest import (
     DEMO_SIGMA_AST,
@@ -25,6 +29,7 @@ from conftest import (
     SIGMA_TREE_TEXT,
     ast_exprs,
     reference_build,
+    reference_tokens,
     shared_exprs,
     tree_from_spec,
     tree_specs,
@@ -32,6 +37,11 @@ from conftest import (
 
 NAMES = ("x1", "x2", "x3")
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
+
+# Pieces of texts for the tokeniser: names, parentheses, the four blanks,
+# comments, and characters that `str.split()` or Unicode takes for blanks.
+_TEXT_PIECES = ["x1", "dec", "y", "(", ")", " ", "\t", "\r", "\n", "\r\n", ";", "; c (x"]
+_ODD_PIECES = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\xa0", "\x85", "\u2028", "\u3000"]
 
 
 def fresh_pool():
@@ -205,9 +215,9 @@ class TestParseDtree:
         with pytest.raises(ParseError, match="exactly one expression"):
             parse_dtree("0 1", pool)
 
-    @pytest.mark.parametrize("odd", ["\x0b", "\xa0"])
+    @pytest.mark.parametrize("odd", _ODD_PIECES)
     def test_only_four_blanks_split_names(self, odd):
-        # vertical tab and no-break space are name characters, not blanks
+        # vertical tab, no-break space and the like are name characters, not blanks
         with pytest.raises(BuildError, match=re.escape(f"unknown identifier {'x1' + odd + 'x2'!r}")):
             parse_dtree(f"(x1{odd}x2 0 1)", fresh_pool())
         with pytest.raises(BuildError, match="invalid variable name"):
@@ -528,6 +538,13 @@ def _gaps(draw, tokens):
     return inner + [draw(st.sampled_from(_FINAL_GAPS))]
 
 
+@given(odd=st.sampled_from(["", *_ODD_PIECES]), data=st.data())
+def test_tokens_match_the_reference_tokeniser(odd, data):
+    pieces = _TEXT_PIECES + [odd] * 3 if odd else _TEXT_PIECES  # one odd blank, often drawn
+    text = "".join(data.draw(st.lists(st.sampled_from(pieces), max_size=40)))
+    assert _tokens(text) == reference_tokens(text)
+
+
 _MUTATIONS = ["drop (", "drop )", "add )", "leaf 2", "undeclared", "one child", "three children"]
 
 
@@ -730,3 +747,41 @@ def test_a_forest_section_is_an_unknown_section(tmp_path, capsys):
     path.write_text(text, encoding="utf-8")
     assert main(["table", "--problem", str(path)]) == 2
     assert capsys.readouterr() == ("", "error: unknown section 'forest'\n")
+
+
+# `(x2 1 0)` has two leaves met before it, so the tree reader takes it in one
+# step, looking three tokens ahead.
+_TWO_LEAF_TREE = "(features x1 x2) (labels y) (tree (x1 (x2 0 1) (x2 1 0)))"
+
+
+def test_a_one_step_node_looks_no_further_than_its_parenthesis():
+    assert print_dtree(parse_tree_file(_TWO_LEAF_TREE).tree) == "(x1 (x2 0 1) (x2 1 0))"
+    with pytest.raises(ParseError, match=re.escape("decision-tree node must be (variable low high)")):
+        parse_tree_file(_TWO_LEAF_TREE.replace("(x2 1 0)", "(x2 1 0 1)"))
+
+
+@pytest.mark.parametrize("end", range(_TWO_LEAF_TREE.index("(x2 1"), len(_TWO_LEAF_TREE) - 2))
+def test_a_text_cut_in_a_one_step_node_is_missing_a_parenthesis(end):
+    # the look-ahead runs off the tokens of the cut text: still the unclosed '('
+    with pytest.raises(ParseError, match="missing '\\)'"):
+        parse_tree_file(_TWO_LEAF_TREE[:end])
+    with pytest.raises(ParseError, match="missing '\\)'"):
+        parse_dtree(_TWO_LEAF_TREE[_TWO_LEAF_TREE.index("(x1") : end], fresh_pool())
+
+
+def test_a_read_pool_holds_at_most_215_bytes_per_gate():
+    # A gate is a `Gate` and its children tuple, which also keys it in its
+    # unique table (about 170 bytes in all); a key tuple per gate would add 64.
+    pool = Pool()
+    features = pool.declare(*(f"x{i}" for i in range(1, 9)))
+    sigma = print_circuit(random_circuit(pool, features, 20_000, random.Random(7)))
+    text = f"(features {' '.join(x.name for x in features)}) (labels y) (sigma {sigma}) (theory true)"
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        read = parse_problem(text)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(read.pool.gates) > 19_000
+    assert held / len(read.pool.gates) <= 215

@@ -34,13 +34,19 @@ def test_an_unused_import_is_reported():
 
 
 def _store_writes(source: str) -> list[str]:
-    """Where a module makes pool gates: a `Gate(...)` call, a `._interned` read, a `.gates.append`."""
+    """Where a module makes pool gates.
+
+    That is a `Gate(...)` call, a `._interned` read, a `._unique(...)` call
+    (it hands out a unique table, which holds gates) or a `.gates.append`.
+    """
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Call):
             func = node.func
             if getattr(func, "id", None) == "Gate" or getattr(func, "attr", None) == "Gate":
                 found.append(f"Gate(...) (line {node.lineno})")
+            elif getattr(func, "attr", None) == "_unique":
+                found.append(f"._unique(...) (line {node.lineno})")
             elif (
                 isinstance(func, ast.Attribute)
                 and func.attr == "append"
@@ -65,9 +71,11 @@ def test_a_gate_made_outside_the_pool_is_reported():
         "gate = pool._interned.get(key)\n"
         "gate = circuit.Gate(DEC, var, kids, len(pool.gates))\n"
         "pool.gates.append(Gate(CONST, 1, (), 0))\n"
+        "table = pool._unique(DEC, var)\n"
     )
     assert sorted(_store_writes(source)) == [
         "._interned (line 1)",
+        "._unique(...) (line 4)",
         ".gates.append (line 3)",
         "Gate(...) (line 2)",
         "Gate(...) (line 3)",
