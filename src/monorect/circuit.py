@@ -17,10 +17,11 @@ is a topological order: every traversal is one scan down the gate list
 from the root's uid (`iter_gates`), and every kernel memoises in a list
 indexed by uid.
 
-Only this module makes gates: `Pool._gate`, `Pool.read` (circuit text)
-and `Pool.read_tree` (tree text) construct, number and intern them, each
-in the unique table of the gate's kind and payload (`Pool._unique`),
-keyed by the children tuple the gate keeps, so interning allocates no key.
+Only this module makes gates: `Pool._gate`, `Pool.read` (circuit tokens)
+and `Pool.read_tree` (tree text split on '(', with a plan per distinct
+chunk) construct, number and intern them, each in the unique table of
+the gate's kind and payload (`Pool._unique`), keyed by the children
+tuple the gate keeps, so interning allocates no key.
 `Gate` is not exported; `Circuit.root` and `Pool.gates` hand gates out.
 """
 
@@ -28,7 +29,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Collection, Iterable, NamedTuple
+from itertools import chain
+from typing import Callable, Collection, Iterable, Iterator, NamedTuple
 
 from .errors import BuildError, ParseError
 
@@ -202,7 +204,8 @@ class Pool:
     declarations needs no walk (`Circuit.vars_outside`).
 
     Decision trees share the store: a tree is a circuit of `dec` gates
-    and constants (see `dtree`), read by `read_tree`.
+    and constants (see `dtree`), read by `read_tree` from text split on
+    '(', each distinct piece planned once per read (`_plan`).
     """
 
     def __init__(self):
@@ -449,68 +452,117 @@ class Pool:
                 leaves[token] = gate
                 done.append(gate)
 
-    def read_tree(self, tokens: list[str], i: int) -> tuple[list[Gate], int]:
-        """The decision trees from tokens[i] to the ')' closing them, and the index after it.
+    def read_tree(
+        self, chunks: Iterator[str], first: list[str], split: Callable[[str], list[str]]
+    ) -> tuple[list[Gate], tuple]:
+        """The decision trees from `first` and `chunks` to the ')' closing them, and the steps
+        left of the last chunk read.
 
-        Tokens are as for `read`; the grammar and messages are the tree
-        format's (see `formats`).  Each '(name' token is resolved once, to
-        its variable and that variable's `dec` table; a node is interned
-        there at its ')', so equal subtrees are one gate and uids come out
-        in the order of a recursive descent.  A node of two leaves already
-        met, `(x 0 1)`, is taken in one step, reading each next token only
-        while those read so far leave a ')' to come.
+        The text comes split on '(' (see `formats._chunks`): `first` is the
+        tokens before the first chunk, and each chunk is the text after one
+        '(', which `split` cuts into tokens.  The read takes chunks from
+        `chunks` only up to its ')'.  The first time it meets a chunk it
+        makes the chunk's plan (`_plan`) and keeps it for the rest of the
+        read; every later copy of the chunk replays the plan.  A node is
+        interned in its variable's `dec` table at its ')', so equal subtrees
+        are one gate and uids come out in the order of a recursive descent.
+        A fault found while planning is raised when the walk reaches its
+        place, so the first fault of the text is the one raised.
         """
         gates = self.gates
-        resolved: dict = {}  # each '(name' token met: its variable and that variable's table
+        heads: dict = {}  # each variable name met: its variable and that variable's table
         leaves: dict = {}  # the constant of each leaf token met
+        plans = {"(": self._plan(first, heads, leaves, False)}  # "(" is no chunk: it stands for `first`
         done: list[Gate] = []
-        opened: list = []  # flat: each open node's `resolved` entry, then the height of `done`
-        while True:
-            token = tokens[i]
-            i += 1
+        opened: list = []  # flat: each open node's (variable, table), then the height of `done`
+        for chunk in chain(("(",), chunks):
+            plan = plans.get(chunk)
+            if plan is None:
+                plan = plans[chunk] = self._plan(split(chunk), heads, leaves)
+            head, steps = plan
+            if head.__class__ is Gate:
+                done.append(head)
+            elif head.__class__ is tuple:
+                opened.append(head)
+                opened.append(len(done))
+            elif head is not None:
+                raise head
+            if steps:
+                walk = iter(steps)
+                for step in walk:
+                    if step is None:  # a ')'
+                        if not opened:
+                            return done, tuple(walk)
+                        if len(done) != opened.pop() + 2:  # the node's two subtrees, and nothing else
+                            raise ParseError(_NODE)
+                        var_id, table = opened.pop()
+                        high = done.pop()
+                        kids = (done.pop(), high)
+                        gate = table.get(kids)
+                        if gate is None:
+                            gate = table[kids] = Gate(DEC, var_id, kids, len(gates))
+                            gates.append(gate)
+                        done.append(gate)
+                    elif step.__class__ is Gate:
+                        done.append(step)
+                    elif step.__class__ is int:
+                        done.append(self._gate(CONST, step, ()))
+                    else:
+                        raise step
+        raise ParseError("missing ')'")
+
+    def _plan(self, tokens: list[str], heads: dict, leaves: dict, headed: bool = True) -> tuple:
+        """A chunk's plan for `read_tree`: its head, then a step for each token after the head.
+
+        The head is the node's (variable, `dec` table), kept in `heads` by
+        name, or the interned gate of a node of two leaves, `(x 0 1)`, or
+        the error of a fault; the text before the first chunk has none.  A
+        step is a leaf's constant, None for a ')', or a fault's error, last.
+        A constant is made here, where the walk stands, and kept in
+        `leaves`, unless a ')' comes before it and the pool has none yet:
+        then the step is its value, and the walk makes it after the gates
+        that ')' interns.
+        """
+        head = None
+        if headed:
+            if not tokens or tokens[0] == ")":
+                return ParseError(_NODE), ()
+            head = heads.get(tokens[0])
+            if head is None:
+                try:
+                    var_id = self.var(tokens[0])
+                except BuildError as error:
+                    return error, ()
+                head = heads[tokens[0]] = (var_id, self._unique(DEC, var_id))
+            tokens = tokens[1:]
+        steps: list = []
+        for token in tokens:
             if token == ")":
-                if not opened:
-                    return done, i
-                if len(done) != opened.pop() + 2:  # the node's two subtrees, and nothing else
-                    raise ParseError("decision-tree node must be (variable low high)")
-                var_id, table = opened.pop()
-                high = done.pop()
-                kids = (done.pop(), high)
-            elif token == "0" or token == "1":
+                steps.append(None)
+            elif token in _LEAVES:
                 gate = leaves.get(token)
                 if gate is None:
-                    gate = leaves[token] = self._gate(CONST, int(token), ())
-                done.append(gate)
-                continue
-            elif token == "(":
-                raise ParseError("decision-tree node must be (variable low high)")
-            elif token[0] == "(":
-                entry = resolved.get(token)
-                if entry is None:
-                    var_id = self.var(token[1:])
-                    entry = resolved[token] = (var_id, self._unique(DEC, var_id))
-                low = leaves.get(tokens[i])
-                high = None if low is None else leaves.get(tokens[i + 1])
-                if high is None or tokens[i + 2] != ")":
-                    opened.append(entry)
-                    opened.append(len(done))
-                    continue
-                var_id, table = entry
-                kids = (low, high)
-                i += 3
+                    value = _LEAVES[token]
+                    if None in steps and not self._unique(CONST, value):  # {(): gate} once made
+                        steps.append(value)
+                        continue
+                    gate = leaves[token] = self._gate(CONST, value, ())
+                steps.append(gate)
             else:
-                raise ParseError(f"decision-tree leaf must be 0 or 1, got {token!r}")
-            gate = table.get(kids)
-            if gate is None:
-                gate = table[kids] = Gate(DEC, var_id, kids, len(gates))
-                gates.append(gate)
-            done.append(gate)
+                steps.append(ParseError(f"decision-tree leaf must be 0 or 1, got {token!r}"))
+                break
+        if head and len(steps) > 2 and steps[2] is None and steps[0] is not None and steps[1] is not None:
+            return self._gate(DEC, head[0], tuple(steps[:2])), tuple(steps[3:])
+        return head, tuple(steps)
 
 
 # Operators of `Pool.read` frames: gate kinds, and three more.
 _IMP, _IFF, _LET, _BIND = "imp", "iff", "let", "bind"
 _OPENS = {"(not": NOT, "(and": AND, "(or": OR, "(imp": _IMP, "(iff": _IFF}
 _BINDINGS = "let bindings must be a list of (name expr) pairs"
+# The tree reader's leaf tokens, and its message for a node that is not (variable low high).
+_LEAVES = {"0": 0, "1": 1}
+_NODE = "decision-tree node must be (variable low high)"
 
 
 def _arity_error(op, n, count) -> BuildError:

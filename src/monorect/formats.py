@@ -36,13 +36,20 @@ reproduces the original structure exactly.  The circuit printer names
 every shared gate in a `let`, so its output is linear in the arc count,
 and both printers work with explicit stacks, like the readers.
 
-Readers split the text into tokens with string methods and make one pass
-over them, straight from tokens to pooled gates: circuits through
-`Pool.read`, decision trees (`dec` gates and constants) through
-`Pool.read_tree`.  This module tokenises and dispatches sections; it
-makes no gate itself.  Positions are found only on the error path, where
-an unbalanced parenthesis is reported before any other error.  When a text has more than one fault, the first one read is
-reported: a circuit form is checked at its ')', so a fault inside an
+Readers delete comments and the blanks after each '(' (`_normal`), then
+make one pass straight to pooled gates.  Circuits and problem files are
+split into tokens with string methods and read by `Pool.read`.  Decision
+trees (`dec` gates and constants) are split on '(' into chunks, the text
+from one '(' to the next, and read by `Pool.read_tree`, which plans each
+distinct chunk once per read and replays the plan at every copy, so the
+tree path never makes a list of tokens.  One section reader serves both
+file kinds, over tokens (`_Tokens`) or chunks (`_Chunks`).  This module
+splits texts and dispatches sections; it makes no gate itself.
+Positions are found only on the error path, where an unbalanced
+parenthesis is reported before any other error.  When a text has more
+than one fault, the first one read is reported, in trees too, where a
+fault met while planning a chunk waits until the walk reaches it: a
+circuit form is checked at its ')', so a fault inside an
 operand comes before a wrong arity of the form around it (the arity of a
 `let` or `dec` whose bindings or variable are at fault still comes
 first); a section is read where it stands once the declarations (and
@@ -53,6 +60,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import length_hint
+from typing import Sequence
 
 from .circuit import CONST, DEC, VAR, Circuit, Gate, Pool, _form_end, iter_gates
 from .classifier import ClassificationProblem
@@ -60,30 +69,53 @@ from .dtree import _not_a_tree
 from .errors import ParseError, RectifyError
 
 
-# `_tokens` deletes comments and the blanks after a '('; `_TOKEN` splits alike, with positions.
+# `_normal` deletes comments and the blanks after a '('; `_TOKEN` splits alike, with positions.
 _COMMENT = re.compile(r";[^\n]*")
 _OPEN_BLANKS = re.compile(r"\([ \t\r\n]+")
 _TOKEN = re.compile(r"[()]|[^ \t\r\n();]+|;[^\n]*")
 _ODD_BLANKS = "\x0b\x0c\x1c\x1d\x1e\x1f"  # the blanks of `str.split()` in ASCII other than the four
+_TOP_LEVEL = "top-level forms must look like (keyword ...)"
 
 
-def _tokens(text: str) -> list[str]:
-    """Names, ')' and '(' glued to the name after it; only space, tab, CR and LF are blanks.
-
-    ASCII text without `_ODD_BLANKS` is split by `str.split()`, whose
-    blanks there are the four.  Other text can only fail to read; it
-    splits on spaces once the four are spaces, so its messages name the
-    same tokens.
-    """
+def _normal(text: str) -> str:
+    """The text without comments and without the blanks after a '('."""
     if ";" in text:
         text = _COMMENT.sub("", text)
     if "( " in text or "(\t" in text or "(\r" in text or "(\n" in text:
         text = _OPEN_BLANKS.sub("(", text)
-    text = text.replace("(", " (").replace(")", " ) ")
-    if text.isascii() and not any(odd in text for odd in _ODD_BLANKS):
-        return text.split()
-    text = text.replace("\t", " ").replace("\r", " ").replace("\n", " ")
-    return list(filter(None, text.split(" ")))
+    return text
+
+
+def _splitter(text: str):
+    """The function that cuts pieces of a normal text into names and ')'s.
+
+    Only space, tab, CR and LF are blanks.  ASCII text without
+    `_ODD_BLANKS` is cut by `str.split()`, whose blanks there are the
+    four.  Other text can only fail to read; it is cut on spaces once the
+    four are spaces, so its messages name the same tokens.
+    """
+    return _split if text.isascii() and not any(odd in text for odd in _ODD_BLANKS) else _split_odd
+
+
+def _split(piece: str) -> list[str]:
+    return piece.replace(")", " ) ").split()
+
+
+def _split_odd(piece: str) -> list[str]:
+    piece = piece.replace(")", " ) ").replace("\t", " ").replace("\r", " ").replace("\n", " ")
+    return list(filter(None, piece.split(" ")))
+
+
+def _tokens(text: str) -> list[str]:
+    """Names, ')' and '(' glued to the name after it."""
+    text = _normal(text)
+    return _splitter(text)(text.replace("(", " ("))
+
+
+def _chunks(text: str):
+    """The pieces of a normal text between one '(' and the next, and their `_splitter`."""
+    text = _normal(text)
+    return text.split("("), _splitter(text)
 
 
 def _unbalanced(text: str) -> ParseError | None:
@@ -111,16 +143,90 @@ def _position(text: str, offset: int) -> tuple[int, int]:
     return text.count("\n", 0, line_start) + 1, offset - line_start + 1
 
 
-def _read_one(text: str, read):
-    """The one form of `text`, read by `read(tokens, 0)`: `Pool.read` or `Pool.read_tree`."""
+def _read_one(text: str, source, pool: Pool) -> Gate:
+    """The one form of `text`, read into the pool through `source` (`_Tokens` or `_Chunks`)."""
     try:
-        tokens = _tokens(text) + [")"]  # the ')' closes the top level
-        forms, end = read(tokens, 0)
-        if len(forms) != 1 or end != len(tokens):
+        src = source(text + "\n)")  # the ')' closes the top level, after the end of any comment
+        forms, at = src.read(pool, src.start)
+        if len(forms) != 1 or not src.at_end(at):
             raise ParseError("expected exactly one expression" if forms else "empty input")
         return forms[0]
     except (RectifyError, IndexError) as error:  # IndexError: a ')' is missing
         raise _unbalanced(text) or error  # an unbalanced parenthesis is reported first
+
+
+class _Tokens:
+    """A text read through `Pool.read`: its `_tokens`, and positions that index them."""
+
+    def __init__(self, text: str):
+        self.tokens = _tokens(text)
+        self.start = 0
+
+    def at_end(self, i: int) -> bool:
+        return i == len(self.tokens)
+
+    def head(self, i: int) -> tuple[str, int]:
+        """The keyword of the top-level form at i, and where its items start."""
+        token = self.tokens[i]
+        if token[0] != "(" or len(token) == 1:
+            raise ParseError(_TOP_LEVEL)
+        return token[1:], i + 1
+
+    def names(self, i: int) -> tuple[list[str] | None, int]:
+        """The names from i to the form's ')', None if a form is among them, and the end."""
+        count, end = _form_end(self.tokens, i)
+        return (self.tokens[i : end - 1] if count == end - i - 1 else None), end
+
+    def skip(self, i: int) -> int:
+        return _form_end(self.tokens, i)[1]
+
+    def read(self, pool: Pool, i: int) -> tuple[list[Gate], int]:
+        return pool.read(self.tokens, i)
+
+
+class _Chunks:
+    """A text read through `Pool.read_tree`: its `_chunks`, and positions that are the index
+    of the next chunk and the tokens (or, after a read, the steps) left of the one before.
+    """
+
+    def __init__(self, text: str):
+        self.chunks, self.split = _chunks(text)
+        self.start = 1, self.split(self.chunks[0])
+
+    def at_end(self, at: tuple[int, Sequence]) -> bool:
+        return at[0] == len(self.chunks) and not at[1]
+
+    def head(self, at: tuple[int, Sequence]) -> tuple[str, tuple[int, Sequence]]:
+        k, left = at
+        tokens = None if left else self.split(self.chunks[k])
+        if not tokens or tokens[0] == ")":
+            raise ParseError(_TOP_LEVEL)
+        return tokens[0], (k + 1, tokens[1:])
+
+    def names(self, at: tuple[int, Sequence]) -> tuple[list[str] | None, tuple[int, Sequence]]:
+        k, left = at
+        if ")" not in left:  # a form is among the names
+            return None, at
+        end = left.index(")")
+        return left[:end], (k, left[end + 1 :])
+
+    def skip(self, at: tuple[int, Sequence]) -> tuple[int, Sequence]:
+        k, tokens = at
+        depth = 1
+        while True:
+            for j, token in enumerate(tokens):
+                if token == ")":
+                    depth -= 1
+                    if not depth:
+                        return k, tokens[j + 1 :]
+            tokens = self.split(self.chunks[k])
+            k += 1
+            depth += 1
+
+    def read(self, pool: Pool, at: tuple[int, Sequence]) -> tuple[list[Gate], tuple[int, Sequence]]:
+        chunks = iter(self.chunks[at[0] :])
+        trees, left = pool.read_tree(chunks, at[1], self.split)
+        return trees, (len(self.chunks) - length_hint(chunks), left)  # the first chunk not taken
 
 
 # ----------------------------------------------------------------------
@@ -129,7 +235,7 @@ def _read_one(text: str, read):
 
 def parse_circuit(text: str, pool: Pool) -> Circuit:
     """Parse one circuit expression against the pool's variable table."""
-    return Circuit(pool, _read_one(text, pool.read))
+    return Circuit(pool, _read_one(text, _Tokens, pool))
 
 
 def print_circuit(circ: Circuit) -> str:
@@ -192,7 +298,7 @@ def _spell(gate: Gate, names: dict[int, str], out: list[str]):
 
 def parse_dtree(text: str, pool: Pool) -> Circuit:
     """Parse one decision tree into the pool, against its variable table."""
-    return Circuit(pool, _read_one(text, pool.read_tree))
+    return Circuit(pool, _read_one(text, _Chunks, pool))
 
 
 def print_dtree(tree: Circuit) -> str:
@@ -236,8 +342,8 @@ _PROBLEM_SECTIONS = ("features", "labels", "sigma", "theory")
 _TREE_SECTIONS = ("features", "labels", "tree")
 
 
-def _read_file(text: str, sections: tuple[str, ...]):
-    """The pool, problem and sections of a file, read in order in one pass.
+def _read_file(text: str, sections: tuple[str, ...], source):
+    """The pool, problem and sections of a file, read in order in one pass through `source`.
 
     Each of `sections` must appear once, and no other.  A section that
     needs the pool, met before it, is skipped and read at the end.  Sigma
@@ -245,29 +351,26 @@ def _read_file(text: str, sections: tuple[str, ...]):
     sections.
     """
     try:
-        tokens = _tokens(text)
+        src = source(text)
         seen: dict[str, list | None] = {}
-        later: list[tuple[str, int]] = []  # sections read at the end, and where they start
+        later: list[tuple[str, object]] = []  # sections read at the end, and where they start
         pool = problem = None
-        i = 0
-        while i < len(tokens):
-            key = tokens[i][1:]
-            if tokens[i][0] != "(" or not key:
-                raise ParseError("top-level forms must look like (keyword ...)")
+        at = src.start
+        while not src.at_end(at):
+            key, at = src.head(at)
             if key not in sections:
                 raise ParseError(f"unknown section {key!r}")
             if key in seen:
                 raise ParseError(f"duplicate section {key!r}")
             if key in ("features", "labels"):
-                count, end = _form_end(tokens, i + 1)
-                if not count or count != end - i - 2:  # a '(' among them adds a token
+                seen[key], at = src.names(at)
+                if not seen[key]:
                     raise ParseError(f"{key} must be a non-empty list of names")
-                seen[key], i = tokens[i + 1 : end - 1], end
             elif pool is None or (key == "theory" and seen.get("sigma") is None):
-                later.append((key, i + 1))
-                seen[key], i = None, _form_end(tokens, i + 1)[1]
+                later.append((key, at))
+                seen[key], at = None, src.skip(at)
             else:
-                seen[key], i = (pool.read_tree if key == "tree" else pool.read)(tokens, i + 1)
+                seen[key], at = src.read(pool, at)
             if pool is None and "features" in seen and "labels" in seen:
                 pool = Pool()
                 problem = ClassificationProblem(pool.declare(*seen["features"]), pool.declare(*seen["labels"]))
@@ -275,7 +378,7 @@ def _read_file(text: str, sections: tuple[str, ...]):
             if key not in seen:
                 raise ParseError(f"missing section {key!r}")
         for key, start in sorted(later, key=lambda entry: entry[0] == "theory"):
-            seen[key] = (pool.read_tree if key == "tree" else pool.read)(tokens, start)[0]
+            seen[key] = src.read(pool, start)[0]
         return pool, problem, seen
     except (RectifyError, IndexError) as error:
         raise _unbalanced(text) or error  # an unbalanced parenthesis is reported first
@@ -289,7 +392,7 @@ def _single(section: list, what: str):
 
 def parse_problem(text: str) -> ProblemFile:
     """Parse a problem file into a fresh pool."""
-    pool, problem, seen = _read_file(text, _PROBLEM_SECTIONS)
+    pool, problem, seen = _read_file(text, _PROBLEM_SECTIONS, _Tokens)
     sigma = Circuit(pool, _single(seen["sigma"], "sigma"))
     theory = Circuit(pool, _single(seen["theory"], "theory"))
     return ProblemFile(pool, problem, sigma, theory)
@@ -297,7 +400,7 @@ def parse_problem(text: str) -> ProblemFile:
 
 def parse_tree_file(text: str) -> TreeFile:
     """Parse a decision-tree file into a fresh pool."""
-    pool, problem, seen = _read_file(text, _TREE_SECTIONS)
+    pool, problem, seen = _read_file(text, _TREE_SECTIONS, _Chunks)
     if not problem.mono_label:
         raise ParseError("decision-tree files declare exactly one label")
     return TreeFile(pool, problem, Circuit(pool, _single(seen["tree"], "tree")))

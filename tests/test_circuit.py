@@ -24,7 +24,7 @@ from monorect import (
 )
 from monorect.circuit import AND, DEC, VAR
 from monorect.dtree import _reduce
-from monorect.formats import _tokens
+from monorect.formats import _chunks
 from monorect.randgen import random_circuit, random_problem, random_tree
 from monorect.semantics import forget
 from monorect.verify import syntactic_rewrite
@@ -405,7 +405,8 @@ def test_a_bool_leaf_builds_a_constant():
 
 def _read_tree_second(pool):
     """The second of two trees read by one `Pool.read_tree` call, so its leaves are met already."""
-    return pool.read_tree(_tokens("(x3 0 1) (x1 0 1)") + [")"], 0)[0][1]
+    chunks, split = _chunks("(x3 0 1) (x1 0 1))")  # the last ')' closes the top level
+    return pool.read_tree(iter(chunks[1:]), split(chunks[0]), split)[0][1]
 
 
 # kind: (texts of the circuits made first, the reads that make the gate, the

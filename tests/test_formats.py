@@ -10,6 +10,7 @@ from monorect import (
     BuildError,
     ParseError,
     Pool,
+    formats,
     parse_circuit,
     parse_dtree,
     parse_problem,
@@ -584,6 +585,80 @@ def _pool_of(tree):
     """A tree's text and every gate of its pool, so the order gates were created in counts too."""
     gates = [(g.kind, g.payload, tuple(c.uid for c in g.children)) for g in tree.pool.gates]
     return print_dtree(tree), gates
+
+
+# Two features and the label: a tree of many leaves repeats its nodes, and
+# gaps drawn from a palette of at most three pieces keep equal nodes equal
+# text, so the tree reader replays most of the chunks it has planned.
+_FEW = ("x1", "x2", "y")
+
+
+def _palette_layout(draw, tokens):
+    palette = draw(st.lists(st.sampled_from(_GAPS), min_size=1, max_size=3))
+    return _layout(tokens, draw(st.lists(st.sampled_from(palette), min_size=len(tokens) + 1,
+                                         max_size=len(tokens) + 1)))
+
+
+def _few_pool():
+    pool = Pool()
+    pool.declare(*_FEW)
+    return pool
+
+
+@given(spec=tree_specs(_FEW, max_leaves=60), data=st.data())
+def test_tree_readers_match_the_oracles_on_repeating_trees(spec, data):
+    tokens = _tree_tokens(spec)
+    kind = data.draw(st.sampled_from([None] + _MUTATIONS))
+    if kind is not None:
+        tokens = _mutate(tokens, kind, data.draw(st.integers(0, 10_000))) or tokens
+    text = _palette_layout(data.draw, tokens)
+    expected = _outcome(lambda: _pool_of(_oracle_tree_from(_oracle_read_one(text), _few_pool())))
+    assert _outcome(lambda: _pool_of(parse_dtree(text, _few_pool()))) == expected, (kind, text)
+    sections = [["(", "features", "x1", "x2", ")"], ["(", "labels", "y", ")"], ["(", "tree", *tokens, ")"]]
+    file_tokens = [token for section in data.draw(st.permutations(sections)) for token in section]
+    text = _palette_layout(data.draw, file_tokens)
+    expected = _outcome(lambda: _pool_of(_oracle_tree_file(text)))
+    assert _outcome(lambda: _pool_of(parse_tree_file(text).tree)) == expected, (kind, text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "(x1 (x2 (y 1 1) 1) 0)",  # 0 is first met after a ')' of its chunk, so made after that node
+        "(x1 (x2 0) 2)",  # the chunk 'x2 0) 2)' is one child short before its bad leaf
+        "(x1 (x2 0) (zz 0 1))",
+        "(x1 (y 0 1 1) 0)",
+        "(x1(y 0 1)(y 0 1))",
+    ],
+)
+def test_faults_and_gates_come_in_the_order_of_the_text(text):
+    expected = _outcome(lambda: _pool_of(_oracle_tree_from(_oracle_read_one(text), _few_pool())))
+    assert _outcome(lambda: _pool_of(parse_dtree(text, _few_pool()))) == expected
+
+
+def _balanced_tree(depth):
+    """The text of a full tree over x1, x2 and y, two-leaf nodes at the bottom."""
+    text = "(y 0 1)"
+    for level in range(depth - 1):
+        text = f"({_FEW[level % 3]} {text} {text.replace('0 1', '1 0', 1)})"
+    return text
+
+
+def test_the_tree_reader_plans_each_distinct_chunk_once_per_read(monkeypatch):
+    text = _balanced_tree(12)  # 4,095 nodes
+    chunks = text.split("(")
+    assert text.count("(") == 4095 and len(set(chunks)) < 40
+    splits = []
+    split = formats._split
+    monkeypatch.setattr(formats, "_split", lambda piece: splits.append(piece) or split(piece))
+    pools = [_few_pool(), _few_pool()]
+    trees = [parse_dtree(text, pool) for pool in pools + pools[:1]]
+    # in each read, the text before the first '(' once, then each distinct chunk once
+    assert len(splits) == 3 * len(set(chunks))
+    assert len(set(splits[: len(set(chunks))])) == len(set(chunks))
+    assert print_dtree(trees[0]) == print_dtree(trees[1]) == text
+    assert trees[2] == trees[0]
+    assert not {id(gate) for gate in pools[0].gates} & {id(gate) for gate in pools[1].gates}
 
 
 @given(ast=ast_exprs(NAMES, max_leaves=10), data=st.data())
