@@ -4,25 +4,27 @@ A circuit is a rooted DAG of gates: constants, variable leaves, negation,
 n-ary conjunction/disjunction, and decision gates.  A decision gate over x
 with children (low, high) is sugar for (!x & low) | (x & high); every
 operation treats it by that reading.  Gates are interned per pool, so
-building the same gate twice yields the same object and syntactically
+building the same gate twice yields the same gate and syntactically
 identical subcircuits are shared automatically.
 
 Circuits are values: operations never mutate, they return new circuits
 whose gates live in the same (append-only) pool.  Size is the number of
 arcs in the reachable DAG, counting a shared gate's outgoing arcs once.
 
-A gate's uid is its index in the pool's gate list.  Uids are handed out
-in creation order and a gate is created after its children, so uid order
-is a topological order: every traversal is one scan down the gate list
-from the root's uid (`iter_gates`), and every kernel memoises in a list
-indexed by uid.
+The pool is the gate store, and a gate is its uid: an index into the
+flat lists `Pool._kinds`, `Pool._payloads` and `Pool._children` (a tuple
+of child uids, which the collector stops tracking once it has seen it).
+Uids are handed out in creation order and a gate is created after its
+children, so uid order is a topological order: every traversal is one
+scan down the store from the root's uid (`iter_gates`), and every kernel
+memoises in a list indexed by uid.
 
 Only this module makes gates: `Pool._gate`, `Pool.read` (circuit tokens)
 and `Pool.read_tree` (tree text split on '(', with a plan per distinct
-chunk) construct, number and intern them, each in the unique table of
-the gate's kind and payload (`Pool._unique`), keyed by the children
-tuple the gate keeps, so interning allocates no key.
-`Gate` is not exported; `Circuit.root` and `Pool.gates` hand gates out.
+chunk) append them to the store and intern them, each in the unique
+table of the gate's kind and payload (`Pool._unique`), keyed by the
+children tuple the store keeps.  `Circuit.root` and `Pool.gates` hand
+out read-only `Gate` views, one per (pool, uid); no kernel makes one.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import chain
+from operator import index
 from typing import Callable, Collection, Iterable, Iterator, NamedTuple
 
 from .errors import BuildError, ParseError
@@ -111,43 +114,50 @@ class Term:
 
 
 class Gate:
-    """One pooled gate, made only by `Pool` in this module; identity is equality."""
+    """A read-only view of one pooled gate, made only by `Pool.gates`: one per (pool, uid),
+    so `is` between the views of one pool is uid equality."""
 
-    __slots__ = ("kind", "payload", "children", "uid")
+    __slots__ = ("_pool", "_uid")
 
-    def __init__(self, kind, payload, children, uid):
-        self.kind = kind
-        self.payload = payload
-        self.children = children
-        self.uid = uid
+    def __init__(self, pool: "Pool", uid: int):
+        self._pool, self._uid = pool, uid
+
+    uid = property(lambda self: self._uid)
+    kind = property(lambda self: self._pool._kinds[self._uid])
+    payload = property(lambda self: self._pool._payloads[self._uid])
+
+    @property
+    def children(self) -> tuple[Gate, ...]:
+        gates = self._pool.gates
+        return tuple(gates[uid] for uid in self._pool._children[self._uid])
 
     def __repr__(self):
-        if self.kind == CONST:
-            return f"Gate(const {self.payload})"
-        if self.kind == VAR:
-            return f"Gate(var {self.payload.name})"
-        if self.kind == DEC:
-            return f"Gate(dec {self.payload.name})"
-        return f"Gate({self.kind}/{len(self.children)})"
+        if self.payload is None:
+            return f"Gate({self.kind}/{len(self.children)})"
+        return f"Gate({self.kind} {getattr(self.payload, 'name', self.payload)})"
 
 
 class Circuit:
-    """A rooted view into a pool's gate DAG.
+    """A rooted view into a pool's gate DAG: the pool and the root's uid.
 
     Equality is root identity: thanks to interning, two circuits from the
     same pool are == exactly when they are syntactically identical.
+    `root` is a uid, or a `Gate` view of the pool.
     """
 
-    __slots__ = ("pool", "root")
+    __slots__ = ("pool", "uid")
 
-    def __init__(self, pool: "Pool", root: Gate):
+    def __init__(self, pool: "Pool", root: "int | Gate"):
         self.pool = pool
-        self.root = root
+        self.uid = root if root.__class__ is int else root.uid
+
+    root = property(lambda self: self.pool.gates[self.uid], doc="The root gate's view.")
 
     @property
     def size(self) -> int:
         """Number of arcs reachable from the root (shared gates counted once); walks each read."""
-        return sum(len(g.children) for g in iter_gates(self))
+        children = self.pool._children
+        return sum(len(children[uid]) for uid in iter_gates(self))
 
     def vars(self) -> frozenset[VarId]:
         """Variables occurring in the circuit, including decision-gate variables.
@@ -155,10 +165,11 @@ class Circuit:
         Cached in the pool by root uid, so every view of one root walks once.
         """
         cache = self.pool._vars_of
-        found = cache.get(self.root.uid)
+        found = cache.get(self.uid)
         if found is None:
-            found = cache[self.root.uid] = frozenset(
-                gate.payload for gate in iter_gates(self) if gate.kind == VAR or gate.kind == DEC
+            kinds, payloads = self.pool._kinds, self.pool._payloads
+            found = cache[self.uid] = frozenset(
+                payloads[uid] for uid in iter_gates(self) if kinds[uid] == VAR or kinds[uid] == DEC
             )
         return found
 
@@ -175,27 +186,42 @@ class Circuit:
         return self.vars() - allowed
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Circuit)
-            and self.pool is other.pool
-            and self.root is other.root
-        )
+        return isinstance(other, Circuit) and self.pool is other.pool and self.uid == other.uid
 
     def __hash__(self):
-        return hash((id(self.pool), self.root.uid))
+        return hash((id(self.pool), self.uid))
 
     def __repr__(self):
-        return f"<Circuit {self.root.kind} size={self.size}>"
+        return f"<Circuit {self.pool._kinds[self.uid]} size={self.size}>"
+
+
+class _Gates:
+    """`Pool.gates`: the pool's gates as `Gate` views, indexed by uid (and iterated so)."""
+
+    __slots__ = ("_pool",)
+
+    def __init__(self, pool: "Pool"):
+        self._pool = pool
+
+    def __len__(self):
+        return len(self._pool._kinds)
+
+    def __getitem__(self, uid: int) -> Gate:
+        uid = range(len(self))[index(uid)]  # a negative uid counts from the end
+        view = self._pool._views.get(uid)
+        if view is None:
+            view = self._pool._views[uid] = Gate(self._pool, uid)
+        return view
 
 
 class Pool:
     """Variable table plus append-only interned gate storage.
 
-    `gates` lists every gate, indexed by uid; there is one unique table
-    per (kind, payload), see `_unique`.  All circuits combined by
-    the module's operations must come from the same pool.  Construction
-    of a pool is single-writer; once built, gates are immutable and safe
-    to read from anywhere.
+    The store is three lists indexed by uid, with one unique table per
+    (kind, payload), see `_unique`; `gates` shows each gate as a `Gate`
+    view.  All circuits combined by the module's operations must come
+    from the same pool.  Construction of a pool is single-writer; once
+    built, gates are immutable and safe to read from anywhere.
 
     Every variable a gate mentions is one the pool declares: `literal`
     and `decision` check it, `read` and `read_tree` resolve names
@@ -211,9 +237,14 @@ class Pool:
     def __init__(self):
         self._by_name: dict[str, VarId] = {}
         self._order: list[VarId] = []
-        self._interned: dict[tuple, dict[tuple[Gate, ...], Gate]] = {}  # see `_unique`
-        self.gates: list[Gate] = []
+        self._interned: dict[tuple, dict[tuple[int, ...], int]] = {}  # see `_unique`
+        self._kinds: list[str] = []
+        self._payloads: list = []
+        self._children: list[tuple[int, ...]] = []
+        self._views: dict[int, Gate] = {}
         self._vars_of: dict[int, frozenset[VarId]] = {}
+
+    gates = property(lambda self: _Gates(self), doc="Every gate, as a `Gate` view, indexed by uid.")
 
     # ------------------------------------------------------------------
     # variables
@@ -254,20 +285,22 @@ class Pool:
     # ------------------------------------------------------------------
     # gate construction (arity checks only; no logical simplification)
 
-    def _gate(self, kind, payload, children: tuple[Gate, ...]) -> Gate:
+    def _gate(self, kind, payload, children: tuple[int, ...]) -> int:
         """The interned gate of this kind, payload and children; a new one keeps `children` as its key."""
         try:  # `_unique`, inlined on this hot path
             table = self._interned[kind, payload]
         except KeyError:
             table = self._unique(kind, payload)
-        gate = table.get(children)
-        if gate is None:
-            gate = table[children] = Gate(kind, payload, children, len(self.gates))
-            self.gates.append(gate)
-        return gate
+        uid = table.get(children)
+        if uid is None:
+            uid = table[children] = len(self._kinds)
+            self._kinds.append(kind)
+            self._payloads.append(payload)
+            self._children.append(children)
+        return uid
 
-    def _unique(self, kind, payload) -> dict[tuple[Gate, ...], Gate]:
-        """The unique table of (kind, payload): its gates, keyed by their children tuples."""
+    def _unique(self, kind, payload) -> dict[tuple[int, ...], int]:
+        """The unique table of (kind, payload): its gates' uids, keyed by their children tuples."""
         return self._interned.setdefault((kind, payload), {})
 
     def _owned(self, *circuits: Circuit):
@@ -293,7 +326,7 @@ class Pool:
 
     def not_(self, c: Circuit) -> Circuit:
         self._owned(c)
-        return Circuit(self, self._gate(NOT, None, (c.root,)))
+        return Circuit(self, self._gate(NOT, None, (c.uid,)))
 
     def and_(self, parts: Iterable[Circuit]) -> Circuit:
         return self._nary(AND, parts)
@@ -305,7 +338,7 @@ class Pool:
         roots = []
         for c in parts:
             self._owned(c)
-            roots.append(c.root)
+            roots.append(c.uid)
         if not roots:
             raise BuildError(f"zero-arity {kind!r} gate")
         if len(roots) == 1:
@@ -314,7 +347,7 @@ class Pool:
 
     def decision(self, var: VarId, low: Circuit, high: Circuit) -> Circuit:
         self._owned(low, high)
-        return Circuit(self, self._gate(DEC, self._known(var), (low.root, high.root)))
+        return Circuit(self, self._gate(DEC, self._known(var), (low.uid, high.uid)))
 
     # ------------------------------------------------------------------
     # reading expressions
@@ -330,7 +363,7 @@ class Pool:
         """
         return Circuit(self, self.read(_spell_tokens(expr), 0)[0][0])
 
-    def read(self, tokens: list[str], i: int) -> tuple[list[Gate], int]:
+    def read(self, tokens: list[str], i: int) -> tuple[list[int], int]:
         """The gates of the expressions from tokens[i] to the ')' closing them, and the index after it.
 
         Tokens are names, ')' and '(' glued to the name after it (see
@@ -343,10 +376,10 @@ class Pool:
         are checked where they stand, each after its form's arity.
         """
         tables = {kind: self._unique(kind, None) for kind in (NOT, AND, OR)}
-        gates = self.gates
-        leaves: dict[str, Gate] = {}  # the gate of each name met, let names included
-        bound: dict[str, Gate] = {}  # the let names in scope, in binding order
-        done: list[Gate] = []
+        kinds, payloads, children = self._kinds, self._payloads, self._children
+        leaves: dict[str, int] = {}  # the gate of each name met, let names included
+        bound: dict[str, int] = {}  # the let names in scope, in binding order
+        done: list[int] = []
         opened: list[tuple] = []
         pairs = False  # whether tokens[i] opens a let binding or ends the bindings
         while True:
@@ -415,8 +448,10 @@ class Pool:
                 table = tables[op] if payload is None else self._unique(DEC, payload)
                 gate = table.get(kids)
                 if gate is None:
-                    gate = table[kids] = Gate(op, payload, kids, len(gates))
-                    gates.append(gate)
+                    gate = table[kids] = len(kinds)
+                    kinds.append(op)
+                    payloads.append(payload)
+                    children.append(kids)
                 done.append(gate)
                 continue
             gate = leaves.get(token)
@@ -454,7 +489,7 @@ class Pool:
 
     def read_tree(
         self, chunks: Iterator[str], first: list[str], split: Callable[[str], list[str]]
-    ) -> tuple[list[Gate], tuple]:
+    ) -> tuple[list[int], tuple]:
         """The decision trees from `first` and `chunks` to the ')' closing them, and the steps
         left of the last chunk read.
 
@@ -469,18 +504,18 @@ class Pool:
         A fault found while planning is raised when the walk reaches its
         place, so the first fault of the text is the one raised.
         """
-        gates = self.gates
+        kinds, payloads, children = self._kinds, self._payloads, self._children
         heads: dict = {}  # each variable name met: its variable and that variable's table
         leaves: dict = {}  # the constant of each leaf token met
         plans = {"(": self._plan(first, heads, leaves, False)}  # "(" is no chunk: it stands for `first`
-        done: list[Gate] = []
+        done: list[int] = []
         opened: list = []  # flat: each open node's (variable, table), then the height of `done`
         for chunk in chain(("(",), chunks):
             plan = plans.get(chunk)
             if plan is None:
                 plan = plans[chunk] = self._plan(split(chunk), heads, leaves)
             head, steps = plan
-            if head.__class__ is Gate:
+            if head.__class__ is int:
                 done.append(head)
             elif head.__class__ is tuple:
                 opened.append(head)
@@ -500,13 +535,15 @@ class Pool:
                         kids = (done.pop(), high)
                         gate = table.get(kids)
                         if gate is None:
-                            gate = table[kids] = Gate(DEC, var_id, kids, len(gates))
-                            gates.append(gate)
+                            gate = table[kids] = len(kinds)
+                            kinds.append(DEC)
+                            payloads.append(var_id)
+                            children.append(kids)
                         done.append(gate)
-                    elif step.__class__ is Gate:
-                        done.append(step)
                     elif step.__class__ is int:
-                        done.append(self._gate(CONST, step, ()))
+                        done.append(step)
+                    elif step.__class__ is str:
+                        done.append(self._gate(CONST, _LEAVES[step], ()))
                     else:
                         raise step
         raise ParseError("missing ')'")
@@ -520,7 +557,7 @@ class Pool:
         step is a leaf's constant, None for a ')', or a fault's error, last.
         A constant is made here, where the walk stands, and kept in
         `leaves`, unless a ')' comes before it and the pool has none yet:
-        then the step is its value, and the walk makes it after the gates
+        then the step is its token, and the walk makes it after the gates
         that ')' interns.
         """
         head = None
@@ -544,7 +581,7 @@ class Pool:
                 if gate is None:
                     value = _LEAVES[token]
                     if None in steps and not self._unique(CONST, value):  # {(): gate} once made
-                        steps.append(value)
+                        steps.append(token)
                         continue
                     gate = leaves[token] = self._gate(CONST, value, ())
                 steps.append(gate)
@@ -618,11 +655,11 @@ def _spell_tokens(expr) -> list[str]:
 _CLOSE = object()
 
 
-def iter_gates(circ: Circuit) -> list[Gate]:
-    """Reachable gates in dependency order: children before parents, once each.
+def iter_gates(circ: Circuit) -> list[int]:
+    """Reachable gates' uids in dependency order: children before parents, once each.
 
-    The gates come in ascending uid order.  A gate's children are older
-    than the gate, so one scan down from the root's uid that marks the
+    The uids come in ascending order.  A gate's children are older than
+    the gate, so one scan down from the root's uid that marks the
     children of each marked gate finds every reachable gate; runs of
     unmarked uids are skipped by `bytearray.rfind`, so for a small
     circuit built late in a large pool the scan costs little more than
@@ -630,17 +667,16 @@ def iter_gates(circ: Circuit) -> list[Gate]:
     list of root uid + 1 entries, so `condition` and `truth_mask` of such
     a circuit cost O(root uid).
     """
-    uid = circ.root.uid
-    gates = circ.pool.gates
+    uid = circ.uid
+    children = circ.pool._children
     mark = bytearray(uid + 1)
     mark[uid] = 1
     out = []
     while uid >= 0:
         if mark[uid]:
-            gate = gates[uid]
-            out.append(gate)
-            for child in gate.children:
-                mark[child.uid] = 1
+            out.append(uid)
+            for child in children[uid]:
+                mark[child] = 1
             uid -= 1
         else:
             uid = mark.rfind(1, 0, uid)
@@ -674,83 +710,75 @@ def cofactors(circ: Circuit, var: VarId) -> tuple[Circuit, Circuit]:
     return Circuit(circ.pool, low), Circuit(circ.pool, high)
 
 
-def _substitute(circ: Circuit, values) -> list[Gate]:
+def _substitute(circ: Circuit, values) -> list[int]:
     """The root of `condition` under each of `values`, in one sweep.
 
     Each value maps a variable to True, False or None (not fixed).
     """
     pool = circ.pool
+    kinds, payloads, children = pool._kinds, pool._payloads, pool._children
     true_gate = pool._gate(CONST, 1, ())
     false_gate = pool._gate(CONST, 0, ())
-    top = circ.root.uid
+    top = circ.uid
     sides = [(value, [None] * (top + 1)) for value in values]
     for gate in iter_gates(circ):
-        kind = gate.kind
-        kids = gate.children
+        kind = kinds[gate]
+        kids = children[gate]
         for value, memo in sides:
             if kind == CONST:
                 new = gate
             elif kind == VAR:
-                fixed = value(gate.payload)
+                fixed = value(payloads[gate])
                 if fixed is None:
                     new = gate
                 else:
                     new = true_gate if fixed else false_gate
             elif kind == NOT:
-                child = memo[kids[0].uid]
-                if child.kind == CONST:
-                    new = false_gate if child.payload else true_gate
-                elif child is kids[0]:
+                child = memo[kids[0]]
+                if kinds[child] == CONST:
+                    new = false_gate if payloads[child] else true_gate
+                elif child == kids[0]:
                     new = gate
                 else:
                     new = pool._gate(NOT, None, (child,))
             elif kind == DEC:
-                fixed = value(gate.payload)
-                low = memo[kids[0].uid]
-                high = memo[kids[1].uid]
+                fixed = value(payloads[gate])
+                low = memo[kids[0]]
+                high = memo[kids[1]]
                 if fixed is not None:
                     new = high if fixed else low
-                elif low is kids[0] and high is kids[1]:
+                elif low == kids[0] and high == kids[1]:
                     new = gate
                 else:
-                    new = pool._gate(DEC, gate.payload, (low, high))
+                    new = pool._gate(DEC, payloads[gate], (low, high))
             else:
-                new = _fold_nary(pool, gate, memo, true_gate, false_gate)
-            memo[gate.uid] = new
+                new = _fold_nary(pool, kind, gate, kids, memo, true_gate, false_gate)
+            memo[gate] = new
     return [memo[top] for _, memo in sides]
 
 
-def _fold_nary(pool, gate, memo, true_gate, false_gate):
-    absorbing = false_gate if gate.kind == AND else true_gate
-    neutral = true_gate if gate.kind == AND else false_gate
-    kids = []
-    changed = False
-    for child in gate.children:
-        new = memo[child.uid]
-        if new is not child:
-            changed = True
-        if new is absorbing:
-            return absorbing
-        if new is neutral:
-            continue
-        kids.append(new)
-    if len(kids) == len(gate.children) and not changed:
+def _fold_nary(pool, kind, gate, kids, memo, true_gate, false_gate):
+    absorbing, neutral = (false_gate, true_gate) if kind == AND else (true_gate, false_gate)
+    new = [memo[child] for child in kids]
+    if absorbing in new:
+        return absorbing
+    new = tuple(child for child in new if child != neutral)
+    if new == kids:
         return gate
-    if not kids:
-        return neutral
-    if len(kids) == 1:
-        return kids[0]
-    return pool._gate(gate.kind, None, tuple(kids))
+    if len(new) < 2:
+        return new[0] if new else neutral
+    return pool._gate(kind, None, new)
 
 
 def negate(circ: Circuit) -> Circuit:
     """Complement as a wrapper gate; double negation and constants fold away."""
-    root = circ.root
-    if root.kind == NOT:
-        return Circuit(circ.pool, root.children[0])
-    if root.kind == CONST:
-        return circ.pool.const(1 - root.payload)
-    return circ.pool.not_(circ)
+    pool = circ.pool
+    kind = pool._kinds[circ.uid]
+    if kind == NOT:
+        return Circuit(pool, pool._children[circ.uid][0])
+    if kind == CONST:
+        return pool.const(1 - pool._payloads[circ.uid])
+    return pool.not_(circ)
 
 
 def conjoin(a: Circuit, b: Circuit) -> Circuit:
@@ -764,11 +792,12 @@ def disjoin(a: Circuit, b: Circuit) -> Circuit:
 
 
 def _combine(kind, a, b):
-    a.pool._owned(b)
+    pool = a.pool
+    pool._owned(b)
     absorbing = 0 if kind == AND else 1
     for first, second in ((a, b), (b, a)):
-        if first.root.kind == CONST:
-            return first if first.root.payload == absorbing else second
-    if a.root is b.root:
+        if pool._kinds[first.uid] == CONST:
+            return first if pool._payloads[first.uid] == absorbing else second
+    if a.uid == b.uid:
         return a
-    return Circuit(a.pool, a.pool._gate(kind, None, (a.root, b.root)))
+    return Circuit(pool, pool._gate(kind, None, (a.uid, b.uid)))

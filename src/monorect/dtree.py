@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .circuit import AND, CONST, DEC, OR, Circuit, Gate, VarId
+from .circuit import AND, CONST, DEC, OR, Circuit, VarId
 from .classifier import ClassificationProblem, as_instance, label_blocks
 from .errors import CertificationError
 from .semantics import (
@@ -42,37 +42,39 @@ from .semantics import (
 )
 
 
-def _not_a_tree(gate: Gate) -> ValueError:
-    """The error for a gate that is neither a decision nor a constant."""
-    article = "an" if gate.kind in (AND, OR) else "a"
-    return ValueError(f"not a decision tree: found {article} {gate.kind!r} gate")
+def _not_a_tree(kind: str) -> ValueError:
+    """The error for a gate of `kind`, neither a decision nor a constant."""
+    article = "an" if kind in (AND, OR) else "a"
+    return ValueError(f"not a decision tree: found {article} {kind!r} gate")
 
 
 def _graft(tree: Circuit, leaf) -> Circuit:
-    """Every c-leaf becomes the gate `leaf(c)`, asked for where a c-leaf is first reached.
+    """Every c-leaf becomes the gate `leaf(c)`, a uid asked for where a c-leaf is first reached.
 
     Memoised by uid, so each gate is rebuilt once.  The walk takes the low
     child first and builds a node after its children, so gates are
     created in the order of a recursive descent.
     """
     pool = tree.pool
-    new: dict[int, Gate] = {}
-    todo = [tree.root]
+    kinds, payloads, children = pool._kinds, pool._payloads, pool._children
+    new: dict[int, int] = {}
+    todo = [tree.uid]
     while todo:
         gate = todo.pop()
-        if gate.uid in new:
+        if gate in new:
             continue
-        if gate.kind == DEC:
-            low, high = gate.children
-            if low.uid in new and high.uid in new:
-                new[gate.uid] = pool._gate(DEC, gate.payload, (new[low.uid], new[high.uid]))
+        kind = kinds[gate]
+        if kind == DEC:
+            low, high = children[gate]
+            if low in new and high in new:
+                new[gate] = pool._gate(DEC, payloads[gate], (new[low], new[high]))
             else:
                 todo += (gate, high, low)
-        elif gate.kind == CONST:
-            new[gate.uid] = leaf(gate.payload)
+        elif kind == CONST:
+            new[gate] = leaf(payloads[gate])
         else:
-            raise _not_a_tree(gate)
-    return Circuit(pool, new[tree.root.uid])
+            raise _not_a_tree(kind)
+    return Circuit(pool, new[tree.uid])
 
 
 def dt_simplify(tree: Circuit) -> Circuit:
@@ -97,36 +99,39 @@ def _reduce(
     building it: a reached 0-leaf continues as `_reduce(on0, path)`, a
     reached 1-leaf as `_reduce(on1, path)`.  The result is built in the
     pool of the grafts (both in one pool), or in the tree's when it
-    grafts nothing.
+    grafts nothing; the tree is read in its own pool's store, which may be
+    another.
     """
+    kinds, payloads, children = tree.pool._kinds, tree.pool._payloads, tree.pool._children
     pool = tree.pool if grafts is None else grafts[0].pool
-    done: list[Gate] = []
-    open_nodes: list[Gate] = []
-    node = tree.root
+    done: list[int] = []
+    open_nodes: list[int] = []
+    node = tree.uid
     while True:
-        while node.kind == DEC:
-            forced = path.get(node.payload)
+        while kinds[node] == DEC:
+            var = payloads[node]
+            forced = path.get(var)
             if forced is None:
-                path[node.payload] = 0
+                path[var] = 0
                 open_nodes.append(node)
-                node = node.children[0]
+                node = children[node][0]
             else:
-                node = node.children[forced]
-        if node.kind != CONST:
-            raise _not_a_tree(node)
-        done.append(node if grafts is None else _reduce(grafts[node.payload], path).root)
+                node = children[node][forced]
+        if kinds[node] != CONST:
+            raise _not_a_tree(kinds[node])
+        done.append(node if grafts is None else _reduce(grafts[payloads[node]], path).uid)
         while open_nodes:
             node = open_nodes[-1]
-            var = node.payload
+            var = payloads[node]
             if not path[var]:
                 path[var] = 1
-                node = node.children[1]
+                node = children[node][1]
                 break
             open_nodes.pop()
             del path[var]
             high = done.pop()
             low = done.pop()
-            done.append(low if low is high else pool._gate(DEC, var, (low, high)))
+            done.append(low if low == high else pool._gate(DEC, var, (low, high)))
         else:
             return Circuit(pool, done[0])
 
@@ -139,7 +144,7 @@ def attach_label(tree: Circuit, label: VarId) -> Circuit:
     (label 0 1) and a 0-leaf into (label 1 0).
     """
     pool = tree.pool
-    return _graft(tree, lambda c: pool.decision(label, pool.const(1 - c), pool.const(c)).root)
+    return _graft(tree, lambda c: pool.decision(label, pool.const(1 - c), pool.const(c)).uid)
 
 
 def dt_check_classification(tree: Circuit, problem: ClassificationProblem) -> bool:
@@ -190,9 +195,9 @@ def dt_rectify(
     reduce pass; the label is then re-attached to the feature-space tree.
 
     The two trees may come from two pools, as from two tree files, if
-    both pools declare the same variables in the same order: every node
-    built over the classifier's gates gets the theory's gates as
-    children, so neither tree is copied.
+    both pools declare the same variables in the same order: the walks
+    read the classifier's gates in its pool's store and build every node
+    in the theory's pool, so neither tree is copied.
     """
     label = problem.label
     ensure_circuit_within(
@@ -234,7 +239,7 @@ def circuit_to_dt(circ: Circuit, order, cap: int = DEFAULT_VAR_CAP) -> Circuit:
     return Circuit(circ.pool, _from_table(circ.pool, truth_mask(circ, over), over, 0))
 
 
-def _from_table(pool, table: int, over: tuple, k: int) -> Gate:
+def _from_table(pool, table: int, over: tuple, k: int) -> int:
     # `table` is over over[k:]; the first variable's 0-half is the low half
     if k == len(over):
         return pool._gate(CONST, 1 if table else 0, ())

@@ -63,7 +63,7 @@ from dataclasses import dataclass
 from operator import length_hint
 from typing import Sequence
 
-from .circuit import CONST, DEC, VAR, Circuit, Gate, Pool, _form_end, iter_gates
+from .circuit import CONST, DEC, VAR, Circuit, Pool, _form_end, iter_gates
 from .classifier import ClassificationProblem
 from .dtree import _not_a_tree
 from .errors import ParseError, RectifyError
@@ -143,7 +143,7 @@ def _position(text: str, offset: int) -> tuple[int, int]:
     return text.count("\n", 0, line_start) + 1, offset - line_start + 1
 
 
-def _read_one(text: str, source, pool: Pool) -> Gate:
+def _read_one(text: str, source, pool: Pool) -> int:
     """The one form of `text`, read into the pool through `source` (`_Tokens` or `_Chunks`)."""
     try:
         src = source(text + "\n)")  # the ')' closes the top level, after the end of any comment
@@ -180,7 +180,7 @@ class _Tokens:
     def skip(self, i: int) -> int:
         return _form_end(self.tokens, i)[1]
 
-    def read(self, pool: Pool, i: int) -> tuple[list[Gate], int]:
+    def read(self, pool: Pool, i: int) -> tuple[list[int], int]:
         return pool.read(self.tokens, i)
 
 
@@ -223,7 +223,7 @@ class _Chunks:
             k += 1
             depth += 1
 
-    def read(self, pool: Pool, at: tuple[int, Sequence]) -> tuple[list[Gate], tuple[int, Sequence]]:
+    def read(self, pool: Pool, at: tuple[int, Sequence]) -> tuple[list[int], tuple[int, Sequence]]:
         chunks = iter(self.chunks[at[0] :])
         trees, left = pool.read_tree(chunks, at[1], self.split)
         return trees, (len(self.chunks) - length_hint(chunks), left)  # the first chunk not taken
@@ -245,49 +245,52 @@ def print_circuit(circ: Circuit) -> str:
     spelled out once, as a `let` binding that precedes every use; the
     names g0, g1, ... skip the pool's variable names.
     """
+    pool = circ.pool
+    kinds, children = pool._kinds, pool._children
     gates = iter_gates(circ)
-    uses = [0] * (circ.root.uid + 1)
+    uses = [0] * (circ.uid + 1)
     for gate in gates:
-        for child in gate.children:
-            uses[child.uid] += 1
-    taken = {v.name for v in circ.pool.variables}
+        for child in children[gate]:
+            uses[child] += 1
+    taken = {v.name for v in pool.variables}
     names: dict[int, str] = {}
     out = ["(let ("]
     i = 0
     for gate in gates:  # children first, so a binding uses earlier names only
-        if uses[gate.uid] > 1 and gate.kind not in (CONST, VAR):
+        if uses[gate] > 1 and kinds[gate] not in (CONST, VAR):
             while f"g{i}" in taken:
                 i += 1
             out.append(f"(g{i} ")
-            _spell(gate, names, out)
+            _spell(pool, gate, names, out)
             out.append(") ")
-            names[gate.uid] = f"g{i}"
+            names[gate] = f"g{i}"
             i += 1
     body: list[str] = []
-    _spell(circ.root, names, body)
+    _spell(pool, circ.uid, names, body)
     if not names:
         return "".join(body)
     out[-1] = ")) "
     return "".join(out) + "".join(body) + ")"
 
 
-def _spell(gate: Gate, names: dict[int, str], out: list[str]):
-    """Append the text of `gate` to `out`, with the names of named gates below it."""
+def _spell(pool: Pool, gate: int, names: dict[int, str], out: list[str]):
+    """Append the text of the pool's `gate` to `out`, with the names of named gates below it."""
+    kinds, payloads, children = pool._kinds, pool._payloads, pool._children
     todo: list = [gate]
     while todo:
         item = todo.pop()
-        if isinstance(item, str):
+        if item.__class__ is str:
             out.append(item)
-        elif item.uid in names:
-            out.append(names[item.uid])
-        elif item.kind == CONST:
-            out.append("true" if item.payload else "false")
-        elif item.kind == VAR:
-            out.append(item.payload.name)
+        elif item in names:
+            out.append(names[item])
+        elif kinds[item] == CONST:
+            out.append("true" if payloads[item] else "false")
+        elif kinds[item] == VAR:
+            out.append(payloads[item].name)
         else:
-            out.append(f"(dec {item.payload.name}" if item.kind == DEC else f"({item.kind}")
+            out.append(f"(dec {payloads[item].name}" if kinds[item] == DEC else f"({kinds[item]}")
             todo.append(")")
-            for child in reversed(item.children):
+            for child in reversed(children[item]):
                 todo.append(child)
                 todo.append(" ")
 
@@ -303,19 +306,21 @@ def parse_dtree(text: str, pool: Pool) -> Circuit:
 
 def print_dtree(tree: Circuit) -> str:
     """Canonical text for a decision tree, every path spelled out, with an explicit stack."""
+    kinds, payloads, children = tree.pool._kinds, tree.pool._payloads, tree.pool._children
     out: list[str] = []
-    todo: list = [tree.root]
+    todo: list = [tree.uid]
     while todo:
         item = todo.pop()
-        if isinstance(item, str):
+        if item.__class__ is str:
             out.append(item)
-        elif item.kind == DEC:
-            out.append(f"({item.payload.name} ")
-            todo.extend((")", item.children[1], " ", item.children[0]))
-        elif item.kind == CONST:
-            out.append("1" if item.payload else "0")
+        elif kinds[item] == DEC:
+            out.append(f"({payloads[item].name} ")
+            low, high = children[item]
+            todo.extend((")", high, " ", low))
+        elif kinds[item] == CONST:
+            out.append("1" if payloads[item] else "0")
         else:
-            raise _not_a_tree(item)
+            raise _not_a_tree(kinds[item])
     return "".join(out)
 
 

@@ -143,30 +143,30 @@ def _table(circ: Circuit, masks: Mapping[VarId, int], full: int) -> int:
     Every mask is a subset of `full`, one bit per row; a variable missing
     from `masks` raises KeyError.
     """
-    memo = [0] * (circ.root.uid + 1)
+    kinds, payloads, children = circ.pool._kinds, circ.pool._payloads, circ.pool._children
+    memo = [0] * (circ.uid + 1)
     for gate in iter_gates(circ):
-        kind = gate.kind
+        kind = kinds[gate]
         if kind == CONST:
-            m = full if gate.payload else 0
+            m = full if payloads[gate] else 0
         elif kind == VAR:
-            m = masks[gate.payload]
+            m = masks[payloads[gate]]
         elif kind == NOT:
-            m = full ^ memo[gate.children[0].uid]
+            m = full ^ memo[children[gate][0]]
         elif kind == AND:
             m = full
-            for child in gate.children:
-                m &= memo[child.uid]
+            for child in children[gate]:
+                m &= memo[child]
         elif kind == OR:
             m = 0
-            for child in gate.children:
-                m |= memo[child.uid]
+            for child in children[gate]:
+                m |= memo[child]
         else:  # DEC
-            sel = masks[gate.payload]
-            m = (memo[gate.children[1].uid] & sel) | (
-                memo[gate.children[0].uid] & ~sel & full
-            )
-        memo[gate.uid] = m
-    return memo[circ.root.uid]
+            sel = masks[payloads[gate]]
+            low, high = children[gate]
+            m = (memo[high] & sel) | (memo[low] & ~sel & full)
+        memo[gate] = m
+    return memo[circ.uid]
 
 
 def _ordered(vs: Iterable[VarId]) -> tuple[VarId, ...]:

@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 
 from .circuit import AND, DEC, NOT, OR, VAR
-from .circuit import Circuit, Gate, Pool, conjoin, iter_gates, negate
+from .circuit import Circuit, Pool, conjoin, iter_gates, negate
 from .classifier import Classifier, ClassificationProblem, _forced, label_blocks
 from .rectify import RectificationResult, preprocess_project, rectify
 from .semantics import DEFAULT_VAR_CAP, _position_mask, var_masks
@@ -84,21 +84,23 @@ def syntactic_rewrite(circ: Circuit, rng: random.Random, pool: Pool) -> Circuit:
 
     Variables are matched by name, so `pool` may declare them in any order.
     """
-    memo: list[Gate] = [None] * (circ.root.uid + 1)
+    kinds, payloads, children = circ.pool._kinds, circ.pool._payloads, circ.pool._children
+    memo: list[int] = [0] * (circ.uid + 1)
     for gate in iter_gates(circ):
-        kids = tuple(memo[c.uid] for c in gate.children)
-        if gate.kind in (AND, OR) and len(kids) > 1 and rng.random() < 0.5:
+        kind = kinds[gate]
+        kids = tuple(memo[c] for c in children[gate])
+        if kind in (AND, OR) and len(kids) > 1 and rng.random() < 0.5:
             shuffled = list(kids)
             rng.shuffle(shuffled)
             kids = tuple(shuffled)
-        payload = gate.payload
-        if gate.kind == VAR or gate.kind == DEC:
+        payload = payloads[gate]
+        if kind == VAR or kind == DEC:
             payload = pool.var(payload.name)
-        new = pool._gate(gate.kind, payload, kids)
+        new = pool._gate(kind, payload, kids)
         if rng.random() < 0.25:
             new = pool._gate(NOT, None, (pool._gate(NOT, None, (new,)),))
-        memo[gate.uid] = new
-    return Circuit(pool, memo[circ.root.uid])
+        memo[gate] = new
+    return Circuit(pool, memo[circ.uid])
 
 
 @dataclass(frozen=True)

@@ -103,14 +103,19 @@ def oracle_args(clf, theory):
     return label_blocks(clf.circuit, clf.problem), label_blocks(theory, clf.problem), clf.problem
 
 
+def gate_views(circ):
+    """The `Gate` views of the circuit's reachable gates, in `iter_gates` order."""
+    return [circ.pool.gates[uid] for uid in iter_gates(circ)]
+
+
 def reference_evaluate(circ, omega):
     """Gate-by-gate 0/1 evaluation, independent of the library's mask interpreter.
 
     Raises ValueError when the assignment misses a variable the circuit reads.
     """
-    memo = [0] * (circ.root.uid + 1)
+    memo = [0] * (circ.uid + 1)
     try:
-        for gate in iter_gates(circ):
+        for gate in gate_views(circ):
             kind = gate.kind
             if kind == CONST:
                 v = gate.payload
@@ -127,7 +132,7 @@ def reference_evaluate(circ, omega):
             memo[gate.uid] = v
     except KeyError as exc:
         raise ValueError(f"assignment misses {exc}") from None
-    return memo[circ.root.uid]
+    return memo[circ.uid]
 
 
 _COMMENT = re.compile(r";[^\n]*")
@@ -376,9 +381,9 @@ def var_walks(monkeypatch) -> list:
 def node_count(tree):
     """All nodes of a decision tree with every path spelled out, leaves included."""
     count = {}
-    for gate in iter_gates(tree):
+    for gate in gate_views(tree):
         count[gate.uid] = 1 + sum(count[child.uid] for child in gate.children)
-    return count[tree.root.uid]
+    return count[tree.uid]
 
 
 def decision_count(tree):
@@ -389,7 +394,7 @@ def decision_count(tree):
 
 def graft(tree, on0, on1):
     """Every 0-leaf of the tree becomes `on0`, every 1-leaf `on1`, unreduced."""
-    return _graft(tree, lambda c: (on1 if c else on0).root)
+    return _graft(tree, lambda c: (on1 if c else on0).uid)
 
 
 def dt_negate(tree):
@@ -425,7 +430,7 @@ def is_read_once(tree):
 
 def has_identical_children(tree):
     """Some node has one gate as both children."""
-    return any(gate.kind == DEC and gate.children[0] is gate.children[1] for gate in iter_gates(tree))
+    return any(gate.kind == DEC and gate.children[0] is gate.children[1] for gate in gate_views(tree))
 
 
 def is_simplified(tree):

@@ -29,14 +29,14 @@ from monorect.randgen import random_circuit, random_problem, random_tree
 from monorect.semantics import forget
 from monorect.verify import syntactic_rewrite
 
-from conftest import ast_exprs, brute_equivalent, build_with_vars
+from conftest import ast_exprs, brute_equivalent, build_with_vars, gate_views
 
 NAMES = ("x1", "x2", "x3")
 
 
 def kind_counts(circ):
     counts = {}
-    for gate in iter_gates(circ):
+    for gate in gate_views(circ):
         counts[gate.kind] = counts.get(gate.kind, 0) + 1
     return counts
 
@@ -96,7 +96,7 @@ class TestBuild:
         circ = pool.build(
             ["let", [["p", ["or", "x1", "x2"]]], ["and", "p", ["not", "p"]]]
         )
-        or_gates = [g for g in iter_gates(circ) if g.kind == "or"]
+        or_gates = [g for g in gate_views(circ) if g.kind == "or"]
         assert len(or_gates) == 1
         with pytest.raises(BuildError, match="duplicate let binding 'p': already bound"):
             pool.build(["let", [["p", "x1"], ["p", "x2"]], "p"])
@@ -298,11 +298,11 @@ def test_scan_matches_depth_first_walk(asts, name):
     assert high == condition(circs[0], Term([Literal(var, True)]))
     circs += [low, high, disjoin(low, high), conjoin(circs[-1], low)]
     for circ in circs:
-        gates = iter_gates(circ)
-        assert len({g.uid for g in gates}) == len(gates)
+        uids = iter_gates(circ)
+        assert uids == sorted(g.uid for g in dfs_gates(circ))  # ascending, each reached gate once
+        gates = gate_views(circ)
         assert {id(g) for g in gates} == {id(g) for g in dfs_gates(circ)}
-        position = {g.uid: i for i, g in enumerate(gates)}
-        assert all(position[c.uid] < position[g.uid] for g in gates for c in g.children)
+        assert all(c.uid < g.uid for g in gates for c in g.children)
         assert all(pool.gates[g.uid] is g for g in gates)
         assert circ.vars() == walked_vars(circ)
         assert Circuit(pool, circ.root).vars() is circ.vars()  # cached per root
@@ -316,7 +316,7 @@ def test_small_circuit_built_last_in_a_large_pool():
         chain = pool.not_(chain)
     small = pool.and_([pool.literal(x1), pool.literal(x2)])
     assert len(pool.gates) == 100_003
-    assert [g.uid for g in iter_gates(small)] == sorted(g.uid for g in dfs_gates(small))
+    assert iter_gates(small) == sorted(g.uid for g in dfs_gates(small))
     assert small.vars() == {x1, x2}
 
     def best(circ, runs):
@@ -354,7 +354,7 @@ def test_every_gate_mentions_a_variable_its_pool_declares(seed, n, gates):
     ]
     declared = set(pool.variables)
     for out in outputs:
-        for gate in iter_gates(out):
+        for gate in gate_views(out):
             if gate.kind == VAR or gate.kind == DEC:
                 assert gate.payload in declared
         assert out.vars() <= declared
@@ -486,3 +486,20 @@ def test_true_and_one_are_one_constant():
     assert pool.const(True).root is pool.const(1).root
     assert pool.const(False).root is pool.const(0).root
     assert len(pool.gates) == 2
+
+
+def test_gates_are_read_only_views_one_per_uid():
+    pool = Pool()
+    x1, x2 = pool.declare("x1", "x2")
+    circ = pool.and_([pool.literal(x1), pool.literal(x2, False)])
+    root = circ.root
+    assert root is pool.gates[circ.uid] is pool.gates[-1] is Circuit(pool, root).root
+    assert (root.kind, root.payload, root.uid) == ("and", None, 3)
+    assert [child.uid for child in root.children] == [0, 2]
+    assert root.children[1].children[0] is pool.gates[1] is pool.literal(x2).root
+    assert list(pool.gates) == [pool.gates[uid] for uid in range(4)]
+    for field in ("kind", "payload", "children", "uid"):
+        with pytest.raises(AttributeError):
+            setattr(root, field, None)
+    with pytest.raises(IndexError):
+        pool.gates[4]

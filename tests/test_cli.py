@@ -17,6 +17,8 @@ from monorect import (
     circuit,
     classifier,
     cli,
+    dtree,
+    formats,
     label_blocks,
     negate,
     parse_circuit,
@@ -409,7 +411,7 @@ def _walks(monkeypatch) -> list[int]:
     real = semantics._table
 
     def spy(circ, masks, full):
-        walked.append(circ.root.uid)
+        walked.append(circ.uid)
         return real(circ, masks, full)
 
     for module in (semantics, classifier):
@@ -423,7 +425,7 @@ def _traversals(monkeypatch) -> list[int]:
     real = circuit.iter_gates
 
     def spy(circ):
-        walked.append(circ.root.uid)
+        walked.append(circ.uid)
         return real(circ)
 
     for name, module in list(sys.modules.items()):
@@ -470,7 +472,7 @@ def test_check_certifies_only_the_problem_file(monkeypatch, capsys):
     real = classifier.check_xy_property
 
     def spy(circ, problem, cap=semantics.DEFAULT_VAR_CAP):
-        certified.append(circ.root.uid)
+        certified.append(circ.uid)
         return real(circ, problem, cap)
 
     monkeypatch.setattr(classifier, "check_xy_property", spy)
@@ -840,3 +842,33 @@ def test_a_mutated_input_works_or_is_rejected_with_one_typed_line(case):
                 pf = parse_problem(text)
                 rectified = parse_circuit(out.getvalue().splitlines()[1][len("rectified: ") :], pf.pool)
                 assert rectified.size <= pf.sigma.size + 2 * pf.theory.size + 16, text
+
+
+def test_no_command_and_no_tree_rectification_makes_a_gate_view(monkeypatch, capsys):
+    # the kernels walk uids; a `Gate` view is made only where `Circuit.root` or `Pool.gates` is read
+    made = []
+    real = circuit.Gate.__init__
+    monkeypatch.setattr(
+        circuit.Gate, "__init__", lambda view, pool, uid: made.append(uid) or real(view, pool, uid)
+    )
+    trees = [str(PROBLEMS / f"demo_{part}.tree") for part in ("sigma", "theory")]
+    codes = []
+    for path in sorted(str(p) for p in PROBLEMS.glob("*.sexp")):
+        for argv in (
+            ["rectify", "--problem", path],
+            ["rectify", "--problem", path, "--simplify"],
+            ["rectify", "--problem", path, "--out", "dtree"],
+            ["classify", "--problem", path, "--instance", "101"],
+            ["classify", "--problem", path, "--instances", str(PROBLEMS / "demo.instances")],
+            ["table", "--problem", path],
+            ["check", "--problem", path, "--rewrites", "3"],
+        ):
+            codes.append(main(argv))
+    codes.append(main(["dt-rectify", "--sigma", trees[0], "--theory", trees[1]]))
+    codes.append(main(["fuzz", "--vars", "3", "--iters", "10"]))
+    sigma, theory = (formats.parse_tree_file(Path(path).read_text()) for path in trees)
+    rectified = dtree.dt_rectify(sigma.tree, theory.tree, sigma.problem)
+    assert formats.print_dtree(rectified) == "(x1 (y 1 0) (x2 (y 1 0) (y 0 1)))"
+    capsys.readouterr()
+    assert codes.count(0) == 16 and made == []
+    assert rectified.root.uid == rectified.uid and made == [rectified.uid]  # the spy sees a view

@@ -25,7 +25,6 @@ from monorect import (
     equivalent,
     evaluate,
     is_fact_compliant,
-    iter_gates,
     label_blocks,
     oracle_rectify,
     parse_dtree,
@@ -47,6 +46,7 @@ from conftest import (
     dt_conjoin,
     dt_disjoin,
     dt_negate,
+    gate_views,
     graft,
     has_identical_children,
     is_read_once,
@@ -598,7 +598,7 @@ def recursive_has_identical_children(tree):
 def _gates(circ):
     """Every gate with its uid, so the order gates were created in counts too."""
     return [
-        (g.uid, g.kind, g.payload, tuple(c.uid for c in g.children)) for g in iter_gates(circ)
+        (g.uid, g.kind, g.payload, tuple(c.uid for c in g.children)) for g in gate_views(circ)
     ]
 
 
@@ -963,9 +963,10 @@ def test_a_bench_shaped_read_pair_rectifies_as_its_rebuilt_copy(monkeypatch):
     assert walks == []
     assert print_dtree(out) == print_dtree(dt_rectify(sigma, theory, problem))
     assert walks == []
-    # the output lives in the theory's pool, and no gate of the classifier's pool leaks into it
+    # the output lives in the theory's pool, and no uid of the classifier's pool leaks into it:
+    # its text, read back into the theory's pool, is the same gate
     assert out.pool is read_theory.pool
-    assert all(read_theory.pool.gates[gate.uid] is gate for gate in iter_gates(out))
+    assert parse_dtree(print_dtree(out), read_theory.pool) == out
 
 
 SIGMA_OUTSIDE = "^tree mentions variables outside the problem: z1$"

@@ -1,3 +1,5 @@
+import functools
+import gc
 import random
 import re
 import tracemalloc
@@ -844,13 +846,20 @@ def test_a_text_cut_in_a_one_step_node_is_missing_a_parenthesis(end):
         parse_dtree(_TWO_LEAF_TREE[_TWO_LEAF_TREE.index("(x1") : end], fresh_pool())
 
 
-def test_a_read_pool_holds_at_most_215_bytes_per_gate():
-    # A gate is a `Gate` and its children tuple, which also keys it in its
-    # unique table (about 170 bytes in all); a key tuple per gate would add 64.
+@functools.cache
+def _problem_text_20k():
+    """A problem file whose sigma is a 20,000-gate random circuit."""
     pool = Pool()
     features = pool.declare(*(f"x{i}" for i in range(1, 9)))
     sigma = print_circuit(random_circuit(pool, features, 20_000, random.Random(7)))
-    text = f"(features {' '.join(x.name for x in features)}) (labels y) (sigma {sigma}) (theory true)"
+    return f"(features {' '.join(x.name for x in features)}) (labels y) (sigma {sigma}) (theory true)"
+
+
+def test_a_read_pool_holds_at_most_135_bytes_per_gate():
+    # A gate is its uid: an entry in each of the three store lists, a tuple
+    # of child uids that also keys it in its unique table, and the uid's int
+    # (about 123 bytes in all); a key tuple per gate would add 64.
+    text = _problem_text_20k()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -859,4 +868,35 @@ def test_a_read_pool_holds_at_most_215_bytes_per_gate():
     finally:
         tracemalloc.stop()
     assert len(read.pool.gates) > 19_000
-    assert held / len(read.pool.gates) <= 215
+    assert held / len(read.pool.gates) <= 135
+
+
+def _random_full_tree(depth, rng):
+    """The text of a full tree over x1, x2 and y with random leaves: hundreds of distinct subtrees."""
+    level = [rng.choice("01") for _ in range(1 << depth)]
+    for k in range(depth):
+        level = [f"({_FEW[k % 3]} {low} {high})" for low, high in zip(level[::2], level[1::2])]
+    return level[0]
+
+
+@pytest.mark.parametrize(
+    "read, gates",
+    [
+        (lambda: parse_dtree(_balanced_tree(12), _few_pool()).pool, 25),
+        (lambda: parse_dtree(_random_full_tree(12, random.Random(5)), _few_pool()).pool, 700),
+        (lambda: parse_problem(_problem_text_20k()).pool, 19_000),
+    ],
+    ids=["balanced-tree", "random-tree", "problem-20k"],
+)
+def test_a_read_leaves_no_collector_tracked_object_per_gate(read, gates):
+    # The store holds strings, variables, ints and tuples of ints; the collector
+    # untracks such a tuple the first time it examines it, so once it has run the
+    # read adds a fixed handful of tracked objects, not a `Gate` and a children
+    # tuple per gate.
+    _problem_text_20k()  # made before the count
+    gc.collect()
+    before = len(gc.get_objects())
+    pool = read()
+    gc.collect()
+    assert len(pool.gates) >= gates
+    assert len(gc.get_objects()) - before < 100

@@ -33,11 +33,16 @@ def test_an_unused_import_is_reported():
     assert _unused_imports(source) == ["path (line 1)", "json (line 2)"]
 
 
-def _store_writes(source: str) -> list[str]:
-    """Where a module makes pool gates.
+_STORE_LISTS = ("_kinds", "_payloads", "_children")
 
-    That is a `Gate(...)` call, a `._interned` read, a `._unique(...)` call
-    (it hands out a unique table, which holds gates) or a `.gates.append`.
+
+def _store_writes(source: str) -> list[str]:
+    """Where a module makes pool gates or views.
+
+    That is an `.append` on one of the store lists `_STORE_LISTS`, called
+    or taken as a bound method, a `._interned` or `._views` read, a
+    `._unique(...)` call (it hands out a unique table, which maps children
+    to uids), or a `Gate(...)` call (a view the pool would not hand out).
     """
     found = []
     for node in ast.walk(ast.parse(source)):
@@ -47,14 +52,11 @@ def _store_writes(source: str) -> list[str]:
                 found.append(f"Gate(...) (line {node.lineno})")
             elif getattr(func, "attr", None) == "_unique":
                 found.append(f"._unique(...) (line {node.lineno})")
-            elif (
-                isinstance(func, ast.Attribute)
-                and func.attr == "append"
-                and getattr(func.value, "attr", None) == "gates"
-            ):
-                found.append(f".gates.append (line {node.lineno})")
-        elif isinstance(node, ast.Attribute) and node.attr == "_interned":
-            found.append(f"._interned (line {node.lineno})")
+        elif isinstance(node, ast.Attribute):
+            if node.attr in ("_interned", "_views"):
+                found.append(f".{node.attr} (line {node.lineno})")
+            elif node.attr == "append" and getattr(node.value, "attr", None) in _STORE_LISTS:
+                found.append(f".{node.value.attr}.append (line {node.lineno})")
     return found
 
 
@@ -62,21 +64,28 @@ def _store_writes(source: str) -> list[str]:
     "path", [p for p in MODULES if p.name != "circuit.py"], ids=lambda p: p.name
 )
 def test_only_the_circuit_module_makes_gates(path):
-    # one gate per key, uid = position in `Pool.gates`, children first: kept in one module
+    # one uid per (kind, payload, children), uid = position in the store, children
+    # first, one view per uid: kept in one module; the others read the store lists
     assert _store_writes(path.read_text()) == []
 
 
 def test_a_gate_made_outside_the_pool_is_reported():
     source = (
-        "gate = pool._interned.get(key)\n"
-        "gate = circuit.Gate(DEC, var, kids, len(pool.gates))\n"
-        "pool.gates.append(Gate(CONST, 1, (), 0))\n"
+        "uid = pool._interned.get(key)\n"
+        "view = circuit.Gate(pool, len(pool._kinds))\n"
+        "pool._kinds.append(DEC); pool._children.append(kids)\n"
         "table = pool._unique(DEC, var)\n"
+        "add = pool._payloads.append\n"
+        "pool._views[uid] = Gate(pool, uid)\n"
+        "kinds = pool._kinds; kids = pool._children[uid]; pool.gates[uid]\n"
     )
     assert sorted(_store_writes(source)) == [
+        "._children.append (line 3)",
         "._interned (line 1)",
+        "._kinds.append (line 3)",
+        "._payloads.append (line 5)",
         "._unique(...) (line 4)",
-        ".gates.append (line 3)",
+        "._views (line 6)",
         "Gate(...) (line 2)",
-        "Gate(...) (line 3)",
+        "Gate(...) (line 6)",
     ]

@@ -1,0 +1,182 @@
+"""The uid kernels against object-graph references over `Gate` views.
+
+`reference_substitute` and `reference_table` are the gate-object kernels
+of `condition`/`cofactors` and of the gate interpreter, written over the
+read-only views that `Circuit.root` and `Gate.children` hand out, and
+walking the DAG with a seen set instead of `iter_gates`.  They build
+through the pool's public constructors, so a kernel that reads the store
+wrongly, or creates gates in another order, shows as a different pool.
+"""
+
+import operator
+import random
+from unittest import mock
+
+from hypothesis import given, settings, strategies as st
+
+from monorect import Literal, Pool, Term, cofactors, condition, label_blocks, truth_mask, var_masks
+from monorect import classifier, semantics
+from monorect.circuit import AND, CONST, DEC, NOT, OR, VAR, Circuit
+from monorect.randgen import random_circuit, random_problem, random_tree
+
+
+def reached(circ):
+    """The views reachable from the root, by a depth-first walk, in ascending uid order."""
+    seen = {}
+    todo = [circ.root]
+    while todo:
+        gate = todo.pop()
+        if gate.uid not in seen:
+            seen[gate.uid] = gate
+            todo.extend(gate.children)
+    return [seen[uid] for uid in sorted(seen)]
+
+
+def reference_substitute(circ, values):
+    """The root view of `condition` under each of `values` (variable -> True/False/None)."""
+    pool = circ.pool
+    true_gate, false_gate = pool.const(1).root, pool.const(0).root
+    sides = [(value, {}) for value in values]
+    for gate in reached(circ):
+        kind, kids = gate.kind, gate.children
+        for value, memo in sides:
+            if kind == CONST:
+                new = gate
+            elif kind == VAR:
+                fixed = value(gate.payload)
+                new = gate if fixed is None else true_gate if fixed else false_gate
+            elif kind == NOT:
+                child = memo[kids[0]]
+                if child.kind == CONST:
+                    new = false_gate if child.payload else true_gate
+                elif child is kids[0]:
+                    new = gate
+                else:
+                    new = pool.not_(Circuit(pool, child)).root
+            elif kind == DEC:
+                fixed = value(gate.payload)
+                low, high = memo[kids[0]], memo[kids[1]]
+                if fixed is not None:
+                    new = high if fixed else low
+                elif low is kids[0] and high is kids[1]:
+                    new = gate
+                else:
+                    new = pool.decision(gate.payload, Circuit(pool, low), Circuit(pool, high)).root
+            else:
+                absorbing, neutral = (false_gate, true_gate) if kind == AND else (true_gate, false_gate)
+                parts = [memo[child] for child in kids]
+                kept = [part for part in parts if part is not neutral]
+                if absorbing in parts:
+                    new = absorbing
+                elif len(kept) == len(kids) and all(map(operator.is_, parts, kids)):
+                    new = gate
+                elif not kept:
+                    new = neutral
+                else:
+                    build = pool.and_ if kind == AND else pool.or_
+                    new = build(Circuit(pool, part) for part in kept).root
+            memo[gate] = new
+    return [memo[circ.root] for _, memo in sides]
+
+
+def reference_table(circ, masks, full):
+    """The root's mask, each gate the bitwise operation on its children's masks."""
+    memo = {}
+    for gate in reached(circ):
+        kind, kids = gate.kind, gate.children
+        if kind == CONST:
+            m = full if gate.payload else 0
+        elif kind == VAR:
+            m = masks[gate.payload]
+        elif kind == NOT:
+            m = full ^ memo[kids[0]]
+        elif kind == AND:
+            m = full
+            for child in kids:
+                m &= memo[child]
+        elif kind == OR:
+            m = 0
+            for child in kids:
+                m |= memo[child]
+        else:  # DEC
+            sel = masks[gate.payload]
+            m = (memo[kids[1]] & sel) | (memo[kids[0]] & ~sel & full)
+        memo[gate] = m
+    return memo[circ.root]
+
+
+def store(pool):
+    """Every gate of the pool, in uid order: kind, payload and child uids."""
+    return [(g.kind, g.payload, tuple(c.uid for c in g.children)) for g in pool.gates]
+
+
+def setting(seed, n, gates, tree, padded=False):
+    """A fresh pool, its problem, and a random circuit (or tree) over all its variables.
+
+    A padded circuit sits below an and/or gate with a neutral constant child,
+    which conditioning drops while the other child may stay as it is.
+    """
+    rng = random.Random(seed)
+    pool = Pool()
+    problem = random_problem(pool, n)
+    if tree:
+        return pool, problem, random_tree(pool, problem.all_vars, rng, depth=5, leaf_prob=0.2)
+    circ = random_circuit(pool, problem.all_vars, gates, rng)
+    if padded:
+        circ = pool.or_([pool.and_([circ, pool.const(1)]), pool.const(0)])
+    return pool, problem, circ
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 5),
+    gates=st.integers(0, 40),
+    tree=st.booleans(),
+    padded=st.booleans(),
+    fixed=st.lists(st.tuples(st.integers(0, 5), st.booleans()), max_size=4),
+)
+@settings(max_examples=120)
+def test_condition_and_cofactors_match_the_object_graph_kernel(seed, n, gates, tree, padded, fixed):
+    # two pools built alike: the kernel runs in one, the reference in the other
+    (a, problem, circ), (b, _, twin) = (setting(seed, n, gates, tree, padded) for _ in range(2))
+    over = problem.all_vars
+    term = Term(Literal(var, bit) for var, bit in {over[i % len(over)]: bit for i, bit in fixed}.items())
+    var = over[seed % len(over)]
+    # condition: one root, and the same gates created in the same order
+    got = condition(circ, term)
+    if len(term):
+        (want,) = reference_substitute(twin, (term.value,))
+    else:
+        want = twin.root
+    assert got.uid == want.uid and store(a) == store(b)
+    # cofactors: both roots of the one sweep, also on a variable the circuit does not mention
+    (unmentioned,) = a.declare("z")
+    b.declare("z")
+    for var in (var, unmentioned):
+        low, high = cofactors(circ, var)
+        want_low, want_high = reference_substitute(twin, ({var: False}.get, {var: True}.get))
+        assert (low.uid, high.uid) == (want_low.uid, want_high.uid)
+        assert store(a) == store(b)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 5),
+    gates=st.integers(0, 40),
+    tree=st.booleans(),
+    instances=st.lists(st.integers(0, 31), max_size=6),
+)
+@settings(max_examples=120)
+def test_masks_match_the_object_graph_interpreter(seed, n, gates, tree, instances):
+    pool, problem, circ = setting(seed, n, gates, tree)
+    size = len(pool.gates)
+    over = problem.all_vars
+    full = (1 << (1 << len(over))) - 1
+    assert truth_mask(circ, over) == reference_table(circ, var_masks(over), full)
+    words = [format(i % (1 << n), f"0{n}b") for i in instances]
+    got = (label_blocks(circ, problem), label_blocks(circ, problem, words))
+    with mock.patch.object(semantics, "_table", reference_table), \
+            mock.patch.object(classifier, "_table", reference_table):
+        want = (label_blocks(circ, problem), label_blocks(circ, problem, words))
+    assert got == want
+    assert len(pool.gates) == size  # reading masks makes no gate

@@ -138,7 +138,7 @@ class TestChecks:
         real = semantics._table
 
         def spy(circ, masks, full):
-            walked.append(circ.root.uid)
+            walked.append(circ.uid)
             return real(circ, masks, full)
 
         monkeypatch.setattr(semantics, "_table", spy)
@@ -146,7 +146,7 @@ class TestChecks:
         assert check(demo.sigma, again)
         assert walked == []
         check(demo.sigma, demo.theory)
-        assert walked == [demo.sigma.root.uid, demo.theory.root.uid]
+        assert walked == [demo.sigma.uid, demo.theory.uid]
 
     @pytest.mark.parametrize("check", [equivalent])
     def test_one_circuit_over_the_cap_still_raises(self, demo, check):
