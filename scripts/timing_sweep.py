@@ -1,13 +1,16 @@
 #!/usr/bin/env python3
 """Measure how rectification cost scales with input size.
 
-For each gate budget, generates a fresh random theory over a fixed
-feature set, times the construction alone (no enumeration happens
-anywhere on that path), and fits elapsed time against the combined input
-arc count.  A slope with R^2 near 1 is the empirical face of the
-linear-time claim; a flat cost per input arc is the stricter one, so each
-row also gives microseconds per arc, and the last line the ratio of the
-largest to the smallest of them over the sizes of at least 1000 arcs.
+For each gate budget, generates one random theory over a fixed feature
+set, times the construction alone (no enumeration happens anywhere on
+that path) `--trials` times on that one input, keeps the fastest, and
+fits elapsed time against the combined input arc count.  Each trial
+rebuilds the input from the same seed in a fresh pool, so every trial
+times the same work and none finds the output's gates already made.  A
+slope with R^2 near 1 is the empirical face of the linear-time claim; a
+flat cost per input arc is the stricter one, so each row also gives
+microseconds per arc, and the last line the ratio of the largest to the
+smallest of them over the sizes of at least 1000 arcs.
 
 Usage: python scripts/timing_sweep.py [--seed N] [--trials K]
 """
@@ -25,6 +28,7 @@ BUDGETS = (100, 300, 1000, 3000, 10000, 30000, 100000, 300000)
 
 
 def timed_construction(gate_budget: int, seed: int) -> tuple[int, float, int]:
+    """Input arcs, seconds and output arcs of one `rectify` of the seed's input, in a new pool."""
     rng = random.Random(seed)
     pool = Pool()
     problem = random_problem(pool, 14)
@@ -41,16 +45,17 @@ def timed_construction(gate_budget: int, seed: int) -> tuple[int, float, int]:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--trials", type=int, default=3, help="runs per size (fastest kept)")
+    parser.add_argument(
+        "--trials", type=int, default=3, help="timed runs of the one input per size (fastest kept)"
+    )
     args = parser.parse_args()
 
     print(f"{'budget':>8} {'input arcs':>11} {'output arcs':>12} {'time':>10} {'us/arc':>7}")
     arcs, times = [], []
     for budget in BUDGETS:
-        # fastest trial per size: least-noise estimate of the true cost
+        # one input per size, timed --trials times: the fastest is the least-noise estimate
         input_arcs, elapsed, output_arcs = min(
-            (timed_construction(budget, args.seed + budget + k)
-             for k in range(args.trials)),
+            (timed_construction(budget, args.seed + budget) for _ in range(args.trials)),
             key=lambda row: row[1],
         )
         arcs.append(input_arcs)

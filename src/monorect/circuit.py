@@ -23,8 +23,8 @@ Only this module makes gates: `Pool._gate`, `Pool.read` (circuit tokens)
 and `Pool.read_tree` (tree text split on '(', with a plan per distinct
 chunk) append them to the store and intern them, each in the unique
 table of the gate's kind and payload (`Pool._unique`), keyed by the
-children tuple the store keeps.  `Circuit.root` and `Pool.gates` hand
-out read-only `Gate` views, one per (pool, uid); no kernel makes one.
+children tuple the store keeps.  A `Circuit` (pool and uid) is the one
+handle on a gate; its `kind`, `payload` and `children` read the store.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import chain
-from operator import index
 from typing import Callable, Collection, Iterable, Iterator, NamedTuple
 
 from .errors import BuildError, ParseError
@@ -113,45 +112,25 @@ class Term:
         return f"Term({body})" if body else "Term()"
 
 
-class Gate:
-    """A read-only view of one pooled gate, made only by `Pool.gates`: one per (pool, uid),
-    so `is` between the views of one pool is uid equality."""
-
-    __slots__ = ("_pool", "_uid")
-
-    def __init__(self, pool: "Pool", uid: int):
-        self._pool, self._uid = pool, uid
-
-    uid = property(lambda self: self._uid)
-    kind = property(lambda self: self._pool._kinds[self._uid])
-    payload = property(lambda self: self._pool._payloads[self._uid])
-
-    @property
-    def children(self) -> tuple[Gate, ...]:
-        gates = self._pool.gates
-        return tuple(gates[uid] for uid in self._pool._children[self._uid])
-
-    def __repr__(self):
-        if self.payload is None:
-            return f"Gate({self.kind}/{len(self.children)})"
-        return f"Gate({self.kind} {getattr(self.payload, 'name', self.payload)})"
-
-
 class Circuit:
-    """A rooted view into a pool's gate DAG: the pool and the root's uid.
+    """A gate of a pool as a rooted circuit: the pool and the gate's uid.
 
     Equality is root identity: thanks to interning, two circuits from the
     same pool are == exactly when they are syntactically identical.
-    `root` is a uid, or a `Gate` view of the pool.
+    `kind`, `payload` and `children` (circuits too) read the root gate's entry.
     """
 
     __slots__ = ("pool", "uid")
 
-    def __init__(self, pool: "Pool", root: "int | Gate"):
-        self.pool = pool
-        self.uid = root if root.__class__ is int else root.uid
+    def __init__(self, pool: "Pool", uid: int):
+        self.pool, self.uid = pool, uid
 
-    root = property(lambda self: self.pool.gates[self.uid], doc="The root gate's view.")
+    kind = property(lambda self: self.pool._kinds[self.uid])
+    payload = property(lambda self: self.pool._payloads[self.uid])
+
+    @property
+    def children(self) -> tuple[Circuit, ...]:
+        return tuple(Circuit(self.pool, uid) for uid in self.pool._children[self.uid])
 
     @property
     def size(self) -> int:
@@ -162,7 +141,7 @@ class Circuit:
     def vars(self) -> frozenset[VarId]:
         """Variables occurring in the circuit, including decision-gate variables.
 
-        Cached in the pool by root uid, so every view of one root walks once.
+        Cached in the pool by root uid, so every circuit of one root walks once.
         """
         cache = self.pool._vars_of
         found = cache.get(self.uid)
@@ -192,36 +171,17 @@ class Circuit:
         return hash((id(self.pool), self.uid))
 
     def __repr__(self):
-        return f"<Circuit {self.pool._kinds[self.uid]} size={self.size}>"
-
-
-class _Gates:
-    """`Pool.gates`: the pool's gates as `Gate` views, indexed by uid (and iterated so)."""
-
-    __slots__ = ("_pool",)
-
-    def __init__(self, pool: "Pool"):
-        self._pool = pool
-
-    def __len__(self):
-        return len(self._pool._kinds)
-
-    def __getitem__(self, uid: int) -> Gate:
-        uid = range(len(self))[index(uid)]  # a negative uid counts from the end
-        view = self._pool._views.get(uid)
-        if view is None:
-            view = self._pool._views[uid] = Gate(self._pool, uid)
-        return view
+        return f"<Circuit {self.kind} size={self.size}>"
 
 
 class Pool:
     """Variable table plus append-only interned gate storage.
 
     The store is three lists indexed by uid, with one unique table per
-    (kind, payload), see `_unique`; `gates` shows each gate as a `Gate`
-    view.  All circuits combined by the module's operations must come
-    from the same pool.  Construction of a pool is single-writer; once
-    built, gates are immutable and safe to read from anywhere.
+    (kind, payload), see `_unique`.  All circuits combined by the
+    module's operations must come from the same pool.  Construction of
+    a pool is single-writer; once built, gates are immutable and safe to
+    read from anywhere.
 
     Every variable a gate mentions is one the pool declares: `literal`
     and `decision` check it, `read` and `read_tree` resolve names
@@ -241,10 +201,7 @@ class Pool:
         self._kinds: list[str] = []
         self._payloads: list = []
         self._children: list[tuple[int, ...]] = []
-        self._views: dict[int, Gate] = {}
         self._vars_of: dict[int, frozenset[VarId]] = {}
-
-    gates = property(lambda self: _Gates(self), doc="Every gate, as a `Gate` view, indexed by uid.")
 
     # ------------------------------------------------------------------
     # variables

@@ -61,7 +61,7 @@ def _parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--max-vars",
-        type=_at_least_0,
+        type=_at_least(0),
         default=DEFAULT_VAR_CAP,
         help=f"enumeration cap for brute-force checks (default {DEFAULT_VAR_CAP})",
     )
@@ -88,7 +88,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", parents=[common], help="run the postulate battery")
     p.add_argument("--problem", required=True)
-    p.add_argument("--rewrites", type=_at_least_0, default=5, help="syntactic variants to try")
+    p.add_argument("--rewrites", type=_at_least(0), default=5, help="syntactic variants to try")
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("dt-rectify", help="rectify a decision tree")
@@ -96,22 +96,24 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--theory", required=True, help="background-knowledge tree file")
 
     p = sub.add_parser("fuzz", parents=[common], help="random oracle and size-bound battery")
-    p.add_argument("--vars", type=int, default=6, help="number of features")
-    p.add_argument("--iters", type=_at_least_0, default=100)
+    p.add_argument("--vars", type=_at_least(1), default=6, help="number of features")
+    p.add_argument("--iters", type=_at_least(0), default=100)
     p.add_argument("--seed", type=int, default=0)
 
     return parser
 
 
-def _at_least_0(text: str) -> int:
-    """An argument type: a whole number that is not negative."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
-    return value
+def _at_least(low: int):
+    """An argument type: a whole number that is not below `low`."""
+    def whole(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return whole
 
 
 def _text(path: str) -> str:

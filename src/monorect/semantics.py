@@ -175,9 +175,11 @@ def _ordered(vs: Iterable[VarId]) -> tuple[VarId, ...]:
 
 def equivalent(a: Circuit, b: Circuit, cap: int = DEFAULT_VAR_CAP) -> bool:
     """Same models over the union of the two variable sets; one circuit needs no walk."""
+    if a == b:
+        return True
     over = _ordered(a.vars() | b.vars())
     ensure_cap(len(over), cap)
-    return a == b or truth_mask(a, over) == truth_mask(b, over)
+    return truth_mask(a, over) == truth_mask(b, over)
 
 
 def forget(circ: Circuit, vs: Iterable[VarId]) -> Circuit:

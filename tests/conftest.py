@@ -103,9 +103,24 @@ def oracle_args(clf, theory):
     return label_blocks(clf.circuit, clf.problem), label_blocks(theory, clf.problem), clf.problem
 
 
-def gate_views(circ):
-    """The `Gate` views of the circuit's reachable gates, in `iter_gates` order."""
-    return [circ.pool.gates[uid] for uid in iter_gates(circ)]
+def gates_of(circ):
+    """The circuit's reachable gates, each as a `Circuit`, in `iter_gates` order."""
+    return [Circuit(circ.pool, uid) for uid in iter_gates(circ)]
+
+
+def gate_count(pool):
+    """The number of gates in the pool's store."""
+    return len(pool._kinds)
+
+
+def pool_gates(pool):
+    """Every gate of the pool, each as a `Circuit`, in uid order."""
+    return [Circuit(pool, uid) for uid in range(gate_count(pool))]
+
+
+def store(pool):
+    """Every gate of the pool, in uid order: kind, payload and child uids."""
+    return [(g.kind, g.payload, tuple(c.uid for c in g.children)) for g in pool_gates(pool)]
 
 
 def reference_evaluate(circ, omega):
@@ -115,7 +130,7 @@ def reference_evaluate(circ, omega):
     """
     memo = [0] * (circ.uid + 1)
     try:
-        for gate in gate_views(circ):
+        for gate in gates_of(circ):
             kind = gate.kind
             if kind == CONST:
                 v = gate.payload
@@ -356,7 +371,7 @@ def tree_from_spec(pool, spec):
 def reference_tree_vars(tree):
     """Every variable a decision tree mentions, reached or not, by a walk over all its nodes."""
     found = set()
-    todo = [tree.root]
+    todo = [tree]
     while todo:
         gate = todo.pop()
         if gate.kind == DEC:
@@ -381,7 +396,7 @@ def var_walks(monkeypatch) -> list:
 def node_count(tree):
     """All nodes of a decision tree with every path spelled out, leaves included."""
     count = {}
-    for gate in gate_views(tree):
+    for gate in gates_of(tree):
         count[gate.uid] = 1 + sum(count[child.uid] for child in gate.children)
     return count[tree.uid]
 
@@ -415,7 +430,7 @@ def dt_disjoin(a, b):
 def is_read_once(tree):
     """No variable twice on any root-to-leaf path."""
     path: set = set()
-    todo: list = [tree.root]
+    todo: list = [tree]
     while todo:
         gate = todo.pop()
         if gate is None:
@@ -430,7 +445,7 @@ def is_read_once(tree):
 
 def has_identical_children(tree):
     """Some node has one gate as both children."""
-    return any(gate.kind == DEC and gate.children[0] is gate.children[1] for gate in gate_views(tree))
+    return any(gate.kind == DEC and gate.children[0] == gate.children[1] for gate in gates_of(tree))
 
 
 def is_simplified(tree):

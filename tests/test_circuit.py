@@ -29,14 +29,14 @@ from monorect.randgen import random_circuit, random_problem, random_tree
 from monorect.semantics import forget
 from monorect.verify import syntactic_rewrite
 
-from conftest import ast_exprs, brute_equivalent, build_with_vars, gate_views
+from conftest import ast_exprs, brute_equivalent, build_with_vars, gate_count, gates_of
 
 NAMES = ("x1", "x2", "x3")
 
 
 def kind_counts(circ):
     counts = {}
-    for gate in gate_views(circ):
+    for gate in gates_of(circ):
         counts[gate.kind] = counts.get(gate.kind, 0) + 1
     return counts
 
@@ -96,7 +96,7 @@ class TestBuild:
         circ = pool.build(
             ["let", [["p", ["or", "x1", "x2"]]], ["and", "p", ["not", "p"]]]
         )
-        or_gates = [g for g in gate_views(circ) if g.kind == "or"]
+        or_gates = [g for g in gates_of(circ) if g.kind == "or"]
         assert len(or_gates) == 1
         with pytest.raises(BuildError, match="duplicate let binding 'p': already bound"):
             pool.build(["let", [["p", "x1"], ["p", "x2"]], "p"])
@@ -267,7 +267,7 @@ def dfs_gates(circ):
     """A depth-first walk with a seen set, blind to uid order: the scan's reference."""
     seen = set()
     out = []
-    stack = [(circ.root, False)]
+    stack = [(circ, False)]
     while stack:
         gate, ready = stack.pop()
         if ready:
@@ -300,12 +300,12 @@ def test_scan_matches_depth_first_walk(asts, name):
     for circ in circs:
         uids = iter_gates(circ)
         assert uids == sorted(g.uid for g in dfs_gates(circ))  # ascending, each reached gate once
-        gates = gate_views(circ)
-        assert {id(g) for g in gates} == {id(g) for g in dfs_gates(circ)}
+        gates = gates_of(circ)
+        assert set(gates) == set(dfs_gates(circ))
         assert all(c.uid < g.uid for g in gates for c in g.children)
-        assert all(pool.gates[g.uid] is g for g in gates)
+        assert all(g == Circuit(pool, g.uid) for g in gates + dfs_gates(circ))  # all of this pool
         assert circ.vars() == walked_vars(circ)
-        assert Circuit(pool, circ.root).vars() is circ.vars()  # cached per root
+        assert Circuit(pool, circ.uid).vars() is circ.vars()  # cached per root
 
 
 def test_small_circuit_built_last_in_a_large_pool():
@@ -315,7 +315,7 @@ def test_small_circuit_built_last_in_a_large_pool():
     for _ in range(100_000):
         chain = pool.not_(chain)
     small = pool.and_([pool.literal(x1), pool.literal(x2)])
-    assert len(pool.gates) == 100_003
+    assert gate_count(pool) == 100_003
     assert iter_gates(small) == sorted(g.uid for g in dfs_gates(small))
     assert small.vars() == {x1, x2}
 
@@ -348,13 +348,13 @@ def test_every_gate_mentions_a_variable_its_pool_declares(seed, n, gates):
         circ,
         widened,
         *cofactors(widened, label),
-        forget(widened, [extra.root.payload, rng.choice(problem.features)]),
+        forget(widened, [extra.payload, rng.choice(problem.features)]),
         syntactic_rewrite(widened, rng, pool),
         random_tree(pool, problem.all_vars, rng),
     ]
     declared = set(pool.variables)
     for out in outputs:
-        for gate in gate_views(out):
+        for gate in gates_of(out):
             if gate.kind == VAR or gate.kind == DEC:
                 assert gate.payload in declared
         assert out.vars() <= declared
@@ -471,35 +471,33 @@ def test_readers_constructors_and_kernels_share_one_table(kind, read, make, read
     pool = Pool()
     pool.declare(*NAMES)
     made = [parse_circuit(text, pool) for text in texts]
-    before = len(pool.gates)
+    before = gate_count(pool)
     steps = [reads[read], makes[make]]
     if not read_first:
         steps.reverse()
-    first = steps[0](pool, made).root
-    assert (first.kind, len(pool.gates)) == (kind, before + 1)
-    assert steps[1](pool, made).root is first
-    assert len(pool.gates) == before + 1
+    first = steps[0](pool, made)
+    assert (first.kind, gate_count(pool)) == (kind, before + 1)
+    assert steps[1](pool, made) == first
+    assert gate_count(pool) == before + 1
 
 
 def test_true_and_one_are_one_constant():
     pool = Pool()
-    assert pool.const(True).root is pool.const(1).root
-    assert pool.const(False).root is pool.const(0).root
-    assert len(pool.gates) == 2
+    assert pool.const(True) == pool.const(1)
+    assert pool.const(False) == pool.const(0)
+    assert gate_count(pool) == 2
 
 
-def test_gates_are_read_only_views_one_per_uid():
+def test_kind_payload_and_children_read_the_store():
     pool = Pool()
     x1, x2 = pool.declare("x1", "x2")
     circ = pool.and_([pool.literal(x1), pool.literal(x2, False)])
-    root = circ.root
-    assert root is pool.gates[circ.uid] is pool.gates[-1] is Circuit(pool, root).root
-    assert (root.kind, root.payload, root.uid) == ("and", None, 3)
-    assert [child.uid for child in root.children] == [0, 2]
-    assert root.children[1].children[0] is pool.gates[1] is pool.literal(x2).root
-    assert list(pool.gates) == [pool.gates[uid] for uid in range(4)]
-    for field in ("kind", "payload", "children", "uid"):
+    assert circ == Circuit(pool, gate_count(pool) - 1)
+    assert (circ.kind, circ.payload, circ.uid) == ("and", None, 3)
+    assert [child.uid for child in circ.children] == [0, 2]
+    assert circ.children[1].children[0] == pool.literal(x2) == Circuit(pool, 1)
+    assert (circ.children[0].kind, circ.children[0].payload, circ.children[0].children) == ("var", x1, ())
+    assert all(child.pool is pool for child in circ.children)
+    for field in ("kind", "payload", "children"):
         with pytest.raises(AttributeError):
-            setattr(root, field, None)
-    with pytest.raises(IndexError):
-        pool.gates[4]
+            setattr(circ, field, None)

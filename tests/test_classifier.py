@@ -33,7 +33,7 @@ from monorect.classifier import one_label_per_instance
 from monorect.randgen import random_circuit, random_problem, random_theory
 from monorect.verify import _forced_masks
 
-from conftest import ast_exprs, to_term
+from conftest import ast_exprs, gate_count, to_term
 
 
 class TestProblem:
@@ -411,12 +411,12 @@ def test_instance_queries_build_no_gates(request, setting):
     if fx.problem.mono_label:
         result = rectify(clf, fx.theory)
         queries.append(lambda x: classify_rectified(result, x))
-    gates = len(fx.pool.gates)
+    gates = gate_count(fx.pool)
     for i in range(1 << len(fx.problem.features)):
         inst = Assignment.from_index(i, fx.problem.features)
         for query in queries:
             query(inst)
-        assert len(fx.pool.gates) == gates, f"the pool grew at instance {inst.word}"
+        assert gate_count(fx.pool) == gates, f"the pool grew at instance {inst.word}"
 
 
 class TestAsInstance:

@@ -17,8 +17,6 @@ from monorect import (
     circuit,
     classifier,
     cli,
-    dtree,
-    formats,
     label_blocks,
     negate,
     parse_circuit,
@@ -308,21 +306,23 @@ def test_fuzz_clean_run(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, option",
+    "argv, option, least",
     [
-        (("check", "--problem", DEMO, "--rewrites", "-2"), "--rewrites"),
-        (("fuzz", "--vars", "4", "--iters", "-3"), "--iters"),
+        (("check", "--problem", DEMO, "--rewrites", "-2"), "--rewrites", 0),
+        (("fuzz", "--vars", "4", "--iters", "-3"), "--iters", 0),
+        (("fuzz", "--iters", "0", "--vars", "-5"), "--vars", 1),
+        (("fuzz", "--iters", "0", "--vars", "0"), "--vars", 1),
     ],
-    ids=["check-rewrites", "fuzz-iters"],
+    ids=["check-rewrites", "fuzz-iters", "fuzz-vars", "fuzz-no-vars"],
 )
-def test_negative_counts_are_input_errors(capsys, argv, option):
+def test_negative_counts_are_input_errors(capsys, argv, option, least):
     # rejected by the argument parser, like --max-vars, before the file is read
     with pytest.raises(SystemExit) as exit_:
         main(list(argv))
     captured = capsys.readouterr()
     assert exit_.value.code == 2
     assert captured.out == ""
-    assert f"argument {option}: must be at least 0, got {argv[-1]}" in captured.err
+    assert f"argument {option}: must be at least {least}, got {argv[-1]}" in captured.err
 
 
 @pytest.mark.parametrize(
@@ -843,32 +843,3 @@ def test_a_mutated_input_works_or_is_rejected_with_one_typed_line(case):
                 rectified = parse_circuit(out.getvalue().splitlines()[1][len("rectified: ") :], pf.pool)
                 assert rectified.size <= pf.sigma.size + 2 * pf.theory.size + 16, text
 
-
-def test_no_command_and_no_tree_rectification_makes_a_gate_view(monkeypatch, capsys):
-    # the kernels walk uids; a `Gate` view is made only where `Circuit.root` or `Pool.gates` is read
-    made = []
-    real = circuit.Gate.__init__
-    monkeypatch.setattr(
-        circuit.Gate, "__init__", lambda view, pool, uid: made.append(uid) or real(view, pool, uid)
-    )
-    trees = [str(PROBLEMS / f"demo_{part}.tree") for part in ("sigma", "theory")]
-    codes = []
-    for path in sorted(str(p) for p in PROBLEMS.glob("*.sexp")):
-        for argv in (
-            ["rectify", "--problem", path],
-            ["rectify", "--problem", path, "--simplify"],
-            ["rectify", "--problem", path, "--out", "dtree"],
-            ["classify", "--problem", path, "--instance", "101"],
-            ["classify", "--problem", path, "--instances", str(PROBLEMS / "demo.instances")],
-            ["table", "--problem", path],
-            ["check", "--problem", path, "--rewrites", "3"],
-        ):
-            codes.append(main(argv))
-    codes.append(main(["dt-rectify", "--sigma", trees[0], "--theory", trees[1]]))
-    codes.append(main(["fuzz", "--vars", "3", "--iters", "10"]))
-    sigma, theory = (formats.parse_tree_file(Path(path).read_text()) for path in trees)
-    rectified = dtree.dt_rectify(sigma.tree, theory.tree, sigma.problem)
-    assert formats.print_dtree(rectified) == "(x1 (y 1 0) (x2 (y 1 0) (y 0 1)))"
-    capsys.readouterr()
-    assert codes.count(0) == 16 and made == []
-    assert rectified.root.uid == rectified.uid and made == [rectified.uid]  # the spy sees a view

@@ -10,7 +10,6 @@ from monorect import (
     CapExceededError,
     CertificationError,
     ClassificationProblem,
-    Circuit,
     Classifier,
     Literal,
     Pool,
@@ -46,7 +45,7 @@ from conftest import (
     dt_conjoin,
     dt_disjoin,
     dt_negate,
-    gate_views,
+    gates_of,
     graft,
     has_identical_children,
     is_read_once,
@@ -238,16 +237,15 @@ def _replace_first(tree, old, new):
     None when it has none."""
     if tree == old:
         return new
-    gate = tree.root
-    if gate.kind == CONST:
+    if tree.kind == CONST:
         return None
     pool = tree.pool
-    low, high = (Circuit(pool, child) for child in gate.children)
+    low, high = tree.children
     new_low = _replace_first(low, old, new)
     if new_low is not None:
-        return pool.decision(gate.payload, new_low, high)
+        return pool.decision(tree.payload, new_low, high)
     new_high = _replace_first(high, old, new)
-    return None if new_high is None else pool.decision(gate.payload, low, new_high)
+    return None if new_high is None else pool.decision(tree.payload, low, new_high)
 
 
 @pytest.mark.parametrize("width", [30, 64])
@@ -525,46 +523,38 @@ def test_a_circuit_that_is_not_a_tree_is_rejected_where_it_is_reached(trees):
 # stack-based kernels against recursive versions
 
 
-def _children(tree):
-    return tuple(Circuit(tree.pool, child) for child in tree.root.children)
-
-
 def recursive_condition(tree, lit):
-    gate = tree.root
-    if gate.kind == CONST:
+    if tree.kind == CONST:
         return tree
-    low, high = _children(tree)
-    if gate.payload == lit.var:
+    low, high = tree.children
+    if tree.payload == lit.var:
         return recursive_condition(high if lit.positive else low, lit)
     low = recursive_condition(low, lit)
-    return tree.pool.decision(gate.payload, low, recursive_condition(high, lit))
+    return tree.pool.decision(tree.payload, low, recursive_condition(high, lit))
 
 
 def recursive_graft(tree, on0, on1):
-    gate = tree.root
-    if gate.kind == CONST:
-        return on1 if gate.payload else on0
-    low, high = _children(tree)
+    if tree.kind == CONST:
+        return on1 if tree.payload else on0
+    low, high = tree.children
     low = recursive_graft(low, on0, on1)
-    return tree.pool.decision(gate.payload, low, recursive_graft(high, on0, on1))
+    return tree.pool.decision(tree.payload, low, recursive_graft(high, on0, on1))
 
 
 def recursive_attach_label(tree, label):
     pool = tree.pool
-    gate = tree.root
-    if gate.kind == CONST:
-        return pool.decision(label, pool.const(1 - gate.payload), pool.const(gate.payload))
-    low, high = _children(tree)
+    if tree.kind == CONST:
+        return pool.decision(label, pool.const(1 - tree.payload), pool.const(tree.payload))
+    low, high = tree.children
     low = recursive_attach_label(low, label)
-    return pool.decision(gate.payload, low, recursive_attach_label(high, label))
+    return pool.decision(tree.payload, low, recursive_attach_label(high, label))
 
 
 def recursive_reduce(tree, path):
-    gate = tree.root
-    if gate.kind == CONST:
+    if tree.kind == CONST:
         return tree
-    low, high = _children(tree)
-    var = gate.payload
+    low, high = tree.children
+    var = tree.payload
     forced = path.get(var)
     if forced is not None:
         return recursive_reduce(high if forced else low, path)
@@ -579,15 +569,15 @@ def recursive_reduce(tree, path):
 
 
 def recursive_node_count(tree):
-    if tree.root.kind == CONST:
+    if tree.kind == CONST:
         return 1
-    return 1 + sum(recursive_node_count(child) for child in _children(tree))
+    return 1 + sum(recursive_node_count(child) for child in tree.children)
 
 
 def recursive_has_identical_children(tree):
-    if tree.root.kind == CONST:
+    if tree.kind == CONST:
         return False
-    low, high = _children(tree)
+    low, high = tree.children
     return (
         low == high
         or recursive_has_identical_children(low)
@@ -598,7 +588,7 @@ def recursive_has_identical_children(tree):
 def _gates(circ):
     """Every gate with its uid, so the order gates were created in counts too."""
     return [
-        (g.uid, g.kind, g.payload, tuple(c.uid for c in g.children)) for g in gate_views(circ)
+        (g.uid, g.kind, g.payload, tuple(c.uid for c in g.children)) for g in gates_of(circ)
     ]
 
 
@@ -651,7 +641,7 @@ def cofactor_expansion(circ, order):
     order = tuple(order)
 
     def expand(circ, start):
-        if circ.root.kind == CONST:
+        if circ.kind == CONST:
             return circ
         live = circ.vars()
         if not live:
@@ -835,7 +825,7 @@ def test_equality_hash_and_repr_of_a_deep_tree():
     x1, x2 = pool.declare("x1", "x2")
     a, b = _deep_chain(pool, x1, x2), _deep_chain(pool, x1, x2)
     assert a == b and not a != b
-    assert a.root is b.root
+    assert a.uid == b.uid
     assert hash(a) == hash(b)
     assert a != dt_negate(b)
     assert repr(a) == repr(b) == f"<Circuit dec size={2 * DEEP}>"
@@ -861,7 +851,7 @@ def test_tree_helpers_on_a_deep_tree():
     assert decision_count(tree) == DEEP
     assert is_read_once(tree) and not has_identical_children(tree)
     assert dt_simplify(tree) == tree
-    assert _reduce(tree, {over[0]: 1}).root is tree.root.children[1]
+    assert _reduce(tree, {over[0]: 1}) == tree.children[1]
     assert node_count(_fix(tree, Literal(over[-1], True))) == 2 * DEEP - 1
     assert not is_read_once(chain(pool.decision(over[0], zero, one)))
     twins = chain(pool.decision(over[-1], one, one))
@@ -897,7 +887,7 @@ def test_a_bare_leaf_reads_as_a_leaf_without_variables(text):
     assert leaf.vars() == frozenset()
     for order in itertools.permutations(("(features x1)", "(labels y)", f"(tree {text})")):
         tree = parse_tree_file("".join(order)).tree
-        assert (tree.root.kind, tree.root.payload) == (CONST, int(text))
+        assert (tree.kind, tree.payload) == (CONST, int(text))
 
 
 @given(
@@ -986,7 +976,7 @@ def test_trees_built_on_read_trees_are_walked(trees, monkeypatch):
         dt_check_classification(pool.decision(z1, sigma, pool.const(0)), problem)
     with pytest.raises(ValueError, match=THEORY_OUTSIDE):
         dt_rectify(sigma, pool.decision(z1, theory, pool.const(0)), problem)
-    assert [walked.root.kind for walked in walks] == [DEC] * 4
+    assert [walked.kind for walked in walks] == [DEC] * 4
     assert walks[0] == theory
 
     wide = parse("(x1 (y 0 1) (z1 (y 0 1) (x2 (y 1 0) (y 0 1))))")

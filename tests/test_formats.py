@@ -31,9 +31,12 @@ from conftest import (
     REDUCED_TREE_TEXT,
     SIGMA_TREE_TEXT,
     ast_exprs,
+    gate_count,
+    pool_gates,
     reference_build,
     reference_tokens,
     shared_exprs,
+    store,
     tree_from_spec,
     tree_specs,
 )
@@ -190,14 +193,14 @@ class TestParseDtree:
         depth = 100_000
         text = "(x1 0 " * depth + "1" + ")" * depth
         pool = fresh_pool()
-        gate = parse_dtree(text, pool).root
+        gate = parse_dtree(text, pool)
         seen = 0
         while gate.kind == DEC:
-            assert gate.children[0] is pool.const(0).root
+            assert gate.children[0] == pool.const(0)
             gate = gate.children[1]
             seen += 1
         assert seen == depth
-        assert gate is pool.const(1).root
+        assert gate == pool.const(1)
 
     def test_deep_tree_prints_and_parses_back(self):
         depth = 100_000
@@ -321,7 +324,7 @@ class TestTreeFiles:
     def test_deep_tree_file(self):
         depth = 100_000
         text = "(features x1)\n(labels y)\n(tree " + "(x1 0 " * depth + "1" + ")" * depth + ")\n"
-        gate = parse_tree_file(text).tree.root
+        gate = parse_tree_file(text).tree
         seen = 0
         while gate.kind == DEC:
             gate = gate.children[1]
@@ -585,8 +588,7 @@ def test_tree_file_reader_matches_two_pass_oracle(spec, data):
 
 def _pool_of(tree):
     """A tree's text and every gate of its pool, so the order gates were created in counts too."""
-    gates = [(g.kind, g.payload, tuple(c.uid for c in g.children)) for g in tree.pool.gates]
-    return print_dtree(tree), gates
+    return print_dtree(tree), store(tree.pool)
 
 
 # Two features and the label: a tree of many leaves repeats its nodes, and
@@ -660,7 +662,7 @@ def test_the_tree_reader_plans_each_distinct_chunk_once_per_read(monkeypatch):
     assert len(set(splits[: len(set(chunks))])) == len(set(chunks))
     assert print_dtree(trees[0]) == print_dtree(trees[1]) == text
     assert trees[2] == trees[0]
-    assert not {id(gate) for gate in pools[0].gates} & {id(gate) for gate in pools[1].gates}
+    assert set(pool_gates(pools[0])).isdisjoint(pool_gates(pools[1]))
 
 
 @given(ast=ast_exprs(NAMES, max_leaves=10), data=st.data())
@@ -684,11 +686,10 @@ def _built(build):
     """What a build on a fresh pool gives: every gate of the pool and the root uid, or the error."""
     pool = fresh_pool()
     try:
-        root = build(pool).root
+        root = build(pool)
     except (ParseError, BuildError) as error:
         return type(error), str(error)
-    gates = [(gate.kind, gate.payload, tuple(c.uid for c in gate.children)) for gate in pool.gates]
-    return gates, root.uid
+    return store(pool), root.uid
 
 
 def _builds(ast):
@@ -867,8 +868,8 @@ def test_a_read_pool_holds_at_most_135_bytes_per_gate():
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert len(read.pool.gates) > 19_000
-    assert held / len(read.pool.gates) <= 135
+    assert gate_count(read.pool) > 19_000
+    assert held / gate_count(read.pool) <= 135
 
 
 def _random_full_tree(depth, rng):
@@ -891,12 +892,12 @@ def _random_full_tree(depth, rng):
 def test_a_read_leaves_no_collector_tracked_object_per_gate(read, gates):
     # The store holds strings, variables, ints and tuples of ints; the collector
     # untracks such a tuple the first time it examines it, so once it has run the
-    # read adds a fixed handful of tracked objects, not a `Gate` and a children
+    # read adds a fixed handful of tracked objects, not a gate object and a children
     # tuple per gate.
     _problem_text_20k()  # made before the count
     gc.collect()
     before = len(gc.get_objects())
     pool = read()
     gc.collect()
-    assert len(pool.gates) >= gates
+    assert gate_count(pool) >= gates
     assert len(gc.get_objects()) - before < 100

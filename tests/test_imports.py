@@ -37,24 +37,20 @@ _STORE_LISTS = ("_kinds", "_payloads", "_children")
 
 
 def _store_writes(source: str) -> list[str]:
-    """Where a module makes pool gates or views.
+    """Where a module makes pool gates.
 
     That is an `.append` on one of the store lists `_STORE_LISTS`, called
-    or taken as a bound method, a `._interned` or `._views` read, a
-    `._unique(...)` call (it hands out a unique table, which maps children
-    to uids), or a `Gate(...)` call (a view the pool would not hand out).
+    or taken as a bound method, a `._interned` read, or a `._unique(...)`
+    call (it hands out a unique table, which maps children to uids).
     """
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Call):
-            func = node.func
-            if getattr(func, "id", None) == "Gate" or getattr(func, "attr", None) == "Gate":
-                found.append(f"Gate(...) (line {node.lineno})")
-            elif getattr(func, "attr", None) == "_unique":
+            if getattr(node.func, "attr", None) == "_unique":
                 found.append(f"._unique(...) (line {node.lineno})")
         elif isinstance(node, ast.Attribute):
-            if node.attr in ("_interned", "_views"):
-                found.append(f".{node.attr} (line {node.lineno})")
+            if node.attr == "_interned":
+                found.append(f"._interned (line {node.lineno})")
             elif node.attr == "append" and getattr(node.value, "attr", None) in _STORE_LISTS:
                 found.append(f".{node.value.attr}.append (line {node.lineno})")
     return found
@@ -65,27 +61,22 @@ def _store_writes(source: str) -> list[str]:
 )
 def test_only_the_circuit_module_makes_gates(path):
     # one uid per (kind, payload, children), uid = position in the store, children
-    # first, one view per uid: kept in one module; the others read the store lists
+    # first: kept in one module; the others read the store lists
     assert _store_writes(path.read_text()) == []
 
 
 def test_a_gate_made_outside_the_pool_is_reported():
     source = (
         "uid = pool._interned.get(key)\n"
-        "view = circuit.Gate(pool, len(pool._kinds))\n"
         "pool._kinds.append(DEC); pool._children.append(kids)\n"
         "table = pool._unique(DEC, var)\n"
         "add = pool._payloads.append\n"
-        "pool._views[uid] = Gate(pool, uid)\n"
-        "kinds = pool._kinds; kids = pool._children[uid]; pool.gates[uid]\n"
+        "kinds = pool._kinds; kids = pool._children[uid]; Circuit(pool, uid).children\n"
     )
     assert sorted(_store_writes(source)) == [
-        "._children.append (line 3)",
+        "._children.append (line 2)",
         "._interned (line 1)",
-        "._kinds.append (line 3)",
-        "._payloads.append (line 5)",
-        "._unique(...) (line 4)",
-        "._views (line 6)",
-        "Gate(...) (line 2)",
-        "Gate(...) (line 6)",
+        "._kinds.append (line 2)",
+        "._payloads.append (line 4)",
+        "._unique(...) (line 3)",
     ]

@@ -1,9 +1,9 @@
-"""The uid kernels against object-graph references over `Gate` views.
+"""The uid kernels against object-graph references over `Circuit` handles.
 
 `reference_substitute` and `reference_table` are the gate-object kernels
-of `condition`/`cofactors` and of the gate interpreter, written over the
-read-only views that `Circuit.root` and `Gate.children` hand out, and
-walking the DAG with a seen set instead of `iter_gates`.  They build
+of `condition`/`cofactors` and of the gate interpreter, written over
+`Circuit.kind`, `Circuit.payload` and `Circuit.children` (circuits too),
+and walking the DAG with a seen set instead of `iter_gates`.  They build
 through the pool's public constructors, so a kernel that reads the store
 wrongly, or creates gates in another order, shows as a different pool.
 """
@@ -16,14 +16,16 @@ from hypothesis import given, settings, strategies as st
 
 from monorect import Literal, Pool, Term, cofactors, condition, label_blocks, truth_mask, var_masks
 from monorect import classifier, semantics
-from monorect.circuit import AND, CONST, DEC, NOT, OR, VAR, Circuit
+from monorect.circuit import AND, CONST, DEC, NOT, OR, VAR
 from monorect.randgen import random_circuit, random_problem, random_tree
+
+from conftest import gate_count, store
 
 
 def reached(circ):
-    """The views reachable from the root, by a depth-first walk, in ascending uid order."""
+    """The gates reachable from the root, by a depth-first walk, in ascending uid order."""
     seen = {}
-    todo = [circ.root]
+    todo = [circ]
     while todo:
         gate = todo.pop()
         if gate.uid not in seen:
@@ -33,9 +35,9 @@ def reached(circ):
 
 
 def reference_substitute(circ, values):
-    """The root view of `condition` under each of `values` (variable -> True/False/None)."""
+    """The root of `condition` under each of `values` (variable -> True/False/None)."""
     pool = circ.pool
-    true_gate, false_gate = pool.const(1).root, pool.const(0).root
+    true_gate, false_gate = pool.const(1), pool.const(0)
     sides = [(value, {}) for value in values]
     for gate in reached(circ):
         kind, kids = gate.kind, gate.children
@@ -49,34 +51,34 @@ def reference_substitute(circ, values):
                 child = memo[kids[0]]
                 if child.kind == CONST:
                     new = false_gate if child.payload else true_gate
-                elif child is kids[0]:
+                elif child == kids[0]:
                     new = gate
                 else:
-                    new = pool.not_(Circuit(pool, child)).root
+                    new = pool.not_(child)
             elif kind == DEC:
                 fixed = value(gate.payload)
                 low, high = memo[kids[0]], memo[kids[1]]
                 if fixed is not None:
                     new = high if fixed else low
-                elif low is kids[0] and high is kids[1]:
+                elif low == kids[0] and high == kids[1]:
                     new = gate
                 else:
-                    new = pool.decision(gate.payload, Circuit(pool, low), Circuit(pool, high)).root
+                    new = pool.decision(gate.payload, low, high)
             else:
                 absorbing, neutral = (false_gate, true_gate) if kind == AND else (true_gate, false_gate)
                 parts = [memo[child] for child in kids]
-                kept = [part for part in parts if part is not neutral]
+                kept = [part for part in parts if part != neutral]
                 if absorbing in parts:
                     new = absorbing
-                elif len(kept) == len(kids) and all(map(operator.is_, parts, kids)):
+                elif len(kept) == len(kids) and all(map(operator.eq, parts, kids)):
                     new = gate
                 elif not kept:
                     new = neutral
                 else:
                     build = pool.and_ if kind == AND else pool.or_
-                    new = build(Circuit(pool, part) for part in kept).root
+                    new = build(kept)
             memo[gate] = new
-    return [memo[circ.root] for _, memo in sides]
+    return [memo[circ] for _, memo in sides]
 
 
 def reference_table(circ, masks, full):
@@ -102,12 +104,7 @@ def reference_table(circ, masks, full):
             sel = masks[gate.payload]
             m = (memo[kids[1]] & sel) | (memo[kids[0]] & ~sel & full)
         memo[gate] = m
-    return memo[circ.root]
-
-
-def store(pool):
-    """Every gate of the pool, in uid order: kind, payload and child uids."""
-    return [(g.kind, g.payload, tuple(c.uid for c in g.children)) for g in pool.gates]
+    return memo[circ]
 
 
 def setting(seed, n, gates, tree, padded=False):
@@ -147,7 +144,7 @@ def test_condition_and_cofactors_match_the_object_graph_kernel(seed, n, gates, t
     if len(term):
         (want,) = reference_substitute(twin, (term.value,))
     else:
-        want = twin.root
+        want = twin
     assert got.uid == want.uid and store(a) == store(b)
     # cofactors: both roots of the one sweep, also on a variable the circuit does not mention
     (unmentioned,) = a.declare("z")
@@ -169,7 +166,7 @@ def test_condition_and_cofactors_match_the_object_graph_kernel(seed, n, gates, t
 @settings(max_examples=120)
 def test_masks_match_the_object_graph_interpreter(seed, n, gates, tree, instances):
     pool, problem, circ = setting(seed, n, gates, tree)
-    size = len(pool.gates)
+    size = gate_count(pool)
     over = problem.all_vars
     full = (1 << (1 << len(over))) - 1
     assert truth_mask(circ, over) == reference_table(circ, var_masks(over), full)
@@ -179,4 +176,4 @@ def test_masks_match_the_object_graph_interpreter(seed, n, gates, tree, instance
             mock.patch.object(classifier, "_table", reference_table):
         want = (label_blocks(circ, problem), label_blocks(circ, problem, words))
     assert got == want
-    assert len(pool.gates) == size  # reading masks makes no gate
+    assert gate_count(pool) == size  # reading masks makes no gate

@@ -32,7 +32,7 @@ from monorect import (
 )
 from monorect.randgen import random_classifier, random_problem, random_theory
 
-from conftest import desk_pairs, oracle_args, to_term
+from conftest import desk_pairs, gate_count, oracle_args, to_term
 
 
 @pytest.fixture
@@ -178,9 +178,9 @@ class TestClassifyBatch:
 
     def test_adds_no_gate(self, demo):
         clf = Classifier(demo.problem, demo.sigma)
-        before = len(demo.pool.gates)
+        before = gate_count(demo.pool)
         classify_batch(clf, demo.theory, list(DEMO_VERDICTS))
-        assert len(demo.pool.gates) == before
+        assert gate_count(demo.pool) == before
 
     def test_rejections_match_rectify(self, demo, twolabel):
         # the problem's checks come before any instance is read
@@ -211,9 +211,9 @@ def _words(problem):
 def test_classify_batch_matches_the_construction_and_the_oracle(pair):
     pool, problem, clf, theory = pair
     words = _words(problem)
-    gates = len(pool.gates)
+    gates = gate_count(pool)
     got = classify_batch(clf, theory, words)
-    assert len(pool.gates) == gates
+    assert gate_count(pool) == gates
     result = rectify(clf, theory)
     assert got == [(classify(clf, w).bits[0], classify_rectified(result, w)) for w in words]
     # 2-bit blocks: bit 1 is the positive label

@@ -149,9 +149,20 @@ class TestChecks:
         assert walked == [demo.sigma.uid, demo.theory.uid]
 
     @pytest.mark.parametrize("check", [equivalent])
-    def test_one_circuit_over_the_cap_still_raises(self, demo, check):
+    def test_one_circuit_over_the_cap_needs_no_table(self, demo, check):
+        # the same circuit twice is equivalent before the cap is read; two over it still raise
+        assert check(demo.sigma, demo.sigma, cap=3)
         with pytest.raises(CapExceededError):
-            check(demo.sigma, demo.sigma, cap=3)
+            check(demo.sigma, demo.theory, cap=3)
+
+    def test_a_25_variable_circuit_is_equivalent_to_itself(self):
+        pool = Pool()
+        xs = pool.declare(*(f"x{i}" for i in range(25)))
+        circ = pool.and_([pool.literal(x) for x in xs])
+        assert len(circ.vars()) > semantics.DEFAULT_VAR_CAP
+        assert equivalent(circ, pool.and_([pool.literal(x) for x in xs]))  # interned: one root
+        with pytest.raises(CapExceededError, match="25 variables exceed the enumeration cap of 20"):
+            equivalent(circ, pool.or_([pool.literal(x) for x in xs]))
 
 
 class TestForget:
