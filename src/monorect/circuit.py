@@ -19,11 +19,11 @@ children, so uid order is a topological order: every traversal is one
 scan down the store from the root's uid (`iter_gates`), and every kernel
 memoises in a list indexed by uid.
 
-Only this module makes gates: `Pool._gate`, `Pool.read` (circuit tokens)
-and `Pool.read_tree` (tree text split on '(', with a plan per distinct
-chunk) append them to the store and intern them, each in the unique
-table of the gate's kind and payload (`Pool._unique`), keyed by the
-children tuple the store keeps.  A `Circuit` (pool and uid) is the one
+Only this module makes gates: `Pool._gate`, `Pool._decisions` (for tree
+walks), `Pool.read` (circuit tokens) and `Pool.read_tree` (tree text
+split on '(', with a plan per distinct chunk) append them to the store
+and intern them, each in the unique table of the gate's kind and payload
+(`Pool._unique`), keyed by the children tuple the store keeps.  A `Circuit` (pool and uid) is the one
 handle on a gate; its `kind`, `payload` and `children` read the store.
 """
 
@@ -32,6 +32,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import chain
+from operator import attrgetter
 from typing import Callable, Collection, Iterable, Iterator, NamedTuple
 
 from .errors import BuildError, ParseError
@@ -118,24 +119,27 @@ class Circuit:
     Equality is root identity: thanks to interning, two circuits from the
     same pool are == exactly when they are syntactically identical.
     `kind`, `payload` and `children` (circuits too) read the root gate's entry.
+    A circuit is a value that hashes by its pool and uid, so both are read-only.
     """
 
-    __slots__ = ("pool", "uid")
+    __slots__ = ("_pool", "_uid")
 
     def __init__(self, pool: "Pool", uid: int):
-        self.pool, self.uid = pool, uid
+        self._pool, self._uid = pool, uid
 
-    kind = property(lambda self: self.pool._kinds[self.uid])
-    payload = property(lambda self: self.pool._payloads[self.uid])
+    pool = property(attrgetter("_pool"))
+    uid = property(attrgetter("_uid"))
+    kind = property(lambda self: self._pool._kinds[self._uid])
+    payload = property(lambda self: self._pool._payloads[self._uid])
 
     @property
     def children(self) -> tuple[Circuit, ...]:
-        return tuple(Circuit(self.pool, uid) for uid in self.pool._children[self.uid])
+        return tuple(Circuit(self._pool, uid) for uid in self._pool._children[self._uid])
 
     @property
     def size(self) -> int:
         """Number of arcs reachable from the root (shared gates counted once); walks each read."""
-        children = self.pool._children
+        children = self._pool._children
         return sum(len(children[uid]) for uid in iter_gates(self))
 
     def vars(self) -> frozenset[VarId]:
@@ -143,11 +147,11 @@ class Circuit:
 
         Cached in the pool by root uid, so every circuit of one root walks once.
         """
-        cache = self.pool._vars_of
-        found = cache.get(self.uid)
+        cache = self._pool._vars_of
+        found = cache.get(self._uid)
         if found is None:
-            kinds, payloads = self.pool._kinds, self.pool._payloads
-            found = cache[self.uid] = frozenset(
+            kinds, payloads = self._pool._kinds, self._pool._payloads
+            found = cache[self._uid] = frozenset(
                 payloads[uid] for uid in iter_gates(self) if kinds[uid] == VAR or kinds[uid] == DEC
             )
         return found
@@ -160,15 +164,15 @@ class Circuit:
         walked; otherwise this reads `vars`.
         """
         allowed = frozenset(allowed)
-        if allowed.issuperset(self.pool._order):
+        if allowed.issuperset(self._pool._order):
             return frozenset()
         return self.vars() - allowed
 
     def __eq__(self, other):
-        return isinstance(other, Circuit) and self.pool is other.pool and self.uid == other.uid
+        return isinstance(other, Circuit) and self._pool is other._pool and self._uid == other._uid
 
     def __hash__(self):
-        return hash((id(self.pool), self.uid))
+        return hash((id(self._pool), self._uid))
 
     def __repr__(self):
         return f"<Circuit {self.kind} size={self.size}>"
@@ -202,6 +206,7 @@ class Pool:
         self._payloads: list = []
         self._children: list[tuple[int, ...]] = []
         self._vars_of: dict[int, frozenset[VarId]] = {}
+        self._decs: dict[VarId, dict[tuple[int, ...], int]] = {}  # see `_decisions`
 
     # ------------------------------------------------------------------
     # variables
@@ -255,6 +260,25 @@ class Pool:
             self._payloads.append(payload)
             self._children.append(children)
         return uid
+
+    def _decisions(self) -> Callable[[VarId, tuple[int, int]], int]:
+        """`decision(var, children)`, the interned `dec` gate, for a walk: it keeps each variable's
+        unique table in `_decs`, where `_gate` builds and hashes a (kind, payload) key at every call."""
+        tables = self._decs
+
+        def decision(var: VarId, kids: tuple[int, int]) -> int:
+            table = tables.get(var)
+            if table is None:
+                table = tables[var] = self._unique(DEC, var)
+            uid = table.get(kids)
+            if uid is None:
+                uid = table[kids] = len(self._kinds)
+                self._kinds.append(DEC)
+                self._payloads.append(var)
+                self._children.append(kids)
+            return uid
+
+        return decision
 
     def _unique(self, kind, payload) -> dict[tuple[int, ...], int]:
         """The unique table of (kind, payload): its gates' uids, keyed by their children tuples."""

@@ -12,17 +12,17 @@ A function here that reaches any other gate raises ValueError there.
 Every combination grafts trees onto leaves, which can repeat variables
 along paths, so each step is one `_reduce` pass (read-once paths, no
 node with two identical children) to keep the pipeline polynomial;
-`_reduce` takes the graft's two trees itself, so the grafted tree is
+`_reduce` walks on from each leaf into its graft, so the grafted tree is
 never built.  `_reduce` depends on the path, so it walks every path and
 meets a shared subtree once per path; `attach_label`, a graft, visits
 each gate once.  Every walk uses an explicit stack, so depth is bounded
 by memory only.
 
-Certifying the classifier tree (`dt_check_classification`) is structural:
-it reduces the tree's label cofactors and combines them by grafts, so it
-runs at any width.  Only expanding a circuit (`circuit_to_dt`, read off
-its truth table) enumerates, and it is capped like every other
-enumeration (DEFAULT_VAR_CAP variables).
+Certifying the classifier tree (`dt_check_classification`) checks the
+label cofactors by graft walks, so it runs at any width, and builds only
+the accepted region of a certified one-label tree.  Only expanding a
+circuit (`circuit_to_dt`, read off its truth table) enumerates, and it is
+capped like every other enumeration (DEFAULT_VAR_CAP variables).
 """
 
 from __future__ import annotations
@@ -57,23 +57,23 @@ def _graft(tree: Circuit, leaf) -> Circuit:
     """
     pool = tree.pool
     kinds, payloads, children = pool._kinds, pool._payloads, pool._children
+    decision = pool._decisions()
     new: dict[int, int] = {}
     todo = [tree.uid]
     while todo:
         gate = todo.pop()
-        if gate in new:
-            continue
-        kind = kinds[gate]
-        if kind == DEC:
-            low, high = children[gate]
-            if low in new and high in new:
-                new[gate] = pool._gate(DEC, payloads[gate], (new[low], new[high]))
+        if gate < 0:  # ~gate, whose two subtrees are grafted
+            low, high = children[~gate]
+            new[~gate] = decision(payloads[~gate], (new[low], new[high]))
+        elif gate not in new:
+            kind = kinds[gate]
+            if kind == DEC:
+                low, high = children[gate]
+                todo += (~gate, high, low)
+            elif kind == CONST:
+                new[gate] = leaf(payloads[gate])
             else:
-                todo += (gate, high, low)
-        elif kind == CONST:
-            new[gate] = leaf(payloads[gate])
-        else:
-            raise _not_a_tree(kind)
+                raise _not_a_tree(kind)
     return Circuit(pool, new[tree.uid])
 
 
@@ -86,6 +86,7 @@ def _reduce(
     tree: Circuit,
     path: dict[VarId, int],
     grafts: tuple[Circuit, Circuit] | None = None,
+    leaves: tuple[tuple[Circuit, Circuit], tuple[Circuit, Circuit]] | None = None,
 ) -> Circuit:
     """`tree` conditioned on `path` (variable -> bit) and reduced in one pass.
 
@@ -96,14 +97,23 @@ def _reduce(
     open node's variable says which branch is being reduced.
 
     With `grafts=(on0, on1)` it reduces the graft of `tree` without
-    building it: a reached 0-leaf continues as `_reduce(on0, path)`, a
-    reached 1-leaf as `_reduce(on1, path)`.  The result is built in the
-    pool of the grafts (both in one pool), or in the tree's when it
-    grafts nothing; the tree is read in its own pool's store, which may be
-    another.
+    building it: the walk goes on from a reached c-leaf into `on_c` and
+    resumes in `tree` once that is reduced.  `leaves=(map0, map1)` maps
+    the leaves of `on_c` to the gates `map_c` (for 0, for 1), taken as
+    they are.  The result is built in the pool of the grafts (all in one
+    pool), or in the tree's when it grafts nothing; the tree is read in
+    its own pool's store, which may be another.
     """
-    kinds, payloads, children = tree.pool._kinds, tree.pool._payloads, tree.pool._children
-    pool = tree.pool if grafts is None else grafts[0].pool
+    store = pool = tree.pool
+    relabel = None  # the leaf map of the graft being walked
+    paused = () if grafts is None else None  # `tree`'s open nodes while a graft is walked
+    if grafts is not None:
+        pool = grafts[0].pool
+        maps = ([leaf.uid for leaf in m] for m in leaves or [(pool.const(0), pool.const(1))] * 2)
+        # for each leaf of `tree`: its graft's root and leaf map, and the leaf it is if a constant
+        grafts = [(g.uid, m, m[g.payload] if g.kind == CONST else None) for g, m in zip(grafts, maps)]
+    decision = pool._decisions()
+    kinds, payloads, children = store._kinds, store._payloads, store._children
     done: list[int] = []
     open_nodes: list[int] = []
     node = tree.uid
@@ -119,21 +129,33 @@ def _reduce(
                 node = children[node][forced]
         if kinds[node] != CONST:
             raise _not_a_tree(kinds[node])
-        done.append(node if grafts is None else _reduce(grafts[payloads[node]], path).uid)
-        while open_nodes:
-            node = open_nodes[-1]
-            var = payloads[node]
-            if not path[var]:
-                path[var] = 1
-                node = children[node][1]
-                break
-            open_nodes.pop()
-            del path[var]
-            high = done.pop()
-            low = done.pop()
-            done.append(low if low == high else pool._gate(DEC, var, (low, high)))
-        else:
-            return Circuit(pool, done[0])
+        if paused is not None:  # a leaf of a graft, or of `tree` grafting nothing
+            done.append(node if relabel is None else relabel[payloads[node]])
+        else:  # a leaf of `tree`: on into its graft
+            node, relabel, leaf = grafts[payloads[node]]
+            if leaf is None:
+                paused, open_nodes = open_nodes, []
+                kinds, payloads, children = pool._kinds, pool._payloads, pool._children
+                continue
+            done.append(leaf)
+        while True:
+            if open_nodes:
+                node = open_nodes[-1]
+                var = payloads[node]
+                if not path[var]:
+                    path[var] = 1
+                    node = children[node][1]
+                    break
+                open_nodes.pop()
+                del path[var]
+                high = done.pop()
+                low = done.pop()
+                done.append(low if low == high else decision(var, (low, high)))
+            elif paused:  # the graft is reduced: back to `tree`
+                open_nodes, paused = paused, None
+                kinds, payloads, children = store._kinds, store._payloads, store._children
+            else:
+                return Circuit(pool, done[0])
 
 
 def attach_label(tree: Circuit, label: VarId) -> Circuit:
@@ -151,11 +173,12 @@ def dt_check_classification(tree: Circuit, problem: ClassificationProblem) -> bo
     """Label uniqueness for a tree over features plus labels, by reduction.
 
     Each label word's cofactor, reduced, must be disjoint from the union
-    of the words before it (their reduced conjunction is the 0-leaf), and
-    the union of all of them must be the 1-leaf.  A reduced tree is
-    read-once, so every path is consistent and only the 0-leaf is
-    unsatisfiable (Bryant 1986).  Only the label words are enumerated,
-    never an assignment to the features.
+    of the words before it, and the last word's must be the union's
+    complement: their conjunction, or equivalence, is the 0-leaf.  A
+    reduced tree's paths split the instances, and the union (for one
+    label, the tree under label 0, never built) is walked under each
+    path, so every leaf reached holds for some instance.  Only the label
+    words are enumerated, never an assignment to the features.
     """
     return _certified_top(tree, problem) is not None
 
@@ -171,15 +194,15 @@ def _certified_top(tree: Circuit, problem: ClassificationProblem):
         tree, problem.all_vars, "tree mentions variables outside the problem: {names}"
     )
     zero, one = tree.pool.const(0), tree.pool.const(1)
-    union = None
-    for word in product((0, 1), repeat=len(problem.labels)):
-        part = top = _reduce(tree, dict(zip(problem.labels, word)))
-        if union is not None:
-            if _reduce(part, {}, (zero, union)) != zero:
-                return None
-            part = _reduce(part, {}, (union, one))
-        union = part
-    return top if union == one else None
+    words = [dict(zip(problem.labels, bits)) for bits in product((0, 1), repeat=len(problem.labels))]
+    union, under = tree, words[0]  # the union of the words so far: `union` under `under`
+    for word in words[1:-1]:
+        part = _reduce(tree, word)
+        if _reduce(part, under, (zero, union)) != zero:
+            return None
+        union, under = _reduce(union, under, (part, one)), {}
+    top = _reduce(tree, words[-1])
+    return top if _reduce(top, under, (union, union), ((one, zero), (zero, one))) == zero else None
 
 
 def dt_rectify(
@@ -191,8 +214,9 @@ def dt_rectify(
     T- the theory conditioned both ways, the rectified region is
     (A and not F-) or F+ for the disjoint F+ = T+ and not T- and
     F- = T- and not T+: F+ below A's 0-leaves and not F- = not T- or T+
-    below its 1-leaves.  Each conditioning, graft and negation is one
-    reduce pass; the label is then re-attached to the feature-space tree.
+    below its 1-leaves.  Each conditioning and graft is one reduce pass;
+    F+'s reads T-'s leaves negated, and the last one attaches the label
+    at the leaves, as `attach_label` does.
 
     The two trees may come from two pools, as from two tree files, if
     both pools declare the same variables in the same order: the walks
@@ -218,9 +242,10 @@ def dt_rectify(
     zero, one = pool.const(0), pool.const(1)
     th_pos = _reduce(theory_tree, {label: 1})
     th_neg = _reduce(theory_tree, {label: 0})
-    forces_pos = _reduce(th_pos, {}, (zero, _reduce(th_neg, {}, (one, zero))))
+    forces_pos = _reduce(th_pos, {}, (zero, th_neg), ((zero, one), (one, zero)))  # T- read negated
     not_forces_neg = _reduce(th_neg, {}, (one, th_pos))
-    return attach_label(_reduce(accepted, {}, (forces_pos, not_forces_neg)), label)
+    labelled = (pool.decision(label, one, zero), pool.decision(label, zero, one))
+    return _reduce(accepted, {}, (forces_pos, not_forces_neg), (labelled, labelled))
 
 
 def circuit_to_dt(circ: Circuit, order, cap: int = DEFAULT_VAR_CAP) -> Circuit:

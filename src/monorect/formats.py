@@ -36,11 +36,11 @@ reproduces the original structure exactly.  The circuit printer names
 every shared gate in a `let`, so its output is linear in the arc count,
 and both printers work with explicit stacks, like the readers.
 
-Readers delete comments and the blanks after each '(' (`_normal`), then
-make one pass straight to pooled gates.  Circuits and problem files are
-split into tokens with string methods and read by `Pool.read`.  Decision
-trees (`dec` gates and constants) are split on '(' into chunks, the text
-from one '(' to the next, and read by `Pool.read_tree`, which plans each
+Readers delete comments, then make one pass straight to pooled gates.
+Circuits and problem files, without the blanks after each '(', are split
+into tokens with string methods and read by `Pool.read`.  Decision trees
+(`dec` gates and constants) are split on '(' into chunks, the text from
+one '(' to the next, and read by `Pool.read_tree`, which plans each
 distinct chunk once per read and replays the plan at every copy, so the
 tree path never makes a list of tokens.  One section reader serves both
 file kinds, over tokens (`_Tokens`) or chunks (`_Chunks`).  This module
@@ -69,7 +69,7 @@ from .dtree import _not_a_tree
 from .errors import ParseError, RectifyError
 
 
-# `_normal` deletes comments and the blanks after a '('; `_TOKEN` splits alike, with positions.
+# `_tokens` deletes comments and the blanks after a '('; `_TOKEN` splits alike, with positions.
 _COMMENT = re.compile(r";[^\n]*")
 _OPEN_BLANKS = re.compile(r"\([ \t\r\n]+")
 _TOKEN = re.compile(r"[()]|[^ \t\r\n();]+|;[^\n]*")
@@ -77,17 +77,8 @@ _ODD_BLANKS = "\x0b\x0c\x1c\x1d\x1e\x1f"  # the blanks of `str.split()` in ASCII
 _TOP_LEVEL = "top-level forms must look like (keyword ...)"
 
 
-def _normal(text: str) -> str:
-    """The text without comments and without the blanks after a '('."""
-    if ";" in text:
-        text = _COMMENT.sub("", text)
-    if "( " in text or "(\t" in text or "(\r" in text or "(\n" in text:
-        text = _OPEN_BLANKS.sub("(", text)
-    return text
-
-
 def _splitter(text: str):
-    """The function that cuts pieces of a normal text into names and ')'s.
+    """The function that cuts pieces of a text without comments into names and ')'s.
 
     Only space, tab, CR and LF are blanks.  ASCII text without
     `_ODD_BLANKS` is cut by `str.split()`, whose blanks there are the
@@ -108,13 +99,13 @@ def _split_odd(piece: str) -> list[str]:
 
 def _tokens(text: str) -> list[str]:
     """Names, ')' and '(' glued to the name after it."""
-    text = _normal(text)
+    text = _OPEN_BLANKS.sub("(", _COMMENT.sub("", text) if ";" in text else text)
     return _splitter(text)(text.replace("(", " ("))
 
 
 def _chunks(text: str):
-    """The pieces of a normal text between one '(' and the next, and their `_splitter`."""
-    text = _normal(text)
+    """The text, comments deleted, split on '(' into pieces, and the `_splitter` of the pieces."""
+    text = _COMMENT.sub("", text) if ";" in text else text
     return text.split("("), _splitter(text)
 
 

@@ -498,6 +498,9 @@ def test_kind_payload_and_children_read_the_store():
     assert circ.children[1].children[0] == pool.literal(x2) == Circuit(pool, 1)
     assert (circ.children[0].kind, circ.children[0].payload, circ.children[0].children) == ("var", x1, ())
     assert all(child.pool is pool for child in circ.children)
-    for field in ("kind", "payload", "children"):
+    # a circuit hashes by its pool and uid, so neither can be reassigned
+    held = {circ}
+    for field in ("kind", "payload", "children", "pool", "uid"):
         with pytest.raises(AttributeError):
-            setattr(circ, field, None)
+            setattr(circ, field, 7)
+    assert circ in held and (circ.pool, circ.uid, circ.kind) == (pool, 3, "and")

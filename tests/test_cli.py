@@ -295,6 +295,15 @@ def test_dt_rectify_mismatched_files(tmp_path, capsys):
     assert "different variables" in err
 
 
+def test_dt_rectify_rejects_an_uncertified_classifier_tree(tmp_path, capsys):
+    # x1=0 allows both labels
+    sigma = tmp_path / "sigma.tree"
+    sigma.write_text("(features x1)\n(labels y)\n(tree (x1 (y 1 1) (y 0 1)))\n")
+    code, out, err = run(capsys, "dt-rectify", "--sigma", str(sigma), "--theory", str(sigma))
+    assert (code, out) == (2, "")
+    assert err == "error: classifier tree is not certified: some instance has no unique label\n"
+
+
 def test_fuzz_clean_run(capsys):
     code, out, _ = run(capsys, "fuzz", "--vars", "4", "--iters", "25", "--seed", "3")
     assert code == 0

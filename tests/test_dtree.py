@@ -45,6 +45,7 @@ from conftest import (
     dt_conjoin,
     dt_disjoin,
     dt_negate,
+    gate_count,
     gates_of,
     graft,
     has_identical_children,
@@ -206,6 +207,17 @@ def test_tree_certification(trees):
     assert dt_check_classification(parse(SIGMA_TREE_TEXT), problem)
     assert not dt_check_classification(parse("(x1 0 1)"), problem)
     assert not dt_check_classification(pool.const(1), problem)
+
+
+def test_tree_certification_builds_only_the_accepted_region(trees):
+    pool, problem, parse = trees
+    sigma = parse(SIGMA_TREE_TEXT)
+    accepted = _reduce(sigma, {problem.label: 1})
+    built = gate_count(pool)
+    # the label-0 cofactor is walked, not built, and nothing else is
+    assert dt_check_classification(sigma, problem)
+    assert gate_count(pool) == built
+    assert print_dtree(accepted) == "(x1 (x2 1 0) (x3 0 1))"
 
 
 def test_tree_certification_skips_unreached_subtrees(trees):
@@ -451,16 +463,23 @@ def twin_tree_specs(names, max_leaves=16):
     on1=twin_tree_specs(NAMES, max_leaves=6),
     name=st.sampled_from(NAMES),
     bit=st.integers(0, 1),
+    mapped=st.booleans(),
 )
-def test_reduce_with_grafts_is_reduce_of_the_graft(spec, on0, on1, name, bit):
+def test_reduce_with_grafts_is_reduce_of_the_graft(spec, on0, on1, name, bit, mapped):
     pool, tree, a = _tree_setting(spec, on0)
     b = tree_from_spec(pool, on1)
     var = pool.var(name)
+    leaves = None
+    if mapped:  # on0 read negated, on1's leaves read as decisions on a variable off every path
+        (y,) = pool.declare("y")
+        zero, one = pool.const(0), pool.const(1)
+        leaves = ((one, zero), (pool.decision(y, one, zero), pool.decision(y, zero, one)))
     for t in (tree, dt_simplify(tree)):
         for forced in ({}, {var: bit}):
             path = dict(forced)
-            want = _reduce(graft(t, a, b), dict(forced))
-            assert _reduce(t, path, (a, b)) == want
+            grafts = (a, b) if leaves is None else (graft(a, *leaves[0]), graft(b, *leaves[1]))
+            want = _reduce(graft(t, *grafts), dict(forced))
+            assert _reduce(t, path, (a, b), leaves) == want
             assert path == forced
 
 
@@ -779,7 +798,17 @@ def test_structural_certification_matches_per_instance_loop(data, shape, certifi
         # any tree over features and labels, bare leaves and repeats included
         spec = data.draw(tree_specs([v.name for v in problem.all_vars], max_leaves=16))
         tree = tree_from_spec(pool, spec)
-    assert dt_check_classification(tree, problem) == brute_check_classification(tree, problem)
+    verdict = brute_check_classification(tree, problem)
+    assert dt_check_classification(tree, problem) == verdict
+    if problem.mono_label:
+        # dt_rectify certifies the same way, whatever the theory
+        spec = data.draw(tree_specs([v.name for v in problem.all_vars], max_leaves=8))
+        theory = tree_from_spec(pool, spec)
+        if verdict:
+            dt_rectify(tree, theory, problem)
+        else:
+            with pytest.raises(CertificationError):
+                dt_rectify(tree, theory, problem)
 
 
 @pytest.mark.parametrize("shape", PROBLEM_SHAPES)
@@ -817,6 +846,32 @@ def _deep_chain(pool, x1, x2):
     for i in range(DEEP):
         tree = pool.decision(x1 if i % 2 else x2, pool.const(0), tree)
     return tree
+
+
+def test_deep_classifier_tree_certifies_and_rectifies(trees):
+    pool, problem, parse = trees
+    y = problem.label
+    zero, one = pool.const(0), pool.const(1)
+    pos, neg, both = (pool.decision(y, a, b) for a, b in ((zero, one), (one, zero), (one, one)))
+
+    def chain(bottom):
+        # (x1 (y 1 0) (x2 (y 0 1) (x3 (y 1 0) (x1 (y 0 1) ... bottom)))): below the first
+        # three nodes every path is forced to x1 = x2 = x3 = 1, down to `bottom`
+        tree = bottom
+        for i in range(DEEP - 1, -1, -1):
+            tree = pool.decision(problem.features[i % 3], pos if i % 2 else neg, tree)
+        return tree
+
+    sigma = chain(pos)
+    assert dt_check_classification(sigma, problem)
+    # the theory forces label 1 where x1 = 0
+    out = dt_rectify(sigma, pool.decision(problem.features[0], pos, one), problem)
+    assert print_dtree(out) == "(x1 (y 0 1) (x2 (y 0 1) (x3 (y 1 0) (y 0 1))))"
+    # one instance, 111, allows both labels
+    loose = chain(both)
+    assert not dt_check_classification(loose, problem)
+    with pytest.raises(CertificationError):
+        dt_rectify(loose, pool.const(1), problem)
 
 
 def test_equality_hash_and_repr_of_a_deep_tree():
