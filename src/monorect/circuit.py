@@ -19,12 +19,14 @@ children, so uid order is a topological order: every traversal is one
 scan down the store from the root's uid (`iter_gates`), and every kernel
 memoises in a list indexed by uid.
 
-Only this module makes gates: `Pool._gate`, `Pool._decisions` (for tree
-walks), `Pool.read` (circuit tokens) and `Pool.read_tree` (tree text
-split on '(', with a plan per distinct chunk) append them to the store
-and intern them, each in the unique table of the gate's kind and payload
-(`Pool._unique`), keyed by the children tuple the store keeps.  A `Circuit` (pool and uid) is the one
-handle on a gate; its `kind`, `payload` and `children` read the store.
+Only this module makes gates: `Pool._gate`, `Pool.read` (circuit tokens)
+and `Pool.read_tree` (tree text split on '(', with a plan per distinct
+chunk) append them to the store and intern them in `Pool._tables`, the
+unique table of each kind and payload, keyed by the children tuple the
+store keeps.  Every table exists before a gate asks for it: a pool starts
+with false and true at uids 0 and 1, and `declare` adds each variable's
+tables.  A `Circuit` (pool and uid) is the one handle on a gate; its
+`kind`, `payload` and `children` read the store.
 """
 
 from __future__ import annotations
@@ -182,10 +184,10 @@ class Pool:
     """Variable table plus append-only interned gate storage.
 
     The store is three lists indexed by uid, with one unique table per
-    (kind, payload), see `_unique`.  All circuits combined by the
-    module's operations must come from the same pool.  Construction of
-    a pool is single-writer; once built, gates are immutable and safe to
-    read from anywhere.
+    kind and payload in `_tables`; uids 0 and 1 are the constants false
+    and true.  All circuits combined by the module's operations must
+    come from the same pool.  Construction of a pool is single-writer;
+    once built, gates are immutable and safe to read from anywhere.
 
     Every variable a gate mentions is one the pool declares: `literal`
     and `decision` check it, `read` and `read_tree` resolve names
@@ -201,12 +203,15 @@ class Pool:
     def __init__(self):
         self._by_name: dict[str, VarId] = {}
         self._order: list[VarId] = []
-        self._interned: dict[tuple, dict[tuple[int, ...], int]] = {}  # see `_unique`
-        self._kinds: list[str] = []
-        self._payloads: list = []
-        self._children: list[tuple[int, ...]] = []
+        # the unique tables: kind -> payload -> children -> uid; `declare` fills `var` and `dec`
+        self._tables: dict[str, dict] = {
+            CONST: {0: {(): 0}, 1: {(): 1}}, NOT: {None: {}}, AND: {None: {}}, OR: {None: {}},
+            VAR: {}, DEC: {},
+        }
+        self._kinds: list[str] = [CONST, CONST]
+        self._payloads: list = [0, 1]
+        self._children: list[tuple[int, ...]] = [(), ()]
         self._vars_of: dict[int, frozenset[VarId]] = {}
-        self._decs: dict[VarId, dict[tuple[int, ...], int]] = {}  # see `_decisions`
 
     # ------------------------------------------------------------------
     # variables
@@ -224,6 +229,8 @@ class Pool:
             vid = VarId(len(self._order), name)
             self._by_name[name] = vid
             self._order.append(vid)
+            self._tables[VAR][vid] = {}
+            self._tables[DEC][vid] = {}
             out.append(vid)
         return tuple(out)
 
@@ -249,10 +256,7 @@ class Pool:
 
     def _gate(self, kind, payload, children: tuple[int, ...]) -> int:
         """The interned gate of this kind, payload and children; a new one keeps `children` as its key."""
-        try:  # `_unique`, inlined on this hot path
-            table = self._interned[kind, payload]
-        except KeyError:
-            table = self._unique(kind, payload)
+        table = self._tables[kind][payload]
         uid = table.get(children)
         if uid is None:
             uid = table[children] = len(self._kinds)
@@ -260,29 +264,6 @@ class Pool:
             self._payloads.append(payload)
             self._children.append(children)
         return uid
-
-    def _decisions(self) -> Callable[[VarId, tuple[int, int]], int]:
-        """`decision(var, children)`, the interned `dec` gate, for a walk: it keeps each variable's
-        unique table in `_decs`, where `_gate` builds and hashes a (kind, payload) key at every call."""
-        tables = self._decs
-
-        def decision(var: VarId, kids: tuple[int, int]) -> int:
-            table = tables.get(var)
-            if table is None:
-                table = tables[var] = self._unique(DEC, var)
-            uid = table.get(kids)
-            if uid is None:
-                uid = table[kids] = len(self._kinds)
-                self._kinds.append(DEC)
-                self._payloads.append(var)
-                self._children.append(kids)
-            return uid
-
-        return decision
-
-    def _unique(self, kind, payload) -> dict[tuple[int, ...], int]:
-        """The unique table of (kind, payload): its gates' uids, keyed by their children tuples."""
-        return self._interned.setdefault((kind, payload), {})
 
     def _owned(self, *circuits: Circuit):
         for c in circuits:
@@ -297,7 +278,7 @@ class Pool:
     def const(self, value: int) -> Circuit:
         if value not in (0, 1):
             raise BuildError(f"constant must be 0 or 1, got {value!r}")
-        return Circuit(self, self._gate(CONST, value, ()))
+        return Circuit(self, int(value))
 
     def literal(self, var: VarId, positive: bool = True) -> Circuit:
         leaf = self._gate(VAR, self._known(var), ())
@@ -356,9 +337,9 @@ class Pool:
         an operand comes first; a `let`'s bindings and a `dec`'s variable
         are checked where they stand, each after its form's arity.
         """
-        tables = {kind: self._unique(kind, None) for kind in (NOT, AND, OR)}
+        tables = self._tables
         kinds, payloads, children = self._kinds, self._payloads, self._children
-        leaves: dict[str, int] = {}  # the gate of each name met, let names included
+        leaves: dict[str, int] = {"true": 1, "false": 0}  # each name's gate, let names included
         bound: dict[str, int] = {}  # the let names in scope, in binding order
         done: list[int] = []
         opened: list[tuple] = []
@@ -426,7 +407,7 @@ class Pool:
                         neither = (self._gate(NOT, None, (a,)), self._gate(NOT, None, (b,)))
                         kids = (both, self._gate(AND, None, neither))
                     op = OR
-                table = tables[op] if payload is None else self._unique(DEC, payload)
+                table = tables[op][payload]
                 gate = table.get(kids)
                 if gate is None:
                     gate = table[kids] = len(kinds)
@@ -461,11 +442,7 @@ class Pool:
                 raise BuildError(f"unknown operator {token[1:]!r}" if token != "("
                                  else "malformed expression: '(' must be followed by an operator")
             else:
-                if token == "true" or token == "false":
-                    gate = self._gate(CONST, int(token == "true"), ())
-                else:
-                    gate = self._gate(VAR, self.var(token), ())
-                leaves[token] = gate
+                gate = leaves[token] = self._gate(VAR, self.var(token), ())
                 done.append(gate)
 
     def read_tree(
@@ -487,14 +464,13 @@ class Pool:
         """
         kinds, payloads, children = self._kinds, self._payloads, self._children
         heads: dict = {}  # each variable name met: its variable and that variable's table
-        leaves: dict = {}  # the constant of each leaf token met
-        plans = {"(": self._plan(first, heads, leaves, False)}  # "(" is no chunk: it stands for `first`
+        plans = {"(": self._plan(first, heads, False)}  # "(" is no chunk: it stands for `first`
         done: list[int] = []
         opened: list = []  # flat: each open node's (variable, table), then the height of `done`
         for chunk in chain(("(",), chunks):
             plan = plans.get(chunk)
             if plan is None:
-                plan = plans[chunk] = self._plan(split(chunk), heads, leaves)
+                plan = plans[chunk] = self._plan(split(chunk), heads)
             head, steps = plan
             if head.__class__ is int:
                 done.append(head)
@@ -523,23 +499,18 @@ class Pool:
                         done.append(gate)
                     elif step.__class__ is int:
                         done.append(step)
-                    elif step.__class__ is str:
-                        done.append(self._gate(CONST, _LEAVES[step], ()))
                     else:
                         raise step
         raise ParseError("missing ')'")
 
-    def _plan(self, tokens: list[str], heads: dict, leaves: dict, headed: bool = True) -> tuple:
+    def _plan(self, tokens: list[str], heads: dict, headed: bool = True) -> tuple:
         """A chunk's plan for `read_tree`: its head, then a step for each token after the head.
 
         The head is the node's (variable, `dec` table), kept in `heads` by
         name, or the interned gate of a node of two leaves, `(x 0 1)`, or
         the error of a fault; the text before the first chunk has none.  A
-        step is a leaf's constant, None for a ')', or a fault's error, last.
-        A constant is made here, where the walk stands, and kept in
-        `leaves`, unless a ')' comes before it and the pool has none yet:
-        then the step is its token, and the walk makes it after the gates
-        that ')' interns.
+        step is a leaf's constant (its uid, 0 or 1), None for a ')', or a
+        fault's error, last.
         """
         head = None
         if headed:
@@ -551,21 +522,14 @@ class Pool:
                     var_id = self.var(tokens[0])
                 except BuildError as error:
                     return error, ()
-                head = heads[tokens[0]] = (var_id, self._unique(DEC, var_id))
+                head = heads[tokens[0]] = (var_id, self._tables[DEC][var_id])
             tokens = tokens[1:]
         steps: list = []
         for token in tokens:
             if token == ")":
                 steps.append(None)
             elif token in _LEAVES:
-                gate = leaves.get(token)
-                if gate is None:
-                    value = _LEAVES[token]
-                    if None in steps and not self._unique(CONST, value):  # {(): gate} once made
-                        steps.append(token)
-                        continue
-                    gate = leaves[token] = self._gate(CONST, value, ())
-                steps.append(gate)
+                steps.append(_LEAVES[token])
             else:
                 steps.append(ParseError(f"decision-tree leaf must be 0 or 1, got {token!r}"))
                 break
@@ -578,7 +542,8 @@ class Pool:
 _IMP, _IFF, _LET, _BIND = "imp", "iff", "let", "bind"
 _OPENS = {"(not": NOT, "(and": AND, "(or": OR, "(imp": _IMP, "(iff": _IFF}
 _BINDINGS = "let bindings must be a list of (name expr) pairs"
-# The tree reader's leaf tokens, and its message for a node that is not (variable low high).
+# The tree reader's leaf tokens with their constants' uids, and its message for a node
+# that is not (variable low high).
 _LEAVES = {"0": 0, "1": 1}
 _NODE = "decision-tree node must be (variable low high)"
 
@@ -698,8 +663,6 @@ def _substitute(circ: Circuit, values) -> list[int]:
     """
     pool = circ.pool
     kinds, payloads, children = pool._kinds, pool._payloads, pool._children
-    true_gate = pool._gate(CONST, 1, ())
-    false_gate = pool._gate(CONST, 0, ())
     top = circ.uid
     sides = [(value, [None] * (top + 1)) for value in values]
     for gate in iter_gates(circ):
@@ -713,11 +676,11 @@ def _substitute(circ: Circuit, values) -> list[int]:
                 if fixed is None:
                     new = gate
                 else:
-                    new = true_gate if fixed else false_gate
+                    new = 1 if fixed else 0  # the constant's uid
             elif kind == NOT:
                 child = memo[kids[0]]
                 if kinds[child] == CONST:
-                    new = false_gate if payloads[child] else true_gate
+                    new = 1 - child
                 elif child == kids[0]:
                     new = gate
                 else:
@@ -733,13 +696,13 @@ def _substitute(circ: Circuit, values) -> list[int]:
                 else:
                     new = pool._gate(DEC, payloads[gate], (low, high))
             else:
-                new = _fold_nary(pool, kind, gate, kids, memo, true_gate, false_gate)
+                new = _fold_nary(pool, kind, gate, kids, memo)
             memo[gate] = new
     return [memo[top] for _, memo in sides]
 
 
-def _fold_nary(pool, kind, gate, kids, memo, true_gate, false_gate):
-    absorbing, neutral = (false_gate, true_gate) if kind == AND else (true_gate, false_gate)
+def _fold_nary(pool, kind, gate, kids, memo):
+    absorbing, neutral = (0, 1) if kind == AND else (1, 0)
     new = [memo[child] for child in kids]
     if absorbing in new:
         return absorbing
@@ -758,7 +721,7 @@ def negate(circ: Circuit) -> Circuit:
     if kind == NOT:
         return Circuit(pool, pool._children[circ.uid][0])
     if kind == CONST:
-        return pool.const(1 - pool._payloads[circ.uid])
+        return Circuit(pool, 1 - circ.uid)
     return pool.not_(circ)
 
 

@@ -57,14 +57,14 @@ def _graft(tree: Circuit, leaf) -> Circuit:
     """
     pool = tree.pool
     kinds, payloads, children = pool._kinds, pool._payloads, pool._children
-    decision = pool._decisions()
+    intern = pool._gate
     new: dict[int, int] = {}
     todo = [tree.uid]
     while todo:
         gate = todo.pop()
         if gate < 0:  # ~gate, whose two subtrees are grafted
             low, high = children[~gate]
-            new[~gate] = decision(payloads[~gate], (new[low], new[high]))
+            new[~gate] = intern(DEC, payloads[~gate], (new[low], new[high]))
         elif gate not in new:
             kind = kinds[gate]
             if kind == DEC:
@@ -109,10 +109,10 @@ def _reduce(
     paused = () if grafts is None else None  # `tree`'s open nodes while a graft is walked
     if grafts is not None:
         pool = grafts[0].pool
-        maps = ([leaf.uid for leaf in m] for m in leaves or [(pool.const(0), pool.const(1))] * 2)
+        maps = ([leaf.uid for leaf in m] for m in leaves) if leaves else [(0, 1)] * 2
         # for each leaf of `tree`: its graft's root and leaf map, and the leaf it is if a constant
         grafts = [(g.uid, m, m[g.payload] if g.kind == CONST else None) for g, m in zip(grafts, maps)]
-    decision = pool._decisions()
+    intern = pool._gate
     kinds, payloads, children = store._kinds, store._payloads, store._children
     done: list[int] = []
     open_nodes: list[int] = []
@@ -150,7 +150,7 @@ def _reduce(
                 del path[var]
                 high = done.pop()
                 low = done.pop()
-                done.append(low if low == high else decision(var, (low, high)))
+                done.append(low if low == high else intern(DEC, var, (low, high)))
             elif paused:  # the graft is reduced: back to `tree`
                 open_nodes, paused = paused, None
                 kinds, payloads, children = store._kinds, store._payloads, store._children
@@ -193,7 +193,7 @@ def _certified_top(tree: Circuit, problem: ClassificationProblem):
     ensure_circuit_within(
         tree, problem.all_vars, "tree mentions variables outside the problem: {names}"
     )
-    zero, one = tree.pool.const(0), tree.pool.const(1)
+    zero, one = Circuit(tree.pool, 0), Circuit(tree.pool, 1)
     words = [dict(zip(problem.labels, bits)) for bits in product((0, 1), repeat=len(problem.labels))]
     union, under = tree, words[0]  # the union of the words so far: `union` under `under`
     for word in words[1:-1]:
@@ -239,7 +239,7 @@ def dt_rectify(
     pool = theory_tree.pool
     if pool is not sigma_tree.pool and pool.variables != sigma_tree.pool.variables:
         raise ValueError("sigma and theory trees come from pools that declare different variables")
-    zero, one = pool.const(0), pool.const(1)
+    zero, one = Circuit(pool, 0), Circuit(pool, 1)
     th_pos = _reduce(theory_tree, {label: 1})
     th_neg = _reduce(theory_tree, {label: 0})
     forces_pos = _reduce(th_pos, {}, (zero, th_neg), ((zero, one), (one, zero)))  # T- read negated
@@ -267,7 +267,7 @@ def circuit_to_dt(circ: Circuit, order, cap: int = DEFAULT_VAR_CAP) -> Circuit:
 def _from_table(pool, table: int, over: tuple, k: int) -> int:
     # `table` is over over[k:]; the first variable's 0-half is the low half
     if k == len(over):
-        return pool._gate(CONST, 1 if table else 0, ())
+        return 1 if table else 0  # the constant's uid
     half = 1 << (len(over) - k - 1)
     low = table & ((1 << half) - 1)
     high = table >> half

@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,20 +17,22 @@ from monorect import (
     condition,
     conjoin,
     disjoin,
+    dt_rectify,
     evaluate,
     iter_gates,
     negate,
     parse_circuit,
     parse_dtree,
+    parse_tree_file,
 )
-from monorect.circuit import AND, DEC, VAR
+from monorect.circuit import AND, CONST, DEC, VAR, VarId
 from monorect.dtree import _reduce
 from monorect.formats import _chunks
 from monorect.randgen import random_circuit, random_problem, random_tree
 from monorect.semantics import forget
 from monorect.verify import syntactic_rewrite
 
-from conftest import ast_exprs, brute_equivalent, build_with_vars, gate_count, gates_of
+from conftest import ast_exprs, brute_equivalent, build_with_vars, gate_count, gates_of, store
 
 NAMES = ("x1", "x2", "x3")
 
@@ -315,7 +318,7 @@ def test_small_circuit_built_last_in_a_large_pool():
     for _ in range(100_000):
         chain = pool.not_(chain)
     small = pool.and_([pool.literal(x1), pool.literal(x2)])
-    assert gate_count(pool) == 100_003
+    assert gate_count(pool) == 100_005  # the two constants, x1, the chain, x2 and the 'and'
     assert iter_gates(small) == sorted(g.uid for g in dfs_gates(small))
     assert small.vars() == {x1, x2}
 
@@ -475,10 +478,11 @@ def test_readers_constructors_and_kernels_share_one_table(kind, read, make, read
     steps = [reads[read], makes[make]]
     if not read_first:
         steps.reverse()
+    added = 0 if kind == "const" else 1  # a pool starts with both constants
     first = steps[0](pool, made)
-    assert (first.kind, gate_count(pool)) == (kind, before + 1)
+    assert (first.kind, gate_count(pool)) == (kind, before + added)
     assert steps[1](pool, made) == first
-    assert gate_count(pool) == before + 1
+    assert gate_count(pool) == before + added
 
 
 def test_true_and_one_are_one_constant():
@@ -488,14 +492,47 @@ def test_true_and_one_are_one_constant():
     assert gate_count(pool) == 2
 
 
+_CONSTANTS = [(CONST, 0, ()), (CONST, 1, ())]
+
+
+def test_a_pool_starts_with_its_two_constants():
+    assert store(Pool()) == _CONSTANTS
+
+
+def test_readers_and_kernels_add_no_constant():
+    pool = Pool()
+    (x,) = pool.declare("x")
+    tree = parse_dtree("(x 0 1)", pool)
+    assert cofactors(tree, x) == (pool.const(0), pool.const(1))
+    assert cofactors(pool.literal(x), x) == (pool.const(0), pool.const(1))
+    assert negate(pool.const(1)) == pool.const(0)
+    problems = Path(__file__).resolve().parent.parent / "problems"
+    sigma, theory = (parse_tree_file((problems / name).read_text())
+                     for name in ("demo_sigma.tree", "demo_theory.tree"))
+    dt_rectify(sigma.tree, theory.tree, sigma.problem)
+    for p in (pool, sigma.pool, theory.pool):
+        assert [gate for gate in store(p) if gate[0] == CONST] == _CONSTANTS
+
+
+def test_an_undeclared_variable_has_no_unique_table():
+    # `declare` makes a variable's tables, so no gate can mention one the pool lacks
+    pool = Pool()
+    pool.declare("x1")
+    for kind, var, kids in [(VAR, VarId(1, "x2"), ()), (DEC, VarId(1, "x2"), (0, 1)),
+                            (VAR, VarId(0, "x2"), ())]:
+        with pytest.raises(KeyError):
+            pool._gate(kind, var, kids)
+    assert gate_count(pool) == 2
+
+
 def test_kind_payload_and_children_read_the_store():
     pool = Pool()
     x1, x2 = pool.declare("x1", "x2")
     circ = pool.and_([pool.literal(x1), pool.literal(x2, False)])
     assert circ == Circuit(pool, gate_count(pool) - 1)
-    assert (circ.kind, circ.payload, circ.uid) == ("and", None, 3)
-    assert [child.uid for child in circ.children] == [0, 2]
-    assert circ.children[1].children[0] == pool.literal(x2) == Circuit(pool, 1)
+    assert (circ.kind, circ.payload, circ.uid) == ("and", None, 5)  # after the constants 0 and 1
+    assert [child.uid for child in circ.children] == [2, 4]
+    assert circ.children[1].children[0] == pool.literal(x2) == Circuit(pool, 3)
     assert (circ.children[0].kind, circ.children[0].payload, circ.children[0].children) == ("var", x1, ())
     assert all(child.pool is pool for child in circ.children)
     # a circuit hashes by its pool and uid, so neither can be reassigned
@@ -503,4 +540,4 @@ def test_kind_payload_and_children_read_the_store():
     for field in ("kind", "payload", "children", "pool", "uid"):
         with pytest.raises(AttributeError):
             setattr(circ, field, 7)
-    assert circ in held and (circ.pool, circ.uid, circ.kind) == (pool, 3, "and")
+    assert circ in held and (circ.pool, circ.uid, circ.kind) == (pool, 5, "and")

@@ -533,7 +533,7 @@ def test_fuzz_without_iterations_checks_nothing(capsys):
     assert (code, out, err) == (0, "fuzz: 0 iterations over 4 features, nothing checked\n", "")
 
 
-@pytest.mark.parametrize("error", [RuntimeError, RecursionError, MemoryError])
+@pytest.mark.parametrize("error", [RuntimeError, RecursionError, MemoryError, TypeError])
 def test_unexpected_exception_is_internal_error(monkeypatch, capsys, error):
     def broken(args):
         raise error("boom")

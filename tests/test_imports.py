@@ -40,17 +40,14 @@ def _store_writes(source: str) -> list[str]:
     """Where a module makes pool gates.
 
     That is an `.append` on one of the store lists `_STORE_LISTS`, called
-    or taken as a bound method, a `._interned` read, or a `._unique(...)`
-    call (it hands out a unique table, which maps children to uids).
+    or taken as a bound method, or a `._tables` read (the pool's unique
+    tables, which map children to uids).
     """
     found = []
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Call):
-            if getattr(node.func, "attr", None) == "_unique":
-                found.append(f"._unique(...) (line {node.lineno})")
-        elif isinstance(node, ast.Attribute):
-            if node.attr == "_interned":
-                found.append(f"._interned (line {node.lineno})")
+        if isinstance(node, ast.Attribute):
+            if node.attr == "_tables":
+                found.append(f"._tables (line {node.lineno})")
             elif node.attr == "append" and getattr(node.value, "attr", None) in _STORE_LISTS:
                 found.append(f".{node.value.attr}.append (line {node.lineno})")
     return found
@@ -67,16 +64,16 @@ def test_only_the_circuit_module_makes_gates(path):
 
 def test_a_gate_made_outside_the_pool_is_reported():
     source = (
-        "uid = pool._interned.get(key)\n"
+        "uid = pool._tables[DEC][var].get(kids)\n"
         "pool._kinds.append(DEC); pool._children.append(kids)\n"
-        "table = pool._unique(DEC, var)\n"
+        "tables = pool._tables\n"
         "add = pool._payloads.append\n"
         "kinds = pool._kinds; kids = pool._children[uid]; Circuit(pool, uid).children\n"
     )
     assert sorted(_store_writes(source)) == [
         "._children.append (line 2)",
-        "._interned (line 1)",
         "._kinds.append (line 2)",
         "._payloads.append (line 4)",
-        "._unique(...) (line 3)",
+        "._tables (line 1)",
+        "._tables (line 3)",
     ]
