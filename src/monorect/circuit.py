@@ -145,18 +145,11 @@ class Circuit:
         return sum(len(children[uid]) for uid in iter_gates(self))
 
     def vars(self) -> frozenset[VarId]:
-        """Variables occurring in the circuit, including decision-gate variables.
-
-        Cached in the pool by root uid, so every circuit of one root walks once.
-        """
-        cache = self._pool._vars_of
-        found = cache.get(self._uid)
-        if found is None:
-            kinds, payloads = self._pool._kinds, self._pool._payloads
-            found = cache[self._uid] = frozenset(
-                payloads[uid] for uid in iter_gates(self) if kinds[uid] == VAR or kinds[uid] == DEC
-            )
-        return found
+        """Variables occurring in the circuit, including decision-gate variables; walks each call."""
+        kinds, payloads = self._pool._kinds, self._pool._payloads
+        return frozenset(
+            payloads[uid] for uid in iter_gates(self) if kinds[uid] == VAR or kinds[uid] == DEC
+        )
 
     def vars_outside(self, allowed: Collection[VarId]) -> frozenset[VarId]:
         """The circuit's variables that are not in `allowed`.
@@ -193,7 +186,8 @@ class Pool:
     and `decision` check it, `read` and `read_tree` resolve names
     against the table, and the kernels only reuse the payloads of
     existing gates.  So a circuit checked against a superset of the
-    declarations needs no walk (`Circuit.vars_outside`).
+    declarations needs no walk (`Circuit.vars_outside`).  The pool keeps
+    nothing derived from its gates: each `Circuit.vars` call walks.
 
     Decision trees share the store: a tree is a circuit of `dec` gates
     and constants (see `dtree`), read by `read_tree` from text split on
@@ -211,7 +205,6 @@ class Pool:
         self._kinds: list[str] = [CONST, CONST]
         self._payloads: list = [0, 1]
         self._children: list[tuple[int, ...]] = [(), ()]
-        self._vars_of: dict[int, frozenset[VarId]] = {}
 
     # ------------------------------------------------------------------
     # variables

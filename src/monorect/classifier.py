@@ -149,17 +149,21 @@ def label_blocks(
     instance k: bit j is the j-th label assignment in word order.  For a
     classification circuit each block has exactly one set bit, the
     instance's verdict.  With `instances` None the blocks cover every
-    instance in word order, under the variable cap; otherwise they follow
-    the listed instances, read in one walk with no cap.
+    instance in word order, with the circuit's variables checked before
+    the variable cap; otherwise they follow the listed instances, read in
+    one walk with no cap, which finds a variable outside the problem.
     """
     if instances is None:
-        ensure_cap(len(problem.all_vars), cap)
         _check_problem_vars(circ, problem, "circuit")
+        ensure_cap(len(problem.all_vars), cap)
         n_blocks, table = 1 << len(problem.features), truth_mask(circ, problem.all_vars)
     else:
-        _check_problem_vars(circ, problem, "circuit")
         insts = [as_instance(problem, x) for x in instances]
-        n_blocks, table = len(insts), _table(circ, *_at_instances(problem, insts))
+        try:
+            n_blocks, table = len(insts), _table(circ, *_at_instances(problem, insts))
+        except KeyError:
+            _check_problem_vars(circ, problem, "circuit")  # names every variable outside
+            raise
     block_bits = 1 << len(problem.labels)
     data = table.to_bytes((n_blocks * block_bits + 7) // 8, "little")
     if block_bits < 8:
@@ -173,20 +177,19 @@ def check_xy_property(
     circ: Circuit, problem: ClassificationProblem, cap: int = DEFAULT_VAR_CAP
 ) -> bool:
     """Bit-sliced label uniqueness: every instance fixes exactly one label assignment."""
-    over = problem.all_vars
-    ensure_cap(len(over), cap)
     _check_problem_vars(circ, problem, "classifier circuit")
-    return one_label_per_instance(truth_mask(circ, over), problem)
+    ensure_cap(len(problem.all_vars), cap)
+    return one_label_per_instance(truth_mask(circ, problem.all_vars), problem)
 
 
 class Classifier:
     """A classification circuit: every instance gets exactly one label assignment.
 
     Only circuits from outside, such as a problem file's sigma, are
-    certified: the plain constructor runs the brute-force uniqueness
-    check once and raises CertificationError if it fails, so no operation
-    on a Classifier checks again.  Every other classifier is a
-    classification circuit by construction and is built unchecked by
+    certified: the plain constructor runs `check_xy_property` (variables,
+    cap, then table) once and raises CertificationError if it fails, so
+    no operation on a Classifier checks again.  Every other classifier is
+    a classification circuit by construction and is built unchecked by
     `_trusted`: the postulate battery's rewrites of a certified sigma,
     and the decision gates on the label over an accepted region that
     `from_positive_circuit` (after checking the region's variables),
@@ -202,7 +205,6 @@ class Classifier:
         *,
         cap: int = DEFAULT_VAR_CAP,
     ):
-        _check_problem_vars(circuit, problem, "classifier circuit")
         if not check_xy_property(circuit, problem, cap=cap):
             raise CertificationError(
                 "sigma is not a classification circuit: "

@@ -124,12 +124,11 @@ def _text(path: str) -> str:
 def _load(args):
     pf = parse_problem(_text(args.problem))
     _single_label(pf.problem)  # before sigma's truth table, so a wide two-label file is exit 2
-    return pf
+    return pf, Classifier(pf.problem, pf.sigma, cap=args.max_vars)
 
 
 def _cmd_rectify(args) -> int:
-    pf = _load(args)
-    clf = Classifier(pf.problem, pf.sigma, cap=args.max_vars)
+    pf, clf = _load(args)
     result = rectify(clf, pf.theory)
     accepted, full = result.positive, result.rectified.circuit
     if args.out == "dtree" or args.simplify:
@@ -143,8 +142,7 @@ def _cmd_rectify(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    pf = _load(args)
-    clf = Classifier(pf.problem, pf.sigma, cap=args.max_vars)
+    pf, clf = _load(args)
     if args.instances is None:
         prefixes, insts = [""], [args.instance]
     else:
@@ -186,8 +184,7 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    pf = _load(args)
-    clf = Classifier(pf.problem, pf.sigma, cap=args.max_vars)
+    pf, clf = _load(args)
     result = rectify(clf, pf.theory)
     report = check_postulates(
         clf,

@@ -119,12 +119,16 @@ def var_masks(over: Sequence[VarId]) -> dict[VarId, int]:
 
 
 def truth_mask(circ: Circuit, over: Sequence[VarId]) -> int:
-    """The circuit's full truth table over the given variable order, as an int."""
+    """The circuit's full truth table over the given variable order, as an int;
+    only a circuit that mentions a variable outside it is walked again, to name them all."""
     over = tuple(over)
     if len(set(over)) != len(over):
         raise ValueError("duplicate variables in enumeration order")
-    ensure_circuit_within(circ, over, "circuit mentions variables outside the order: {names}")
-    return _table(circ, var_masks(over), (1 << (1 << len(over))) - 1)
+    try:
+        return _table(circ, var_masks(over), (1 << (1 << len(over))) - 1)
+    except KeyError:
+        ensure_circuit_within(circ, over, "circuit mentions variables outside the order: {names}")
+        raise
 
 
 def evaluate(circ: Circuit, omega: Assignment) -> int:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -81,6 +82,23 @@ class TestConstructorErrorOrder:
     def test_cap_before_certification(self, demo):
         with pytest.raises(CapExceededError):
             Classifier(demo.problem, demo.pool.const(1), cap=1)
+
+    @pytest.mark.parametrize(
+        "what, read",
+        [
+            ("classifier circuit", lambda problem, circ: Classifier(problem, circ, cap=1)),
+            ("classifier circuit", lambda problem, circ: check_xy_property(circ, problem, cap=1)),
+            ("circuit", lambda problem, circ: label_blocks(circ, problem, cap=1)),
+        ],
+        ids=["Classifier", "check_xy_property", "label_blocks"],
+    )
+    def test_every_full_table_checks_variables_before_the_cap(self, demo, what, read):
+        # one guard order for certification and the full label table: variables, cap, table
+        (z,) = demo.pool.declare("z")
+        sigma = demo.pool.build(["iff", ["and", "x1", "z"], "y"])
+        message = f"{what} mentions variables outside features and labels (z); forget them first"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read(demo.problem, sigma)
 
 
 def _problem(n_features, n_labels):

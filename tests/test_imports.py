@@ -7,6 +7,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "monorect"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 TESTS = sorted((ROOT / "tests").glob("*.py"))
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -23,7 +24,7 @@ def _unused_imports(source: str) -> list[str]:
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
 
 
-@pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TESTS + SCRIPTS, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert _unused_imports(path.read_text()) == []
 

@@ -1,5 +1,7 @@
 import random
 import re
+from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -12,6 +14,9 @@ from monorect import (
     ClassificationProblem,
     Classifier,
     Pool,
+    check_postulates,
+    check_xy_property,
+    circuit_to_dt,
     classify,
     classify_batch,
     classify_rectified,
@@ -20,19 +25,24 @@ from monorect import (
     decisive_circuits,
     equivalent,
     evaluate,
+    fact_formula,
     is_fact_compliant,
     label_blocks,
     oracle_rectify,
     parse_circuit,
+    parse_problem,
     positive_circuit,
     preprocess_project,
     print_circuit,
     rectify,
     truth_mask,
 )
+from monorect.cli import main
 from monorect.randgen import random_classifier, random_problem, random_theory
 
-from conftest import desk_pairs, gate_count, oracle_args, to_term
+from conftest import desk_pairs, gate_count, oracle_args, to_term, var_walks
+
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 
 @pytest.fixture
@@ -366,6 +376,10 @@ def test_only_a_used_extra_variable_is_refused(case):
     assert refusals["truth_mask"] == (
         ValueError, f"circuit mentions variables outside the order: {names}"
     )
+    assert refusals["label_blocks"] == refusals["label_blocks at instances"] == (
+        ValueError,
+        f"circuit mentions variables outside features and labels ({names}); forget them first",
+    )
 
 
 def test_a_pool_declaring_only_the_problem_is_not_walked(monkeypatch):
@@ -379,3 +393,35 @@ def test_a_pool_declaring_only_the_problem_is_not_walked(monkeypatch):
     pool.fresh()
     assert circ.vars_outside(problem.all_vars) == frozenset()
     assert walked == [circ]
+
+
+def test_each_call_lists_a_circuit_s_variables_once_at_most(monkeypatch, capsys):
+    # one more declaration than the problem, so every variable check walks; still,
+    # no call lists one root twice: the gate interpreter's own lookup is the second check
+    demo = PROBLEMS / "demo.sexp"
+    pf = parse_problem(demo.read_text())
+    problem, sigma, theory = pf.problem, pf.sigma, pf.theory
+    sigma.pool.fresh()
+    clf = Classifier(problem, sigma)
+    result = rectify(clf, theory)
+    calls = {
+        "Classifier": lambda: Classifier(problem, sigma),
+        "check_xy_property": lambda: check_xy_property(sigma, problem),
+        "truth_mask": lambda: truth_mask(sigma, problem.all_vars),
+        "label_blocks": lambda: label_blocks(theory, problem),
+        "label_blocks at instances": lambda: label_blocks(theory, problem, ["101", "010"]),
+        "classify_batch": lambda: classify_batch(clf, theory, ["101", "010"]),
+        "fact_formula": lambda: fact_formula(theory, "101", problem),
+        "is_fact_compliant": lambda: is_fact_compliant(clf, theory, "101"),
+        "equivalent": lambda: equivalent(sigma, theory),
+        "circuit_to_dt": lambda: circuit_to_dt(result.positive, problem.features),
+        "check_postulates": lambda: check_postulates(clf, theory, result),
+        "rectify --out dtree": lambda: main(["rectify", "--problem", str(demo), "--out", "dtree"]),
+        "check": lambda: main(["check", "--problem", str(demo)]),
+    }
+    walks = var_walks(monkeypatch)
+    for name, call in calls.items():
+        walks.clear()
+        call()
+        assert max(Counter(walks).values(), default=0) <= 1, name
+    assert capsys.readouterr().err == ""  # both commands exit 0
