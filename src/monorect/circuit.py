@@ -17,7 +17,8 @@ of child uids, which the collector stops tracking once it has seen it).
 Uids are handed out in creation order and a gate is created after its
 children, so uid order is a topological order: every traversal is one
 scan down the store from the root's uid (`iter_gates`), and every kernel
-memoises in a list indexed by uid.
+memoises in a list indexed by uid.  Conditioning is one such scan plus
+work on the cone of the fixed variables only (`_substitute`).
 
 Only this module makes gates: `Pool._gate`, `Pool.read` (circuit tokens)
 and `Pool.read_tree` (tree text split on '(', with a plan per distinct
@@ -604,7 +605,8 @@ def iter_gates(circ: Circuit) -> list[int]:
     circuit built late in a large pool the scan costs little more than
     its own gates.  The kernels built on it do not: each allocates a memo
     list of root uid + 1 entries, so `condition` and `truth_mask` of such
-    a circuit cost O(root uid).
+    a circuit cost O(root uid).  Beyond the scan, conditioning works only
+    on the gates above a fixed variable or a folded constant.
     """
     uid = circ.uid
     children = circ.pool._children
@@ -631,45 +633,64 @@ def condition(circ: Circuit, assumption: Term) -> Circuit:
     folded locally on the way up (a false child kills a conjunction, true
     children are dropped, and dually for disjunctions).  The result never
     mentions a variable of the term and is never larger than the input.
+    It costs one scan of the circuit plus work on the cone of the term's
+    variables (see `_substitute`).
     """
     if not isinstance(assumption, Term):
         raise TypeError("condition expects a Term")
     if len(assumption) == 0:
         return circ
-    (root,) = _substitute(circ, (assumption._value.get,))
+    (root,) = _substitute(circ, (assumption._value,))
     return Circuit(circ.pool, root)
 
 
 def cofactors(circ: Circuit, var: VarId) -> tuple[Circuit, Circuit]:
     """The circuit conditioned on !var and on var, both built in one sweep.
 
-    The two roots are those of `condition` with each literal.
+    The two roots are those of `condition` with each literal; the sweep
+    is one scan plus work on the variable's cone, so a circuit that never
+    mentions `var` and folds no constant comes back twice as itself.
     """
-    low, high = _substitute(circ, ({var: False}.get, {var: True}.get))
+    low, high = _substitute(circ, ({var: False}, {var: True}))
     return Circuit(circ.pool, low), Circuit(circ.pool, high)
 
 
-def _substitute(circ: Circuit, values) -> list[int]:
-    """The root of `condition` under each of `values`, in one sweep.
+def _substitute(circ: Circuit, sides) -> list[int]:
+    """The root of `condition` under each of `sides` (dicts from variable to bit), in one scan.
 
-    Each value maps a variable to True, False or None (not fixed).
+    Only live gates get per-side work: a `var` or `dec` gate on a fixed
+    variable, an `and`, `or` or `not` gate with a constant child, and a
+    gate with a live child.  Every other gate is its own result on every
+    side, as every node below the variable is in the cofactor of an
+    ordered BDD (Bryant 1986).  So the work beyond the scan is
+    proportional to the cone of the fixed variables and of the folded
+    constants.
     """
     pool = circ.pool
     kinds, payloads, children = pool._kinds, pool._payloads, pool._children
     top = circ.uid
-    sides = [(value, [None] * (top + 1)) for value in values]
+    fixed = set().union(*sides)
+    memos = [[None] * (top + 1) for _ in sides]
+    pairs = list(zip(sides, memos))
+    live: set[int] = set()
     for gate in iter_gates(circ):
         kind = kinds[gate]
         kids = children[gate]
-        for value, memo in sides:
-            if kind == CONST:
-                new = gate
-            elif kind == VAR:
-                fixed = value(payloads[gate])
-                if fixed is None:
+        if live.isdisjoint(kids) and (
+            payloads[gate] not in fixed if kind == VAR or kind == DEC
+            else 0 not in kids and 1 not in kids  # the constants' uids; a constant has no child
+        ):
+            for memo in memos:
+                memo[gate] = gate
+            continue
+        live.add(gate)
+        for side, memo in pairs:
+            if kind == VAR:
+                bit = side.get(payloads[gate])
+                if bit is None:
                     new = gate
                 else:
-                    new = 1 if fixed else 0  # the constant's uid
+                    new = 1 if bit else 0  # the constant's uid
             elif kind == NOT:
                 child = memo[kids[0]]
                 if kinds[child] == CONST:
@@ -679,11 +700,11 @@ def _substitute(circ: Circuit, values) -> list[int]:
                 else:
                     new = pool._gate(NOT, None, (child,))
             elif kind == DEC:
-                fixed = value(payloads[gate])
+                bit = side.get(payloads[gate])
                 low = memo[kids[0]]
                 high = memo[kids[1]]
-                if fixed is not None:
-                    new = high if fixed else low
+                if bit is not None:
+                    new = high if bit else low
                 elif low == kids[0] and high == kids[1]:
                     new = gate
                 else:
@@ -691,19 +712,20 @@ def _substitute(circ: Circuit, values) -> list[int]:
             else:
                 new = _fold_nary(pool, kind, gate, kids, memo)
             memo[gate] = new
-    return [memo[top] for _, memo in sides]
+    return [memo[top] for memo in memos]
 
 
 def _fold_nary(pool, kind, gate, kids, memo):
     absorbing, neutral = (0, 1) if kind == AND else (1, 0)
-    new = [memo[child] for child in kids]
+    new = tuple(map(memo.__getitem__, kids))
     if absorbing in new:
         return absorbing
-    new = tuple(child for child in new if child != neutral)
-    if new == kids:
+    if neutral in new:
+        new = tuple(child for child in new if child != neutral)
+        if len(new) < 2:
+            return new[0] if new else neutral
+    elif new == kids:
         return gate
-    if len(new) < 2:
-        return new[0] if new else neutral
     return pool._gate(kind, None, new)
 
 

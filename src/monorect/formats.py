@@ -296,22 +296,39 @@ def parse_dtree(text: str, pool: Pool) -> Circuit:
 
 
 def print_dtree(tree: Circuit) -> str:
-    """Canonical text for a decision tree, every path spelled out, with an explicit stack."""
+    """Canonical text for a decision tree, every path spelled out, with an explicit stack.
+
+    Each distinct node is spelled once.  Every piece starts with the
+    blank before it (the root's is cut at the end), so a node's text is
+    the same wherever it stands: `starts` and `ends` keep where its pieces
+    lie in `out`, and every later use of the node copies that slice.  The
+    stack holds uids, and ~uid for the end of a node.
+    """
     kinds, payloads, children = tree.pool._kinds, tree.pool._payloads, tree.pool._children
     out: list[str] = []
-    todo: list = [tree.uid]
+    starts: dict[int, int] = {}
+    ends: dict[int, int] = {}
+    todo = [tree.uid]
     while todo:
         item = todo.pop()
-        if item.__class__ is str:
-            out.append(item)
+        if item < 2:  # the constants' uids, or a node's end
+            if item < 0:
+                out.append(")")
+                ends[~item] = len(out)
+            else:
+                out.append(" 1" if item else " 0")
+            continue
+        end = ends.get(item)
+        if end is not None:
+            out += out[starts[item]:end]
         elif kinds[item] == DEC:
-            out.append(f"({payloads[item].name} ")
+            starts[item] = len(out)
+            out.append(f" ({payloads[item].name}")
             low, high = children[item]
-            todo.extend((")", high, " ", low))
-        elif kinds[item] == CONST:
-            out.append("1" if payloads[item] else "0")
+            todo.extend((~item, high, low))
         else:
             raise _not_a_tree(kinds[item])
+    out[0] = out[0][1:]
     return "".join(out)
 
 

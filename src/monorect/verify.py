@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 
 from .circuit import AND, DEC, NOT, OR, VAR
-from .circuit import Circuit, Pool, conjoin, iter_gates, negate
+from .circuit import Circuit, Pool, VarId, conjoin, iter_gates, negate
 from .classifier import Classifier, ClassificationProblem, _forced, label_blocks
 from .rectify import RectificationResult, preprocess_project, rectify
 from .semantics import DEFAULT_VAR_CAP, _position_mask, var_masks
@@ -82,20 +82,25 @@ def dalal_rectify(sigma: list[int], allowed: list[int], problem) -> list[int]:
 def syntactic_rewrite(circ: Circuit, rng: random.Random, pool: Pool) -> Circuit:
     """An equivalent variant in `pool`: commuted n-ary children, double negations.
 
-    Variables are matched by name, so `pool` may declare them in any order.
+    Variables are matched by name, so `pool` may declare them in any order;
+    each is looked up once, where the circuit first mentions it.
     """
     kinds, payloads, children = circ.pool._kinds, circ.pool._payloads, circ.pool._children
     memo: list[int] = [0] * (circ.uid + 1)
+    renamed: dict[VarId, VarId] = {}
     for gate in iter_gates(circ):
         kind = kinds[gate]
-        kids = tuple(memo[c] for c in children[gate])
+        kids = tuple(map(memo.__getitem__, children[gate]))
         if kind in (AND, OR) and len(kids) > 1 and rng.random() < 0.5:
             shuffled = list(kids)
             rng.shuffle(shuffled)
             kids = tuple(shuffled)
         payload = payloads[gate]
         if kind == VAR or kind == DEC:
-            payload = pool.var(payload.name)
+            var = renamed.get(payload)
+            if var is None:
+                var = renamed[payload] = pool.var(payload.name)
+            payload = var
         new = pool._gate(kind, payload, kids)
         if rng.random() < 0.25:
             new = pool._gate(NOT, None, (pool._gate(NOT, None, (new,)),))

@@ -604,6 +604,37 @@ def recursive_has_identical_children(tree):
     )
 
 
+def path_text(tree):
+    """A tree's text, spelled path by path: each leaf is the end of one root-to-leaf path."""
+    pieces = []
+    todo = [(tree, "")]
+    while todo:
+        node, tail = todo.pop()
+        if node.kind == CONST:
+            pieces.append(f"{node.payload}{tail}")
+        else:
+            low, high = node.children
+            pieces.append(f"({node.payload.name} ")
+            todo.append((high, ")" + tail))
+            todo.append((low, " "))
+    return "".join(pieces)
+
+
+@given(seed=st.integers(0, 2**32 - 1), ast=ast_exprs(NAMES, max_leaves=10))
+def test_the_printer_spells_every_path(seed, ast):
+    # shared subtrees (identical children, the reduced trees of circuit_to_dt) are
+    # spelled once and copied; the text is the one spelled path by path
+    rng = random.Random(seed)
+    pool = Pool()
+    over = pool.declare(*NAMES)
+    trees = [
+        random_tree(pool, over, rng, depth=6, leaf_prob=0.15, identical_prob=0.3),
+        circuit_to_dt(pool.build(ast), over),
+    ]
+    for tree in trees:
+        assert print_dtree(tree) == path_text(tree)
+
+
 def _gates(circ):
     """Every gate with its uid, so the order gates were created in counts too."""
     return [

@@ -15,7 +15,7 @@ from unittest import mock
 from hypothesis import given, settings, strategies as st
 
 from monorect import Literal, Pool, Term, cofactors, condition, label_blocks, truth_mask, var_masks
-from monorect import classifier, semantics
+from monorect import circuit as circuit_module, classifier, semantics
 from monorect.circuit import AND, CONST, DEC, NOT, OR, VAR
 from monorect.randgen import random_circuit, random_problem, random_tree
 
@@ -111,17 +111,36 @@ def setting(seed, n, gates, tree, padded=False):
     """A fresh pool, its problem, and a random circuit (or tree) over all its variables.
 
     A padded circuit sits below an and/or gate with a neutral constant child,
-    which conditioning drops while the other child may stay as it is.
+    which conditioning drops while the other child may stay as it is.  The
+    circuit then takes one of `SHAPES`, drawn from the seed: cases a random
+    circuit seldom has, on the variable the tests cofactor on,
+    `all_vars[seed % len(all_vars)]`, or on another one.
     """
     rng = random.Random(seed)
     pool = Pool()
     problem = random_problem(pool, n)
     if tree:
         return pool, problem, random_tree(pool, problem.all_vars, rng, depth=5, leaf_prob=0.2)
-    circ = random_circuit(pool, problem.all_vars, gates, rng)
+    over = problem.all_vars
+    var, other = over[seed % len(over)], over[(seed + 1) % len(over)]
+    shape = rng.choice(SHAPES)
+    rest = [v for v in over if v != var] if shape in ("without the variable", "at the root only") else over
+    circ = random_circuit(pool, rest, gates, rng)
+    if shape == "not over a constant":
+        circ = pool.or_([pool.not_(pool.const(rng.randint(0, 1))), circ])
+    elif shape == "absorbing constant":
+        circ = pool.or_([pool.and_([circ, pool.const(0)]), pool.literal(other)])
+    elif shape == "dec over constants":
+        circ = pool.and_([circ, pool.decision(other, pool.const(0), pool.const(1))])
+    elif shape == "at the root only":
+        circ = pool.decision(var, circ, pool.not_(circ))
     if padded:
         circ = pool.or_([pool.and_([circ, pool.const(1)]), pool.const(0)])
     return pool, problem, circ
+
+
+SHAPES = ("plain", "not over a constant", "absorbing constant", "dec over constants",
+          "without the variable", "at the root only")
 
 
 @given(
@@ -154,6 +173,42 @@ def test_condition_and_cofactors_match_the_object_graph_kernel(seed, n, gates, t
         want_low, want_high = reference_substitute(twin, ({var: False}.get, {var: True}.get))
         assert (low.uid, high.uid) == (want_low.uid, want_high.uid)
         assert store(a) == store(b)
+
+
+def label_free(pool, problem, gates, rng):
+    """A random circuit over the features, its constants folded away: no gate of it is live."""
+    circ = random_circuit(pool, problem.features, gates, rng)
+    return cofactors(circ, problem.label)[0]
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5), gates=st.integers(0, 60))
+@settings(max_examples=60)
+def test_a_circuit_without_the_variable_comes_back_as_itself(seed, n, gates):
+    rng = random.Random(seed)
+    pool = Pool()
+    problem = random_problem(pool, n)
+    circ = label_free(pool, problem, gates, rng)
+    size = gate_count(pool)
+    assert cofactors(circ, problem.label) == (circ, circ)
+    assert condition(circ, Term([Literal(problem.label, seed % 2 == 0)])) == circ
+    assert gate_count(pool) == size
+
+
+def test_cofactors_work_on_the_cone_only():
+    # (and B (imp C y)) with label-free B and C: the label's cone is three gates at every
+    # size, so one cofactors call folds the same number of and/or gates at 1e2 and 1e4
+    folds = []
+    for gates in (100, 1000, 10000):
+        rng = random.Random(gates)
+        pool = Pool()
+        problem = random_problem(pool, 6)
+        b, c = (label_free(pool, problem, gates, rng) for _ in range(2))
+        theory = pool.and_([b, pool.or_([pool.not_(c), pool.literal(problem.label)])])
+        with mock.patch.object(circuit_module, "_fold_nary", wraps=circuit_module._fold_nary) as spy:
+            low, high = cofactors(theory, problem.label)
+        folds.append(spy.call_count)
+        assert (low, high) == (pool.and_([b, pool.not_(c)]), b)
+    assert folds == [4, 4, 4]
 
 
 @given(

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from monorect import (
     Assignment,
+    BuildError,
     ClassificationProblem,
     Classifier,
     Pool,
@@ -32,13 +34,17 @@ from monorect import (
     syntactic_rewrite,
     truth_mask,
 )
+from monorect import verify
 from monorect.randgen import random_classifier, random_problem, random_theory
 from monorect.verify import _dalal_mask
 
-from conftest import ast_exprs, build_with_vars, desk_pairs, gate_count, oracle_args, to_term
+from conftest import ast_exprs, build_with_vars, desk_pairs, gate_count, oracle_args, store, to_term
 
 
-PROBLEM_FILES = sorted((Path(__file__).resolve().parent.parent / "problems").glob("*.sexp"))
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
+PROBLEM_FILES = sorted(PROBLEMS.glob("*.sexp"))
+# sha256 of the four scratch stores the battery has built on problems/demo.sexp
+SCRATCH_DIGEST = "a1a63b2c6efd35b729826b0e5e79d07a8e49b8d34fadc740000028367d64589a"
 
 
 @pytest.fixture
@@ -200,6 +206,15 @@ class TestSyntacticRewrite:
         by_name = tuple(other.var(v.name) for v in pool.variables)
         assert truth_mask(rewrite, by_name) == truth_mask(circ, pool.variables)
 
+    def test_a_rewrite_needs_only_the_variables_the_circuit_mentions(self):
+        pool, circ = build_with_vars(("a", "b", "c"), ["or", "a", ["dec", "b", "a", "true"]])
+        other = Pool()
+        other.declare("b", "a")
+        rewrite = syntactic_rewrite(circ, random.Random(0), other)
+        assert truth_mask(rewrite, other.variables) == truth_mask(circ, (pool.var("b"), pool.var("a")))
+        with pytest.raises(BuildError, match="unknown identifier 'c'"):
+            syntactic_rewrite(pool.build(["and", "a", "c"]), random.Random(0), other)
+
     @given(pair=desk_pairs(), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=60)
     def test_a_rewrite_of_a_classifier_is_one(self, pair, seed):
@@ -226,6 +241,27 @@ class TestSyntacticRewrite:
             # interning: equal kinds, variable names and child order give the parsed root
             assert syntactic_rewrite(circ, never, scratch) == parsed
             assert gate_count(scratch) == size
+
+    def test_the_battery_builds_the_same_scratch_store(self, monkeypatch):
+        # every gate of the scratch pool of `check --seed 0..3` on the demo problem, in uid
+        # order: the rewrites draw from the rng in one order and intern in one order
+        pf = parse_problem((PROBLEMS / "demo.sexp").read_text(encoding="utf-8"))
+        clf = Classifier(pf.problem, pf.sigma)
+        result = rectify(clf, pf.theory)
+        made = []
+
+        class Recorded(Pool):
+            def __init__(self):
+                super().__init__()
+                made.append(self)
+
+        monkeypatch.setattr(verify, "Pool", Recorded)
+        digest = hashlib.sha256()
+        for seed in range(4):
+            assert check_postulates(clf, pf.theory, result, rng=random.Random(seed)).all_passed
+            digest.update(repr(store(made[-1])).encode())
+        assert len(made) == 4
+        assert digest.hexdigest() == SCRATCH_DIGEST
 
 
 class TestPostulates:
