@@ -34,7 +34,7 @@ from .semantics import (
     Assignment,
     _table,
     ensure_cap,
-    ensure_circuit_within,
+    ensure_within,
     truth_mask,
     var_masks,
 )
@@ -107,7 +107,7 @@ def as_instance(problem: ClassificationProblem, x: Instance) -> Assignment:
 
 def _check_problem_vars(circ: Circuit, problem: ClassificationProblem, what: str):
     message = " mentions variables outside features and labels ({names}); forget them first"
-    ensure_circuit_within(circ, problem.all_vars, what + message)
+    ensure_within(circ.vars_outside(problem.all_vars), what + message)
 
 
 # The 2-bit (resp. 4-bit) blocks of every byte, lowest bits first.
@@ -224,8 +224,8 @@ class Classifier:
         the uniqueness property structurally.
         """
         problem.label  # raises ValueError unless the problem is single-label
-        ensure_circuit_within(
-            positive, problem.features, "positive circuit mentions non-features: {names}"
+        ensure_within(
+            positive.vars_outside(problem.features), "positive circuit mentions non-features: {names}"
         )
         return cls._of_region(problem, positive)
 

@@ -4,8 +4,8 @@ A decision tree is a `Circuit` made of `dec` gates and constants only,
 with the drawing convention low = variable 0, high = variable 1.  Its
 gates live in a `Pool` like any circuit's, so an equal subtree is one
 gate, equality is root identity, and a tree's variables are checked
-against its pool's declarations (`Circuit.vars_outside`), with no walk
-when the pool declares only the problem's.  Trees are built with
+as every circuit's are, by `Circuit.vars_outside` and `ensure_within`,
+with no walk when the pool declares only the problem's.  Trees are built with
 `Pool.decision` and `Pool.const`, or read with `formats.parse_dtree`.
 A function here that reaches any other gate raises ValueError there.
 
@@ -36,7 +36,6 @@ from .errors import CertificationError
 from .semantics import (
     DEFAULT_VAR_CAP,
     ensure_cap,
-    ensure_circuit_within,
     ensure_within,
     truth_mask,
 )
@@ -190,8 +189,8 @@ def _certified_top(tree: Circuit, problem: ClassificationProblem):
     for a single label, the accepted region) if the tree is certified,
     and None if it is not.
     """
-    ensure_circuit_within(
-        tree, problem.all_vars, "tree mentions variables outside the problem: {names}"
+    ensure_within(
+        tree.vars_outside(problem.all_vars), "tree mentions variables outside the problem: {names}"
     )
     zero, one = Circuit(tree.pool, 0), Circuit(tree.pool, 1)
     words = [dict(zip(problem.labels, bits)) for bits in product((0, 1), repeat=len(problem.labels))]
@@ -224,9 +223,8 @@ def dt_rectify(
     in the theory's pool, so neither tree is copied.
     """
     label = problem.label
-    ensure_circuit_within(
-        theory_tree,
-        problem.features + (label,),
+    ensure_within(
+        theory_tree.vars_outside(problem.features + (label,)),
         "theory tree mentions variables outside the problem: {names}",
     )
     # certification rejects the classifier tree's variables outside the problem
@@ -259,7 +257,7 @@ def circuit_to_dt(circ: Circuit, order, cap: int = DEFAULT_VAR_CAP) -> Circuit:
     order = tuple(order)
     live = circ.vars()
     ensure_cap(len(live), cap)
-    ensure_within(live, order, "expansion order does not cover: {names}")
+    ensure_within(live.difference(order), "expansion order does not cover: {names}")
     over = tuple(v for v in dict.fromkeys(order) if v in live)
     return Circuit(circ.pool, _from_table(circ.pool, truth_mask(circ, over), over, 0))
 

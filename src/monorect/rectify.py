@@ -19,7 +19,7 @@ from .circuit import Circuit, cofactors, conjoin, disjoin, negate
 from .classifier import Classifier, ClassificationProblem, as_instance, label_blocks
 from .classifier import positive_circuit
 from .errors import CapExceededError
-from .semantics import ensure_circuit_within, evaluate, forget
+from .semantics import ensure_within, evaluate, forget
 
 
 @dataclass(frozen=True)
@@ -98,9 +98,8 @@ def _single_label(problem: ClassificationProblem) -> ClassificationProblem:
 
 
 def _check_theory(theory: Circuit, problem: ClassificationProblem):
-    ensure_circuit_within(
-        theory,
-        problem.features + (problem.label,),
+    ensure_within(
+        theory.vars_outside(problem.features + (problem.label,)),
         "theory mentions variables outside the problem ({names}); "
         "apply preprocess_project first",
     )
@@ -112,7 +111,7 @@ _MAX_FORGET = 8
 
 def preprocess_project(circ: Circuit, problem: ClassificationProblem) -> Circuit:
     """Forget every variable outside the problem's features and labels."""
-    extra = sorted(circ.vars_outside(problem.all_vars), key=lambda v: v.index)
+    extra = circ.vars_outside(problem.all_vars)
     if not extra:
         return circ
     if len(extra) > _MAX_FORGET:

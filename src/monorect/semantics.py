@@ -82,22 +82,16 @@ def ensure_cap(count: int, cap: int):
         )
 
 
-def ensure_within(found: Iterable[VarId], allowed: Collection[VarId], message: str):
-    """Raise ValueError unless every variable of `found` is in `allowed`.
+def ensure_within(extra: Collection[VarId], message: str):
+    """Raise ValueError unless `extra`, the variables found outside what is
+    allowed (for a circuit, `Circuit.vars_outside`), is empty.
 
     `message` is a format string; its `{names}` field receives the
     offending variable names, sorted and comma-separated.
     """
-    extra = set(found).difference(allowed)
     if extra:
         names = ", ".join(sorted(v.name for v in extra))
         raise ValueError(message.format(names=names))
-
-
-def ensure_circuit_within(circ: Circuit, allowed: Collection[VarId], message: str):
-    """`ensure_within(circ.vars(), allowed, message)`, walking the circuit only
-    if its pool declares a variable outside `allowed` (`Circuit.vars_outside`)."""
-    ensure_within(circ.vars_outside(allowed), allowed, message)
 
 
 def _position_mask(p: int, n: int) -> int:
@@ -127,18 +121,19 @@ def truth_mask(circ: Circuit, over: Sequence[VarId]) -> int:
     try:
         return _table(circ, var_masks(over), (1 << (1 << len(over))) - 1)
     except KeyError:
-        ensure_circuit_within(circ, over, "circuit mentions variables outside the order: {names}")
+        ensure_within(circ.vars_outside(over), "circuit mentions variables outside the order: {names}")
         raise
 
 
 def evaluate(circ: Circuit, omega: Assignment) -> int:
-    """Classical Boolean evaluation under a total assignment: a table of one row."""
+    """Classical Boolean evaluation under a total assignment: a table of one row;
+    only a circuit that mentions a variable the assignment lacks is walked again, to name them all."""
     try:
         return _table(circ, omega._values, 1)
-    except KeyError as exc:
-        raise ValueError(
-            f"assignment is not total over the circuit's variables (missing {exc.args[0].name})"
-        ) from None
+    except KeyError:
+        message = "assignment is not total over the circuit's variables (missing {names})"
+        ensure_within(circ.vars_outside(omega.vars), message)
+        raise
 
 
 def _table(circ: Circuit, masks: Mapping[VarId, int], full: int) -> int:

@@ -54,6 +54,28 @@ def _store_writes(source: str) -> list[str]:
     return found
 
 
+def _names_formats(source: str) -> list[str]:
+    """Where a module formats a `{names}` message: a `.format` call given
+    `names`, reported by the function it is in."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                visit(child, child.name)
+                continue
+            if (
+                isinstance(child, ast.Call)
+                and getattr(child.func, "attr", None) == "format"
+                and any(k.arg == "names" for k in child.keywords)
+            ):
+                found.append(f"{where} (line {child.lineno})")
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
 @pytest.mark.parametrize(
     "path", [p for p in MODULES if p.name != "circuit.py"], ids=lambda p: p.name
 )
@@ -77,4 +99,33 @@ def test_a_gate_made_outside_the_pool_is_reported():
         "._payloads.append (line 4)",
         "._tables (line 1)",
         "._tables (line 3)",
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_ensure_within_names_variables(path):
+    # one raise site for a variable outside what a check allows, so one place
+    # decides the error's type and text
+    sites = _names_formats(path.read_text())
+    if path.name == "semantics.py":
+        assert [site.split()[0] for site in sites] == ["ensure_within"]
+    else:
+        assert sites == []
+
+
+def test_a_names_message_formatted_elsewhere_is_reported():
+    source = (
+        "def ensure_within(extra, message):\n"
+        "    raise ValueError(message.format(names=', '.join(extra)))\n"
+        "def check(c):\n"
+        "    text = 'outside {names}'.format(names='x')\n"
+        "    def inner(): return m.format(other=1, names=n)\n"
+        "    return '{} {n}'.format('a', n=1), inner\n"
+        "top = '{names}'.format(names=1)\n"
+    )
+    assert _names_formats(source) == [
+        "ensure_within (line 2)",
+        "check (line 4)",
+        "inner (line 5)",
+        "<module> (line 7)",
     ]

@@ -326,6 +326,13 @@ SITES = {
     "label_blocks at instances": lambda problem, circ, clf: label_blocks(circ, problem, ["11"]),
     "truth_mask": lambda problem, circ, clf: truth_mask(circ, problem.all_vars),
     "preprocess_project": lambda problem, circ, clf: print_circuit(preprocess_project(circ, problem)),
+    "evaluate": lambda problem, circ, clf: evaluate(circ, Assignment(problem.all_vars, (1, 0, 1))),
+    "fact_formula": lambda problem, circ, clf: fact_formula(circ, "10", problem),
+    "circuit_to_dt": lambda problem, circ, clf: print_circuit(circuit_to_dt(circ, problem.all_vars)),
+    # the accepted region R, the decision's high branch
+    "from_positive_circuit": lambda problem, circ, clf: print_circuit(
+        Classifier.from_positive_circuit(problem, circ.children[1]).circuit
+    ),
 }
 
 
@@ -379,6 +386,17 @@ def test_only_a_used_extra_variable_is_refused(case):
     assert refusals["label_blocks"] == refusals["label_blocks at instances"] == (
         ValueError,
         f"circuit mentions variables outside features and labels ({names}); forget them first",
+    )
+    assert refusals["evaluate"] == (
+        ValueError, f"assignment is not total over the circuit's variables (missing {names})"
+    )
+    assert refusals["fact_formula"] == (
+        ValueError,
+        f"theory mentions variables outside features and labels ({names}); forget them first",
+    )
+    assert refusals["circuit_to_dt"] == (ValueError, f"expansion order does not cover: {names}")
+    assert refusals["from_positive_circuit"] == (
+        ValueError, f"positive circuit mentions non-features: {names}"
     )
 
 
