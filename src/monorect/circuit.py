@@ -16,9 +16,9 @@ flat lists `Pool._kinds`, `Pool._payloads` and `Pool._children` (a tuple
 of child uids, which the collector stops tracking once it has seen it).
 Uids are handed out in creation order and a gate is created after its
 children, so uid order is a topological order: every traversal is one
-scan down the store from the root's uid (`iter_gates`), and every kernel
-memoises in a list indexed by uid.  Conditioning is one such scan plus
-work on the cone of the fixed variables only (`_substitute`).
+scan down the store from the root's uid (`iter_gates`).  Conditioning is
+one such scan plus work on the cone of the fixed variables only
+(`_substitute`), memoised in a dict of that cone's gates.
 
 Only this module makes gates: `Pool._gate`, `Pool.read` (circuit tokens)
 and `Pool.read_tree` (tree text split on '(', with a plan per distinct
@@ -603,10 +603,11 @@ def iter_gates(circ: Circuit) -> list[int]:
     children of each marked gate finds every reachable gate; runs of
     unmarked uids are skipped by `bytearray.rfind`, so for a small
     circuit built late in a large pool the scan costs little more than
-    its own gates.  The kernels built on it do not: each allocates a memo
-    list of root uid + 1 entries, so `condition` and `truth_mask` of such
-    a circuit cost O(root uid).  Beyond the scan, conditioning works only
-    on the gates above a fixed variable or a folded constant.
+    its own gates.  So does conditioning, which beyond the scan works and
+    memoises only on the gates above a fixed variable or a folded
+    constant.  The gate interpreter `semantics._table` and the use count
+    of `formats.print_circuit` still allocate a list of root uid + 1
+    entries, so they cost O(root uid) on such a circuit.
     """
     uid = circ.uid
     children = circ.pool._children
@@ -658,74 +659,59 @@ def cofactors(circ: Circuit, var: VarId) -> tuple[Circuit, Circuit]:
 def _substitute(circ: Circuit, sides) -> list[int]:
     """The root of `condition` under each of `sides` (dicts from variable to bit), in one scan.
 
-    Only live gates get per-side work: a `var` or `dec` gate on a fixed
-    variable, an `and`, `or` or `not` gate with a constant child, and a
-    gate with a live child.  Every other gate is its own result on every
-    side, as every node below the variable is in the cofactor of an
-    ordered BDD (Bryant 1986).  So the work beyond the scan is
-    proportional to the cone of the fixed variables and of the folded
-    constants.
+    Every side fixes the same variables.  Only live gates get per-side
+    work: a `var` or `dec` gate on a fixed variable, an `and`, `or` or
+    `not` gate with a constant child, and a gate with a live child.  Every
+    other gate is its own result on every side, as every node below the
+    variable is in the cofactor of an ordered BDD (Bryant 1986), so each
+    side's memo holds the live gates only and a child reads
+    `memo.get(kid, kid)`.  A live gate's result neither mentions a fixed
+    variable nor folds a constant, so it is never the gate itself.  The
+    work beyond the scan is proportional to the cone of the fixed
+    variables and of the folded constants.
     """
     pool = circ.pool
     kinds, payloads, children = pool._kinds, pool._payloads, pool._children
-    top = circ.uid
-    fixed = set().union(*sides)
-    memos = [[None] * (top + 1) for _ in sides]
+    memos: list[dict[int, int]] = [{} for _ in sides]
     pairs = list(zip(sides, memos))
-    live: set[int] = set()
+    live = memos[0].keys()  # every side's memo holds the same gates
     for gate in iter_gates(circ):
         kind = kinds[gate]
         kids = children[gate]
         if live.isdisjoint(kids) and (
-            payloads[gate] not in fixed if kind == VAR or kind == DEC
+            payloads[gate] not in sides[0] if kind == VAR or kind == DEC
             else 0 not in kids and 1 not in kids  # the constants' uids; a constant has no child
         ):
-            for memo in memos:
-                memo[gate] = gate
             continue
-        live.add(gate)
         for side, memo in pairs:
             if kind == VAR:
-                bit = side.get(payloads[gate])
-                if bit is None:
-                    new = gate
-                else:
-                    new = 1 if bit else 0  # the constant's uid
+                new = 1 if side[payloads[gate]] else 0  # the constant's uid
             elif kind == NOT:
-                child = memo[kids[0]]
-                if kinds[child] == CONST:
-                    new = 1 - child
-                elif child == kids[0]:
-                    new = gate
-                else:
-                    new = pool._gate(NOT, None, (child,))
+                child = memo.get(kids[0], kids[0])
+                new = 1 - child if child < 2 else pool._gate(NOT, None, (child,))
             elif kind == DEC:
                 bit = side.get(payloads[gate])
-                low = memo[kids[0]]
-                high = memo[kids[1]]
+                low = memo.get(kids[0], kids[0])
+                high = memo.get(kids[1], kids[1])
                 if bit is not None:
                     new = high if bit else low
-                elif low == kids[0] and high == kids[1]:
-                    new = gate
                 else:
                     new = pool._gate(DEC, payloads[gate], (low, high))
             else:
-                new = _fold_nary(pool, kind, gate, kids, memo)
+                new = _fold_nary(pool, kind, kids, memo)
             memo[gate] = new
-    return [memo[top] for memo in memos]
+    return [memo.get(circ.uid, circ.uid) for memo in memos]
 
 
-def _fold_nary(pool, kind, gate, kids, memo):
+def _fold_nary(pool, kind, kids, memo):
     absorbing, neutral = (0, 1) if kind == AND else (1, 0)
-    new = tuple(map(memo.__getitem__, kids))
+    new = tuple(map(memo.get, kids, kids))
     if absorbing in new:
         return absorbing
     if neutral in new:
         new = tuple(child for child in new if child != neutral)
         if len(new) < 2:
             return new[0] if new else neutral
-    elif new == kids:
-        return gate
     return pool._gate(kind, None, new)
 
 

@@ -86,7 +86,7 @@ def syntactic_rewrite(circ: Circuit, rng: random.Random, pool: Pool) -> Circuit:
     each is looked up once, where the circuit first mentions it.
     """
     kinds, payloads, children = circ.pool._kinds, circ.pool._payloads, circ.pool._children
-    memo: list[int] = [0] * (circ.uid + 1)
+    memo: dict[int, int] = {}
     renamed: dict[VarId, VarId] = {}
     for gate in iter_gates(circ):
         kind = kinds[gate]

@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -133,6 +134,16 @@ class TestCondition:
         (x,) = pool.declare("x")
         with pytest.raises(ValueError, match="inconsistent term"):
             Term([Literal(x, True), Literal(x, False)])
+
+    def test_terms_are_values(self):
+        pool = Pool()
+        x1, x2 = pool.declare("x1", "x2")
+        term = Term([Literal(x2), Literal(x1, False)])
+        same = Term([Literal(x1, False), Literal(x2), Literal(x2)])
+        assert term == same and hash(term) == hash(same)
+        assert {term, same, Term([Literal(x1)])} == {term, Term([Literal(x1)])}
+        assert str(Literal(x1)) == "x1" and str(Literal(x1, False)) == "!x1"
+        assert repr(term) == "Term(!x1 x2)" and repr(Term()) == "Term()"
 
     def test_removes_conditioned_variables(self):
         pool, circ = build_with_vars(("x1", "y"), ["and", "x1", "y"])
@@ -333,6 +344,23 @@ def test_small_circuit_built_last_in_a_large_pool():
     # the scan skips the 1e5 unmarked uids below the root in C: far less
     # than one visit per uid, which the walk over the whole chain makes
     assert best(small, 20) * 20 < best(chain, 3)
+
+    def peak(call):
+        tracemalloc.start()
+        try:
+            result = call()
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # conditioning memoises only its cone: past iter_gates' bytearray of one
+    # byte per uid it allocates nothing sized by the root uid, and makes no gate
+    conditioned, condition_peak = peak(lambda: condition(small, Term([Literal(x1)])))
+    halves, cofactors_peak = peak(lambda: cofactors(small, x1))
+    assert conditioned == pool.literal(x2)
+    assert halves == (pool.const(0), pool.literal(x2))
+    assert gate_count(pool) == 100_005
+    assert condition_peak < 2 * small.uid and cofactors_peak < 2 * small.uid
 
 
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5), gates=st.integers(0, 40))

@@ -166,6 +166,10 @@ class TestClassify:
         verdict = classify(clf, "10")
         assert verdict.word == "10"
 
+    def test_repr_counts_features_and_labels(self, demo, twolabel):
+        assert repr(Classifier(demo.problem, demo.sigma)) == "<Classifier 3+1 vars>"
+        assert repr(Classifier(twolabel.problem, twolabel.sigma)) == "<Classifier 2+2 vars>"
+
     def test_uncertified_rejected(self, twolabel):
         with pytest.raises(CertificationError, match="^sigma is not a classification circuit: "):
             Classifier(twolabel.problem, twolabel.theory)

@@ -66,6 +66,11 @@ class TestAssignment:
         omega = Assignment(over, (True, False))
         assert omega.bits == (1, 0) and omega.word == "10"
 
+    def test_an_assignment_prints_as_its_word(self):
+        pool = Pool()
+        over = pool.declare("x1", "x2", "x3")
+        assert str(Assignment.from_word("011", over)) == "011"
+
 
 class TestEvaluate:
     def test_conjunction(self):
