@@ -24,10 +24,11 @@ Only this module makes gates: `Pool._gate`, `Pool.read` (circuit tokens)
 and `Pool.read_tree` (tree text split on '(', with a plan per distinct
 chunk) append them to the store and intern them in `Pool._tables`, the
 unique table of each kind and payload, keyed by the children tuple the
-store keeps.  Every table exists before a gate asks for it: a pool starts
-with false and true at uids 0 and 1, and `declare` adds each variable's
-tables.  A `Circuit` (pool and uid) is the one handle on a gate; its
-`kind`, `payload` and `children` read the store.
+store keeps.  Every table exists before a gate asks for it: `declare`
+adds each variable's tables.  The constants false and true, uids 0 and 1
+of every pool, are in no table: every kernel tells a constant by
+`uid < 2` and reads its value as the uid.  A `Circuit` (pool and uid) is
+the one handle on a gate; its `kind`, `payload` and `children` read the store.
 """
 
 from __future__ import annotations
@@ -178,10 +179,11 @@ class Pool:
     """Variable table plus append-only interned gate storage.
 
     The store is three lists indexed by uid, with one unique table per
-    kind and payload in `_tables`; uids 0 and 1 are the constants false
-    and true.  All circuits combined by the module's operations must
-    come from the same pool.  Construction of a pool is single-writer;
-    once built, gates are immutable and safe to read from anywhere.
+    gate kind and payload in `_tables`; uids 0 and 1 are the constants
+    false and true, which no table holds.  All circuits combined by the
+    module's operations must come from the same pool.  Construction of a
+    pool is single-writer; once built, gates are immutable and safe to
+    read from anywhere.
 
     Every variable a gate mentions is one the pool declares: `literal`
     and `decision` check it, `read` and `read_tree` resolve names
@@ -199,10 +201,7 @@ class Pool:
         self._by_name: dict[str, VarId] = {}
         self._order: list[VarId] = []
         # the unique tables: kind -> payload -> children -> uid; `declare` fills `var` and `dec`
-        self._tables: dict[str, dict] = {
-            CONST: {0: {(): 0}, 1: {(): 1}}, NOT: {None: {}}, AND: {None: {}}, OR: {None: {}},
-            VAR: {}, DEC: {},
-        }
+        self._tables: dict[str, dict] = {NOT: {None: {}}, AND: {None: {}}, OR: {None: {}}, VAR: {}, DEC: {}}
         self._kinds: list[str] = [CONST, CONST]
         self._payloads: list = [0, 1]
         self._children: list[tuple[int, ...]] = [(), ()]
@@ -704,6 +703,7 @@ def _substitute(circ: Circuit, sides) -> list[int]:
 
 
 def _fold_nary(pool, kind, kids, memo):
+    """The `kind` gate over `kids` read through `memo`, its constant children folded."""
     absorbing, neutral = (0, 1) if kind == AND else (1, 0)
     new = tuple(map(memo.get, kids, kids))
     if absorbing in new:
@@ -717,32 +717,25 @@ def _fold_nary(pool, kind, kids, memo):
 
 def negate(circ: Circuit) -> Circuit:
     """Complement as a wrapper gate; double negation and constants fold away."""
-    pool = circ.pool
-    kind = pool._kinds[circ.uid]
-    if kind == NOT:
-        return Circuit(pool, pool._children[circ.uid][0])
-    if kind == CONST:
-        return Circuit(pool, 1 - circ.uid)
+    pool, uid = circ.pool, circ.uid
+    if uid < 2:
+        return Circuit(pool, 1 - uid)
+    if pool._kinds[uid] == NOT:
+        return Circuit(pool, pool._children[uid][0])
     return pool.not_(circ)
 
 
 def conjoin(a: Circuit, b: Circuit) -> Circuit:
-    """Conjunction; adds at most two arcs over the inputs."""
+    """Conjunction, folded by `_fold_nary`'s rule; adds at most two arcs over the inputs."""
     return _combine(AND, a, b)
 
 
 def disjoin(a: Circuit, b: Circuit) -> Circuit:
-    """Disjunction; adds at most two arcs over the inputs."""
+    """Disjunction, folded by `_fold_nary`'s rule; adds at most two arcs over the inputs."""
     return _combine(OR, a, b)
 
 
 def _combine(kind, a, b):
     pool = a.pool
     pool._owned(b)
-    absorbing = 0 if kind == AND else 1
-    for first, second in ((a, b), (b, a)):
-        if pool._kinds[first.uid] == CONST:
-            return first if pool._payloads[first.uid] == absorbing else second
-    if a.uid == b.uid:
-        return a
-    return Circuit(pool, pool._gate(kind, None, (a.uid, b.uid)))
+    return a if a == b else Circuit(pool, _fold_nary(pool, kind, (a.uid, b.uid), {}))

@@ -105,9 +105,11 @@ def as_instance(problem: ClassificationProblem, x: Instance) -> Assignment:
     raise TypeError(f"cannot interpret {type(x).__name__} as an instance")
 
 
+_OUTSIDE = " mentions variables outside features and labels ({names}); forget them first"
+
+
 def _check_problem_vars(circ: Circuit, problem: ClassificationProblem, what: str):
-    message = " mentions variables outside features and labels ({names}); forget them first"
-    ensure_within(circ.vars_outside(problem.all_vars), what + message)
+    ensure_within(circ.vars_outside(problem.all_vars), what + _OUTSIDE)
 
 
 # The 2-bit (resp. 4-bit) blocks of every byte, lowest bits first.
@@ -159,11 +161,7 @@ def label_blocks(
         n_blocks, table = 1 << len(problem.features), truth_mask(circ, problem.all_vars)
     else:
         insts = [as_instance(problem, x) for x in instances]
-        try:
-            n_blocks, table = len(insts), _table(circ, *_at_instances(problem, insts))
-        except KeyError:
-            _check_problem_vars(circ, problem, "circuit")  # names every variable outside
-            raise
+        n_blocks, table = len(insts), _table(circ, *_at_instances(problem, insts), "circuit" + _OUTSIDE)
     block_bits = 1 << len(problem.labels)
     data = table.to_bytes((n_blocks * block_bits + 7) // 8, "little")
     if block_bits < 8:

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .circuit import AND, CONST, DEC, OR, Circuit, VarId
+from .circuit import AND, DEC, OR, Circuit, VarId
 from .classifier import ClassificationProblem, as_instance, label_blocks
 from .errors import CertificationError
 from .semantics import (
@@ -65,14 +65,13 @@ def _graft(tree: Circuit, leaf) -> Circuit:
             low, high = children[~gate]
             new[~gate] = intern(DEC, payloads[~gate], (new[low], new[high]))
         elif gate not in new:
-            kind = kinds[gate]
-            if kind == DEC:
+            if kinds[gate] == DEC:
                 low, high = children[gate]
                 todo += (~gate, high, low)
-            elif kind == CONST:
-                new[gate] = leaf(payloads[gate])
+            elif gate < 2:  # a constant: its uid is its value
+                new[gate] = leaf(gate)
             else:
-                raise _not_a_tree(kind)
+                raise _not_a_tree(kinds[gate])
     return Circuit(pool, new[tree.uid])
 
 
@@ -99,18 +98,22 @@ def _reduce(
     building it: the walk goes on from a reached c-leaf into `on_c` and
     resumes in `tree` once that is reduced.  `leaves=(map0, map1)` maps
     the leaves of `on_c` to the gates `map_c` (for 0, for 1), taken as
-    they are.  The result is built in the pool of the grafts (all in one
-    pool), or in the tree's when it grafts nothing; the tree is read in
-    its own pool's store, which may be another.
+    they are.  With no grafts each constant is grafted onto itself.  A
+    leaf is read through the leaf map of the tree being walked, where
+    `tree`'s maps a leaf whose graft is no constant to None.  The result
+    is built in the pool of the grafts (all in one pool), or in the
+    tree's when it grafts nothing; the tree is read in its own pool's
+    store, which may be another.
     """
     store = pool = tree.pool
-    relabel = None  # the leaf map of the graft being walked
-    paused = () if grafts is None else None  # `tree`'s open nodes while a graft is walked
+    onto = (0, 1)  # each leaf of `tree`: the gate it becomes if its graft is a constant, else None
     if grafts is not None:
         pool = grafts[0].pool
         maps = ([leaf.uid for leaf in m] for m in leaves) if leaves else [(0, 1)] * 2
-        # for each leaf of `tree`: its graft's root and leaf map, and the leaf it is if a constant
-        grafts = [(g.uid, m, m[g.payload] if g.kind == CONST else None) for g, m in zip(grafts, maps)]
+        grafts = [(g.uid, m) for g, m in zip(grafts, maps)]  # each graft's root and leaf map
+        onto = [m[g] if g < 2 else None for g, m in grafts]
+    relabel = onto  # the leaf map of the tree being walked
+    paused = None  # `tree`'s open nodes while a graft is walked
     intern = pool._gate
     kinds, payloads, children = store._kinds, store._payloads, store._children
     done: list[int] = []
@@ -126,17 +129,15 @@ def _reduce(
                 node = children[node][0]
             else:
                 node = children[node][forced]
-        if kinds[node] != CONST:
+        if node > 1:
             raise _not_a_tree(kinds[node])
-        if paused is not None:  # a leaf of a graft, or of `tree` grafting nothing
-            done.append(node if relabel is None else relabel[payloads[node]])
-        else:  # a leaf of `tree`: on into its graft
-            node, relabel, leaf = grafts[payloads[node]]
-            if leaf is None:
-                paused, open_nodes = open_nodes, []
-                kinds, payloads, children = pool._kinds, pool._payloads, pool._children
-                continue
-            done.append(leaf)
+        leaf = relabel[node]
+        if leaf is None:  # a leaf of `tree` whose graft is no constant: on into the graft
+            node, relabel = grafts[node]
+            paused, open_nodes = open_nodes, []
+            kinds, payloads, children = pool._kinds, pool._payloads, pool._children
+            continue
+        done.append(leaf)
         while True:
             if open_nodes:
                 node = open_nodes[-1]
@@ -151,7 +152,7 @@ def _reduce(
                 low = done.pop()
                 done.append(low if low == high else intern(DEC, var, (low, high)))
             elif paused:  # the graft is reduced: back to `tree`
-                open_nodes, paused = paused, None
+                open_nodes, paused, relabel = paused, None, onto
                 kinds, payloads, children = store._kinds, store._payloads, store._children
             else:
                 return Circuit(pool, done[0])

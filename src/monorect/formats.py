@@ -63,7 +63,7 @@ from dataclasses import dataclass
 from operator import length_hint
 from typing import Sequence
 
-from .circuit import CONST, DEC, VAR, Circuit, Pool, _form_end, iter_gates
+from .circuit import DEC, VAR, Circuit, Pool, _form_end, iter_gates
 from .classifier import ClassificationProblem
 from .dtree import _not_a_tree
 from .errors import ParseError, RectifyError
@@ -248,7 +248,7 @@ def print_circuit(circ: Circuit) -> str:
     out = ["(let ("]
     i = 0
     for gate in gates:  # children first, so a binding uses earlier names only
-        if uses[gate] > 1 and kinds[gate] not in (CONST, VAR):
+        if uses[gate] > 1 and gate > 1 and kinds[gate] != VAR:
             while f"g{i}" in taken:
                 i += 1
             out.append(f"(g{i} ")
@@ -274,8 +274,8 @@ def _spell(pool: Pool, gate: int, names: dict[int, str], out: list[str]):
             out.append(item)
         elif item in names:
             out.append(names[item])
-        elif kinds[item] == CONST:
-            out.append("true" if payloads[item] else "false")
+        elif item < 2:
+            out.append("true" if item else "false")
         elif kinds[item] == VAR:
             out.append(payloads[item].name)
         else:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Collection, Iterable, Mapping, Sequence
 
-from .circuit import AND, CONST, NOT, OR, VAR
+from .circuit import AND, NOT, OR, VAR
 from .circuit import Circuit, VarId, cofactors, disjoin, iter_gates
 from .errors import CapExceededError
 
@@ -118,53 +118,52 @@ def truth_mask(circ: Circuit, over: Sequence[VarId]) -> int:
     over = tuple(over)
     if len(set(over)) != len(over):
         raise ValueError("duplicate variables in enumeration order")
-    try:
-        return _table(circ, var_masks(over), (1 << (1 << len(over))) - 1)
-    except KeyError:
-        ensure_within(circ.vars_outside(over), "circuit mentions variables outside the order: {names}")
-        raise
+    message = "circuit mentions variables outside the order: {names}"
+    return _table(circ, var_masks(over), (1 << (1 << len(over))) - 1, message)
 
 
 def evaluate(circ: Circuit, omega: Assignment) -> int:
     """Classical Boolean evaluation under a total assignment: a table of one row;
     only a circuit that mentions a variable the assignment lacks is walked again, to name them all."""
-    try:
-        return _table(circ, omega._values, 1)
-    except KeyError:
-        message = "assignment is not total over the circuit's variables (missing {names})"
-        ensure_within(circ.vars_outside(omega.vars), message)
-        raise
+    message = "assignment is not total over the circuit's variables (missing {names})"
+    return _table(circ, omega._values, 1, message)
 
 
-def _table(circ: Circuit, masks: Mapping[VarId, int], full: int) -> int:
+def _table(circ: Circuit, masks: Mapping[VarId, int], full: int, message: str) -> int:
     """The gate interpreter: the root's mask, each variable read as its mask.
 
-    Every mask is a subset of `full`, one bit per row; a variable missing
-    from `masks` raises KeyError.
+    Every mask is a subset of `full`, one bit per row; a constant's is 0
+    or `full` by its uid.  A variable missing from `masks` makes
+    `ensure_within` walk the circuit again and raise `message`, with every
+    such variable named.
     """
     kinds, payloads, children = circ.pool._kinds, circ.pool._payloads, circ.pool._children
     memo = [0] * (circ.uid + 1)
-    for gate in iter_gates(circ):
-        kind = kinds[gate]
-        if kind == CONST:
-            m = full if payloads[gate] else 0
-        elif kind == VAR:
-            m = masks[payloads[gate]]
-        elif kind == NOT:
-            m = full ^ memo[children[gate][0]]
-        elif kind == AND:
-            m = full
-            for child in children[gate]:
-                m &= memo[child]
-        elif kind == OR:
-            m = 0
-            for child in children[gate]:
-                m |= memo[child]
-        else:  # DEC
-            sel = masks[payloads[gate]]
-            low, high = children[gate]
-            m = (memo[high] & sel) | (memo[low] & ~sel & full)
-        memo[gate] = m
+    try:
+        for gate in iter_gates(circ):
+            kind = kinds[gate]
+            if gate < 2:
+                m = full if gate else 0
+            elif kind == VAR:
+                m = masks[payloads[gate]]
+            elif kind == NOT:
+                m = full ^ memo[children[gate][0]]
+            elif kind == AND:
+                m = full
+                for child in children[gate]:
+                    m &= memo[child]
+            elif kind == OR:
+                m = 0
+                for child in children[gate]:
+                    m |= memo[child]
+            else:  # DEC
+                sel = masks[payloads[gate]]
+                low, high = children[gate]
+                m = (memo[high] & sel) | (memo[low] & ~sel & full)
+            memo[gate] = m
+    except KeyError:
+        ensure_within(circ.vars_outside(masks), message)
+        raise
     return memo[circ.uid]
 
 

@@ -101,7 +101,7 @@ def syntactic_rewrite(circ: Circuit, rng: random.Random, pool: Pool) -> Circuit:
             if var is None:
                 var = renamed[payload] = pool.var(payload.name)
             payload = var
-        new = pool._gate(kind, payload, kids)
+        new = gate if gate < 2 else pool._gate(kind, payload, kids)  # a constant has its uid in every pool
         if rng.random() < 0.25:
             new = pool._gate(NOT, None, (pool._gate(NOT, None, (new,)),))
         memo[gate] = new

@@ -26,7 +26,7 @@ from monorect import (
     parse_dtree,
     parse_tree_file,
 )
-from monorect.circuit import AND, CONST, DEC, VAR, VarId
+from monorect.circuit import AND, CONST, DEC, OR, VAR, VarId
 from monorect.dtree import _reduce
 from monorect.formats import _chunks
 from monorect.randgen import random_circuit, random_problem, random_tree
@@ -177,6 +177,41 @@ class TestConjoinDisjoin:
         assert disjoin(pool.const(0), b) == b
         assert conjoin(pool.const(0), b) == pool.const(0)
         assert disjoin(pool.const(1), b) == pool.const(1)
+
+    @pytest.mark.parametrize("combine, absorbing", [(conjoin, 0), (disjoin, 1)])
+    def test_a_constant_on_either_side_folds_and_adds_no_gate(self, combine, absorbing):
+        pool, b = build_with_vars(NAMES, ["or", "x1", "x2"])
+        kill, unit = pool.const(absorbing), pool.const(1 - absorbing)
+        size = gate_count(pool)
+        assert combine(kill, b) == combine(b, kill) == kill
+        assert combine(unit, b) == combine(b, unit) == b
+        assert combine(kill, unit) == combine(unit, kill) == combine(kill, kill) == kill
+        assert combine(unit, unit) == unit
+        assert gate_count(pool) == size
+
+    @pytest.mark.parametrize("combine", [conjoin, disjoin])
+    def test_equal_operands_are_one_and_add_no_gate(self, combine):
+        pool, b = build_with_vars(NAMES, ["or", "x1", "x2"])
+        size = gate_count(pool)
+        assert combine(b, b) == b
+        assert gate_count(pool) == size
+
+    @pytest.mark.parametrize("combine, make, kind", [(conjoin, Pool.and_, AND), (disjoin, Pool.or_, OR)])
+    def test_two_distinct_gates_make_the_interned_gate(self, combine, make, kind):
+        pool, a, b = build_with_vars(NAMES, ["or", "x1", "x2"], ["not", "x3"])
+        size = gate_count(pool)
+        both = combine(a, b)
+        assert gate_count(pool) == size + 1
+        assert both == make(pool, [a, b]) and (both.kind, both.children) == (kind, (a, b))
+        assert combine(b, a) != both  # the operands keep their order
+        assert gate_count(pool) == size + 2
+
+    @pytest.mark.parametrize("combine", [conjoin, disjoin])
+    def test_operands_of_two_pools_are_refused_before_any_fold(self, combine):
+        pool, other = Pool(), Pool()
+        for first, second in ((pool.const(0), other.const(0)), (pool.const(1), other.const(1))):
+            with pytest.raises(ValueError, match="circuit belongs to a different pool"):
+                combine(first, second)
 
     def test_contradiction(self):
         pool, x1, nx1 = build_with_vars(NAMES, "x1", ["not", "x1"])

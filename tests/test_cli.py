@@ -419,9 +419,9 @@ def _walks(monkeypatch) -> list[int]:
     walked = []
     real = semantics._table
 
-    def spy(circ, masks, full):
+    def spy(circ, masks, full, *rest):
         walked.append(circ.uid)
-        return real(circ, masks, full)
+        return real(circ, masks, full, *rest)
 
     for module in (semantics, classifier):
         monkeypatch.setattr(module, "_table", spy)

@@ -227,8 +227,11 @@ def test_masks_match_the_object_graph_interpreter(seed, n, gates, tree, instance
     assert truth_mask(circ, over) == reference_table(circ, var_masks(over), full)
     words = [format(i % (1 << n), f"0{n}b") for i in instances]
     got = (label_blocks(circ, problem), label_blocks(circ, problem, words))
-    with mock.patch.object(semantics, "_table", reference_table), \
-            mock.patch.object(classifier, "_table", reference_table):
+    def reference(circ, masks, full, message):
+        return reference_table(circ, masks, full)
+
+    with mock.patch.object(semantics, "_table", reference), \
+            mock.patch.object(classifier, "_table", reference):
         want = (label_blocks(circ, problem), label_blocks(circ, problem, words))
     assert got == want
     assert gate_count(pool) == size  # reading masks makes no gate

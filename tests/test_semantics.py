@@ -142,9 +142,9 @@ class TestChecks:
         walked = []
         real = semantics._table
 
-        def spy(circ, masks, full):
+        def spy(circ, masks, full, *rest):
             walked.append(circ.uid)
-            return real(circ, masks, full)
+            return real(circ, masks, full, *rest)
 
         monkeypatch.setattr(semantics, "_table", spy)
         again = demo.pool.build(DEMO_SIGMA_AST)  # interned: the same root
