@@ -697,22 +697,21 @@ def _substitute(circ: Circuit, sides) -> list[int]:
                 else:
                     new = pool._gate(DEC, payloads[gate], (low, high))
             else:
-                new = _fold_nary(pool, kind, kids, memo)
+                new = _fold_nary(pool, kind, tuple(map(memo.get, kids, kids)))
             memo[gate] = new
     return [memo.get(circ.uid, circ.uid) for memo in memos]
 
 
-def _fold_nary(pool, kind, kids, memo):
-    """The `kind` gate over `kids` read through `memo`, its constant children folded."""
+def _fold_nary(pool, kind, kids):
+    """The `kind` gate (`and` or `or`) over the child uids `kids`, its constant children folded."""
     absorbing, neutral = (0, 1) if kind == AND else (1, 0)
-    new = tuple(map(memo.get, kids, kids))
-    if absorbing in new:
+    if absorbing in kids:
         return absorbing
-    if neutral in new:
-        new = tuple(child for child in new if child != neutral)
-        if len(new) < 2:
-            return new[0] if new else neutral
-    return pool._gate(kind, None, new)
+    if neutral in kids:
+        kids = tuple(child for child in kids if child != neutral)
+        if len(kids) < 2:
+            return kids[0] if kids else neutral
+    return pool._gate(kind, None, kids)
 
 
 def negate(circ: Circuit) -> Circuit:
@@ -726,16 +725,16 @@ def negate(circ: Circuit) -> Circuit:
 
 
 def conjoin(a: Circuit, b: Circuit) -> Circuit:
-    """Conjunction, folded by `_fold_nary`'s rule; adds at most two arcs over the inputs."""
+    """Conjunction: `_fold_nary` folds the two roots; adds at most two arcs over the inputs."""
     return _combine(AND, a, b)
 
 
 def disjoin(a: Circuit, b: Circuit) -> Circuit:
-    """Disjunction, folded by `_fold_nary`'s rule; adds at most two arcs over the inputs."""
+    """Disjunction: `_fold_nary` folds the two roots; adds at most two arcs over the inputs."""
     return _combine(OR, a, b)
 
 
 def _combine(kind, a, b):
     pool = a.pool
     pool._owned(b)
-    return a if a == b else Circuit(pool, _fold_nary(pool, kind, (a.uid, b.uid), {}))
+    return a if a == b else Circuit(pool, _fold_nary(pool, kind, (a.uid, b.uid)))

@@ -65,8 +65,9 @@ class ClassificationProblem:
 
     @property
     def label(self) -> VarId:
+        """The one label; the single-label guard of every operation that needs one."""
         if not self.mono_label:
-            raise ValueError("this operation needs a single-label problem")
+            raise ValueError("rectification is defined for single-label classifiers only")
         return self.labels[0]
 
     @property

@@ -32,7 +32,7 @@ from .formats import (
     print_dtree,
 )
 from .randgen import random_classifier, random_problem, random_theory
-from .rectify import _single_label, classify_batch, rectify
+from .rectify import classify_batch, rectify
 from .semantics import DEFAULT_VAR_CAP
 from .verify import check_postulates, dalal_rectify, oracle_rectify
 
@@ -122,8 +122,9 @@ def _text(path: str) -> str:
 
 
 def _load(args):
+    """Parse, check for one label, certify sigma: the start of every command on a problem file."""
     pf = parse_problem(_text(args.problem))
-    _single_label(pf.problem)  # before sigma's truth table, so a wide two-label file is exit 2
+    pf.problem.label  # before sigma's truth table: a wide two-label file is exit 2, not 3
     return pf, Classifier(pf.problem, pf.sigma, cap=args.max_vars)
 
 
@@ -168,10 +169,7 @@ _BLOCK_TEXT = ("F", "!y", "y", "T")
 
 
 def _cmd_table(args) -> int:
-    pf = parse_problem(_text(args.problem))
-    if not pf.problem.mono_label:
-        raise ValueError("the table command needs a single-label problem")
-    clf = Classifier(pf.problem, pf.sigma, cap=args.max_vars)
+    pf, clf = _load(args)
     blocks = (
         label_blocks(circ, pf.problem, cap=args.max_vars) for circ in (clf.circuit, pf.theory)
     )

@@ -10,7 +10,7 @@ Circuit expressions::
              | '(' 'and' expr+ ')' | '(' 'or' expr+ ')'
              | '(' 'imp' expr expr ')' | '(' 'iff' expr expr ')'
              | '(' 'dec' NAME expr expr ')'          low branch first
-             | '(' 'let' '(' binding+ ')' expr ')'
+             | '(' 'let' '(' binding* ')' expr ')'
     binding := '(' NAME expr ')'                     shared subcircuit
 
 Decision trees::

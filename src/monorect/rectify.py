@@ -65,7 +65,7 @@ def rectify(clf: Classifier, theory: Circuit) -> RectificationResult:
     unchanged.  Theory variables outside the problem are an error;
     `preprocess_project` forgets them first.
     """
-    problem = _single_label(clf.problem)
+    problem = clf.problem
     forces_pos, forces_neg = decisive_circuits(theory, problem)
     kept = conjoin(positive_circuit(clf), negate(forces_neg))
     accepted = disjoin(kept, forces_pos)
@@ -83,7 +83,7 @@ def classify_batch(clf: Classifier, theory: Circuit, instances) -> list[tuple[in
     instance; no gate is created.  Raises what `rectify` raises, before
     reading any instance.
     """
-    problem = _single_label(clf.problem)
+    problem = clf.problem
     _check_theory(theory, problem)
     insts = [as_instance(problem, x) for x in instances]
     sigma, allowed = (label_blocks(c, problem, insts) for c in (clf.circuit, theory))
@@ -91,13 +91,8 @@ def classify_batch(clf: Classifier, theory: Circuit, instances) -> list[tuple[in
     return [(s >> 1, (a if a in (1, 2) else s) >> 1) for s, a in zip(sigma, allowed)]
 
 
-def _single_label(problem: ClassificationProblem) -> ClassificationProblem:
-    if not problem.mono_label:
-        raise ValueError("rectification is defined for single-label classifiers only")
-    return problem
-
-
 def _check_theory(theory: Circuit, problem: ClassificationProblem):
+    # problem.label, the single-label guard, raises before the theory is walked
     ensure_within(
         theory.vars_outside(problem.features + (problem.label,)),
         "theory mentions variables outside the problem ({names}); "

@@ -10,8 +10,8 @@ word format(i, f"0{n}b").  `evaluate` passes an assignment's 0/1 values,
 a table of one row; the classifier's queries at one instance pass all
 ones or zero for each feature and the labels' masks.
 
-All enumerating operations refuse to run past a variable cap
-(DEFAULT_VAR_CAP unless the caller overrides it).
+`equivalent` refuses to enumerate past DEFAULT_VAR_CAP variables; the
+other enumerating operations take a `cap`, DEFAULT_VAR_CAP by default.
 """
 
 from __future__ import annotations
@@ -171,12 +171,12 @@ def _ordered(vs: Iterable[VarId]) -> tuple[VarId, ...]:
     return tuple(sorted(vs, key=lambda v: v.index))
 
 
-def equivalent(a: Circuit, b: Circuit, cap: int = DEFAULT_VAR_CAP) -> bool:
+def equivalent(a: Circuit, b: Circuit) -> bool:
     """Same models over the union of the two variable sets; one circuit needs no walk."""
     if a == b:
         return True
     over = _ordered(a.vars() | b.vars())
-    ensure_cap(len(over), cap)
+    ensure_cap(len(over), DEFAULT_VAR_CAP)
     return truth_mask(a, over) == truth_mask(b, over)
 
 

@@ -648,13 +648,15 @@ def test_wide_tree_pair_rectifies(tmp_path, capsys, width):
 
 
 def test_multilabel_table_rejected(capsys):
-    code, _, err = run(capsys, "table", "--problem", str(PROBLEMS / "twolabel.sexp"))
-    assert code == 2
-    assert "single-label" in err
+    code, out, err = run(capsys, "table", "--problem", str(PROBLEMS / "twolabel.sexp"))
+    assert (code, out) == (2, "")
+    assert err == "error: rectification is defined for single-label classifiers only\n"
 
 
 @pytest.mark.parametrize(
-    "argv", [["rectify"], ["classify", "--instance", "0" * 25], ["check"]], ids=lambda a: a[0]
+    "argv",
+    [["rectify"], ["classify", "--instance", "0" * 25], ["check"], ["table"]],
+    ids=lambda a: a[0],
 )
 def test_wide_multilabel_file_is_an_input_error(tmp_path, monkeypatch, capsys, argv):
     # rejected for its second label before sigma's 27-variable truth table is tried

@@ -125,6 +125,13 @@ class TestParseCircuit:
         with pytest.raises(BuildError, match="zero-arity"):
             parse_circuit("(or)", pool)
 
+    def test_a_let_with_no_binding_reads_as_its_body(self):
+        # the grammar's binding*: the reader and the reference reader take (let () x) as x
+        pool = fresh_pool()
+        body = pool.build(["and", "x1", "x2"])
+        assert parse_circuit("(let () (and x1 x2))", pool) == body
+        assert reference_build(pool, ["let", [], ["and", "x1", "x2"]]) == body
+
 
 class TestPrintCircuit:
     def test_shared_gates_are_bound_once(self):

@@ -14,6 +14,7 @@ from monorect import (
     ClassificationProblem,
     Classifier,
     Pool,
+    RandomForest,
     check_postulates,
     check_xy_property,
     circuit_to_dt,
@@ -23,6 +24,7 @@ from monorect import (
     condition,
     conjoin,
     decisive_circuits,
+    dt_rectify,
     equivalent,
     evaluate,
     fact_formula,
@@ -35,6 +37,7 @@ from monorect import (
     preprocess_project,
     print_circuit,
     rectify,
+    rf_classify,
     truth_mask,
 )
 from monorect.cli import main
@@ -106,6 +109,28 @@ class TestRectify:
         noisy = conjoin(demo.theory, demo.pool.literal(aux))
         with pytest.raises(ValueError, match="preprocess_project"):
             rectify(clf, noisy)
+
+
+# Every operation that needs one label reaches `ClassificationProblem.label`, the one guard.
+_SINGLE_LABEL_CALLS = {
+    "problem.label": lambda f, clf: f.problem.label,
+    "rectify": lambda f, clf: rectify(clf, f.theory),
+    "classify_batch": lambda f, clf: classify_batch(clf, f.theory, ["00"]),
+    "decisive_circuits": lambda f, clf: decisive_circuits(f.theory, f.problem),
+    "positive_circuit": lambda f, clf: positive_circuit(clf),
+    "from_positive_circuit": lambda f, clf: Classifier.from_positive_circuit(f.problem, f.sigma),
+    "dt_rectify": lambda f, clf: dt_rectify(f.sigma, f.theory, f.problem),
+    "rf_classify": lambda f, clf: rf_classify(RandomForest((f.sigma,)), "00", f.problem),
+    "oracle_rectify": lambda f, clf: oracle_rectify([], [], f.problem),
+}
+
+
+@pytest.mark.parametrize("call", _SINGLE_LABEL_CALLS.values(), ids=_SINGLE_LABEL_CALLS)
+def test_every_single_label_operation_raises_the_one_message(twolabel, call):
+    clf = Classifier(twolabel.problem, twolabel.sigma)
+    with pytest.raises(ValueError) as err:
+        call(twolabel, clf)
+    assert str(err.value) == "rectification is defined for single-label classifiers only"
 
 
 class TestPreprocessProject:

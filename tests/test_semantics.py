@@ -154,11 +154,12 @@ class TestChecks:
         assert walked == [demo.sigma.uid, demo.theory.uid]
 
     @pytest.mark.parametrize("check", [equivalent])
-    def test_one_circuit_over_the_cap_needs_no_table(self, demo, check):
+    def test_one_circuit_over_the_cap_needs_no_table(self, demo, monkeypatch, check):
         # the same circuit twice is equivalent before the cap is read; two over it still raise
-        assert check(demo.sigma, demo.sigma, cap=3)
+        monkeypatch.setattr(semantics, "DEFAULT_VAR_CAP", 3)
+        assert check(demo.sigma, demo.sigma)
         with pytest.raises(CapExceededError):
-            check(demo.sigma, demo.theory, cap=3)
+            check(demo.sigma, demo.theory)
 
     def test_a_25_variable_circuit_is_equivalent_to_itself(self):
         pool = Pool()
