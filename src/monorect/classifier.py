@@ -18,8 +18,8 @@ an instance (`classify`, `fact_formula`, `is_fact_compliant`,
 `rectify.classify_batch`) reads its blocks there.  One kernel, `_forced`,
 finds the label literals a theory forces at an instance: it maps the
 theory's block there to the label words those literals allow.
-`fact_formula`, `is_fact_compliant` and the postulate battery (`verify`)
-all call it.
+`fact_formula`, `is_fact_compliant`, the postulate battery (`verify`)
+and `monorect table` all call it.
 """
 
 from __future__ import annotations
@@ -106,11 +106,21 @@ def as_instance(problem: ClassificationProblem, x: Instance) -> Assignment:
     raise TypeError(f"cannot interpret {type(x).__name__} as an instance")
 
 
+# The one text of each input rule of both routes: scope, and certification
 _OUTSIDE = " mentions variables outside features and labels ({names}); forget them first"
+_UNCERTIFIED = "sigma is not a classification circuit: some instance lacks a unique label assignment"
 
 
 def _check_problem_vars(circ: Circuit, problem: ClassificationProblem, what: str):
+    """The one scope check of circuits and trees: `what` mentions only the problem's variables."""
     ensure_within(circ.vars_outside(problem.all_vars), what + _OUTSIDE)
+
+
+def _full_table(circ: Circuit, problem: ClassificationProblem, what: str, cap: int) -> int:
+    """The circuit's truth table over `problem.all_vars`: variables, then the cap, then the table."""
+    _check_problem_vars(circ, problem, what)
+    ensure_cap(len(problem.all_vars), cap)
+    return truth_mask(circ, problem.all_vars)
 
 
 # The 2-bit (resp. 4-bit) blocks of every byte, lowest bits first.
@@ -157,9 +167,7 @@ def label_blocks(
     one walk with no cap, which finds a variable outside the problem.
     """
     if instances is None:
-        _check_problem_vars(circ, problem, "circuit")
-        ensure_cap(len(problem.all_vars), cap)
-        n_blocks, table = 1 << len(problem.features), truth_mask(circ, problem.all_vars)
+        n_blocks, table = 1 << len(problem.features), _full_table(circ, problem, "circuit", cap)
     else:
         insts = [as_instance(problem, x) for x in instances]
         n_blocks, table = len(insts), _table(circ, *_at_instances(problem, insts), "circuit" + _OUTSIDE)
@@ -176,9 +184,7 @@ def check_xy_property(
     circ: Circuit, problem: ClassificationProblem, cap: int = DEFAULT_VAR_CAP
 ) -> bool:
     """Bit-sliced label uniqueness: every instance fixes exactly one label assignment."""
-    _check_problem_vars(circ, problem, "classifier circuit")
-    ensure_cap(len(problem.all_vars), cap)
-    return one_label_per_instance(truth_mask(circ, problem.all_vars), problem)
+    return one_label_per_instance(_full_table(circ, problem, "classifier circuit", cap), problem)
 
 
 class Classifier:
@@ -205,10 +211,7 @@ class Classifier:
         cap: int = DEFAULT_VAR_CAP,
     ):
         if not check_xy_property(circuit, problem, cap=cap):
-            raise CertificationError(
-                "sigma is not a classification circuit: "
-                "some instance lacks a unique label assignment"
-            )
+            raise CertificationError(_UNCERTIFIED)
         self.problem = problem
         self.circuit = circuit
 

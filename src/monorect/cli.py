@@ -22,7 +22,7 @@ import sys
 from pathlib import Path
 
 from .circuit import Pool
-from .classifier import Classifier, as_instance, label_blocks, positive_circuit
+from .classifier import Classifier, _forced, as_instance, label_blocks, positive_circuit
 from .dtree import attach_label, circuit_to_dt, dt_rectify
 from .errors import CapExceededError, RectifyError
 from .formats import (
@@ -32,7 +32,7 @@ from .formats import (
     print_dtree,
 )
 from .randgen import random_classifier, random_problem, random_theory
-from .rectify import classify_batch, rectify
+from .rectify import _rectified_block, classify_batch, rectify
 from .semantics import DEFAULT_VAR_CAP
 from .verify import check_postulates, dalal_rectify, oracle_rectify
 
@@ -174,10 +174,14 @@ def _cmd_table(args) -> int:
         label_blocks(circ, pf.problem, cap=args.max_vars) for circ in (clf.circuit, pf.theory)
     )
     n = len(pf.problem.features)
-    for x, (before, allowed) in enumerate(zip(*blocks)):
-        forced = allowed if allowed in (1, 2) else 3  # the theory's facts at x as a block; 3: none
-        after = before if forced == 3 else forced  # the rectified verdict, read pointwise
-        print(f"{x:0{n}b} " + " ".join(_BLOCK_TEXT[b] for b in (before, allowed, forced, after)))
+    # a row's cells at each pair of sigma and theory blocks: both, the forced facts
+    # (the label's mask in a block is bit 1) and the rectified verdict, each rule's one kernel
+    cells = {
+        (b, a): " ".join(_BLOCK_TEXT[c] for c in (b, a, _forced(a, (2,)), _rectified_block(b, a)))
+        for b in range(4) for a in range(4)
+    }
+    for x, pair in enumerate(zip(*blocks)):
+        print(f"{x:0{n}b} {cells[pair]}")
     return 0
 
 
@@ -201,10 +205,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_dt_rectify(args) -> int:
-    sigma_file = parse_tree_file(_text(args.sigma))
-    theory_file = parse_tree_file(_text(args.theory))
-    if sigma_file.problem != theory_file.problem:
-        raise ValueError("sigma and theory files declare different variables")
+    sigma_file, theory_file = (parse_tree_file(_text(path)) for path in (args.sigma, args.theory))
+    theory_file.problem.label  # a two-label theory file is refused as a two-label sigma file is
     print(print_dtree(dt_rectify(sigma_file.tree, theory_file.tree, sigma_file.problem)))
     return 0
 

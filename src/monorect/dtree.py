@@ -4,8 +4,8 @@ A decision tree is a `Circuit` made of `dec` gates and constants only,
 with the drawing convention low = variable 0, high = variable 1.  Its
 gates live in a `Pool` like any circuit's, so an equal subtree is one
 gate, equality is root identity, and a tree's variables are checked
-as every circuit's are, by `Circuit.vars_outside` and `ensure_within`,
-with no walk when the pool declares only the problem's.  Trees are built with
+as every circuit's are, by `classifier._check_problem_vars`, with no
+walk when the pool declares only the problem's.  Trees are built with
 `Pool.decision` and `Pool.const`, or read with `formats.parse_dtree`.
 A function here that reaches any other gate raises ValueError there.
 
@@ -31,7 +31,8 @@ from dataclasses import dataclass
 from itertools import product
 
 from .circuit import AND, DEC, OR, Circuit, VarId
-from .classifier import ClassificationProblem, as_instance, label_blocks
+from .classifier import _UNCERTIFIED, ClassificationProblem, _check_problem_vars
+from .classifier import as_instance, label_blocks
 from .errors import CertificationError
 from .semantics import (
     DEFAULT_VAR_CAP,
@@ -184,15 +185,13 @@ def dt_check_classification(tree: Circuit, problem: ClassificationProblem) -> bo
 
 
 def _certified_top(tree: Circuit, problem: ClassificationProblem):
-    """Certify as `dt_check_classification` does.
+    """Certify as `dt_check_classification` does, after the scope check of a classifier circuit.
 
     Returns the reduced cofactor at the last label word (every label 1;
     for a single label, the accepted region) if the tree is certified,
     and None if it is not.
     """
-    ensure_within(
-        tree.vars_outside(problem.all_vars), "tree mentions variables outside the problem: {names}"
-    )
+    _check_problem_vars(tree, problem, "classifier circuit")
     zero, one = Circuit(tree.pool, 0), Circuit(tree.pool, 1)
     words = [dict(zip(problem.labels, bits)) for bits in product((0, 1), repeat=len(problem.labels))]
     union, under = tree, words[0]  # the union of the words so far: `union` under `under`
@@ -221,23 +220,19 @@ def dt_rectify(
     The two trees may come from two pools, as from two tree files, if
     both pools declare the same variables in the same order: the walks
     read the classifier's gates in its pool's store and build every node
-    in the theory's pool, so neither tree is copied.
+    in the theory's pool, so neither tree is copied.  After the label
+    guard and the pools, the circuit route's checks run in its order:
+    sigma's scope and certification, then the theory's scope.
     """
     label = problem.label
-    ensure_within(
-        theory_tree.vars_outside(problem.features + (label,)),
-        "theory tree mentions variables outside the problem: {names}",
-    )
-    # certification rejects the classifier tree's variables outside the problem
-    # and already reduces the accepted region, the cofactor at label 1
-    accepted = _certified_top(sigma_tree, problem)
-    if accepted is None:
-        raise CertificationError(
-            "classifier tree is not certified: some instance has no unique label"
-        )
     pool = theory_tree.pool
     if pool is not sigma_tree.pool and pool.variables != sigma_tree.pool.variables:
-        raise ValueError("sigma and theory trees come from pools that declare different variables")
+        raise ValueError("sigma and theory trees declare different variables")
+    # certification also reduces the accepted region, the cofactor at label 1
+    accepted = _certified_top(sigma_tree, problem)
+    if accepted is None:
+        raise CertificationError(_UNCERTIFIED)
+    _check_problem_vars(theory_tree, problem, "theory")
     zero, one = Circuit(pool, 0), Circuit(pool, 1)
     th_pos = _reduce(theory_tree, {label: 1})
     th_neg = _reduce(theory_tree, {label: 0})

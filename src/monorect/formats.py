@@ -25,10 +25,10 @@ required exactly once::
     (sigma EXPR)         the classifier circuit
     (theory EXPR)        the background knowledge
 
-Decision-tree files (inputs of the dt-rectify command)::
+Decision-tree files (inputs of the dt-rectify command), read as problem files are::
 
     (features NAME+)
-    (labels NAME)
+    (labels NAME+)       disjoint from the features; dt-rectify needs one
     (tree TREE)
 
 Printers emit a canonical single-space form; reparsing printed output
@@ -412,8 +412,6 @@ def parse_problem(text: str) -> ProblemFile:
 
 
 def parse_tree_file(text: str) -> TreeFile:
-    """Parse a decision-tree file into a fresh pool."""
+    """Parse a decision-tree file into a fresh pool; its labels are read as a problem file's."""
     pool, problem, seen = _read_file(text, _TREE_SECTIONS, _Chunks)
-    if not problem.mono_label:
-        raise ParseError("decision-tree files declare exactly one label")
     return TreeFile(pool, problem, Circuit(pool, _single(seen["tree"], "tree")))

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 from .circuit import Circuit, cofactors, conjoin, disjoin, negate
 from .classifier import Classifier, ClassificationProblem, as_instance, label_blocks
-from .classifier import positive_circuit
+from .classifier import _check_problem_vars, positive_circuit
 from .errors import CapExceededError
-from .semantics import ensure_within, evaluate, forget
+from .semantics import evaluate, forget
 
 
 @dataclass(frozen=True)
@@ -62,8 +62,8 @@ def rectify(clf: Classifier, theory: Circuit) -> RectificationResult:
     The accepted region is (old positives minus the theory's forced
     negatives) plus the theory's forced positives.  A contradictory or
     tautological theory forces nothing, so the classifier comes back
-    unchanged.  Theory variables outside the problem are an error;
-    `preprocess_project` forgets them first.
+    unchanged.  Theory variables outside the problem are an error
+    (`_check_problem_vars`); `preprocess_project` forgets them first.
     """
     problem = clf.problem
     forces_pos, forces_neg = decisive_circuits(theory, problem)
@@ -87,17 +87,17 @@ def classify_batch(clf: Classifier, theory: Circuit, instances) -> list[tuple[in
     _check_theory(theory, problem)
     insts = [as_instance(problem, x) for x in instances]
     sigma, allowed = (label_blocks(c, problem, insts) for c in (clf.circuit, theory))
-    # 2-bit blocks: bit 0 allows the negative label, bit 1 the positive
-    return [(s >> 1, (a if a in (1, 2) else s) >> 1) for s, a in zip(sigma, allowed)]
+    return [(s >> 1, _rectified_block(s, a) >> 1) for s, a in zip(sigma, allowed)]
+
+
+def _rectified_block(sigma: int, allowed: int) -> int:
+    """The rectified 2-bit block: the theory's where it allows one label only, else sigma's."""
+    return allowed if allowed in (1, 2) else sigma
 
 
 def _check_theory(theory: Circuit, problem: ClassificationProblem):
-    # problem.label, the single-label guard, raises before the theory is walked
-    ensure_within(
-        theory.vars_outside(problem.features + (problem.label,)),
-        "theory mentions variables outside the problem ({names}); "
-        "apply preprocess_project first",
-    )
+    problem.label  # the single-label guard raises before the theory is walked
+    _check_problem_vars(theory, problem, "theory")
 
 
 # Each forgotten variable can double the circuit, hence a hard cap.

@@ -46,6 +46,10 @@ GOLDEN_TABLE = """\
 """
 
 
+UNCERTIFIED = "sigma is not a classification circuit: some instance lacks a unique label assignment"
+SINGLE_LABEL = "rectification is defined for single-label classifiers only"
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -301,7 +305,61 @@ def test_dt_rectify_rejects_an_uncertified_classifier_tree(tmp_path, capsys):
     sigma.write_text("(features x1)\n(labels y)\n(tree (x1 (y 1 1) (y 0 1)))\n")
     code, out, err = run(capsys, "dt-rectify", "--sigma", str(sigma), "--theory", str(sigma))
     assert (code, out) == (2, "")
-    assert err == "error: classifier tree is not certified: some instance has no unique label\n"
+    assert err == f"error: {UNCERTIFIED}\n"
+
+
+# One refused classifier written twice, as a problem file and as a tree file:
+# x1=0 allows both labels, or the file declares two labels.
+_BOTH_ROUTES = {
+    UNCERTIFIED: (
+        "(features x1)\n(labels y)\n",
+        "(sigma (dec x1 (dec y true true) (dec y false true)))\n(theory true)\n",
+        "(tree (x1 (y 1 1) (y 0 1)))\n",
+    ),
+    SINGLE_LABEL: (
+        "(features x1)\n(labels y z)\n",
+        "(sigma (and (iff x1 y) (not z)))\n(theory true)\n",
+        "(tree (x1 (y (z 1 0) 0) (y 0 (z 1 0))))\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("message", _BOTH_ROUTES, ids=("uncertified", "two labels"))
+def test_both_routes_refuse_one_input_with_one_line(tmp_path, capsys, message):
+    head, sections, tree = _BOTH_ROUTES[message]
+    problem, sigma, theory = (tmp_path / name for name in ("p.sexp", "sigma.tree", "theory.tree"))
+    problem.write_text(head + sections)
+    sigma.write_text(head + tree)
+    theory.write_text(head + "(tree 1)\n")
+    runs = [
+        ("rectify", "--problem", str(problem)),
+        ("classify", "--problem", str(problem), "--instance", "0"),
+        ("table", "--problem", str(problem)),
+        ("check", "--problem", str(problem)),
+        ("dt-rectify", "--sigma", str(sigma), "--theory", str(theory)),
+        ("dt-rectify", "--sigma", str(sigma), "--theory", str(sigma)),
+    ]
+    for argv in runs:
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n"), argv
+
+
+@pytest.mark.parametrize(
+    "theory_head, message",
+    [
+        ("(features x1 x3)\n(labels y)\n", "sigma and theory trees declare different variables"),
+        # the same variables in the same order, one of them declared a label
+        ("(features x1)\n(labels x2 y)\n", SINGLE_LABEL),
+    ],
+    ids=("other features", "two labels"),
+)
+def test_dt_rectify_refuses_tree_files_that_declare_other_variables(
+    tmp_path, capsys, theory_head, message
+):
+    sigma, theory = tmp_path / "sigma.tree", tmp_path / "theory.tree"
+    sigma.write_text("(features x1 x2)\n(labels y)\n(tree (x1 (y 1 0) (y 0 1)))\n")
+    theory.write_text(theory_head + "(tree (x1 1 (y 0 1)))\n")
+    code, out, err = run(capsys, "dt-rectify", "--sigma", str(sigma), "--theory", str(theory))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_fuzz_clean_run(capsys):

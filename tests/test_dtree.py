@@ -187,18 +187,23 @@ def test_rectify_rejects_uncertified_trees(trees):
         dt_rectify(not_a_classifier, pool.const(1), problem)
 
 
+# the circuit route's texts: trees are checked by `classifier._check_problem_vars`
+SIGMA_OUTSIDE = r"^classifier circuit mentions variables outside features and labels \(z1\); forget them first$"
+THEORY_OUTSIDE = r"^theory mentions variables outside features and labels \(z1\); forget them first$"
+
+
 def test_rectify_rejects_variables_outside_the_problem(trees):
     pool, problem, parse = trees
     pool.declare("z1", "z2")
     sigma_tree, theory_tree = parse(SIGMA_TREE_TEXT), parse(THEORY_TREE_TEXT)
-    # the classifier tree's variables are left to certification
+    # the circuit route's scope check and texts: the classifier tree's, then the theory's
     outside = parse("(x1 (y 0 1) (z1 (y 0 1) (y 1 0)))")
-    with pytest.raises(ValueError, match="^tree mentions variables outside the problem: z1$"):
+    with pytest.raises(ValueError, match=SIGMA_OUTSIDE):
         dt_rectify(outside, theory_tree, problem)
+    with pytest.raises(ValueError, match=SIGMA_OUTSIDE):
+        dt_rectify(outside, parse("(z2 1 0)"), problem)
     outside = parse("(z2 (y 0 1) (x2 1 (z1 0 1)))")
-    with pytest.raises(
-        ValueError, match="^theory tree mentions variables outside the problem: z1, z2$"
-    ):
+    with pytest.raises(ValueError, match=THEORY_OUTSIDE.replace("z1", "z1, z2")):
         dt_rectify(sigma_tree, outside, problem)
 
 
@@ -230,11 +235,11 @@ def test_tree_certification_skips_unreached_subtrees(trees):
 def test_tree_certification_rejects_variables_outside_the_problem(trees):
     pool, problem, parse = trees
     pool.declare("z1", "z2")
-    with pytest.raises(ValueError, match="outside the problem: z1$"):
+    with pytest.raises(ValueError, match=SIGMA_OUTSIDE):
         dt_check_classification(parse("(x1 (y 0 1) (z1 0 1))"), problem)
     # also where no assignment reaches the variables
     unreached = "(x1 (x1 (y 0 1) (z1 0 1)) (x1 (z2 0 1) (y 1 0)))"
-    with pytest.raises(ValueError, match="outside the problem: z1, z2$"):
+    with pytest.raises(ValueError, match=SIGMA_OUTSIDE.replace("z1", "z1, z2")):
         dt_check_classification(parse(unreached), problem)
 
 
@@ -1045,10 +1050,6 @@ def test_a_bench_shaped_read_pair_rectifies_as_its_rebuilt_copy(monkeypatch):
     assert parse_dtree(print_dtree(out), read_theory.pool) == out
 
 
-SIGMA_OUTSIDE = "^tree mentions variables outside the problem: z1$"
-THEORY_OUTSIDE = "^theory tree mentions variables outside the problem: z1$"
-
-
 def test_trees_built_on_read_trees_are_walked(trees, monkeypatch):
     pool, problem, parse = trees
     (z1,) = pool.declare("z1")
@@ -1062,8 +1063,9 @@ def test_trees_built_on_read_trees_are_walked(trees, monkeypatch):
         dt_check_classification(pool.decision(z1, sigma, pool.const(0)), problem)
     with pytest.raises(ValueError, match=THEORY_OUTSIDE):
         dt_rectify(sigma, pool.decision(z1, theory, pool.const(0)), problem)
+    # the circuit route's order: sigma is walked (and certified) before the theory
     assert [walked.kind for walked in walks] == [DEC] * 4
-    assert walks[0] == theory
+    assert walks[2] == sigma
 
     wide = parse("(x1 (y 0 1) (z1 (y 0 1) (x2 (y 1 0) (y 0 1))))")
     kept_z1 = _fix(wide, Literal(x1, True))
@@ -1120,7 +1122,7 @@ def test_tree_route_matches_the_instance_oracle(seed, n_features, depth, from_fi
     assert label_blocks(out, problem) == oracle_rectify(*blocks, problem)
 
 
-POOLS_DIFFER = "^sigma and theory trees come from pools that declare different variables$"
+POOLS_DIFFER = "^sigma and theory trees declare different variables$"
 
 
 def test_trees_from_pools_with_different_declarations_are_rejected():
@@ -1128,6 +1130,12 @@ def test_trees_from_pools_with_different_declarations_are_rejected():
     theory = parse_tree_file("(features x1 x2 z1)\n(labels y)\n(tree (x2 1 (x1 0 1)))\n")
     with pytest.raises(ValueError, match=POOLS_DIFFER):
         dt_rectify(sigma.tree, theory.tree, sigma.problem)
-    # the checks that came before keep their order
+    # right after the label guard, so before sigma's certification
+    with pytest.raises(ValueError, match=POOLS_DIFFER):
+        dt_rectify(theory.tree, sigma.tree, sigma.problem)
     with pytest.raises(CertificationError):
         dt_rectify(theory.tree, theory.tree, sigma.problem)
+    features = theory.problem.features
+    two_labels = ClassificationProblem(features[:1], features[1:] + theory.problem.labels)
+    with pytest.raises(ValueError, match="^rectification is defined for single-label"):
+        dt_rectify(sigma.tree, theory.tree, two_labels)

@@ -340,8 +340,12 @@ class TestTreeFiles:
         assert gate.kind == CONST
 
     def test_single_label_enforced(self):
-        with pytest.raises(ParseError, match="exactly one label"):
-            parse_tree_file("(features x1)\n(labels y1 y2)\n(tree 0)\n")
+        # labels are read as a problem file's; the one single-label guard refuses two
+        problem = parse_tree_file("(features x1)\n(labels y1 y2)\n(tree 0)\n").problem
+        assert [v.name for v in problem.labels] == ["y1", "y2"]
+        single_label = "^rectification is defined for single-label classifiers only$"
+        with pytest.raises(ValueError, match=single_label):
+            problem.label
 
 
 @given(ast=ast_exprs(NAMES, max_leaves=10))
@@ -453,8 +457,6 @@ def _oracle_tree_file(text):
     for key in ("features", "labels"):
         if not seen[key] or not all(isinstance(item, str) for item in seen[key]):
             raise ParseError(f"{key} must be a non-empty list of names")
-    if len(seen["labels"]) != 1:
-        raise ParseError("decision-tree files declare exactly one label")
     pool = Pool()
     pool.declare(*seen["features"], *seen["labels"])
     if len(seen["tree"]) != 1:

@@ -54,9 +54,8 @@ def _store_writes(source: str) -> list[str]:
     return found
 
 
-def _names_formats(source: str) -> list[str]:
-    """Where a module formats a `{names}` message: a `.format` call given
-    `names`, reported by the function it is in."""
+def _calls(source: str, name: str) -> list[tuple[str, ast.Call]]:
+    """Every call of `name`, as a function or a method, with the function it is in."""
     found = []
 
     def visit(node, where):
@@ -64,16 +63,23 @@ def _names_formats(source: str) -> list[str]:
             if isinstance(child, ast.FunctionDef):
                 visit(child, child.name)
                 continue
-            if (
-                isinstance(child, ast.Call)
-                and getattr(child.func, "attr", None) == "format"
-                and any(k.arg == "names" for k in child.keywords)
-            ):
-                found.append(f"{where} (line {child.lineno})")
+            func = getattr(child, "func", None)
+            if name in (getattr(func, "id", None), getattr(func, "attr", None)):
+                found.append((where, child))
             visit(child, where)
 
     visit(ast.parse(source), "<module>")
     return found
+
+
+def _names_formats(source: str) -> list[str]:
+    """Where a module formats a `{names}` message: a `.format` call given
+    `names`, reported by the function it is in."""
+    return [
+        f"{where} (line {call.lineno})"
+        for where, call in _calls(source, "format")
+        if any(k.arg == "names" for k in call.keywords)
+    ]
 
 
 @pytest.mark.parametrize(
@@ -127,5 +133,70 @@ def test_a_names_message_formatted_elsewhere_is_reported():
         "ensure_within (line 2)",
         "check (line 4)",
         "inner (line 5)",
+        "<module> (line 7)",
+    ]
+
+
+# The functions that call `ensure_within`: the gate interpreter, the one scope check
+# of both routes, and two checks against a set of their own (features; an order).
+_ENSURE_WITHIN_CALLERS = {
+    "semantics.py": ["_table"],
+    "classifier.py": ["_check_problem_vars", "from_positive_circuit"],
+    "dtree.py": ["circuit_to_dt"],
+}
+
+
+def _callers(source: str, name: str) -> list[str]:
+    return [where for where, _ in _calls(source, name)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_the_known_checks_call_ensure_within(path):
+    # a rule about variables is checked in one place, so a new caller is a second copy
+    assert _callers(path.read_text(), "ensure_within") == _ENSURE_WITHIN_CALLERS.get(path.name, [])
+
+
+def test_a_call_of_ensure_within_elsewhere_is_reported():
+    source = (
+        "def _table(circ, masks):\n"
+        "    ensure_within(circ.vars_outside(masks), 'm {names}')\n"
+        "class Tree:\n"
+        "    def certify(self, problem):\n"
+        "        semantics.ensure_within(self.vars_outside(problem.all_vars), 'tree {names}')\n"
+        "check = ensure_within\n"
+    )
+    assert _callers(source, "ensure_within") == ["_table", "certify"]
+
+
+def _certification_errors(source: str) -> list[str]:
+    """Where a module makes a CertificationError with anything but the one text, `_UNCERTIFIED`."""
+    return [
+        f"{where} (line {call.lineno})"
+        for where, call in _calls(source, "CertificationError")
+        if call.keywords or [getattr(arg, "id", None) for arg in call.args] != ["_UNCERTIFIED"]
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_certification_error_has_the_one_text(path):
+    # circuits and trees are refused with one line; classifier.py alone defines it
+    source = path.read_text()
+    assert _certification_errors(source) == []
+    assert ("\n_UNCERTIFIED = " in source) == (path.name == "classifier.py")
+
+
+def test_a_certification_error_with_another_text_is_reported():
+    source = (
+        "def certify(circ):\n"
+        "    raise CertificationError(_UNCERTIFIED)\n"
+        "def certify_tree(tree):\n"
+        "    raise errors.CertificationError('tree is not certified')\n"
+        "def bare():\n"
+        "    raise CertificationError()\n"
+        "error = CertificationError(_UNCERTIFIED, cause=1)\n"
+    )
+    assert _certification_errors(source) == [
+        "certify_tree (line 4)",
+        "bare (line 6)",
         "<module> (line 7)",
     ]

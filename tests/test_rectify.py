@@ -1,3 +1,4 @@
+import ast
 import random
 import re
 from collections import Counter
@@ -107,7 +108,7 @@ class TestRectify:
         clf = Classifier(demo.problem, demo.sigma)
         (aux,) = demo.pool.declare("helper")
         noisy = conjoin(demo.theory, demo.pool.literal(aux))
-        with pytest.raises(ValueError, match="preprocess_project"):
+        with pytest.raises(ValueError, match=r"^theory mentions .* \(helper\); forget them first$"):
             rectify(clf, noisy)
 
 
@@ -131,6 +132,22 @@ def test_every_single_label_operation_raises_the_one_message(twolabel, call):
     with pytest.raises(ValueError) as err:
         call(twolabel, clf)
     assert str(err.value) == "rectification is defined for single-label classifiers only"
+
+
+def test_the_readme_library_example_runs_as_written():
+    readme = (PROBLEMS.parent / "README.md").read_text(encoding="utf-8")
+    [block] = re.findall(r"^```python\n(.*?)^```", readme, re.S | re.M)
+    lines = block.splitlines()
+    namespace, shown = {}, []
+    for stmt in ast.parse(block).body:
+        _, arrow, comment = lines[stmt.end_lineno - 1].partition("# -> ")
+        if arrow:  # an expression whose result the comment gives first
+            value = eval(compile(ast.Expression(stmt.value), "README.md", "eval"), namespace)
+            assert comment.startswith(repr(value)), (comment, value)
+            shown.append(value)
+        else:
+            exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
+    assert shown == [1, [(0, 1), (1, 0)], True]
 
 
 class TestPreprocessProject:
@@ -401,9 +418,10 @@ def test_only_a_used_extra_variable_is_refused(case):
         f"classifier circuit mentions variables outside features and labels ({names}); "
         "forget them first",
     )
-    assert refusals["rectify"] == refusals["classify_batch"] == (
+    # one scope check for the theory, wherever it is read
+    assert refusals["rectify"] == refusals["classify_batch"] == refusals["fact_formula"] == (
         ValueError,
-        f"theory mentions variables outside the problem ({names}); apply preprocess_project first",
+        f"theory mentions variables outside features and labels ({names}); forget them first",
     )
     assert refusals["truth_mask"] == (
         ValueError, f"circuit mentions variables outside the order: {names}"
@@ -414,10 +432,6 @@ def test_only_a_used_extra_variable_is_refused(case):
     )
     assert refusals["evaluate"] == (
         ValueError, f"assignment is not total over the circuit's variables (missing {names})"
-    )
-    assert refusals["fact_formula"] == (
-        ValueError,
-        f"theory mentions variables outside features and labels ({names}); forget them first",
     )
     assert refusals["circuit_to_dt"] == (ValueError, f"expansion order does not cover: {names}")
     assert refusals["from_positive_circuit"] == (
