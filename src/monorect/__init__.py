@@ -22,7 +22,6 @@ from .circuit import (
 from .classifier import (
     ClassificationProblem,
     Classifier,
-    FactFormula,
     as_instance,
     check_xy_property,
     classify,

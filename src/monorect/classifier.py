@@ -44,7 +44,7 @@ Instance = Union[Assignment, Term, str, Sequence[int]]
 
 @dataclass(frozen=True)
 class ClassificationProblem:
-    """Ordered feature variables and ordered label variables, disjoint."""
+    """Ordered feature variables and ordered label variables, each variable once."""
 
     features: tuple[VarId, ...]
     labels: tuple[VarId, ...]
@@ -56,8 +56,8 @@ class ClassificationProblem:
             raise ValueError("a classification problem needs at least one feature")
         if not self.labels:
             raise ValueError("a classification problem needs at least one label")
-        if set(self.features) & set(self.labels):
-            raise ValueError("features and labels must be disjoint")
+        if len(set(self.all_vars)) != len(self.all_vars):
+            raise ValueError("features and labels must be distinct variables")
 
     @property
     def mono_label(self) -> bool:
@@ -73,17 +73,6 @@ class ClassificationProblem:
     @property
     def all_vars(self) -> tuple[VarId, ...]:
         return self.features + self.labels
-
-
-@dataclass(frozen=True)
-class FactFormula:
-    """Conjunction of label literals forced at one instance; empty = no constraint."""
-
-    term: Term
-
-    @property
-    def trivial(self) -> bool:
-        return len(self.term) == 0
 
 
 def as_instance(problem: ClassificationProblem, x: Instance) -> Assignment:
@@ -297,12 +286,12 @@ def _forced_at(theory: Circuit, problem: ClassificationProblem, x: Instance) -> 
     return label_masks, _forced(block, list(label_masks.values()))
 
 
-def fact_formula(theory: Circuit, x: Instance, problem: ClassificationProblem) -> FactFormula:
-    """All label literals the theory forces at the instance.
+def fact_formula(theory: Circuit, x: Instance, problem: ClassificationProblem) -> Term:
+    """The term of all label literals the theory forces at the instance.
 
-    If the theory is contradictory at the instance the formula is empty
-    (no constraint); otherwise it conjoins every label literal true in
-    every label assignment the theory's block at the instance allows.
+    If the theory is contradictory at the instance the term is empty (no
+    constraint); otherwise it conjoins every label literal true in every
+    label assignment the theory's block at the instance allows.
     """
     label_masks, forced = _forced_at(theory, problem, x)
     found = []
@@ -310,7 +299,7 @@ def fact_formula(theory: Circuit, x: Instance, problem: ClassificationProblem) -
         inside = forced & label_masks[label]
         if inside in (0, forced):
             found.append(Literal(label, inside == forced))
-    return FactFormula(Term(found))
+    return Term(found)
 
 
 def is_fact_compliant(clf: Classifier, theory: Circuit, x: Instance) -> bool:

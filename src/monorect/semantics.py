@@ -10,8 +10,10 @@ word format(i, f"0{n}b").  `evaluate` passes an assignment's 0/1 values,
 a table of one row; the classifier's queries at one instance pass all
 ones or zero for each feature and the labels' masks.
 
-`equivalent` refuses to enumerate past DEFAULT_VAR_CAP variables; the
-other enumerating operations take a `cap`, DEFAULT_VAR_CAP by default.
+`truth_mask` takes no cap and enforces none: its callers in the package
+cap first, `equivalent` at DEFAULT_VAR_CAP and `classifier._full_table`
+and `dtree.circuit_to_dt` at their `cap`; `classifier._forced_at` caps
+the label words of its instance's block.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .circuit import AND, DEC, NOT, OR, VAR
 from .circuit import Circuit, Pool, VarId, conjoin, iter_gates, negate
-from .classifier import Classifier, ClassificationProblem, _forced, label_blocks
+from .classifier import Classifier, _forced, label_blocks
 from .rectify import RectificationResult, preprocess_project, rectify
 from .semantics import DEFAULT_VAR_CAP, _position_mask, var_masks
 
@@ -150,9 +150,10 @@ def check_postulates(
     Per-instance postulates are exhaustive over the feature space; syntax
     independence samples equivalent rewrites of both inputs; variable
     relevance splits a rewrite of each on one fresh variable and checks
-    that projecting it away leaves the outcome untouched.  The
-    rewrites go into one scratch pool and none is certified: a rewrite of
-    the certified sigma is a classifier by construction.
+    that projecting it away leaves the outcome untouched.  The rewrites go
+    into one scratch pool, which declares the caller's variables, and none
+    is certified: a rewrite of the certified sigma is a classifier by
+    construction.
     """
     if rewrites < 0:
         raise ValueError(f"rewrites must be at least 0, got {rewrites}")
@@ -196,17 +197,17 @@ def check_postulates(
     checks.append(PostulateCheck("RE4", "inconsistent theory", ok, checked, detail))
 
     # RE5 and RE6 rewrite into a scratch pool, so the caller's pool gains no
-    # gate and no variable.
+    # gate and no variable.  It declares the caller's variables in their
+    # order, so its ids equal the caller's and `problem` serves it too.
     scratch = Pool()
-    feats, labels = (scratch.declare(*map(str, vs)) for vs in (problem.features, problem.labels))
-    aux_problem = ClassificationProblem(feats, labels)
+    scratch.declare(*map(str, clf.circuit.pool.variables))
 
     def outcome(sigma_copy: Circuit, theory_copy: Circuit) -> list[int]:
-        rectified = rectify(Classifier._trusted(aux_problem, sigma_copy), theory_copy).rectified
-        return label_blocks(rectified.circuit, aux_problem, cap=cap)
+        rectified = rectify(Classifier._trusted(problem, sigma_copy), theory_copy).rectified
+        return label_blocks(rectified.circuit, problem, cap=cap)
 
     # RE5: the outcome depends on semantics only, not on how inputs are written.
-    # The pool declares only the problem's names yet, so no variable check walks.
+    # The pool declares only the caller's names yet: for a problem file no variable check walks.
     ok, detail = True, None
     for k in range(rewrites):
         if outcome(*(syntactic_rewrite(c, rng, scratch) for c in (clf.circuit, theory))) != after:
@@ -219,12 +220,12 @@ def check_postulates(
     # the label: (dec d (and c !y) (and c y)).  Forgetting d gives a circuit
     # equivalent to c but not c; a cofactor on d alone is c with the label
     # fixed, so a projection that keeps one changes the outcome.
-    dummy, y = scratch.fresh(), scratch.literal(aux_problem.label)
+    dummy, y = scratch.fresh(), scratch.literal(problem.label)
     projected = []
     for c in (clf.circuit, theory):
         c = syntactic_rewrite(c, rng, scratch)
         split = scratch.decision(dummy, conjoin(c, negate(y)), conjoin(c, y))
-        projected.append(preprocess_project(split, aux_problem))
+        projected.append(preprocess_project(split, problem))
     ok = outcome(*projected) == after
     detail = None if ok else "projected dummy variable changed the outcome"
     checks.append(PostulateCheck("RE6", "variable relevance", ok, 1, detail))

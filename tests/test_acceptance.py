@@ -124,7 +124,7 @@ def test_criterion_3_two_label_fact_machinery(twolabel):
         "00": Term(),
     }
     for word, expected in expectations.items():
-        assert fact_formula(theory, word, problem).term == expected
+        assert fact_formula(theory, word, problem) == expected
     clf = Classifier(problem, twolabel.sigma)
     for word in ("00", "10", "11"):
         assert is_fact_compliant(clf, theory, word)

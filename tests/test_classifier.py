@@ -48,6 +48,17 @@ class TestProblem:
         with pytest.raises(ValueError):
             ClassificationProblem((x, y), (y,))
 
+    @pytest.mark.parametrize(
+        "features, labels",
+        [(("x1",), ("x1",)), (("x1", "x1"), ("y",)), (("x1",), ("y", "y"))],
+        ids=["overlap", "repeated-feature", "repeated-label"],
+    )
+    def test_each_variable_is_listed_once(self, features, labels):
+        pool = Pool()
+        pool.declare("x1", "y")
+        with pytest.raises(ValueError, match="^features and labels must be distinct variables$"):
+            ClassificationProblem(tuple(map(pool.var, features)), tuple(map(pool.var, labels)))
+
     def test_label_accessor(self):
         pool = Pool()
         x, y1, y2 = pool.declare("x", "y1", "y2")
@@ -192,19 +203,19 @@ class TestClassify:
 class TestFactFormula:
     def test_demo_rows(self, demo):
         contradictory = fact_formula(demo.theory, "100", demo.problem)
-        assert contradictory.trivial
+        assert not contradictory
         forced = fact_formula(demo.theory, "110", demo.problem)
-        (lit,) = forced.term.literals
+        (lit,) = forced.literals
         assert lit.positive and lit.var == demo.problem.label
 
     def test_two_label_rows(self, twolabel):
         y1, y2 = twolabel.problem.labels
         both = fact_formula(twolabel.theory, "11", twolabel.problem)
-        assert both.term == Term([Literal(y1), Literal(y2)])
-        assert fact_formula(twolabel.theory, "10", twolabel.problem).trivial
+        assert both == Term([Literal(y1), Literal(y2)])
+        assert not fact_formula(twolabel.theory, "10", twolabel.problem)
         second_out = fact_formula(twolabel.theory, "01", twolabel.problem)
-        assert second_out.term == Term([Literal(y2, False)])
-        assert fact_formula(twolabel.theory, "00", twolabel.problem).trivial
+        assert second_out == Term([Literal(y2, False)])
+        assert not fact_formula(twolabel.theory, "00", twolabel.problem)
 
     def test_theory_outside_the_problem_is_rejected_at_every_instance(self, twolabel):
         twolabel.pool.declare("z")
@@ -278,7 +289,7 @@ def test_theory_entails_its_fact_formula(theory_ast):
         inst = Assignment(problem.features, bits)
         at_x = condition(theory, to_term(inst))
         facts = fact_formula(theory, inst, problem)
-        forced = [pool.literal(lit.var, lit.positive) for lit in facts.term.literals]
+        forced = [pool.literal(lit.var, lit.positive) for lit in facts.literals]
         implied = pool.and_([pool.const(1), *forced])
         over = pool.variables
         assert truth_mask(at_x, over) & ~truth_mask(implied, over) == 0
@@ -394,7 +405,7 @@ def test_forced_literals_hold_in_every_model_at_the_instance(data, n_features, n
         allowed = [Assignment.from_index(k, problem.labels) for k in words]
         values = {y: {m.value(y) for m in allowed} for y in problem.labels}
         forced = [Literal(y, 1 in vs) for y, vs in values.items() if len(vs) == 1]
-        assert fact_formula(theory, inst, problem).term == Term(forced)
+        assert fact_formula(theory, inst, problem) == Term(forced)
         verdict = classify(clf, inst)
         compliant = all(verdict.value(lit.var) == lit.positive for lit in forced)
         assert is_fact_compliant(clf, theory, inst) is compliant

@@ -230,7 +230,7 @@ class TestSyntacticRewrite:
     def test_a_rewrite_reads_as_the_printed_text(self, path):
         pf = parse_problem(path.read_text(encoding="utf-8"))
         scratch = Pool()
-        for vs in (pf.problem.features, pf.problem.labels):  # declared as the battery does
+        for vs in (pf.problem.features, pf.problem.labels):  # the pool's order, which the battery declares
             scratch.declare(*map(str, vs))
         rng = random.Random(0)
         never = SimpleNamespace(random=lambda: 1.0)  # no child shuffled, no negation added
