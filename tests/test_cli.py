@@ -262,6 +262,56 @@ def test_dt_rectify(capsys):
     assert out == "(x1 (y 1 0) (x2 (y 1 0) (y 0 1)))\n"
 
 
+def test_check_passes_in_either_section_order_and_with_more_rewrites(capsys):
+    for argv in (
+        ("--problem", str(PROBLEMS / "demo_reversed.sexp")),
+        ("--problem", DEMO, "--rewrites", "8", "--seed", "3"),
+    ):
+        code, out, err = run(capsys, "check", *argv)
+        assert (code, err) == (0, ""), argv
+        assert "all postulates hold" in out, argv
+
+
+DEMO_TREES = tuple(str(PROBLEMS / f"demo_{side}.tree") for side in ("sigma", "theory"))
+
+
+def _messy(text):
+    """In the tree section: a ';' comment holding a '(', a blank and a tab after
+    each '(' before a name, and nodes glued to the next '('."""
+    head, tree = text.split("(tree ")
+    tree = re.sub(r"(x\d) \(", r"\1(", tree).replace(") (", ")(").replace("(x", "( \t x")
+    return head + "(tree ; c (x 0\n" + tree
+
+
+_LAYOUTS = {
+    # one node a line, each indented by a tab, every line ended by CRLF
+    "crlf-and-tabs": lambda text: text.replace(" (", "\n\t(").replace("\n", "\r\n"),
+    "messy": _messy,
+}
+
+
+@pytest.mark.parametrize("layout", _LAYOUTS.values(), ids=_LAYOUTS)
+def test_tree_files_laid_out_otherwise_rectify_as_before(tmp_path, capsys, layout):
+    copies = []
+    for path in map(Path, DEMO_TREES):
+        copy = tmp_path / path.name
+        copy.write_bytes(layout(path.read_text(encoding="utf-8")).encode("utf-8"))
+        copies.append(str(copy))
+    expected = run(capsys, "dt-rectify", "--sigma", DEMO_TREES[0], "--theory", DEMO_TREES[1])
+    assert expected == (0, "(x1 (y 1 0) (x2 (y 1 0) (y 0 1)))\n", "")
+    assert run(capsys, "dt-rectify", "--sigma", copies[0], "--theory", copies[1]) == expected
+
+
+def test_a_no_break_space_in_a_tree_name_is_an_input_error(tmp_path, capsys):
+    # not one of the four blanks, so part of the name
+    sigma = tmp_path / "sigma.tree"
+    text = Path(DEMO_TREES[0]).read_text(encoding="utf-8")
+    sigma.write_text(text.replace("(x2 ", "(x2\xa0z ", 1), encoding="utf-8")
+    assert run(capsys, "dt-rectify", "--sigma", str(sigma), "--theory", DEMO_TREES[1]) == (
+        2, "", "error: unknown identifier 'x2\\xa0z'\n"
+    )
+
+
 def test_dt_rectify_walks_no_tree_it_read(monkeypatch, capsys):
     from monorect import dt_rectify, parse_tree_file, print_dtree
 

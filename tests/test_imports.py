@@ -200,3 +200,42 @@ def test_a_certification_error_with_another_text_is_reported():
         "bare (line 6)",
         "<module> (line 7)",
     ]
+
+
+# The callers of each kernel that enumerates: the gate interpreter `_table`, the
+# full truth table and what reads one, and the table-to-tree expansion.  None of
+# the construction's functions (`rectify`, `decisive_circuits`, `positive_circuit`,
+# `classify_batch`, `dt_rectify`, `dt_check_classification`) is among them; a
+# class attribute read such as `Classifier._of_region` is no call.
+_ENUMERATING_CALLERS = {
+    "truth_mask": {
+        "classifier.py": ["_full_table"],
+        "dtree.py": ["circuit_to_dt"],
+        "semantics.py": ["equivalent", "equivalent"],
+    },
+    "_full_table": {"classifier.py": ["label_blocks", "check_xy_property"]},
+    "check_xy_property": {"classifier.py": ["__init__"]},
+    "_from_table": {"dtree.py": ["circuit_to_dt", "_from_table", "_from_table", "_from_table"]},
+    "_table": {"classifier.py": ["label_blocks"], "semantics.py": ["truth_mask", "evaluate"]},
+    "equivalent": {},
+}
+
+
+@pytest.mark.parametrize("kernel", _ENUMERATING_CALLERS)
+def test_only_the_known_functions_call_an_enumerating_kernel(kernel):
+    # a new caller may put model enumeration on the answer path
+    callers = {path.name: _callers(path.read_text(), kernel) for path in MODULES}
+    assert {name: found for name, found in callers.items() if found} == _ENUMERATING_CALLERS[kernel]
+
+
+def test_an_enumeration_planted_on_the_answer_path_is_reported():
+    source = (
+        "def rectify(clf, theory):\n"
+        "    accepted = disjoin(kept, forces_pos)\n"
+        "    assert semantics.truth_mask(accepted, clf.problem.all_vars)\n"
+        "    return Classifier._of_region, accepted\n"
+        "def _full_table(circ, problem, what, cap):\n"
+        "    return truth_mask(circ, problem.all_vars)\n"
+    )
+    assert _callers(source, "truth_mask") == ["rectify", "_full_table"]
+    assert _callers(source, "_of_region") == []

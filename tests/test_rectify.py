@@ -16,15 +16,18 @@ from monorect import (
     Classifier,
     Pool,
     RandomForest,
+    attach_label,
     check_postulates,
     check_xy_property,
     circuit_to_dt,
+    classifier,
     classify,
     classify_batch,
     classify_rectified,
     condition,
     conjoin,
     decisive_circuits,
+    dt_check_classification,
     dt_rectify,
     equivalent,
     evaluate,
@@ -39,10 +42,17 @@ from monorect import (
     print_circuit,
     rectify,
     rf_classify,
+    semantics,
     truth_mask,
 )
 from monorect.cli import main
-from monorect.randgen import random_classifier, random_problem, random_theory
+from monorect.randgen import (
+    random_circuit,
+    random_classifier,
+    random_problem,
+    random_theory,
+    random_tree,
+)
 
 from conftest import desk_pairs, gate_count, oracle_args, to_term, var_walks
 
@@ -482,3 +492,49 @@ def test_each_call_lists_a_circuit_s_variables_once_at_most(monkeypatch, capsys)
         call()
         assert max(Counter(walks).values(), default=0) <= 1, name
     assert capsys.readouterr().err == ""  # both commands exit 0
+
+
+def _rows_read(monkeypatch) -> list[int]:
+    """The row count of every gate interpreter call from now on: 1 for an
+    assignment, 2**n for a full table over n variables, 2**|labels| per listed instance."""
+    rows = []
+    real = semantics._table
+
+    def spy(circ, masks, full, *rest):
+        rows.append(full.bit_length())
+        return real(circ, masks, full, *rest)
+
+    for module in (semantics, classifier):
+        monkeypatch.setattr(module, "_table", spy)
+    return rows
+
+
+@pytest.mark.parametrize("width", [16, 64])
+def test_the_answer_path_enumerates_no_model(monkeypatch, width):
+    # the construction is structural; at 16 features a full table still fits
+    # under the cap, so only the row count tells a table apart from a batch
+    rng = random.Random(width)
+    pool = Pool()
+    problem = random_problem(pool, width)
+    clf = Classifier.from_positive_circuit(problem, random_circuit(pool, problem.features, 300, rng))
+    theory = random_theory(pool, problem, 300, rng)
+    sigma_tree = attach_label(
+        random_tree(pool, problem.features, rng, depth=10, leaf_prob=0.1), problem.label
+    )
+    theory_tree = random_tree(pool, problem.all_vars, rng, depth=10, leaf_prob=0.1)
+    batch = 8
+    words = ["".join(rng.choice("01") for _ in range(width)) for _ in range(batch)]
+    assert dt_check_classification(sigma_tree, problem)
+    rows = _rows_read(monkeypatch)
+    structural = {
+        "rectify": lambda: rectify(clf, theory),
+        "decisive_circuits": lambda: decisive_circuits(theory, problem),
+        "positive_circuit": lambda: positive_circuit(clf),
+        "dt_check_classification": lambda: dt_check_classification(sigma_tree, problem),
+        "dt_rectify": lambda: dt_rectify(sigma_tree, theory_tree, problem),
+    }
+    for name, call in structural.items():
+        call()
+        assert rows == [], name
+    assert len(classify_batch(clf, theory, words)) == batch
+    assert rows and max(rows) <= 2 * batch  # one 2-row block per instance
