@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 from .circuit import Circuit, Literal, Term, VarId, condition, negate
-from .errors import CertificationError
+from .errors import CertificationError, RectifyError
 from .semantics import (
     DEFAULT_VAR_CAP,
     Assignment,
@@ -53,11 +53,11 @@ class ClassificationProblem:
         object.__setattr__(self, "features", tuple(self.features))
         object.__setattr__(self, "labels", tuple(self.labels))
         if not self.features:
-            raise ValueError("a classification problem needs at least one feature")
+            raise RectifyError("a classification problem needs at least one feature")
         if not self.labels:
-            raise ValueError("a classification problem needs at least one label")
+            raise RectifyError("a classification problem needs at least one label")
         if len(set(self.all_vars)) != len(self.all_vars):
-            raise ValueError("features and labels must be distinct variables")
+            raise RectifyError("features and labels must be distinct variables")
 
     @property
     def mono_label(self) -> bool:
@@ -67,7 +67,7 @@ class ClassificationProblem:
     def label(self) -> VarId:
         """The one label; the single-label guard of every operation that needs one."""
         if not self.mono_label:
-            raise ValueError("rectification is defined for single-label classifiers only")
+            raise RectifyError("rectification is defined for single-label classifiers only")
         return self.labels[0]
 
     @property
@@ -83,10 +83,10 @@ def as_instance(problem: ClassificationProblem, x: Instance) -> Assignment:
             return x
         if set(x.vars) == set(feats):
             return Assignment(feats, tuple(x.value(v) for v in feats))
-        raise ValueError("instance assignment must cover exactly the features")
+        raise RectifyError("instance assignment must cover exactly the features")
     if isinstance(x, Term):
         if x.vars() != set(feats):
-            raise ValueError("instance term must mention every feature exactly once")
+            raise RectifyError("instance term must mention every feature exactly once")
         return Assignment(feats, tuple(1 if x.value(v) else 0 for v in feats))
     if isinstance(x, str):
         return Assignment.from_word(x, feats)
@@ -214,7 +214,7 @@ class Classifier:
         accepted region and whose low branch is its complement, which has
         the uniqueness property structurally.
         """
-        problem.label  # raises ValueError unless the problem is single-label
+        problem.label  # raises RectifyError unless the problem is single-label
         ensure_within(
             positive.vars_outside(problem.features), "positive circuit mentions non-features: {names}"
         )

@@ -1,11 +1,11 @@
 """Command-line interface.
 
 Exit codes: 0 success (and, for check/fuzz, all checks passed);
-1 verification failure; 2 input error; 3 enumeration cap exceeded
-(rectify, classify, table, check and fuzz only: they certify or check
-circuits by truth table; dt-rectify enumerates nothing and cannot exit 3);
-4 internal error (any other exception, `RecursionError` and
-`MemoryError` included).
+1 verification failure; 2 input error (a `RectifyError` or an `OSError`);
+3 enumeration cap exceeded (rectify, classify, table, check and fuzz only:
+they certify or check circuits by truth table; dt-rectify enumerates
+nothing and cannot exit 3); 4 internal error (any other exception: a
+builtin `ValueError`, `RecursionError` and `MemoryError` included).
 
 The argument parser is built once, on the first call of `main`; each
 call then runs the module's `_cmd_<command>` function of the moment, so
@@ -24,7 +24,7 @@ from pathlib import Path
 from .circuit import Pool
 from .classifier import Classifier, _forced, as_instance, label_blocks, positive_circuit
 from .dtree import attach_label, circuit_to_dt, dt_rectify
-from .errors import CapExceededError, RectifyError
+from .errors import CapExceededError, ParseError, RectifyError
 from .formats import (
     parse_problem,
     parse_tree_file,
@@ -44,7 +44,7 @@ def main(argv=None) -> int:
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (RectifyError, ValueError, OSError) as exc:
+    except (RectifyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
@@ -118,7 +118,10 @@ def _at_least(low: int):
 
 def _text(path: str) -> str:
     """An input file's text; a UTF-8 byte-order mark, which some editors write, is dropped."""
-    return Path(path).read_text(encoding="utf-8-sig")
+    try:
+        return Path(path).read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:  # text that is not UTF-8 is malformed, as a stray ')' is
+        raise ParseError(str(exc)) from None
 
 
 def _load(args):
@@ -160,8 +163,8 @@ def _cmd_classify(args) -> int:
 def _instance_at(problem, path, n, word):
     try:
         return as_instance(problem, word)
-    except ValueError as exc:
-        raise ValueError(f"{path}, line {n}: {exc}") from None
+    except RectifyError as exc:
+        raise RectifyError(f"{path}, line {n}: {exc}") from None
 
 
 # A single-label block: bit 0 allows the negative label, bit 1 the positive.

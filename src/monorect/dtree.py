@@ -7,7 +7,7 @@ gate, equality is root identity, and a tree's variables are checked
 as every circuit's are, by `classifier._check_problem_vars`, with no
 walk when the pool declares only the problem's.  Trees are built with
 `Pool.decision` and `Pool.const`, or read with `formats.parse_dtree`.
-A function here that reaches any other gate raises ValueError there.
+A function here that reaches any other gate raises RectifyError there.
 
 Every combination grafts trees onto leaves, which can repeat variables
 along paths, so each step is one `_reduce` pass (read-once paths, no
@@ -33,7 +33,7 @@ from itertools import product
 from .circuit import AND, DEC, OR, Circuit, VarId
 from .classifier import _UNCERTIFIED, ClassificationProblem, _check_problem_vars
 from .classifier import as_instance, label_blocks
-from .errors import CertificationError
+from .errors import CertificationError, RectifyError
 from .semantics import (
     DEFAULT_VAR_CAP,
     ensure_cap,
@@ -42,10 +42,10 @@ from .semantics import (
 )
 
 
-def _not_a_tree(kind: str) -> ValueError:
+def _not_a_tree(kind: str) -> RectifyError:
     """The error for a gate of `kind`, neither a decision nor a constant."""
     article = "an" if kind in (AND, OR) else "a"
-    return ValueError(f"not a decision tree: found {article} {kind!r} gate")
+    return RectifyError(f"not a decision tree: found {article} {kind!r} gate")
 
 
 def _graft(tree: Circuit, leaf) -> Circuit:
@@ -227,7 +227,7 @@ def dt_rectify(
     label = problem.label
     pool = theory_tree.pool
     if pool is not sigma_tree.pool and pool.variables != sigma_tree.pool.variables:
-        raise ValueError("sigma and theory trees declare different variables")
+        raise RectifyError("sigma and theory trees declare different variables")
     # certification also reduces the accepted region, the cofactor at label 1
     accepted = _certified_top(sigma_tree, problem)
     if accepted is None:
@@ -289,7 +289,7 @@ def rf_classify(forest: RandomForest, x, problem: ClassificationProblem) -> int:
     A tree votes positive when it accepts the instance with the label set
     to 1: bit 1 of its label block at the instance.
     """
-    problem.label  # raises ValueError unless the problem is single-label
+    problem.label  # raises RectifyError unless the problem is single-label
     inst = as_instance(problem, x)
     votes = sum(label_blocks(tree, problem, [inst])[0] >> 1 for tree in forest.trees)
     return 1 if 2 * votes > len(forest.trees) else 0

@@ -1,14 +1,14 @@
 """Shared exception types.
 
-The CLI maps these onto exit codes: parse/build/certification problems are
-input errors (exit 2), blowing the enumeration cap is exit 3, and any
-other exception (`RecursionError` and `MemoryError` included) is an
-internal error (exit 4).
+A refused input raises a `RectifyError`, which is a `ValueError`; a call
+the library rejects raises a builtin `ValueError` or `TypeError`.  The
+CLI exits 3 on a `CapExceededError`, 2 on any other `RectifyError` or on
+an `OSError`, and 4 on anything else, a builtin `ValueError` included.
 """
 
 
-class RectifyError(Exception):
-    """Base class for errors raised by this package."""
+class RectifyError(ValueError):
+    """Base class of the errors this package raises for a refused input."""
 
 
 class ParseError(RectifyError):

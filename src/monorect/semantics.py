@@ -24,7 +24,7 @@ from typing import Collection, Iterable, Mapping, Sequence
 
 from .circuit import AND, NOT, OR, VAR
 from .circuit import Circuit, VarId, cofactors, disjoin, iter_gates
-from .errors import CapExceededError
+from .errors import CapExceededError, RectifyError
 
 DEFAULT_VAR_CAP = 20
 
@@ -40,18 +40,18 @@ class Assignment:
         object.__setattr__(self, "vars", tuple(self.vars))
         bits = tuple(self.bits)
         if len(self.vars) != len(bits):
-            raise ValueError("assignment needs one bit per variable")
+            raise RectifyError("assignment needs one bit per variable")
         if any(not isinstance(b, int) or b not in (0, 1) for b in bits):
-            raise ValueError(f"assignment bits must be the ints 0 or 1, got {bits!r}")
+            raise RectifyError(f"assignment bits must be the ints 0 or 1, got {bits!r}")
         object.__setattr__(self, "bits", tuple(int(b) for b in bits))  # bools become ints
         if len(set(self.vars)) != len(self.vars):
-            raise ValueError("duplicate variable in assignment")
+            raise RectifyError("duplicate variable in assignment")
 
     @classmethod
     def from_word(cls, word: str, over: Sequence[VarId]) -> "Assignment":
         over = tuple(over)
         if len(word) != len(over) or any(ch not in "01" for ch in word):
-            raise ValueError(
+            raise RectifyError(
                 f"instance word must be {len(over)} characters of 0/1, got {word!r}"
             )
         return cls(over, tuple(int(ch) for ch in word))
@@ -85,7 +85,7 @@ def ensure_cap(count: int, cap: int):
 
 
 def ensure_within(extra: Collection[VarId], message: str):
-    """Raise ValueError unless `extra`, the variables found outside what is
+    """Raise RectifyError unless `extra`, the variables found outside what is
     allowed (for a circuit, `Circuit.vars_outside`), is empty.
 
     `message` is a format string; its `{names}` field receives the
@@ -93,7 +93,7 @@ def ensure_within(extra: Collection[VarId], message: str):
     """
     if extra:
         names = ", ".join(sorted(v.name for v in extra))
-        raise ValueError(message.format(names=names))
+        raise RectifyError(message.format(names=names))
 
 
 def _position_mask(p: int, n: int) -> int:

@@ -31,7 +31,7 @@ def oracle_rectify(sigma: list[int], allowed: list[int], problem) -> list[int]:
     the class when the theory decides the instance the other way.
     Returns the rectified label block at each instance.
     """
-    problem.label  # raises ValueError unless the problem is single-label
+    problem.label  # raises RectifyError unless the problem is single-label
     # 2-bit blocks: bit 0 allows the negative label, bit 1 the positive.
     # A decisive theory (one label allowed) wins, switching the class on
     # conflict; a trivial (3) or contradictory (0) one keeps the verdict.

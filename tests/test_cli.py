@@ -641,7 +641,9 @@ def test_fuzz_without_iterations_checks_nothing(capsys):
     assert (code, out, err) == (0, "fuzz: 0 iterations over 4 features, nothing checked\n", "")
 
 
-@pytest.mark.parametrize("error", [RuntimeError, RecursionError, MemoryError, TypeError])
+@pytest.mark.parametrize(
+    "error", [RuntimeError, RecursionError, MemoryError, TypeError, ValueError]
+)
 def test_unexpected_exception_is_internal_error(monkeypatch, capsys, error):
     def broken(args):
         raise error("boom")
@@ -803,6 +805,25 @@ def test_inputs_with_a_byte_order_mark_read_as_without(tmp_path, capsys):
         expected = run(capsys, *argv)
         assert expected[0] == 0 and expected[1]
         assert run(capsys, *(copies.get(word, word) for word in argv)) == expected
+
+
+def test_a_file_that_is_not_utf8_is_an_input_error(tmp_path, capsys):
+    # a stray 0xff byte, say from a Latin-1 editor, is malformed text: one line, exit 2
+    sigma, theory = DEMO_TREES
+    instances = str(PROBLEMS / "demo.instances")
+    commands = [
+        ["table", "--problem", DEMO],
+        ["dt-rectify", "--sigma", sigma, "--theory", theory],
+        ["classify", "--problem", DEMO, "--instances", instances],
+    ]
+    for argv, path in zip(commands, (DEMO, sigma, instances)):
+        copy = tmp_path / Path(path).name
+        copy.write_bytes(b"; \xff\n" + Path(path).read_bytes())
+        code, out, err = run(capsys, *(str(copy) if word == path else word for word in argv))
+        assert (code, out) == (2, ""), argv
+        assert err == (
+            "error: 'utf-8' codec can't decode byte 0xff in position 2: invalid start byte\n"
+        ), argv
 
 
 def test_deep_not_chain_classifies(tmp_path, capsys):

@@ -168,6 +168,43 @@ def test_a_call_of_ensure_within_elsewhere_is_reported():
     assert _callers(source, "ensure_within") == ["_table", "certify"]
 
 
+# The functions that make a builtin ValueError or TypeError.  Each rejects how the
+# library is called (a gate of another pool, a term with both polarities, a repeated
+# enumeration order, an empty forest, a negative `rewrites`, an argument of the wrong
+# type), not what an input holds: that is a RectifyError, which the CLI reports as an
+# input error (exit 2) where it reports a builtin error as an internal one (exit 4).
+_BUILTIN_ERRORS = {
+    "ValueError": {
+        "circuit.py": ["__init__", "_owned"],
+        "dtree.py": ["__post_init__"],
+        "semantics.py": ["truth_mask"],
+        "verify.py": ["check_postulates"],
+    },
+    "TypeError": {"circuit.py": ["condition"], "classifier.py": ["as_instance"]},
+}
+
+
+@pytest.mark.parametrize("error", _BUILTIN_ERRORS)
+def test_only_the_known_call_checks_make_a_builtin_error(error):
+    callers = {path.name: _callers(path.read_text(), error) for path in MODULES}
+    assert {name: found for name, found in callers.items() if found} == _BUILTIN_ERRORS[error]
+
+
+def test_a_builtin_error_planted_in_an_input_check_is_reported():
+    source = (
+        "class ClassificationProblem:\n"
+        "    @property\n"
+        "    def label(self):\n"
+        "        if not self.mono_label:\n"
+        "            raise ValueError('one label only')\n"
+        "        return self.labels[0]\n"
+        "def as_instance(problem, x):\n"
+        "    raise RectifyError('instance term must mention every feature exactly once')\n"
+        "except_clause = (RectifyError, ValueError)\n"
+    )
+    assert _callers(source, "ValueError") == ["label"]
+
+
 def _certification_errors(source: str) -> list[str]:
     """Where a module makes a CertificationError with anything but the one text, `_UNCERTIFIED`."""
     return [

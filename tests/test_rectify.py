@@ -16,6 +16,7 @@ from monorect import (
     Classifier,
     Pool,
     RandomForest,
+    RectifyError,
     attach_label,
     check_postulates,
     check_xy_property,
@@ -354,6 +355,44 @@ def test_size_stays_linear(seed):
     assert result.rectified.circuit.size <= clf.circuit.size + 2 * theory.size + 16
 
 
+def _wide_pair(seed):
+    """A classifier and a theory at 64 features, and 256 seeded sample words.
+
+    A random theory over the features and the label decides few samples at
+    this width, so the theory is `(or (and A y) (and B (not y)))` for two
+    random feature regions A and B: it decides each sample in exactly one of them.
+    """
+    rng = random.Random(seed)
+    pool = Pool()
+    width = 64
+    problem = random_problem(pool, width)
+    clf = Classifier.from_positive_circuit(problem, random_circuit(pool, problem.features, 1000, rng))
+    a, b = (random_circuit(pool, problem.features, 500, rng) for _ in range(2))
+    y = pool.literal(problem.label)
+    theory = pool.or_([pool.and_([a, y]), pool.and_([b, pool.not_(y)])])
+    words = ["".join(rng.choice("01") for _ in range(width)) for _ in range(256)]
+    return pool, problem, clf, theory, words
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_the_postulates_hold_at_sampled_instances_of_64_features(seed):
+    # no enumeration: each relation reads label blocks at the samples or compares gates
+    pool, problem, clf, theory, words = _wide_pair(seed)
+    result = rectify(clf, theory)
+    sigma, allowed, rectified = (
+        label_blocks(c, problem, words) for c in (clf.circuit, theory, result.rectified.circuit)
+    )
+    assert sum(a in (1, 2) for a in allowed) >= len(words) // 8  # the theory decides enough
+    # compliance: the built circuit gives the flip rule's verdicts
+    assert rectified == oracle_rectify(sigma, allowed, problem)
+    # idempotence: rectifying the result by the same theory changes no verdict
+    again = rectify(result.rectified, theory).rectified.circuit
+    assert label_blocks(again, problem, words) == rectified
+    # a constant theory decides nothing, so the accepted region is sigma's own gate
+    for constant in (pool.const(0), pool.const(1)):
+        assert rectify(clf, constant).positive == positive_circuit(clf)
+
+
 # Each variable check compares the pool's declarations with the allowed
 # variables first and walks the circuit only when the pool declares more.
 # Cases: the declared names, the region R of the subject circuit
@@ -424,28 +463,28 @@ def test_only_a_used_extra_variable_is_refused(case):
     assert sorted(refusals) == sorted(set(SITES) - {"preprocess_project"})
     names = ", ".join(used)
     assert refusals["Classifier"] == (
-        ValueError,
+        RectifyError,
         f"classifier circuit mentions variables outside features and labels ({names}); "
         "forget them first",
     )
     # one scope check for the theory, wherever it is read
     assert refusals["rectify"] == refusals["classify_batch"] == refusals["fact_formula"] == (
-        ValueError,
+        RectifyError,
         f"theory mentions variables outside features and labels ({names}); forget them first",
     )
     assert refusals["truth_mask"] == (
-        ValueError, f"circuit mentions variables outside the order: {names}"
+        RectifyError, f"circuit mentions variables outside the order: {names}"
     )
     assert refusals["label_blocks"] == refusals["label_blocks at instances"] == (
-        ValueError,
+        RectifyError,
         f"circuit mentions variables outside features and labels ({names}); forget them first",
     )
     assert refusals["evaluate"] == (
-        ValueError, f"assignment is not total over the circuit's variables (missing {names})"
+        RectifyError, f"assignment is not total over the circuit's variables (missing {names})"
     )
-    assert refusals["circuit_to_dt"] == (ValueError, f"expansion order does not cover: {names}")
+    assert refusals["circuit_to_dt"] == (RectifyError, f"expansion order does not cover: {names}")
     assert refusals["from_positive_circuit"] == (
-        ValueError, f"positive circuit mentions non-features: {names}"
+        RectifyError, f"positive circuit mentions non-features: {names}"
     )
 
 
