@@ -456,14 +456,13 @@ class Pool:
         place, so the first fault of the text is the one raised.
         """
         kinds, payloads, children = self._kinds, self._payloads, self._children
-        heads: dict = {}  # each variable name met: its variable and that variable's table
-        plans = {"(": self._plan(first, heads, False)}  # "(" is no chunk: it stands for `first`
+        plans = {"(": self._plan(first, False)}  # "(" is no chunk: it stands for `first`
         done: list[int] = []
         opened: list = []  # flat: each open node's (variable, table), then the height of `done`
         for chunk in chain(("(",), chunks):
             plan = plans.get(chunk)
             if plan is None:
-                plan = plans[chunk] = self._plan(split(chunk), heads)
+                plan = plans[chunk] = self._plan(split(chunk))
             head, steps = plan
             if head.__class__ is int:
                 done.append(head)
@@ -496,26 +495,24 @@ class Pool:
                         raise step
         raise ParseError("missing ')'")
 
-    def _plan(self, tokens: list[str], heads: dict, headed: bool = True) -> tuple:
+    def _plan(self, tokens: list[str], headed: bool = True) -> tuple:
         """A chunk's plan for `read_tree`: its head, then a step for each token after the head.
 
-        The head is the node's (variable, `dec` table), kept in `heads` by
-        name, or the interned gate of a node of two leaves, `(x 0 1)`, or
-        the error of a fault; the text before the first chunk has none.  A
-        step is a leaf's constant (its uid, 0 or 1), None for a ')', or a
-        fault's error, last.
+        The head is the node's (variable, `dec` table), read from the pool's
+        declarations, or the interned gate of a node of two leaves,
+        `(x 0 1)`, or the error of a fault; the text before the first chunk
+        has none.  A step is a leaf's constant (its uid, 0 or 1), None for a
+        ')', or a fault's error, last.
         """
         head = None
         if headed:
             if not tokens or tokens[0] == ")":
                 return ParseError(_NODE), ()
-            head = heads.get(tokens[0])
-            if head is None:
-                try:
-                    var_id = self.var(tokens[0])
-                except BuildError as error:
-                    return error, ()
-                head = heads[tokens[0]] = (var_id, self._tables[DEC][var_id])
+            try:
+                var_id = self.var(tokens[0])
+            except BuildError as error:
+                return error, ()
+            head = (var_id, self._tables[DEC][var_id])
             tokens = tokens[1:]
         steps: list = []
         for token in tokens:

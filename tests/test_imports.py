@@ -54,22 +54,28 @@ def _store_writes(source: str) -> list[str]:
     return found
 
 
-def _calls(source: str, name: str) -> list[tuple[str, ast.Call]]:
-    """Every call of `name`, as a function or a method, with the function it is in."""
-    found = []
+def _walk(source: str):
+    """Every node of `source` but a function's definition, with the function it is in, in order."""
 
     def visit(node, where):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.FunctionDef):
-                visit(child, child.name)
-                continue
-            func = getattr(child, "func", None)
-            if name in (getattr(func, "id", None), getattr(func, "attr", None)):
-                found.append((where, child))
-            visit(child, where)
+                yield from visit(child, child.name)
+            else:
+                yield where, child
+                yield from visit(child, where)
 
-    visit(ast.parse(source), "<module>")
-    return found
+    return visit(ast.parse(source), "<module>")
+
+
+def _is(node, name: str) -> bool:
+    """Whether `node` is `name`, or an attribute `name` of something."""
+    return name in (getattr(node, "id", None), getattr(node, "attr", None))
+
+
+def _calls(source: str, name: str) -> list[tuple[str, ast.Call]]:
+    """Every call of `name`, as a function or a method, with the function it is in."""
+    return [(where, node) for where, node in _walk(source) if _is(getattr(node, "func", None), name)]
 
 
 def _names_formats(source: str) -> list[str]:
@@ -147,7 +153,12 @@ _ENSURE_WITHIN_CALLERS = {
 
 
 def _callers(source: str, name: str) -> list[str]:
-    return [where for where, _ in _calls(source, name)]
+    """The function each call of `name` is in, and each one that raises `name` without
+    calling it (`raise ValueError`, `raise errors.RectifyError`), in source order."""
+    return [
+        where for where, node in _walk(source)
+        if _is(node.exc if isinstance(node, ast.Raise) else getattr(node, "func", None), name)
+    ]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -203,6 +214,28 @@ def test_a_builtin_error_planted_in_an_input_check_is_reported():
         "except_clause = (RectifyError, ValueError)\n"
     )
     assert _callers(source, "ValueError") == ["label"]
+
+
+def test_a_builtin_error_raised_without_a_call_is_reported():
+    source = (
+        "class ClassificationProblem:\n"
+        "    @property\n"
+        "    def label(self):\n"
+        "        if not self.mono_label:\n"
+        "            raise ValueError\n"
+        "        return self.labels[0]\n"
+        "def as_instance(problem, x):\n"
+        "    try:\n"
+        "        return problem.word(x)\n"
+        "    except KeyError:\n"
+        "        raise\n"
+        "def evaluate(circ, point):\n"
+        "    raise RectifyError('point misses a variable')\n"
+        "def ensure_within(extra):\n"
+        "    raise builtins.TypeError\n"
+    )
+    assert _callers(source, "ValueError") == ["label"]
+    assert _callers(source, "TypeError") == ["ensure_within"]
 
 
 def _certification_errors(source: str) -> list[str]:

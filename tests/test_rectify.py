@@ -44,6 +44,7 @@ from monorect import (
     rectify,
     rf_classify,
     semantics,
+    syntactic_rewrite,
     truth_mask,
 )
 from monorect.cli import main
@@ -391,6 +392,68 @@ def test_the_postulates_hold_at_sampled_instances_of_64_features(seed):
     # a constant theory decides nothing, so the accepted region is sigma's own gate
     for constant in (pool.const(0), pool.const(1)):
         assert rectify(clf, constant).positive == positive_circuit(clf)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_a_complying_verdict_is_kept_at_sampled_instances_of_64_features(seed):
+    # minimal change (RE2): where sigma's block breaks no fact the theory's block forces
+    _, problem, clf, theory, words = _wide_pair(seed)
+    result = rectify(clf, theory)
+    sigma, allowed, rectified = (
+        label_blocks(c, problem, words) for c in (clf.circuit, theory, result.rectified.circuit)
+    )
+    label_masks = list(semantics.var_masks(problem.labels).values())
+    forced = [classifier._forced(a, label_masks) for a in allowed]
+    kept = [k for k, (s, f) in enumerate(zip(sigma, forced)) if not s & ~f]
+    assert len(kept) >= len(words) // 8
+    assert [rectified[k] for k in kept] == [sigma[k] for k in kept]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_a_rewrite_rectifies_alike_at_sampled_instances_of_64_features(seed):
+    # syntax independence (RE5): equivalent inputs, written otherwise in a scratch pool
+    # that declares the caller's variables in order, so `problem` serves it too
+    pool, problem, clf, theory, words = _wide_pair(seed)
+    scratch = Pool()
+    scratch.declare(*map(str, pool.variables))
+    rng = random.Random(seed)
+    sigma_copy, theory_copy = (syntactic_rewrite(c, rng, scratch) for c in (clf.circuit, theory))
+    rewritten = rectify(Classifier._trusted(problem, sigma_copy), theory_copy).rectified.circuit
+    rectified = rectify(clf, theory).rectified.circuit
+    assert label_blocks(rewritten, problem, words) == label_blocks(rectified, problem, words)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_a_renaming_rectifies_alike_at_sampled_instances_of_64_features(seed):
+    # the features declared in a seeded order, the label last; each word permuted to match
+    _, problem, clf, theory, words = _wide_pair(seed)
+    rng = random.Random(seed)
+    order = list(range(len(problem.features)))
+    rng.shuffle(order)
+    renamed = Pool()
+    features = renamed.declare(*(problem.features[j].name for j in order))
+    other = ClassificationProblem(features, renamed.declare(problem.label.name))
+    sigma_copy, theory_copy = (parse_circuit(print_circuit(c), renamed) for c in (clf.circuit, theory))
+    permuted = ["".join(word[j] for j in order) for word in words]
+    rectified = rectify(clf, theory).rectified.circuit
+    other_rectified = rectify(Classifier._trusted(other, sigma_copy), theory_copy).rectified.circuit
+    assert label_blocks(sigma_copy, other, permuted) == label_blocks(clf.circuit, problem, words)
+    assert label_blocks(other_rectified, other, permuted) == label_blocks(rectified, problem, words)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_the_tree_route_agrees_at_sampled_instances_of_64_features(seed):
+    # tree inputs: dt_rectify and rectify give the same verdicts
+    pool, problem, _, _, words = _wide_pair(seed)
+    rng = random.Random(seed)
+    y = problem.label
+    sigma = attach_label(random_tree(pool, problem.features, rng, depth=8, leaf_prob=0.1), y)
+    t0, t1 = (random_tree(pool, problem.features, rng, depth=8, leaf_prob=0.1) for _ in range(2))
+    theory = pool.decision(y, t0, t1)  # decides wherever t0 and t1 differ
+    assert sum(a in (1, 2) for a in label_blocks(theory, problem, words)) >= len(words) // 8
+    by_tree = dt_rectify(sigma, theory, problem)
+    by_circuit = rectify(Classifier._trusted(problem, sigma), theory).rectified.circuit
+    assert label_blocks(by_tree, problem, words) == label_blocks(by_circuit, problem, words)
 
 
 # Each variable check compares the pool's declarations with the allowed
