@@ -9,14 +9,14 @@ walk when the pool declares only the problem's.  Trees are built with
 `Pool.decision` and `Pool.const`, or read with `formats.parse_dtree`.
 A function here that reaches any other gate raises RectifyError there.
 
-Every combination grafts trees onto leaves, which can repeat variables
+Every combination replaces leaves by trees, which can repeat variables
 along paths, so each step is one `_reduce` pass (read-once paths, no
-node with two identical children) to keep the pipeline polynomial;
-`_reduce` walks on from each leaf into its graft, so the grafted tree is
-never built.  `_reduce` depends on the path, so it walks every path and
-meets a shared subtree once per path; `attach_label`, a graft, visits
-each gate once.  Every walk uses an explicit stack, so depth is bounded
-by memory only.
+node with two identical children) to keep the pipeline polynomial.  Its
+one leaf rule makes a leaf a gate, or a graft with leaves of its own
+that it walks on into, so no graft is built; it walks every path, and a
+shared subtree once per path.  `attach_label` keeps `_graft` for its
+memo by uid and its label gates, each made where its class is first
+reached.  Every walk uses an explicit stack, so depth is bounded by memory only.
 
 Certifying the classifier tree (`dt_check_classification`) checks the
 label cofactors by graft walks, so it runs at any width, and builds only
@@ -81,13 +81,8 @@ def dt_simplify(tree: Circuit) -> Circuit:
     return _reduce(tree, {})
 
 
-def _reduce(
-    tree: Circuit,
-    path: dict[VarId, int],
-    grafts: tuple[Circuit, Circuit] | None = None,
-    leaves: tuple[tuple[Circuit, Circuit], tuple[Circuit, Circuit]] | None = None,
-) -> Circuit:
-    """`tree` conditioned on `path` (variable -> bit) and reduced in one pass.
+def _reduce(tree: Circuit, path: dict[VarId, int], leaves=(0, 1)) -> Circuit:
+    """`tree` conditioned on `path` (variable -> bit), its leaves replaced, reduced in one pass.
 
     Children come back reduced and free of every variable on their path,
     so one pass gives the normal form, and a node whose two children are
@@ -95,31 +90,16 @@ def _reduce(
     keeps its own stack of open nodes, and the bit `path` holds for an
     open node's variable says which branch is being reduced.
 
-    With `grafts=(on0, on1)` it reduces the graft of `tree` without
-    building it: the walk goes on from a reached c-leaf into `on_c` and
-    resumes in `tree` once that is reduced.  `leaves=(map0, map1)` maps
-    the leaves of `on_c` to the gates `map_c` (for 0, for 1), taken as
-    they are.  With no grafts each constant is grafted onto itself.  A
-    leaf is read through the leaf map of the tree being walked, where
-    `tree`'s maps a leaf whose graft is no constant to None.  The result
-    is built in the pool of the grafts (all in one pool), or in the
-    tree's when it grafts nothing; the tree is read in its own pool's
-    store, which may be another.
+    One leaf rule: `leaves[c]` is what a c-leaf becomes, a gate's uid as
+    it is, or a graft `(subtree, its leaves)` entered under the same path
+    and left once reduced, so no graft is built.  The result is built in
+    the first graft's pool, else the tree's; each tree is read in its own
+    pool's store.  `attach_label` keeps `_graft` for its memo by uid.
     """
-    store = pool = tree.pool
-    onto = (0, 1)  # each leaf of `tree`: the gate it becomes if its graft is a constant, else None
-    if grafts is not None:
-        pool = grafts[0].pool
-        maps = ([leaf.uid for leaf in m] for m in leaves) if leaves else [(0, 1)] * 2
-        grafts = [(g.uid, m) for g, m in zip(grafts, maps)]  # each graft's root and leaf map
-        onto = [m[g] if g < 2 else None for g, m in grafts]
-    relabel = onto  # the leaf map of the tree being walked
-    paused = None  # `tree`'s open nodes while a graft is walked
+    pool = next((leaf[0].pool for leaf in leaves if type(leaf) is tuple), tree.pool)
     intern = pool._gate
-    kinds, payloads, children = store._kinds, store._payloads, store._children
-    done: list[int] = []
-    open_nodes: list[int] = []
-    node = tree.uid
+    [(node, rule, kinds, payloads, children)] = _leaf_rule([(tree, leaves)])
+    done, open_nodes, paused = [], [], []  # paused: the walks a graft interrupted, innermost last
     while True:
         while kinds[node] == DEC:
             var = payloads[node]
@@ -132,11 +112,11 @@ def _reduce(
                 node = children[node][forced]
         if node > 1:
             raise _not_a_tree(kinds[node])
-        leaf = relabel[node]
-        if leaf is None:  # a leaf of `tree` whose graft is no constant: on into the graft
-            node, relabel = grafts[node]
-            paused, open_nodes = open_nodes, []
-            kinds, payloads, children = pool._kinds, pool._payloads, pool._children
+        leaf = rule[node]
+        if type(leaf) is tuple:  # on into the graft
+            paused.append((open_nodes, rule, kinds, payloads, children))
+            node, rule, kinds, payloads, children = leaf
+            open_nodes = []
             continue
         done.append(leaf)
         while True:
@@ -152,11 +132,21 @@ def _reduce(
                 high = done.pop()
                 low = done.pop()
                 done.append(low if low == high else intern(DEC, var, (low, high)))
-            elif paused:  # the graft is reduced: back to `tree`
-                open_nodes, paused, relabel = paused, None, onto
-                kinds, payloads, children = store._kinds, store._payloads, store._children
+            elif paused:  # the graft is reduced: back to the walk it interrupted
+                open_nodes, rule, kinds, payloads, children = paused.pop()
             else:
                 return Circuit(pool, done[0])
+
+
+def _leaf_rule(leaves) -> list:
+    """`leaves` for the walk: each graft as its root uid, its leaves so read, and its pool's store."""
+    rule = []
+    for leaf in leaves:
+        if type(leaf) is tuple:
+            store = leaf[0].pool
+            leaf = (leaf[0].uid, _leaf_rule(leaf[1]), store._kinds, store._payloads, store._children)
+        rule.append(leaf)
+    return rule
 
 
 def attach_label(tree: Circuit, label: VarId) -> Circuit:
@@ -189,19 +179,18 @@ def _certified_top(tree: Circuit, problem: ClassificationProblem):
 
     Returns the reduced cofactor at the last label word (every label 1;
     for a single label, the accepted region) if the tree is certified,
-    and None if it is not.
+    and None if it is not.  Each pass is written in `_reduce`'s leaf rule.
     """
     _check_problem_vars(tree, problem, "classifier circuit")
-    zero, one = Circuit(tree.pool, 0), Circuit(tree.pool, 1)
     words = [dict(zip(problem.labels, bits)) for bits in product((0, 1), repeat=len(problem.labels))]
     union, under = tree, words[0]  # the union of the words so far: `union` under `under`
     for word in words[1:-1]:
         part = _reduce(tree, word)
-        if _reduce(part, under, (zero, union)) != zero:
+        if _reduce(part, under, (0, (union, (0, 1)))).uid:
             return None
-        union, under = _reduce(union, under, (part, one)), {}
+        union, under = _reduce(union, under, ((part, (0, 1)), 1)), {}
     top = _reduce(tree, words[-1])
-    return top if _reduce(top, under, (union, union), ((one, zero), (zero, one))) == zero else None
+    return None if _reduce(top, under, ((union, (1, 0)), (union, (0, 1)))).uid else top
 
 
 def dt_rectify(
@@ -213,9 +202,9 @@ def dt_rectify(
     T- the theory conditioned both ways, the rectified region is
     (A and not F-) or F+ for the disjoint F+ = T+ and not T- and
     F- = T- and not T+: F+ below A's 0-leaves and not F- = not T- or T+
-    below its 1-leaves.  Each conditioning and graft is one reduce pass;
-    F+'s reads T-'s leaves negated, and the last one attaches the label
-    at the leaves, as `attach_label` does.
+    below its 1-leaves.  Each conditioning and graft is one `_reduce`
+    pass, written in its leaf rule as the formula: F+'s reads T-'s leaves
+    negated, and the last reads F+'s and not F-'s leaves as label gates.
 
     The two trees may come from two pools, as from two tree files, if
     both pools declare the same variables in the same order: the walks
@@ -233,13 +222,12 @@ def dt_rectify(
     if accepted is None:
         raise CertificationError(_UNCERTIFIED)
     _check_problem_vars(theory_tree, problem, "theory")
-    zero, one = Circuit(pool, 0), Circuit(pool, 1)
     th_pos = _reduce(theory_tree, {label: 1})
     th_neg = _reduce(theory_tree, {label: 0})
-    forces_pos = _reduce(th_pos, {}, (zero, th_neg), ((zero, one), (one, zero)))  # T- read negated
-    not_forces_neg = _reduce(th_neg, {}, (one, th_pos))
-    labelled = (pool.decision(label, one, zero), pool.decision(label, zero, one))
-    return _reduce(accepted, {}, (forces_pos, not_forces_neg), (labelled, labelled))
+    forces_pos = _reduce(th_pos, {}, (0, (th_neg, (1, 0))))  # T- read negated
+    not_forces_neg = _reduce(th_neg, {}, (1, (th_pos, (0, 1))))
+    labelled = (pool._gate(DEC, label, (1, 0)), pool._gate(DEC, label, (0, 1)))
+    return _reduce(accepted, {}, ((forces_pos, labelled), (not_forces_neg, labelled)))
 
 
 def circuit_to_dt(circ: Circuit, order, cap: int = DEFAULT_VAR_CAP) -> Circuit:

@@ -174,9 +174,12 @@ def _ordered(vs: Iterable[VarId]) -> tuple[VarId, ...]:
 
 
 def equivalent(a: Circuit, b: Circuit) -> bool:
-    """Same models over the union of the two variable sets; one circuit needs no walk."""
+    """Same models over the union of the two variable sets; one circuit needs no walk.
+    Circuits of two pools need the same variables declared in the same order."""
     if a == b:
         return True
+    if a.pool is not b.pool and a.pool.variables != b.pool.variables:
+        raise ValueError("circuits of two pools that declare different variables")
     over = _ordered(a.vars() | b.vars())
     ensure_cap(len(over), DEFAULT_VAR_CAP)
     return truth_mask(a, over) == truth_mask(b, over)

@@ -9,6 +9,7 @@ from monorect import (
     BuildError,
     CapExceededError,
     CertificationError,
+    Circuit,
     ClassificationProblem,
     Classifier,
     Literal,
@@ -462,29 +463,42 @@ def twin_tree_specs(names, max_leaves=16):
     return st.recursive(st.sampled_from(["0", "1"]), compose, max_leaves=max_leaves)
 
 
+def _grafted(pool, leaf):
+    """What an entry of `_reduce`'s leaf rule stands for, each graft built by conftest's `graft`."""
+    if type(leaf) is int:
+        return Circuit(pool, leaf)
+    tree, leaves = leaf
+    return graft(tree, *(_grafted(pool, entry) for entry in leaves))
+
+
 @given(
     spec=twin_tree_specs(NAMES),
     on0=twin_tree_specs(NAMES, max_leaves=6),
     on1=twin_tree_specs(NAMES, max_leaves=6),
     name=st.sampled_from(NAMES),
     bit=st.integers(0, 1),
-    mapped=st.booleans(),
+    shape=st.sampled_from(["plain", "mapped", "nested", "two pools"]),
 )
-def test_reduce_with_grafts_is_reduce_of_the_graft(spec, on0, on1, name, bit, mapped):
+def test_reduce_with_grafts_is_reduce_of_the_graft(spec, on0, on1, name, bit, shape):
     pool, tree, a = _tree_setting(spec, on0)
     b = tree_from_spec(pool, on1)
     var = pool.var(name)
-    leaves = None
-    if mapped:  # on0 read negated, on1's leaves read as decisions on a variable off every path
+    leaves = ((a, (0, 1)), (b, (0, 1)))
+    if shape == "mapped":  # on0 read negated, on1's leaves read as decisions on a variable off every path
         (y,) = pool.declare("y")
         zero, one = pool.const(0), pool.const(1)
-        leaves = ((one, zero), (pool.decision(y, one, zero), pool.decision(y, zero, one)))
+        leaves = ((a, (1, 0)), (b, (pool.decision(y, one, zero).uid, pool.decision(y, zero, one).uid)))
+    elif shape == "nested":  # a graft at a graft's leaf, and a constant at the tree's 1-leaves
+        leaves = ((a, (0, (b, (1, 0)))), 1)
+    other = Pool()
+    other.declare(*NAMES)
     for t in (tree, dt_simplify(tree)):
+        # "two pools": the tree is walked in a pool of its own that declares the same variables
+        walked = parse_dtree(print_dtree(t), other) if shape == "two pools" else t
         for forced in ({}, {var: bit}):
             path = dict(forced)
-            grafts = (a, b) if leaves is None else (graft(a, *leaves[0]), graft(b, *leaves[1]))
-            want = _reduce(graft(t, *grafts), dict(forced))
-            assert _reduce(t, path, (a, b), leaves) == want
+            want = _reduce(graft(t, *(_grafted(pool, leaf) for leaf in leaves)), dict(forced))
+            assert _reduce(walked, path, leaves) == want
             assert path == forced
 
 

@@ -188,7 +188,7 @@ _BUILTIN_ERRORS = {
     "ValueError": {
         "circuit.py": ["__init__", "_owned"],
         "dtree.py": ["__post_init__"],
-        "semantics.py": ["truth_mask"],
+        "semantics.py": ["truth_mask", "equivalent"],
         "verify.py": ["check_postulates"],
     },
     "TypeError": {"circuit.py": ["condition"], "classifier.py": ["as_instance"]},

@@ -170,6 +170,18 @@ class TestChecks:
         with pytest.raises(CapExceededError, match="25 variables exceed the enumeration cap of 20"):
             equivalent(circ, pool.or_([pool.literal(x) for x in xs]))
 
+    def test_two_pools_must_declare_the_same_variables(self):
+        xy, yx, again = Pool(), Pool(), Pool()
+        for pool, names in ((xy, "xy"), (yx, "yx"), (again, "xy")):
+            pool.declare(*names)
+        x = xy.literal(xy.var("x"))
+        # a VarId is its index and name: x of (y, x) is another variable that shares the name
+        with pytest.raises(ValueError, match="^circuits of two pools that declare different variables$") as err:
+            equivalent(x, yx.literal(yx.var("x")))
+        assert type(err.value) is ValueError
+        assert equivalent(x, again.literal(again.var("x")))
+        assert not equivalent(x, again.literal(again.var("y")))
+
 
 class TestForget:
     def test_nothing_to_forget(self, demo):
